@@ -28,7 +28,7 @@ def run(theta, kappa_factor, dt, t_max, seed, out):
           f"kappa_crit={kc:.4f})")
 
     ys = np.linspace(1e-3, 1.5 * kappa, 120)
-    dist = min(abs(1.0 - laplace_beta_imag(mode, float(y))) for y in ys)
+    dist = np.min(np.abs(1.0 - laplace_beta_imag(mode, ys)))
     print(f"closest approach of the dispersion value to 1: {dist:.4f}")
 
     grid = TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))

@@ -10,9 +10,8 @@ from .equilibria import (Equilibrium, PerturbationProfile, compact_decreasing,
                          gaussian_profile, juttner, thermal_profile)
 from .quadrature import (QuadResult, QuadratureError, integrate_finite,
                          integrate_oscillatory, integrate_semi_infinite)
-from .spectral import (DispersionValue, KernelTable, ModeSpec,
-                       ThresholdReport, alpha_direct, alpha_hat,
-                       alpha_via_inverse, beta_direct, beta_hat,
+from .spectral import (KernelTable, ModeSpec, ThresholdReport, alpha_direct,
+                       alpha_hat, alpha_via_inverse, beta_direct, beta_hat,
                        beta_via_inverse, find_y0, laplace_beta_halfplane,
                        laplace_beta_imag, sample_kernels, threshold_astro,
                        threshold_plasma)

@@ -30,9 +30,8 @@ from .equilibria import (compact_decreasing, gaussian_profile, juttner,
                          thermal_profile)
 from .gevrey import (GevreyParams, g_l1_norm, partition_bound,
                      product_l1_bound_check, sup_bounds_check)
-from .spectral import (DispersionValue, ModeSpec, find_y0,
-                       laplace_beta_halfplane, laplace_beta_imag,
-                       threshold_astro, threshold_plasma)
+from .spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
+                       laplace_beta_imag, threshold_astro, threshold_plasma)
 from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
@@ -213,13 +212,11 @@ def cmd_dispersion(args) -> int:
         if x < 0:
             raise UsageError("dispersion is defined on the closed right "
                              "half-plane: x >= 0")
-        for y in ys:
-            val = (laplace_beta_imag(mode, float(y), tol=args.tol) if x == 0.0
-                   else laplace_beta_halfplane(mode, x, float(y),
-                                               tol=args.tol))
-            dv = DispersionValue(s=complex(x, 2.0 * math.pi * y), value=val)
-            rows.append((x, float(y), dv.value.real, dv.value.imag,
-                         abs(dv.value - 1.0)))
+        vals = (laplace_beta_imag(mode, ys, tol=args.tol) if x == 0.0
+                else [laplace_beta_halfplane(mode, x, float(y), tol=args.tol)
+                      for y in ys])
+        rows.extend((x, float(y), val.real, val.imag, abs(val - 1.0))
+                    for y, val in zip(ys, vals))
     _write_csv(args.output, ["x", "y", "re_Lbeta", "im_Lbeta", "dist_to_one"],
                rows, _config_echo(args, ["kappa", "sigma", "theta",
                                          "equilibrium", "x", "y_min", "y_max",

@@ -12,11 +12,12 @@ Three entry points:
 
 The Filon node/moment helpers are exposed for the batch kernel-table builder
 in :mod:`rvpmodes.spectral`, which reuses one panelization across thousands
-of frequencies.
+of frequencies; the Gauss-Legendre panels serve its principal values.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "integrate_oscillatory",
     "filon_nodes",
     "filon_node_weights",
+    "gauss_legendre_nodes",
 ]
 
 # QUADPACK (G7, K15) abscissae and weights on [-1, 1].
@@ -114,7 +116,8 @@ def integrate_finite(f, a, b, tol=1e-9, max_subdiv=2000):
     Panels never evaluate the endpoints, so integrable endpoint
     singularities (1/sqrt(x), log x, ...) converge without special casing.
     Raises :class:`QuadratureError` carrying the best estimate if the
-    subdivision budget is exhausted.
+    subdivision budget is exhausted or the value or its error estimate is
+    not finite.
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -144,18 +147,39 @@ def integrate_finite(f, a, b, tol=1e-9, max_subdiv=2000):
         seq += 1
         heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
     total_err = abs(total_err)
-    if total_err > tol and not total_err <= 1e-14 * abs(total_val):
-        res = QuadResult(_scalar(total_val), float(total_err), evals)
-        if total_err > 100 * tol:
-            raise QuadratureError(
-                f"integrate_finite did not reach tol={tol:g} "
-                f"(estimate {total_err:g} after {evals} evaluations)", res)
-    return QuadResult(_scalar(total_val), float(total_err), evals)
+    res = QuadResult(_scalar(total_val), float(total_err), evals)
+    if not (np.isfinite(total_val) and np.isfinite(total_err)):
+        raise QuadratureError(
+            "integrate_finite hit a non-finite value or error estimate "
+            f"({res.value}, {total_err}) after {evals} evaluations", res)
+    if total_err > 100 * tol and not total_err <= 1e-14 * abs(total_val):
+        raise QuadratureError(
+            f"integrate_finite did not reach tol={tol:g} "
+            f"(estimate {total_err:g} after {evals} evaluations)", res)
+    return res
 
 
 def _scalar(x):
     x = complex(x)
     return x.real if x.imag == 0.0 else x
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre_16():
+    return np.polynomial.legendre.leggauss(16)
+
+
+def gauss_legendre_nodes(edges, n_panels):
+    """Composite 16-point Gauss-Legendre rule, ``n_panels`` equal panels
+    between each pair of consecutive ``edges``; returns flat (nodes,
+    weights).  The rule has even order, so no node lands on a panel edge
+    or a panel centre."""
+    x16, w16 = _gauss_legendre_16()
+    k = np.arange(n_panels * (len(edges) - 1) + 1) / n_panels
+    cuts = np.interp(k, np.arange(len(edges)), edges)
+    half = 0.5 * np.diff(cuts)[:, None]
+    nodes = (cuts[:-1, None] + half) + half * x16
+    return nodes.ravel(), (half * w16).ravel()
 
 
 def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0,

@@ -62,6 +62,20 @@ def p_of_v(v):
     return out if out.ndim else float(out)
 
 
+def _f_profile(z, v):
+    """z*arctanh(v/z) - v, real or complex, with the series tail
+    v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6) where |z|/v is large."""
+    z, v = np.broadcast_arrays(z, v)
+    series = (np.abs(z) > _F_SERIES_RATIO * np.maximum(v, 1e-300)) | (v == 0.0)
+    out = np.empty_like(z)
+    zs, vs = z[series], v[series]
+    r2 = (vs / zs) ** 2
+    out[series] = (vs**3 / zs**2) * (1.0 / 3.0 + r2 * (0.2 + r2 / 7.0))
+    zd, vd = z[~series], v[~series]
+    out[~series] = zd * np.arctanh(vd / zd) - vd
+    return out
+
+
 def f_cap(x, v):
     """F(x, v) = x*arctanh(v/x) - v for real x > v >= 0.
 
@@ -76,17 +90,7 @@ def f_cap(x, v):
         raise ValueError(f"speed must lie in [0, 1), got {v!r}")
     if np.any(xa <= va):
         raise ValueError("f_cap requires x > v (arctanh argument below 1)")
-    xa, va = np.broadcast_arrays(xa, va)
-    series = (xa > _F_SERIES_RATIO * np.maximum(va, 1e-300)) | (va == 0.0)
-    out = np.empty_like(xa)
-    if np.any(series):
-        xs, vs = xa[series], va[series]
-        r2 = (vs / xs) ** 2
-        out[series] = (vs**3 / xs**2) * (1.0 / 3.0 + r2 * (0.2 + r2 / 7.0))
-    direct = ~series
-    if np.any(direct):
-        xd, vd = xa[direct], va[direct]
-        out[direct] = xd * np.arctanh(vd / xd) - vd
+    out = _f_profile(xa, va)
     return out if out.ndim else float(out)
 
 
@@ -95,20 +99,7 @@ def f_cap_complex(z, v):
 
     Same series switch as :func:`f_cap` when |z| >> v.
     """
-    za = np.asarray(z, dtype=complex)
-    va = _asarray(v, "v")
-    za, va = np.broadcast_arrays(za, va)
-    absz = np.abs(za)
-    series = (absz > _F_SERIES_RATIO * np.maximum(va, 1e-300)) | (va == 0.0)
-    out = np.empty_like(za)
-    if np.any(series):
-        zs, vs = za[series], va[series]
-        r2 = (vs / zs) ** 2
-        out[series] = (vs**3 / zs**2) * (1.0 / 3.0 + r2 * (0.2 + r2 / 7.0))
-    direct = ~series
-    if np.any(direct):
-        zd, vd = za[direct], va[direct]
-        out[direct] = zd * np.arctanh(vd / zd) - vd
+    out = _f_profile(np.asarray(z, dtype=complex), _asarray(v, "v"))
     return out if out.ndim else complex(out)
 
 

@@ -25,7 +25,6 @@ which every time sample costs O(panels) regardless of how large t is.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,14 +32,14 @@ import numpy as np
 from scipy import optimize as _opt
 
 from .equilibria import Equilibrium, PerturbationProfile
-from .quadrature import (integrate_finite, integrate_oscillatory,
+from .quadrature import (QuadResult, QuadratureError,
+                         gauss_legendre_nodes, integrate_oscillatory,
                          integrate_semi_infinite, filon_nodes,
                          _filon_moments, _FILON_L)
 from .relkin import f_cap, f_cap_complex, v_of_p
 
 __all__ = [
     "ModeSpec",
-    "DispersionValue",
     "ThresholdReport",
     "KernelTable",
     "alpha_direct",
@@ -76,14 +75,6 @@ class ModeSpec:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class DispersionValue:
-    """Transform value at s = x + 2*pi*i*y on the closed right half-plane."""
-
-    s: complex
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -134,41 +125,38 @@ def _beta_kernel(w):
 
 # --- tail moments with quadrature fallback ---------------------------------
 
+def _eq_integral(eq: Equilibrium, integrand, tol):
+    return integrate_semi_infinite(
+        integrand, tol=tol,
+        support=eq.support_bound if math.isfinite(eq.support_bound) else None,
+        scale=eq.p_scale)
+
+
+def _tail_by_quadrature(f, P, support, scale, tol):
+    """int_P^inf f(p) dp, one quadrature per P; f vanishes past support."""
+    P = np.asarray(P, dtype=float)
+    vals = [0.0 if p0 >= support else integrate_semi_infinite(
+        lambda q: f(q + p0), tol=tol, scale=scale,
+        support=support - p0 if math.isfinite(support) else None).value
+        for p0 in np.atleast_1d(P).ravel()]
+    return np.reshape(vals, P.shape) if P.ndim else float(vals[0])
+
+
 def _kernel_tail(eq: Equilibrium, P, tol=1e-12):
     """int_P^inf (1 + p^2) (-f0'(p)) dp, vectorized over P."""
     if eq.tail_kernel_moment is not None:
         return eq.tail_kernel_moment(P)
-    P = np.asarray(P, dtype=float)
-    flat = np.atleast_1d(P).ravel()
-    vals = np.empty_like(flat)
-    for i, p0 in enumerate(flat):
-        if p0 >= eq.support_bound:
-            vals[i] = 0.0
-            continue
-        res = integrate_semi_infinite(
-            lambda q: (1.0 + (q + p0) ** 2) * (-eq.derivative(q + p0)),
-            tol=tol,
-            support=None if not math.isfinite(eq.support_bound)
-            else eq.support_bound - p0,
-            scale=eq.p_scale)
-        vals[i] = res.value
-    return vals.reshape(P.shape) if P.ndim else float(vals[0])
+    return _tail_by_quadrature(lambda p: (1.0 + p * p) * (-eq.derivative(p)),
+                               P, eq.support_bound, eq.p_scale, tol)
 
 
 def _weighted_tail(profile: PerturbationProfile, P, tol=1e-12):
     """int_P^inf p sqrt(1 + p^2) h(p) dp, vectorized over P."""
     if profile.tail_weighted_moment is not None:
         return profile.tail_weighted_moment(P)
-    P = np.asarray(P, dtype=float)
-    flat = np.atleast_1d(P).ravel()
-    vals = np.empty_like(flat)
-    for i, p0 in enumerate(flat):
-        res = integrate_semi_infinite(
-            lambda q: (q + p0) * np.hypot(1.0, q + p0)
-            * profile.value(q + p0),
-            tol=tol, scale=profile.p_scale)
-        vals[i] = res.value
-    return vals.reshape(P.shape) if P.ndim else float(vals[0])
+    return _tail_by_quadrature(
+        lambda p: p * np.hypot(1.0, p) * profile.value(p), P, math.inf,
+        profile.p_scale, tol)
 
 
 # --- direct time-domain kernels ---------------------------------------------
@@ -207,28 +195,30 @@ def beta_direct(mode: ModeSpec, t: float, tol=1e-11) -> float:
     def integrand(p):
         return p * p * (-eq.derivative(p)) * _beta_kernel(w * v_of_p(p))
 
-    res = integrate_semi_infinite(
-        integrand, tol=tol,
-        support=eq.support_bound if math.isfinite(eq.support_bound) else None,
-        scale=eq.p_scale)
+    res = _eq_integral(eq, integrand, tol)
     return 8.0 * math.pi * mode.sigma / mode.kappa * res.value
 
 
 # --- frequency-domain envelopes ---------------------------------------------
+
+def _inside_support(mode: ModeSpec, y):
+    """y as an array, the mask |y| < kappa, and on it r = |y|/kappa and
+    P = r/sqrt(1 - r^2), the momentum of a particle at speed r."""
+    ya = np.asarray(y, dtype=float)
+    mask = np.abs(ya) < mode.kappa
+    r = np.abs(ya[mask]) / mode.kappa
+    return ya, mask, r, r / np.sqrt((1.0 - r) * (1.0 + r))
+
 
 def beta_hat_envelope(mode: ModeSpec, y):
     """Real odd envelope b with beta_hat = i*b:
     b(y) = (4 pi sigma / kappa^3) y int_{P(|y|/kappa)}^inf (1+p^2)(-f0') dp
     for |y| < kappa and 0 beyond (no particle outpaces its mode).
     """
-    kap = mode.kappa
-    ya = np.asarray(y, dtype=float)
+    ya, mask, _, plo = _inside_support(mode, y)
     out = np.zeros_like(ya)
-    mask = np.abs(ya) < kap
     if np.any(mask):
-        r = np.abs(ya[mask]) / kap
-        plo = r / np.sqrt((1.0 - r) * (1.0 + r))
-        out[mask] = (4.0 * math.pi * mode.sigma / kap**3) * ya[mask] \
+        out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * ya[mask] \
             * _kernel_tail(mode.equilibrium, plo)
     return out if out.ndim else float(out)
 
@@ -242,14 +232,11 @@ def alpha_hat(mode: ModeSpec, y):
     """Time-Fourier transform of the source kernel: real, even,
     (2 pi / kappa) int_{P(|y|/kappa)}^inf p sqrt(1+p^2) h(p) dp inside
     |y| < kappa and 0 beyond."""
-    kap = mode.kappa
-    ya = np.asarray(y, dtype=float)
+    ya, mask, _, plo = _inside_support(mode, y)
     out = np.zeros_like(ya)
-    mask = np.abs(ya) < kap
     if np.any(mask):
-        r = np.abs(ya[mask]) / kap
-        plo = r / np.sqrt((1.0 - r) * (1.0 + r))
-        out[mask] = (2.0 * math.pi / kap) * _weighted_tail(mode.profile, plo)
+        out[mask] = (2.0 * math.pi / mode.kappa) \
+            * _weighted_tail(mode.profile, plo)
     return out if out.ndim else float(out)
 
 
@@ -271,77 +258,86 @@ def beta_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> float:
 
 # --- Fourier-Laplace transform on the closed right half-plane ---------------
 
-def _envelope_slope(mode: ModeSpec, y: float) -> float:
-    """d b / d y by a short central difference (only feeds the tiny-tau
-    Taylor patch of the principal-value integral)."""
-    h = 1e-5 * mode.kappa
-    return (beta_hat_envelope(mode, y + h)
-            - beta_hat_envelope(mode, y - h)) / (2.0 * h)
+_PV_ROWS = 32            # y values per block of the (rows x nodes) array
+_PV_PANELS = (8, 2 ** 10)  # first and largest panel count per segment
+_PV_NEAR = 1e-5          # |y - s| / kappa below which the quotient uses b'
 
 
-def laplace_beta_imag(mode: ModeSpec, y: float, tol=1e-10) -> complex:
+def _envelope_derivative(mode: ModeSpec, y):
+    """b'(y) = (4 pi sigma / kappa^3) [T(P) + r f0'(P) / (1 - r^2)^{5/2}],
+    r = |y|/kappa, P = r/sqrt(1 - r^2), T the kernel tail moment."""
+    ya, mask, r, plo = _inside_support(mode, y)
+    out = np.zeros_like(ya)
+    eq = mode.equilibrium
+    out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * (
+        _kernel_tail(eq, plo)
+        + r * eq.derivative(plo) / ((1.0 - r) * (1.0 + r))**2.5)
+    return out
+
+
+def _pv_sums(mode: ModeSpec, y, b_y, angles, n_panels):
+    """sum_j w_j (b(s_j) - b(y)) / (y - s_j) for each y.  Panels are
+    uniform in phi = arctan(p), s = kappa sin(phi) = kappa v(p), which
+    crowds nodes toward +-kappa, where hot envelopes die off steeply."""
+    phi, w = gauss_legendre_nodes(angles, n_panels)
+    s = mode.kappa * np.sin(phi)
+    w = w * mode.kappa * np.cos(phi)
+    b_s = beta_hat_envelope(mode, s)
+    out = np.empty_like(y)
+    for i in range(0, y.size, _PV_ROWS):
+        d = y[i:i + _PV_ROWS, None] - s
+        near = np.abs(d) < _PV_NEAR * mode.kappa
+        quot = (b_s - b_y[i:i + _PV_ROWS, None]) / np.where(near, 1.0, d)
+        if near.any():
+            # A node on (or next to) y: b(s) - b(y) cancels, so use
+            # -(mean of b' between s and y), two-point Gauss; its limit
+            # at s = y is -b'(y).
+            mid = s[np.nonzero(near)[1]] + 0.5 * d[near]
+            off = d[near] / (2.0 * math.sqrt(3.0))
+            quot[near] = -0.5 * (_envelope_derivative(mode, mid - off)
+                                 + _envelope_derivative(mode, mid + off))
+        out[i:i + _PV_ROWS] = quot @ w
+    return out
+
+
+def laplace_beta_imag(mode: ModeSpec, y, tol=1e-10):
     """Transform of the memory kernel at s = 2*pi*i*y (imaginary axis).
 
-    * |y| >= kappa: real, (4 sigma / kappa^2) int F(|y|/kappa, v(p))
-      (1+p^2)(-f0') dp with F(x,v) = x arctanh(v/x) - v.
-    * y = 0: the closed form -(4 sigma / kappa^2)
-      int (sqrt(1+p^2) + p^2/sqrt(1+p^2)) f0 dp.
-    * 0 < |y| < kappa: real part from the symmetrized principal-value
-      convolution of b against 1/tau, imaginary part b(y)/2.
+    With b = beta_hat_envelope (odd, zero for |y| >= kappa), for every y
+    W = (1/2pi) PV int_{-kappa}^{kappa} b(s) / (y - s) ds + (i/2) b(y),
+    evaluated as (1/2pi) [sum_j w_j (b(s_j) - b(y)) / (y - s_j)
+    + b(y) log|(kappa + y)/(kappa - y)|] + (i/2) b(y) on composite
+    16-point Gauss-Legendre panels with edges at 0 and, for compact
+    equilibria, +-kappa v(P).  Panels double until W changes by at most
+    ``tol`` anywhere in the batch; the panel cap raises QuadratureError.
+    A float ``y`` returns a complex, an array a complex array.
     """
     kap = mode.kappa
-    sig = mode.sigma
-    eq = mode.equilibrium
-    ay = abs(y)
-
-    if ay >= kap:
-        x = ay / kap
-
-        def integrand(p):
-            return f_cap(x, v_of_p(p)) * (1.0 + p * p) * (-eq.derivative(p))
-
-        res = integrate_semi_infinite(
-            integrand, tol=tol,
-            support=eq.support_bound if math.isfinite(eq.support_bound)
-            else None,
-            scale=eq.p_scale)
-        return complex(4.0 * sig / kap**2 * res.value)
-
-    if y == 0.0:
-
-        def integrand0(p):
-            u = np.hypot(1.0, p)
-            return (u + p * p / u) * eq.value(p)
-
-        res = integrate_semi_infinite(
-            integrand0, tol=tol,
-            support=eq.support_bound if math.isfinite(eq.support_bound)
-            else None,
-            scale=eq.p_scale)
-        return complex(-4.0 * sig / kap**2 * res.value)
-
-    slope = _envelope_slope(mode, ay)
-
-    def pv_integrand(tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.empty_like(tau)
-        tiny = tau < 1e-4
-        out[tiny] = -2.0 * slope
-        tb = tau[~tiny]
-        out[~tiny] = (beta_hat_envelope(mode, ay - tb)
-                      - beta_hat_envelope(mode, ay + tb)) / tb
-        return out
-
-    # b(ay + tau) leaves its support at tau = kappa - ay: split there.
-    brk = kap - ay
-    acc = 0.0
-    segments = [(0.0, brk), (brk, kap + ay)]
-    for lo, hi in segments:
-        if hi - lo > 1e-14 * kap:
-            acc += integrate_finite(pv_integrand, lo, hi, tol=0.5 * tol).value
-    re = acc / (2.0 * math.pi)
-    im = 0.5 * beta_hat_envelope(mode, y)
-    return complex(re, im)
+    ya = np.asarray(y, dtype=float)
+    yf = ya.ravel()
+    b_y = beta_hat_envelope(mode, yf)
+    inside = np.abs(yf) < kap
+    log_term = np.zeros_like(yf)
+    log_term[inside] = b_y[inside] * np.log((kap + yf[inside])
+                                            / (kap - yf[inside]))
+    edge = math.atan(mode.equilibrium.support_bound)  # pi/2 if unbounded
+    angles = sorted({-0.5 * math.pi, -edge, 0.0, edge, 0.5 * math.pi})
+    n = _PV_PANELS[0]
+    prev = _pv_sums(mode, yf, b_y, angles, n)
+    while True:
+        n *= 2
+        cur = _pv_sums(mode, yf, b_y, angles, n)
+        err = np.max(np.abs(cur - prev), initial=0.0) / (2.0 * math.pi)
+        if err <= tol or 2 * n > _PV_PANELS[1]:
+            break
+        prev = cur
+    out = (cur + log_term) / (2.0 * math.pi) + 0.5j * b_y
+    if err > tol:
+        raise QuadratureError(
+            f"laplace_beta_imag: change {err:g} > tol {tol:g} at {n} panels "
+            "per segment",
+            QuadResult(out, float(err), 16 * n * (len(angles) - 1)))
+    return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
 def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
@@ -378,21 +374,11 @@ def laplace_beta_halfplane(mode: ModeSpec, x: float, y: float,
         return f_cap_complex(z, v_of_p(p)) * (1.0 + p * p) \
             * (-eq.derivative(p))
 
-    res = integrate_semi_infinite(
-        integrand, tol=tol,
-        support=eq.support_bound if math.isfinite(eq.support_bound) else None,
-        scale=eq.p_scale)
+    res = _eq_integral(eq, integrand, tol)
     return 4.0 * mode.sigma / kap**2 * complex(res.value)
 
 
 # --- critical wavenumbers ----------------------------------------------------
-
-def _eq_integral(eq: Equilibrium, integrand, tol):
-    return integrate_semi_infinite(
-        integrand, tol=tol,
-        support=eq.support_bound if math.isfinite(eq.support_bound) else None,
-        scale=eq.p_scale)
-
 
 def threshold_plasma(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
     """Repulsive-case squared critical wavenumber:
@@ -447,7 +433,9 @@ def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
     Only meaningful for the repulsive interaction; the transform restricted
     to |y| >= kappa is real, positive and strictly decreasing there, so a
     subcritical mode has exactly one crossing.  Returns None for
-    supercritical modes (no crossing exists).
+    supercritical modes (no crossing exists) and nothing else; raises
+    RuntimeError if ``max_doublings`` doublings of the search interval do
+    not bracket the crossing.
     """
     if mode.sigma != +1:
         raise ValueError("dispersion crossing applies to the repulsive case")
@@ -472,9 +460,9 @@ def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
         g_hi = g(hi)
         n += 1
         if n > max_doublings:
-            warnings.warn("dispersion crossing not bracketed; giving up",
-                          stacklevel=2)
-            return None
+            raise RuntimeError(
+                f"dispersion crossing not bracketed in [{kap:g}, {hi:g}] "
+                f"after {n} doublings")
     return float(_opt.brentq(g, lo, hi, xtol=ytol, rtol=8.9e-16))
 
 

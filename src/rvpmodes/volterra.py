@@ -147,7 +147,7 @@ def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
 
 
 def _resolvent_transform(mode: ModeSpec, y, tol):
-    w = np.array([laplace_beta_imag(mode, float(yy), tol=tol) for yy in y])
+    w = laplace_beta_imag(mode, y, tol=tol)
     return w / (1.0 - w)
 
 
@@ -173,13 +173,13 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid, tol=1e-8,
     times = grid.times
     om = 2.0 * math.pi * times
 
-    # Inside the support: G complex from the principal-value branch.
+    # Inside the support: G complex (W carries the i b/2 part).
     n_in = 1024
     nodes, _ = filon_nodes(0.0, kap, n_in)
     g_in = _resolvent_transform(mode, nodes.ravel(), tol).reshape(nodes.shape)
     inner = _filon_batch(g_in, 0.0, kap, n_in, om)
 
-    # Outside: real branch on geometric panels [kap, Y].
+    # Outside: G real on geometric panels [kap, Y].
     total = inner
     seg_lo = kap
     seg_hi = 2.0 * kap
@@ -206,8 +206,8 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid, tol=1e-8,
         tail[pos] = A * (np.exp(1j * w * Y) / Y + 1j * w * e1)
     total = total + tail
 
-    # Real branch and the tail enter once for y > 0; add the mirror image
-    # (complex conjugate at -y) by taking twice the real part.
+    # Every piece covers y > 0 only; add the mirror image (complex
+    # conjugate at -y) by taking twice the real part.
     return 2.0 * total.real + 0j
 
 

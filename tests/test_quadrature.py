@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes.quadrature import (QuadratureError, integrate_finite,
-                                 integrate_oscillatory,
+from rvpmodes.quadrature import (QuadratureError, gauss_legendre_nodes,
+                                 integrate_finite, integrate_oscillatory,
                                  integrate_semi_infinite)
 
 
@@ -41,6 +41,17 @@ class TestFinite:
                              tol=1e-14, max_subdiv=20)
         assert err.value.result.abs_error_estimate > 0
         assert err.value.result.value > 0
+
+    def test_nan_integrand_raises(self):
+        # nan > tol is False: a NaN must not come back as converged
+        with pytest.raises(QuadratureError):
+            integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_nonintegrable_pole_raises(self):
+        # the K15 centre node sits on the pole: value inf, estimate nan
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError):
+            integrate_finite(lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0)
 
     # estimate may overshoot, must not undershoot true error by > 10x
     BATTERY = [
@@ -77,6 +88,15 @@ class TestFinite:
         true_err = abs(r.value - exact)
         assert true_err <= 10.0 * r.abs_error_estimate + 1e-13 * abs(exact)
         assert true_err < 1e-9 * max(1.0, abs(exact))
+
+
+class TestGaussLegendre:
+    def test_composite_rule_exact_for_degree_31(self):
+        x, w = gauss_legendre_nodes([-1.0, 0.3, 2.0], 3)
+        assert x.shape == w.shape == (2 * 3 * 16,)
+        assert np.all((x > -1.0) & (x < 2.0) & (x != 0.3))
+        assert np.sum(w * x**31) == pytest.approx((2.0**32 - 1.0) / 32.0,
+                                                  rel=1e-13)
 
 
 class TestSemiInfinite:

@@ -1,13 +1,20 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner)
-from rvpmodes.quadrature import (integrate_finite, integrate_oscillatory,
+from rvpmodes.quadrature import (gauss_legendre_nodes, integrate_finite,
+                                 integrate_oscillatory,
                                  integrate_semi_infinite)
+from rvpmodes.relkin import f_cap, v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_direct, alpha_hat,
                                alpha_via_inverse, beta_direct, beta_hat,
                                beta_hat_envelope, beta_via_inverse, find_y0,
@@ -21,6 +28,58 @@ from rvpmodes.spectral import (ModeSpec, alpha_direct, alpha_hat,
 
 def rel_close(a, b, rtol, floor=1e-12):
     return abs(a - b) <= rtol * max(abs(a), abs(b), floor)
+
+
+# --- independent routes to the on-axis transform (test oracles) -------------
+
+def _eq_integral(eq, integrand, tol=1e-13):
+    support = eq.support_bound if math.isfinite(eq.support_bound) else None
+    return integrate_semi_infinite(integrand, tol=tol, support=support,
+                                   scale=eq.p_scale).value
+
+
+def _beyond_oracle(mode, y):
+    """|y| >= kappa: (4 sigma / kappa^2) int F(|y|/kappa, v(p))
+    (1+p^2)(-f0') dp with F(x, v) = x arctanh(v/x) - v."""
+    eq, x = mode.equilibrium, abs(y) / mode.kappa
+    val = _eq_integral(eq, lambda p: f_cap(x, v_of_p(p)) * (1.0 + p * p)
+                       * (-eq.derivative(p)))
+    return complex(4.0 * mode.sigma / mode.kappa**2 * val)
+
+
+def _origin_oracle(mode):
+    """y = 0: -(4 sigma / kappa^2) int (u + p^2/u) f0 dp, u = sqrt(1+p^2)."""
+    eq = mode.equilibrium
+
+    def integrand(p):
+        u = np.hypot(1.0, p)
+        return (u + p * p / u) * eq.value(p)
+
+    return complex(-4.0 * mode.sigma / mode.kappa**2
+                   * _eq_integral(eq, integrand))
+
+
+def _cauchy_oracle(mode, y):
+    """Any y: QUADPACK's Cauchy-weight principal value of b over the
+    support, (1/2pi) PV int b(s)/(y - s) ds + (i/2) b(y)."""
+    kap = mode.kappa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unconverged oracle is no oracle
+        pv, _ = quad(lambda s: beta_hat_envelope(mode, s), -kap, kap,
+                     weight="cauchy", wvar=y, epsabs=1e-12, epsrel=1e-12,
+                     limit=500)
+    return complex(-pv / (2.0 * math.pi), 0.5 * beta_hat_envelope(mode, y))
+
+
+@st.composite
+def axis_modes(draw):
+    if draw(st.booleans()):
+        eq = juttner(draw(st.floats(0.1, 2.0)))
+    else:
+        eq = compact_decreasing(draw(st.floats(0.5, 3.0)))
+    return ModeSpec(kappa=draw(st.floats(0.2, 3.0)),
+                    sigma=draw(st.sampled_from([1, -1])), equilibrium=eq,
+                    profile=gaussian_profile(1.0, 1.0))
 
 
 class TestModeSpec:
@@ -108,6 +167,24 @@ class TestTransforms:
         assert alpha_via_inverse(mode, 2.0) == 0.0
 
 
+class TestTailFallback:
+    @pytest.mark.parametrize("eq", [juttner(0.2), compact_decreasing(1.5)])
+    def test_quadrature_tails_match_closed_forms(self, eq):
+        prof = gaussian_profile(1.0, 1.0)
+        mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq, profile=prof)
+        bare = ModeSpec(
+            kappa=1.0, sigma=+1,
+            equilibrium=dataclasses.replace(eq, tail_kernel_moment=None),
+            profile=dataclasses.replace(prof, tail_weighted_moment=None))
+        ys = np.array([0.0, 0.3, 0.8, 0.95, 0.99])
+        assert np.allclose(beta_hat_envelope(bare, ys),
+                           beta_hat_envelope(mode, ys), rtol=1e-9, atol=1e-12)
+        assert np.allclose(alpha_hat(bare, ys), alpha_hat(mode, ys),
+                           rtol=1e-9, atol=1e-12)
+        assert beta_hat_envelope(bare, 0.5) == pytest.approx(
+            beta_hat_envelope(mode, 0.5), rel=1e-9)
+
+
 class TestCrossPath:
     @pytest.mark.parametrize("kappa", [0.5, 2.0])
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
@@ -189,6 +266,54 @@ class TestLaplaceOnAxis:
             assert tail.real == 0.0
             assert tail.imag == pytest.approx(-pv / (2.0 * math.pi),
                                               rel=1e-8)
+
+
+class TestAxisEvaluatorOracles:
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("y", [0.425, 0.375])
+    def test_readme_dispersion_mode_meets_tol(self, eq02, y):
+        # an adaptive per-y principal-value loop was off by 9.7e-10 at
+        # y = 0.425 and 5.6e-10 at y = 0.375 even at tol = 1e-13
+        mode = ModeSpec(kappa=0.46, sigma=+1, equilibrium=eq02,
+                        profile=gaussian_profile(1.0, 1.0))
+        tol = 1e-13
+        assert abs(laplace_beta_imag(mode, y, tol=tol)
+                   - _cauchy_oracle(mode, y)) <= 10 * tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=axis_modes(), inner=st.floats(-0.99, 0.99),
+           outer=st.floats(1.0, 20.0))
+    def test_batch_matches_oracles(self, mode, inner, outer):
+        kap = mode.kappa
+        ys = np.array([0.0, inner * kap, outer * kap, -outer * kap])
+        w = laplace_beta_imag(mode, ys, tol=self.TOL)
+        assert abs(w[0] - _origin_oracle(mode)) <= 10 * self.TOL
+        assert abs(w[1] - _cauchy_oracle(mode, ys[1])) <= 10 * self.TOL
+        for k in (2, 3):
+            assert abs(w[k] - _beyond_oracle(mode, ys[k])) <= 10 * self.TOL
+
+    def test_y_on_quadrature_node(self, mode02):
+        # The evaluator's first two grids put nodes at s = kappa sin(phi),
+        # phi on 8 and 16 Gauss-Legendre panels per half of
+        # [-pi/2, pi/2]; y on a node makes b(s) - b(y) vanish exactly.
+        for n in (8, 16):
+            phi, _ = gauss_legendre_nodes([-0.5 * math.pi, 0.0,
+                                           0.5 * math.pi], n)
+            ys = mode02.kappa * np.sin(phi[::9])
+            w = laplace_beta_imag(mode02, ys, tol=self.TOL)
+            assert np.all(np.isfinite(w))
+            for y, val in zip(ys, w):
+                assert abs(val - _cauchy_oracle(mode02, y)) <= 10 * self.TOL
+
+    def test_array_matches_scalar_calls(self, mode02):
+        ys = np.array([[0.0, 0.3, -0.7], [1.0, 1.5, -4.0]])
+        w = laplace_beta_imag(mode02, ys, tol=self.TOL)
+        assert w.shape == ys.shape and np.iscomplexobj(w)
+        for idx in np.ndindex(ys.shape):
+            v = laplace_beta_imag(mode02, float(ys[idx]), tol=self.TOL)
+            assert isinstance(v, complex)
+            assert abs(w[idx] - v) <= 10 * self.TOL
 
 
 class TestLaplaceHalfPlane:
@@ -293,6 +418,15 @@ class TestDispersionRoot:
                         profile=gaussian_profile(1.0, 1.0))
         y0 = find_y0(mode)
         assert y0 is not None and y0 > mode.kappa
+
+    def test_unbracketed_crossing_raises(self, eq02):
+        # None means supercritical only; giving up on the bracket raises
+        mode = ModeSpec(kappa=0.05, sigma=+1, equilibrium=eq02,
+                        profile=gaussian_profile(1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="not bracketed"):
+                find_y0(mode, max_doublings=0)
 
     def test_rejects_attractive_sign(self, eq02):
         mode = ModeSpec(kappa=0.5, sigma=-1, equilibrium=eq02,
