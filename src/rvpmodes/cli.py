@@ -61,26 +61,6 @@ def _write_csv(path, header, rows, config):
             raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_config(path):
-    cfg = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, val = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key == "P":
-                    key = "p_support"
-                cfg[key] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return cfg
-
-
 class UsageError(ValueError):
     pass
 
@@ -89,35 +69,35 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _apply_config(args, parser, argv):
-    """Overlay config-file values onto options the command line did not
-    set explicitly; explicit flags always win, including over defaults."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    explicit = set()
-    actions = {}
-    for action in parser._actions:
-        actions[action.dest] = action
-        for opt in action.option_strings:
-            if any(tok == opt or tok.startswith(opt + "=") for tok in argv):
-                explicit.add(action.dest)
-    for key, raw in cfg.items():
-        if key in explicit or not hasattr(args, key):
-            continue
+def _config_defaults(sp, path):
+    """Values of a ``key = value`` config file, cast with each option's
+    type, to install as the subcommand's defaults: any flag on the command
+    line, abbreviated or not, then wins by construction."""
+    actions = {action.dest: action for action in sp._actions}
+    try:
+        with open(path) as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    defaults = {}
+    for line in filter(None, lines):
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        key = "p_support" if key == "P" else key.replace("-", "_")
         action = actions.get(key)
-        if isinstance(action, argparse._StoreTrueAction):
-            low = raw.lower()
-            if low not in _TRUE_WORDS | _FALSE_WORDS:
-                raise UsageError(f"config {key}={raw!r} is not a boolean")
-            setattr(args, key, low in _TRUE_WORDS)
+        if action is None:
             continue
-        cast = action.type if action is not None and action.type else str
+        if isinstance(action, argparse._StoreTrueAction):
+            if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+                raise UsageError(f"config {key}={raw!r} is not a boolean")
+            defaults[key] = raw.lower() in _TRUE_WORDS
+            continue
         try:
-            setattr(args, key, cast(raw))
+            defaults[key] = action.type(raw) if action.type else raw
         except ValueError as exc:
             raise UsageError(f"config {key}={raw!r}: {exc}") from exc
-    return args
+    return defaults
 
 
 def _build_equilibrium(args):
@@ -441,7 +421,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, getattr(args, "_sp", parser), argv)
+        if args.config:
+            args._sp.set_defaults(**_config_defaults(args._sp, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as _sp
 
-from .relkin import bessel_k2_scaled
+from .relkin import bessel_k2_scaled, scalarize
 
 __all__ = [
     "Equilibrium",
@@ -86,23 +86,21 @@ def juttner(theta: float) -> Equilibrium:
     def value(p):
         p = np.asarray(p, dtype=float)
         u = np.hypot(1.0, p)
-        out = norm * np.exp((1.0 - u) / theta)
-        return out if out.ndim else float(out)
+        return scalarize(norm * np.exp((1.0 - u) / theta))
 
     def derivative(p):
         p = np.asarray(p, dtype=float)
         u = np.hypot(1.0, p)
-        out = -(p / (theta * u)) * norm * np.exp((1.0 - u) / theta)
-        return out if out.ndim else float(out)
+        return scalarize(-(p / (theta * u)) * norm
+                         * np.exp((1.0 - u) / theta))
 
     def tail_kernel_moment(P):
         # int_P^inf (1+p^2)(-f0') dp = (norm_shifted) e^{(1-U)/theta}
         #   * (U^2 + 2 theta U + 2 theta^2),  U = sqrt(1+P^2).
         P = np.asarray(P, dtype=float)
         u = np.hypot(1.0, P)
-        out = norm * np.exp((1.0 - u) / theta) * (u * u + 2.0 * theta * u
-                                                  + 2.0 * theta * theta)
-        return out if out.ndim else float(out)
+        return scalarize(norm * np.exp((1.0 - u) / theta)
+                         * (u * u + 2.0 * theta * u + 2.0 * theta * theta))
 
     return Equilibrium(
         value=value,
@@ -128,22 +126,19 @@ def compact_decreasing(P: float) -> Equilibrium:
     def value(p):
         p = np.asarray(p, dtype=float)
         w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
-        out = c * w**4
-        return out if out.ndim else float(out)
+        return scalarize(c * w**4)
 
     def derivative(p):
         p = np.asarray(p, dtype=float)
         w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
-        out = -8.0 * c * (p / P**2) * w**3
-        return out if out.ndim else float(out)
+        return scalarize(-8.0 * c * (p / P**2) * w**3)
 
     def tail_kernel_moment(x):
         # int_x^P (1+p^2)(-f0') dp = c [(1+P^2) w^4 - (4/5) P^2 w^5],
         # w = 1 - (x/P)^2.
         x = np.asarray(x, dtype=float)
         w = np.clip(1.0 - (x / P) ** 2, 0.0, None)
-        out = c * ((1.0 + P * P) * w**4 - 0.8 * P * P * w**5)
-        return out if out.ndim else float(out)
+        return scalarize(c * ((1.0 + P * P) * w**4 - 0.8 * P * P * w**5))
 
     return Equilibrium(
         value=value,
@@ -164,8 +159,7 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
 
     def value(p):
         p = np.asarray(p, dtype=float)
-        out = amp * np.exp(-((p / width) ** 2))
-        return out if out.ndim else float(out)
+        return scalarize(amp * np.exp(-((p / width) ** 2)))
 
     def tail_weighted_moment(P):
         # int_P^inf p sqrt(1+p^2) e^{-p^2/w^2} dp, via u = sqrt(1+p^2):
@@ -173,10 +167,9 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
         # U = sqrt(1+P^2); erfcx keeps the e^{1/w^2} factor in range.
         P = np.asarray(P, dtype=float)
         u = np.hypot(1.0, P)
-        out = amp * np.exp(-((P / width) ** 2)) * (
+        return scalarize(amp * np.exp(-((P / width) ** 2)) * (
             0.5 * width**2 * u
-            + 0.25 * math.sqrt(math.pi) * width**3 * _sp.erfcx(u / width))
-        return out if out.ndim else float(out)
+            + 0.25 * math.sqrt(math.pi) * width**3 * _sp.erfcx(u / width)))
 
     return PerturbationProfile(
         value=value,
@@ -201,16 +194,14 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
     def value(p):
         p = np.asarray(p, dtype=float)
         u = np.hypot(1.0, p)
-        out = amp * np.exp((1.0 - u) / theta)
-        return out if out.ndim else float(out)
+        return scalarize(amp * np.exp((1.0 - u) / theta))
 
     def tail_weighted_moment(P):
         # Same u-substitution as the thermal tail moment.
         P = np.asarray(P, dtype=float)
         u = np.hypot(1.0, P)
-        out = amp * theta * np.exp((1.0 - u) / theta) * (
-            u * u + 2.0 * theta * u + 2.0 * theta * theta)
-        return out if out.ndim else float(out)
+        return scalarize(amp * theta * np.exp((1.0 - u) / theta) * (
+            u * u + 2.0 * theta * u + 2.0 * theta * theta))
 
     return PerturbationProfile(
         value=value,

@@ -186,7 +186,8 @@ def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0,
                             max_subdiv=2000):
     """int_0^inf f(p) dp for integrands decaying at least exponentially.
 
-    ``support``: finite upper support bound, integrates [0, support] directly.
+    ``support``: upper support bound; a finite one integrates [0, support]
+    directly, None or inf the whole half-line.
     ``scale``: characteristic p where the integrand mass sits; the map
     p = scale*u/(1-u) places that region mid-interval so the adaptive pass
     starts near the action.

@@ -28,6 +28,11 @@ K2_UNDERFLOW_X = 700.0
 _F_SERIES_RATIO = 1e3
 
 
+def scalarize(out):
+    """A 0-d result as a Python scalar; arrays pass through unchanged."""
+    return out if np.ndim(out) else out.item()
+
+
 def _asarray(x, name):
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -45,8 +50,8 @@ def v_of_p(p):
     a = _asarray(p, "p")
     if np.any(a < 0):
         raise ValueError(f"momentum magnitude must be >= 0, got {p!r}")
-    out = np.minimum(a / np.hypot(1.0, a), np.nextafter(1.0, 0.0))
-    return out if out.ndim else float(out)
+    return scalarize(np.minimum(a / np.hypot(1.0, a),
+                                np.nextafter(1.0, 0.0)))
 
 
 def p_of_v(v):
@@ -58,8 +63,7 @@ def p_of_v(v):
     a = _asarray(v, "v")
     if np.any(a < 0) or np.any(a >= 1):
         raise ValueError(f"speed must lie in [0, 1), got {v!r}")
-    out = a / np.sqrt((1.0 - a) * (1.0 + a))
-    return out if out.ndim else float(out)
+    return scalarize(a / np.sqrt((1.0 - a) * (1.0 + a)))
 
 
 def _f_profile(z, v):
@@ -90,8 +94,7 @@ def f_cap(x, v):
         raise ValueError(f"speed must lie in [0, 1), got {v!r}")
     if np.any(xa <= va):
         raise ValueError("f_cap requires x > v (arctanh argument below 1)")
-    out = _f_profile(xa, va)
-    return out if out.ndim else float(out)
+    return scalarize(_f_profile(xa, va))
 
 
 def f_cap_complex(z, v):
@@ -99,8 +102,8 @@ def f_cap_complex(z, v):
 
     Same series switch as :func:`f_cap` when |z| >> v.
     """
-    out = _f_profile(np.asarray(z, dtype=complex), _asarray(v, "v"))
-    return out if out.ndim else complex(out)
+    return scalarize(_f_profile(np.asarray(z, dtype=complex),
+                                _asarray(v, "v")))
 
 
 def arctanh_complex(z):
@@ -113,8 +116,7 @@ def arctanh_complex(z):
     on_cut = (za.imag == 0.0) & (np.abs(za.real) >= 1.0)
     if np.any(on_cut):
         raise ValueError(f"arctanh branch cut at {z!r}")
-    out = np.arctanh(za)
-    return out if out.ndim else complex(out)
+    return scalarize(np.arctanh(za))
 
 
 def bessel_k2(x):
@@ -126,8 +128,7 @@ def bessel_k2(x):
     a = _asarray(x, "x")
     if np.any(a <= 0):
         raise ValueError(f"bessel_k2 requires x > 0, got {x!r}")
-    out = _sp.kv(2, a)
-    return out if out.ndim else float(out)
+    return scalarize(_sp.kv(2, a))
 
 
 def bessel_k2_scaled(x):
@@ -135,5 +136,4 @@ def bessel_k2_scaled(x):
     a = _asarray(x, "x")
     if np.any(a <= 0):
         raise ValueError(f"bessel_k2_scaled requires x > 0, got {x!r}")
-    out = _sp.kve(2, a)
-    return out if out.ndim else float(out)
+    return scalarize(_sp.kve(2, a))

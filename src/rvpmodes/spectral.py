@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import optimize as _opt
 
 from .equilibria import Equilibrium, PerturbationProfile
@@ -36,7 +37,7 @@ from .quadrature import (QuadResult, QuadratureError,
                          gauss_legendre_nodes, integrate_oscillatory,
                          integrate_semi_infinite, filon_nodes,
                          _filon_moments, _FILON_L)
-from .relkin import f_cap, f_cap_complex, v_of_p
+from .relkin import f_cap, f_cap_complex, scalarize, v_of_p
 
 __all__ = [
     "ModeSpec",
@@ -126,10 +127,8 @@ def _beta_kernel(w):
 # --- tail moments with quadrature fallback ---------------------------------
 
 def _eq_integral(eq: Equilibrium, integrand, tol):
-    return integrate_semi_infinite(
-        integrand, tol=tol,
-        support=eq.support_bound if math.isfinite(eq.support_bound) else None,
-        scale=eq.p_scale)
+    return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
+                                   support=eq.support_bound)
 
 
 def _tail_by_quadrature(f, P, support, scale, tol):
@@ -137,9 +136,8 @@ def _tail_by_quadrature(f, P, support, scale, tol):
     P = np.asarray(P, dtype=float)
     vals = [0.0 if p0 >= support else integrate_semi_infinite(
         lambda q: f(q + p0), tol=tol, scale=scale,
-        support=support - p0 if math.isfinite(support) else None).value
-        for p0 in np.atleast_1d(P).ravel()]
-    return np.reshape(vals, P.shape) if P.ndim else float(vals[0])
+        support=support - p0).value for p0 in np.atleast_1d(P).ravel()]
+    return scalarize(np.reshape(vals, P.shape))
 
 
 def _kernel_tail(eq: Equilibrium, P, tol=1e-12):
@@ -220,7 +218,7 @@ def beta_hat_envelope(mode: ModeSpec, y):
     if np.any(mask):
         out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * ya[mask] \
             * _kernel_tail(mode.equilibrium, plo)
-    return out if out.ndim else float(out)
+    return scalarize(out)
 
 
 def beta_hat(mode: ModeSpec, y) -> complex:
@@ -237,7 +235,7 @@ def alpha_hat(mode: ModeSpec, y):
     if np.any(mask):
         out[mask] = (2.0 * math.pi / mode.kappa) \
             * _weighted_tail(mode.profile, plo)
-    return out if out.ndim else float(out)
+    return scalarize(out)
 
 
 def alpha_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> complex:
@@ -468,6 +466,18 @@ def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
 
 # --- batch kernel tables -----------------------------------------------------
 
+def _czt(x, m, w):
+    """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
+    ``czt`` operations in its order, so the two agree to the bit."""
+    n = x.shape[0]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = w ** (k ** 2 / 2.)
+    nfft = _fft.next_fast_len(n + m - 1)
+    fwk2 = _fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = _fft.ifft(fwk2 * _fft.fft(x.T * wk2[:n], nfft))
+    return (y[..., n - 1:n + m - 1] * wk2[:m]).T
+
+
 def _filon_batch(env_nodes, a, b, n_panels, omegas, chunk=512):
     """int_a^b env(y) e^{i omega y} dy for many omegas at once.
 
@@ -482,24 +492,19 @@ def _filon_batch(env_nodes, a, b, n_panels, omegas, chunk=512):
     centers = a + (np.arange(n_panels) + 0.5) * h
     nt = len(omegas)
 
-    if nt > 64:
-        d = np.diff(omegas)
-        step = d[0] if d.size else 0.0
-        uniform = step != 0.0 and np.all(
-            np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
-    else:
-        uniform = False
+    d = np.diff(omegas)
+    step = d[0] if d.size else 0.0
+    uniform = nt > 64 and step != 0.0 and np.all(
+        np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
 
     lam_all = _filon_moments(omegas * (h / 2.0)) @ _FILON_L.T  # (T, 4)
 
     if uniform:
-        from scipy.signal import czt
         om0 = omegas[0]
         # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
         #                  * (e^{i step h})^{j p}
         x = env_nodes * np.exp(1j * om0 * centers)[:, None]    # (P, 4)
-        w = np.exp(1j * step * h)  # czt(x, m, w, 1) = sum_p x[p] w^{j p}
-        bsum = czt(x, m=nt, w=w, a=1.0 + 0.0j, axis=0)         # (T, 4)
+        bsum = _czt(x, nt, np.exp(1j * step * h))               # (T, 4)
         bsum *= np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
         return (h / 2.0) * np.sum(bsum * lam_all, axis=1)
 
@@ -514,34 +519,38 @@ def _filon_batch(env_nodes, a, b, n_panels, omegas, chunk=512):
 
 
 def sample_kernels(mode: ModeSpec, times, tol=1e-11,
-                   max_panels=2 ** 13) -> KernelTable:
+                   max_panels=2 ** 16) -> KernelTable:
     """Sample both kernels on a time grid through their transforms.
 
     One Filon panelization of [0, kappa] is refined until probe values
     stabilize, then reused for every t; the cost per sample is independent
-    of t, which is what makes dense long-horizon tables affordable.
+    of t, which is what makes dense long-horizon tables affordable.  Stopping
+    at ``max_panels`` short of ``tol`` raises QuadratureError.
     """
     t = np.asarray(times, dtype=float)
     kap = mode.kappa
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
     om_probe = 2.0 * math.pi * t_probe
 
-    n = 64
-    nodes, _ = filon_nodes(0.0, kap, n)
-    env_a = alpha_hat(mode, nodes.ravel()).reshape(nodes.shape)
-    env_b = beta_hat_envelope(mode, nodes.ravel()).reshape(nodes.shape)
-    ia = _filon_batch(env_a, 0.0, kap, n, om_probe)
-    ib = _filon_batch(env_b, 0.0, kap, n, om_probe)
-    err = math.inf
-    while err > 0.5 * tol and 2 * n <= max_panels:
-        n *= 2
+    def envelopes(n):
         nodes, _ = filon_nodes(0.0, kap, n)
         env_a = alpha_hat(mode, nodes.ravel()).reshape(nodes.shape)
         env_b = beta_hat_envelope(mode, nodes.ravel()).reshape(nodes.shape)
-        ia_new = _filon_batch(env_a, 0.0, kap, n, om_probe)
-        ib_new = _filon_batch(env_b, 0.0, kap, n, om_probe)
-        err = max(np.max(np.abs(ia_new - ia)), np.max(np.abs(ib_new - ib)))
-        ia, ib = ia_new, ib_new
+        probe = [_filon_batch(env, 0.0, kap, n, om_probe)
+                 for env in (env_a, env_b)]
+        return env_a, env_b, np.concatenate(probe)
+
+    n = 64
+    env_a, env_b, probe = envelopes(n)
+    err = math.inf
+    while err > 0.5 * tol and 2 * n <= max_panels:
+        n *= 2
+        env_a, env_b, new = envelopes(n)
+        err, probe = np.max(np.abs(new - probe)), new
+    if 2.0 * err > tol:
+        raise QuadratureError(
+            f"sample_kernels: change {2.0 * err:g} > tol {tol:g} at {n} "
+            "panels", QuadResult(probe, 2.0 * err, 8 * (2 * n - 64)))
 
     om = 2.0 * math.pi * t
     alpha = 2.0 * _filon_batch(env_a, 0.0, kap, n, om).real

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import special as _sp
 
 from .quadrature import filon_nodes
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 GROWTH_CAP = 1e12
+_BASE = 128  # steps below which the march runs the direct loop
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     solved for rho_n (exactly explicit when beta_0 = 0).  Returns
     (rho, growth_flag); on overflow past ``growth_cap`` the remaining
     samples are frozen at the saturated value and the flag is set.
+    Divide and conquer (Hairer, Lubich & Schlichte 1985), O(N log^2 N): the
+    history of a block's left half reaches its right half as one FFT.
     """
     alpha = np.asarray(alpha)
     beta = np.asarray(beta, dtype=complex if np.iscomplexobj(alpha) else float)
@@ -96,31 +100,44 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     denom = 1.0 - 0.5 * dt * beta[0]
     if abs(denom) < 1e-12:
         raise ValueError("implicit step is singular: dt*beta(0)/2 too close to 2")
-    growth = False
-    for i in range(1, n):
-        conv = 0.5 * beta[i] * rho[0]
-        if i > 1:
-            conv += np.dot(beta[i - 1:0:-1], rho[1:i])
-        val = (alpha[i] + dt * conv) / denom
-        if abs(val) > growth_cap:
-            rho[i:] = val * (growth_cap / abs(val))
-            growth = True
-            break
-        rho[i] = val
-    return rho, growth
+    hist = 0.5 * beta * rho[0]  # history sums, seeded with the rho_0 term
+
+    def march(lo, hi):
+        """Fill rho[lo:hi], hist[lo:hi] holding the history of rho[1:lo];
+        True once the growth cap has frozen the tail."""
+        if hi - lo > _BASE:
+            mid = (lo + hi) // 2
+            if march(lo, mid):
+                return True
+            m = _fft.next_fast_len(hi - lo)  # wraps only into slots < mid-lo
+            conv = _fft.ifft(_fft.fft(rho[lo:mid], m) * _fft.fft(beta[:m], m))
+            hist[mid:hi] += conv[mid - lo:hi - lo]
+            return march(mid, hi)
+        for i in range(lo, hi):
+            conv = hist[i]
+            if i > lo:
+                conv += np.dot(beta[i - lo:0:-1], rho[lo:i])
+            val = (alpha[i] + dt * conv) / denom
+            if abs(val) > growth_cap:
+                rho[i:] = val * (growth_cap / abs(val))
+                return True
+            rho[i] = val
+        return False
+
+    return rho, march(1, n)
 
 
 def convolve_product_trapezoid(kernel, source, dt):
-    """Trapezoidal (kernel * source)(t_n) on a shared uniform grid."""
-    kernel = np.asarray(kernel)
-    source = np.asarray(source)
+    """Trapezoidal (kernel * source)(t_n) on a shared uniform grid: one FFT
+    convolution with the end-point halves taken back out."""
+    kernel, source = np.asarray(kernel), np.asarray(source)
     n = source.size
-    out = np.zeros(n, dtype=np.result_type(kernel, source, 1.0))
-    for i in range(1, n):
-        acc = 0.5 * (kernel[i] * source[0] + kernel[0] * source[i])
-        if i > 1:
-            acc += np.dot(kernel[i - 1:0:-1], source[1:i])
-        out[i] = dt * acc
+    m = _fft.next_fast_len(2 * n - 1)
+    full = _fft.ifft(_fft.fft(kernel[:n], m) * _fft.fft(source, m))[:n]
+    if not (np.iscomplexobj(kernel) or np.iscomplexobj(source)):
+        full = full.real
+    out = dt * (full - 0.5 * (kernel[:n] * source[0] + kernel[0] * source))
+    out[0] = 0.0
     return out
 
 

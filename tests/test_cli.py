@@ -213,6 +213,23 @@ class TestConfigDefaults:
                        "dt = 0.1\nt-max = 2\nrefine = maybe\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1.0\nsigma = 1\ntheta = 0.5\n"
+                       "dt = 0.1\nt-max = 2\n")
+        out = tmp_path / "t.csv"
+        rc = main(["evolve", "--config", str(cfg), "--t-m", "4",
+                   "-o", str(out)])
+        assert rc == 0
+        meta, _, rows = read_csv(out)
+        assert float(meta["t_max"]) == 4.0
+        assert float(rows[-1][0]) == pytest.approx(4.0)
+
+    def test_bad_config_line_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1.0\nsigma 1\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+
     def test_boolean_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 1.0\nsigma = 1\ntheta = 0.5\n"

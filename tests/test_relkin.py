@@ -6,8 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvpmodes.equilibria import juttner
 from rvpmodes.relkin import (arctanh_complex, bessel_k2, bessel_k2_scaled,
-                             f_cap, p_of_v, v_of_p)
+                             f_cap, f_cap_complex, p_of_v, v_of_p)
+
+
+class TestScalarInScalarOut:
+    def test_python_scalars_for_scalar_input(self):
+        eq = juttner(0.5)
+        for val in (v_of_p(1.0), p_of_v(0.5), f_cap(2.0, 0.5), bessel_k2(1.0),
+                    bessel_k2_scaled(1.0), eq.value(1.0), eq.derivative(1.0),
+                    eq.tail_kernel_moment(1.0)):
+            assert type(val) is float
+        for val in (f_cap_complex(2.0 + 1j, 0.5), arctanh_complex(0.5j)):
+            assert type(val) is complex
+
+    def test_arrays_keep_shape(self):
+        p = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        assert v_of_p(p).shape == (2, 3)
+        assert juttner(0.5).value(p).shape == (2, 3)
 
 
 class TestVelocityMomentum:

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,13 +12,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import rvpmodes
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
-                                 juttner)
-from rvpmodes.quadrature import (gauss_legendre_nodes, integrate_finite,
-                                 integrate_oscillatory,
+                                 juttner, thermal_profile)
+from rvpmodes.quadrature import (QuadratureError, gauss_legendre_nodes,
+                                 integrate_finite, integrate_oscillatory,
                                  integrate_semi_infinite)
 from rvpmodes.relkin import f_cap, v_of_p
-from rvpmodes.spectral import (ModeSpec, alpha_direct, alpha_hat,
+from rvpmodes.spectral import (ModeSpec, _czt, alpha_direct, alpha_hat,
                                alpha_via_inverse, beta_direct, beta_hat,
                                beta_hat_envelope, beta_via_inverse, find_y0,
                                laplace_alpha_imag_tail,
@@ -459,3 +463,43 @@ class TestRationalBound:
                                              mode02.kappa)
         assert ok and math.isfinite(d_m)
         assert t_at < t_sup
+
+
+class TestKernelTableChirpZ:
+    @pytest.mark.parametrize("n,m", [(64, 3), (1024, 15001), (8192, 30001)])
+    def test_czt_equals_scipy_bit_for_bit(self, n, m):
+        from scipy.signal import czt
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        w = np.exp(1j * 2.0 * math.pi * 0.02 * 1.2 / n)
+        ref = czt(x, m=m, w=w, a=1.0 + 0.0j, axis=0)
+        assert np.array_equal(_czt(x, m, w), ref)
+
+    def test_tables_do_not_import_signal_module(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import rvpmodes.cli\n"
+                "from rvpmodes.equilibria import gaussian_profile, juttner\n"
+                "from rvpmodes.spectral import ModeSpec, sample_kernels\n"
+                "mode = ModeSpec(kappa=1.0, sigma=1, equilibrium=juttner(0.2),"
+                " profile=gaussian_profile(1.0, 1.0))\n"
+                "sample_kernels(mode, np.linspace(0.0, 20.0, 201))\n"
+                "assert 'scipy.signal' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestKernelTableTolerance:
+    def test_panel_cap_short_of_tol_raises(self):
+        # README evolve mode: 128 panels leave a probe change ~1e-6
+        mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                        profile=thermal_profile(0.5, 1.0))
+        t = np.linspace(0.0, 300.0, 15001)
+        with pytest.raises(QuadratureError) as info:
+            sample_kernels(mode, t, tol=1e-15, max_panels=128)
+        assert info.value.result.abs_error_estimate > 1e-15
+
+    def test_reached_tol_is_reported(self, mode02):
+        tab = sample_kernels(mode02, np.linspace(0.0, 30.0, 601), tol=1e-11)
+        assert tab.abs_error <= 1e-11

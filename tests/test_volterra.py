@@ -5,9 +5,64 @@ import pytest
 
 from rvpmodes.equilibria import gaussian_profile, juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec, sample_kernels, threshold_plasma
-from rvpmodes.volterra import (SubcriticalModeError, TimeGrid,
-                               apply_resolvent, convolve_product_trapezoid,
-                               resolvent_kernel, solve_mode, solve_volterra)
+from rvpmodes.volterra import (_BASE, GROWTH_CAP, SubcriticalModeError,
+                               TimeGrid, apply_resolvent,
+                               convolve_product_trapezoid, resolvent_kernel,
+                               solve_mode, solve_volterra)
+
+
+# --- direct O(N^2) loops: oracles for the fast march and convolution ---------
+
+def direct_solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
+    """Step-by-step product-trapezoidal march, one dot product per step."""
+    alpha = np.asarray(alpha)
+    beta = np.asarray(beta, dtype=complex if np.iscomplexobj(alpha) else float)
+    n = alpha.size
+    rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
+    beta = beta.astype(rho.dtype)
+    rho[0] = alpha[0]
+    denom = 1.0 - 0.5 * dt * beta[0]
+    growth = False
+    for i in range(1, n):
+        conv = 0.5 * beta[i] * rho[0]
+        if i > 1:
+            conv += np.dot(beta[i - 1:0:-1], rho[1:i])
+        val = (alpha[i] + dt * conv) / denom
+        if abs(val) > growth_cap:
+            rho[i:] = val * (growth_cap / abs(val))
+            growth = True
+            break
+        rho[i] = val
+    return rho, growth
+
+
+def direct_convolve_product_trapezoid(kernel, source, dt):
+    kernel = np.asarray(kernel)
+    source = np.asarray(source)
+    n = source.size
+    out = np.zeros(n, dtype=np.result_type(kernel, source, 1.0))
+    for i in range(1, n):
+        acc = 0.5 * (kernel[i] * source[0] + kernel[0] * source[i])
+        if i > 1:
+            acc += np.dot(kernel[i - 1:0:-1], source[1:i])
+        out[i] = dt * acc
+    return out
+
+
+def freeze_index(rho, cap):
+    """First sample frozen at the growth cap (len(rho) if none)."""
+    hit = np.abs(rho) >= cap * (1.0 - 1e-9)
+    return int(np.argmax(hit)) if hit.any() else rho.size
+
+
+def assert_matches_direct(alpha, beta, dt, growth_cap=GROWTH_CAP):
+    rho, growth = solve_volterra(alpha, beta, dt, growth_cap)
+    ref, ref_growth = direct_solve_volterra(alpha, beta, dt, growth_cap)
+    assert rho.dtype == ref.dtype
+    assert growth == ref_growth
+    assert freeze_index(rho, growth_cap) == freeze_index(ref, growth_cap)
+    assert np.max(np.abs(rho - ref)) <= 1e-13 * np.max(np.abs(ref))
+    return rho, growth
 
 
 def const_kernel_solution(lam, dt, n):
@@ -153,6 +208,71 @@ class TestResolvent:
         # trapezoid error is (dt^2/12) int |(kern src)''| ~ 1.3e-5 here
         exact = 0.5 * (np.cos(t) + np.sin(t) - np.exp(-t))
         assert np.max(np.abs(conv - exact)) < 3e-5
+
+
+ORACLE_LENGTHS = [2, 3, _BASE - 1, _BASE, _BASE + 1, _BASE + 2,
+                  255, 257, 1023, 1025, 4097]
+
+
+class TestFastMarchOracle:
+    """The divide-and-conquer march against the direct loop."""
+
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_random_kernels(self, n, kind):
+        # beta(0) != 0 here, so every step takes the implicit correction
+        rng = np.random.default_rng(n)
+        decay = np.exp(-np.linspace(0.0, 4.0, n))
+        alpha = rng.normal(size=n)
+        beta = rng.normal(size=n) * decay
+        if kind == "complex":
+            alpha = alpha + 1j * rng.normal(size=n)
+            beta = beta + 1j * rng.normal(size=n) * decay
+        _, growth = assert_matches_direct(alpha, beta, 0.01)
+        assert not growth
+
+    @pytest.mark.parametrize("n", [_BASE + 1, 1025, 4097])
+    def test_constant_kernel(self, n):
+        assert_matches_direct(np.ones(n), np.full(n, 0.7), 0.01)
+
+    def test_mode_kernels(self, mode02):
+        grid = TimeGrid(dt=0.02, n_steps=3000)
+        tab = sample_kernels(mode02, grid.times, tol=1e-11)
+        assert_matches_direct(tab.alpha, tab.beta, grid.dt)
+
+    @pytest.mark.parametrize("k", [
+        50,              # inside the first base block
+        1 + _BASE,       # first step after a history update
+        1 + 2 * _BASE,   # first step of the right half
+        1 + 4 * _BASE,   # first step of the top-level right half
+        7 * _BASE - 3,   # deep in the right half
+    ])
+    @pytest.mark.parametrize("lam", [5.0, 5.0 * np.exp(0.3j)])
+    def test_growth_cap_crossing(self, k, lam):
+        # |rho| grows ~5 % per step (turning in phase for complex lam); a
+        # cap between |rho[k-1]| and |rho[k]| puts the first crossing at k
+        n = 8 * _BASE + 1
+        alpha, beta, dt = np.ones(n, dtype=type(lam)), np.full(n, lam), 0.01
+        free, _ = direct_solve_volterra(alpha, beta, dt, growth_cap=np.inf)
+        cap = math.sqrt(abs(free[k - 1]) * abs(free[k]))
+        rho, growth = assert_matches_direct(alpha, beta, dt, growth_cap=cap)
+        assert growth
+        assert freeze_index(rho, cap) == k
+        assert np.allclose(np.abs(rho[k:]), cap, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, _BASE + 1, 1025])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_convolution_matches_direct(self, n, kind):
+        rng = np.random.default_rng(n + 1)
+        kern = rng.normal(size=n)
+        src = rng.normal(size=n)
+        if kind == "complex":
+            kern = kern + 1j * rng.normal(size=n)
+        out = convolve_product_trapezoid(kern, src, 0.01)
+        ref = direct_convolve_product_trapezoid(kern, src, 0.01)
+        assert out.dtype == ref.dtype
+        assert out[0] == 0.0
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestGrowthPhysics:
