@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _opt
 
 __all__ = [
     "DecayFit",
@@ -123,8 +122,10 @@ def fit_stretched(env: Envelope) -> DecayFit:
     x0 = np.array([math.log(c0), float(intercept), float(slope)])
     x0 = np.clip(x0, [-49.0, -49.0, 2e-3], [49.0, 49.0, 1.49])
 
+    from scipy.optimize import least_squares  # only fits pay for the import
+
     logv = np.log(v)
-    res = _opt.least_squares(
+    res = least_squares(
         _stretched_residuals, x0, args=(t, logv),
         bounds=([-50.0, -50.0, 1e-3], [50.0, 50.0, 1.5]))
     logc, logeps, invs = res.x
@@ -136,6 +137,8 @@ def fit_stretched(env: Envelope) -> DecayFit:
 def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
                          level=0.95):
     """Percentile bootstrap over peaks of the fitted exponent s."""
+    from scipy.optimize import least_squares
+
     t = np.asarray(env.t, dtype=float)
     v = np.asarray(env.value, dtype=float)
     keep = (t > 0) & (v > 0)
@@ -148,7 +151,7 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
         idx = rng.integers(0, t.size, size=t.size)
         idx.sort()
         try:
-            res = _opt.least_squares(
+            res = least_squares(
                 _stretched_residuals, x0, args=(t[idx], logv[idx]),
                 bounds=([-50.0, -50.0, 1e-3], [50.0, 50.0, 1.5]))
             out.append(1.0 / res.x[2])
@@ -211,8 +214,11 @@ def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200,
 
     Drops the transient t < 10/kappa (configurable) and peaks below
     floor_factor * machine epsilon * max (solver noise floor), then fits
-    and bootstraps.  Returns (DecayFit with CI, Envelope, verdict).
+    and bootstraps.  Returns (DecayFit with CI, Envelope, verdict);
+    ``n_boot=0`` skips the bootstrap and leaves the CI (nan, nan).
     """
+    if n_boot < 0:
+        raise ValueError(f"n_boot must be >= 0, got {n_boot}")
     times = np.asarray(times, dtype=float)
     rho_abs = np.asarray(rho_abs, dtype=float)
     if t_min is None:
@@ -223,7 +229,8 @@ def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200,
     env = Envelope(t=env_all.t[keep], value=env_all.value[keep],
                    fallback=env_all.fallback)
     fit = fit_stretched(env)
-    ci = bootstrap_s_interval(env, fit, n_boot=n_boot, seed=seed)
+    ci = (bootstrap_s_interval(env, fit, n_boot=n_boot, seed=seed) if n_boot
+          else (math.nan, math.nan))
     verdict = exp_test(env)
     fit = DecayFit(c=fit.c, eps=fit.eps, s=fit.s,
                    rms_residual=fit.rms_residual, window=fit.window, s_ci=ci)

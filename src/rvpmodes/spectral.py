@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import optimize as _opt
 
 from .equilibria import Equilibrium, PerturbationProfile
 from .quadrature import (QuadResult, QuadratureError,
@@ -461,7 +460,9 @@ def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
             raise RuntimeError(
                 f"dispersion crossing not bracketed in [{kap:g}, {hi:g}] "
                 f"after {n} doublings")
-    return float(_opt.brentq(g, lo, hi, xtol=ytol, rtol=8.9e-16))
+    from scipy.optimize import brentq  # only crossings pay for the import
+
+    return float(brentq(g, lo, hi, xtol=ytol, rtol=8.9e-16))
 
 
 # --- batch kernel tables -----------------------------------------------------

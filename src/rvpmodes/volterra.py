@@ -86,13 +86,18 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     solved for rho_n (exactly explicit when beta_0 = 0).  Returns
     (rho, growth_flag); on overflow past ``growth_cap`` the remaining
     samples are frozen at the saturated value and the flag is set.
+    Non-finite ``alpha`` or ``beta`` samples raise ``ValueError``.
     Divide and conquer (Hairer, Lubich & Schlichte 1985), O(N log^2 N): the
-    history of a block's left half reaches its right half as one FFT.
+    history of a block's left half reaches its right half as one FFT, and a
+    base block of at most ``_BASE`` steps, a lower-triangular Toeplitz
+    system, is one convolution with the march's impulse response.
     """
     alpha = np.asarray(alpha)
     beta = np.asarray(beta, dtype=complex if np.iscomplexobj(alpha) else float)
     if alpha.shape != beta.shape or alpha.ndim != 1:
         raise ValueError("alpha and beta must be 1D arrays of equal length")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("alpha and beta must be finite")
     n = alpha.size
     rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
     beta = beta.astype(rho.dtype)
@@ -101,6 +106,15 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     if abs(denom) < 1e-12:
         raise ValueError("implicit step is singular: dt*beta(0)/2 too close to 2")
     hist = 0.5 * beta * rho[0]  # history sums, seeded with the rho_0 term
+
+    # g: the base block's response to a unit impulse at its first step; it
+    # may overflow for violently growing kernels, which only sends the
+    # affected samples to the step-by-step loop below
+    g = np.zeros(min(n, _BASE), dtype=rho.dtype)
+    g[0] = 1.0 / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, g.size):
+            g[i] = dt * np.dot(beta[i:0:-1], g[:i]) / denom
 
     def march(lo, hi):
         """Fill rho[lo:hi], hist[lo:hi] holding the history of rho[1:lo];
@@ -113,10 +127,15 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
             conv = _fft.ifft(_fft.fft(rho[lo:mid], m) * _fft.fft(beta[:m], m))
             hist[mid:hi] += conv[mid - lo:hi - lo]
             return march(mid, hi)
-        for i in range(lo, hi):
-            conv = hist[i]
-            if i > lo:
-                conv += np.dot(beta[i - lo:0:-1], rho[lo:i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.convolve(g[:hi - lo], alpha[lo:hi] + dt * hist[lo:hi])
+        ok = np.abs(vals[:hi - lo]) <= growth_cap
+        stop = hi if ok.all() else lo + int(np.argmin(ok))
+        rho[lo:stop] = vals[:stop - lo]
+        # from the first sample past the cap (or lost to overflow) on, the
+        # direct loop decides: it freezes at a true crossing at once
+        for i in range(stop, hi):
+            conv = hist[i] + np.dot(beta[i - lo:0:-1], rho[lo:i])
             val = (alpha[i] + dt * conv) / denom
             if abs(val) > growth_cap:
                 rho[i:] = val * (growth_cap / abs(val))
@@ -124,7 +143,7 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
             rho[i] = val
         return False
 
-    return rho, march(1, n)
+    return rho, n > 1 and march(1, n)
 
 
 def convolve_product_trapezoid(kernel, source, dt):

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rvpmodes.cli import main
+import rvpmodes
+from rvpmodes import decay
+from rvpmodes.cli import _fmt, main
+from rvpmodes.equilibria import juttner, thermal_profile
+from rvpmodes.spectral import ModeSpec
+from rvpmodes.volterra import TimeGrid, solve_mode
 
 
 def read_csv(path):
@@ -98,6 +106,14 @@ class TestEvolveFit:
         assert main(["evolve", "--kappa", "1.0", "--sigma", "1",
                      "--theta", "0.5", "--t-max", "10"]) == 2
 
+    def test_negative_n_boot_is_usage_error(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        assert main(["evolve", "--kappa", "1.2", "--sigma", "1", "--theta",
+                     "0.5", "--dt", "0.05", "--t-max", "80",
+                     "-o", str(traj)]) == 0
+        assert main(["fit", "--input", str(traj), "--kappa", "1.2",
+                     "--n-boot", "-1"]) == 2
+
 
 class TestDispersion:
     def test_csv_contract(self, tmp_path):
@@ -167,6 +183,57 @@ class TestSweep:
         assert rc == 0
         _, _, rows = read_csv(out)
         assert rows[0][6] == "growth"
+
+
+class TestSweepFits:
+    ARGS = ["sweep", "--kappa-min", "0.9", "--kappa-max", "1.3",
+            "--n-kappa", "2", "--sigma", "1", "--theta", "0.5",
+            "--dt", "0.05", "--t-max", "50"]
+
+    def test_no_bootstrap_and_seed_free(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran a bootstrap")
+        monkeypatch.setattr(decay, "bootstrap_s_interval", refuse)
+        bodies = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"sweep{seed}.csv"
+            assert main(self.ARGS + ["--seed", seed, "-o", str(out)]) == 0
+            _, _, rows = read_csv(out)
+            bodies.append(rows)
+        assert bodies[0] == bodies[1]
+        assert all(r[7] == "" and r[3] != "" for r in bodies[0])
+
+    def test_rows_equal_bootstrapped_fits(self, tmp_path):
+        # the point fit does not depend on the interval sweep drops
+        out = tmp_path / "sweep.csv"
+        assert main(self.ARGS + ["-o", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        grid = TimeGrid(dt=0.05, n_steps=1000)
+        for row in rows:
+            kappa = float(row[0])
+            mode = ModeSpec(kappa=kappa, sigma=1, equilibrium=juttner(0.5),
+                            profile=thermal_profile(0.5, 1.0))
+            a = np.abs(solve_mode(mode, grid, tol=1e-9).rho)
+            fit, _, verdict = decay.fit_mode_decay(grid.times, a / a.max(),
+                                                   kappa, n_boot=50)
+            assert row[3:7] == [_fmt(fit.c), _fmt(fit.eps), _fmt(fit.s),
+                                verdict]
+
+
+class TestLazyOptimizeImport:
+    def test_evolve_and_axis_dispersion_skip_optimize(self, tmp_path):
+        code = ("import sys\n"
+                "import rvpmodes.cli as cli\n"
+                "assert cli.main(['evolve', '--kappa', '1.2', '--sigma', '1',"
+                " '--theta', '0.5', '--dt', '0.1', '--t-max', '5',"
+                " '-o', 'traj.csv']) == 0\n"
+                "assert cli.main(['dispersion', '--kappa', '0.46', '--sigma',"
+                " '1', '--theta', '0.2', '--n-y', '3', '-o', 'd.csv']) == 0\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                       cwd=tmp_path)
 
 
 class TestAppendixVerify:
@@ -239,3 +306,12 @@ class TestConfigDefaults:
         assert rc == 0
         meta, _, _ = read_csv(out)
         assert meta["refine"] == "True"
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1.0\nsigma = 1\ntheta = 0.5\n"
+                       "dt = 0.1\nt-max = 2\nrefin = yes\n")
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "'refin'" in capsys.readouterr().err
+        assert not out.exists()

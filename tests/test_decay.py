@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvpmodes import decay
 from rvpmodes.decay import (Envelope, NoDecayError, bootstrap_s_interval,
-                            envelope, exp_test, fit_stretched,
+                            envelope, exp_test, fit_mode_decay, fit_stretched,
                             rational_bound_check)
 
 
@@ -85,6 +86,30 @@ class TestFitStretched:
         assert lo <= 3.0 <= hi
         again = bootstrap_s_interval(noisy, fit, n_boot=100, seed=5)
         assert (lo, hi) == again
+
+
+class TestFitModeDecay:
+    @staticmethod
+    def trajectory():
+        t = np.linspace(0.0, 200.0, 8001)
+        return t, np.abs(np.cos(3.0 * t)) * np.exp(-0.7 * t ** (1.0 / 3.0))
+
+    def test_zero_replicates_skip_the_bootstrap(self, monkeypatch):
+        t, a = self.trajectory()
+        full, _, verdict = fit_mode_decay(t, a, 1.0, n_boot=20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap ran with n_boot=0")
+        monkeypatch.setattr(decay, "bootstrap_s_interval", refuse)
+        point, _, verdict0 = fit_mode_decay(t, a, 1.0, n_boot=0)
+        assert all(math.isnan(x) for x in point.s_ci)
+        assert (point.c, point.eps, point.s) == (full.c, full.eps, full.s)
+        assert verdict0 == verdict
+
+    def test_negative_replicates_refused(self):
+        t, a = self.trajectory()
+        with pytest.raises(ValueError, match="n_boot"):
+            fit_mode_decay(t, a, 1.0, n_boot=-1)
 
 
 class TestExpTest:

@@ -246,6 +246,9 @@ class TestFastMarchOracle:
         1 + 2 * _BASE,   # first step of the right half
         1 + 4 * _BASE,   # first step of the top-level right half
         7 * _BASE - 3,   # deep in the right half
+        1,               # first step of the first base block
+        _BASE,           # last step of the first base block
+        2 * _BASE,       # last step of the second base block
     ])
     @pytest.mark.parametrize("lam", [5.0, 5.0 * np.exp(0.3j)])
     def test_growth_cap_crossing(self, k, lam):
@@ -273,6 +276,50 @@ class TestFastMarchOracle:
         assert out.dtype == ref.dtype
         assert out[0] == 0.0
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestBaseBlockOracle:
+    """The impulse-response base block against the direct loop where its
+    later samples, or the impulse response itself, overflow."""
+
+    @staticmethod
+    def violent(n, onset):
+        """|rho| grows ~2e6 per step from ``onset`` on: 1 - dt*beta0/2 is
+        1e-6, so the impulse response overflows within ~50 steps."""
+        dt = 0.01
+        beta = np.full(n, 2.0 * (1.0 - 1e-6) / dt)
+        alpha = np.zeros(n)
+        alpha[onset:] = 1.0
+        return alpha, beta, dt
+
+    @pytest.mark.parametrize("onset", [
+        0,                # crossing at step 2, overflow later in the block
+        300,              # crossing inside the third block
+        2 * _BASE + 60,   # zeros until the impulse response has overflowed
+    ])
+    def test_overflowing_block(self, onset):
+        alpha, beta, dt = self.violent(4 * _BASE + 1, onset)
+        with np.errstate(all="raise"):
+            rho, growth = assert_matches_direct(alpha, beta, dt)
+        assert growth
+        assert np.all(np.isfinite(rho))
+        assert freeze_index(rho, GROWTH_CAP) == max(onset, 1) + 1
+
+    def test_zero_source_with_overflowing_response(self):
+        alpha, beta, dt = self.violent(4 * _BASE + 1, 4 * _BASE + 1)
+        rho, growth = solve_volterra(alpha, beta, dt)
+        assert not growth
+        assert np.all(rho == 0.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused(self, where, bad):
+        arrays = {"alpha": np.ones(100), "beta": np.full(100, 0.1)}
+        arrays[where][37] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_volterra(arrays["alpha"], arrays["beta"], 0.01)
 
 
 class TestGrowthPhysics:
