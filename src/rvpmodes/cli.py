@@ -187,13 +187,16 @@ def cmd_dispersion(args) -> int:
     eq = _build_equilibrium(args)
     mode = ModeSpec(kappa=args.kappa, sigma=args.sigma, equilibrium=eq,
                     profile=_build_profile(args))
-    xs = [float(s) for s in args.x.split(",")]
+    try:
+        xs = [float(s) for s in args.x.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--x {args.x!r}: {exc}") from exc
+    if not all(0 <= x < math.inf for x in xs):
+        raise UsageError("dispersion is defined on the closed right half-"
+                         f"plane: --x needs finite x >= 0, got {args.x!r}")
     ys = np.linspace(args.y_min, args.y_max, args.n_y)
     rows = []
     for x in xs:
-        if x < 0:
-            raise UsageError("dispersion is defined on the closed right "
-                             "half-plane: x >= 0")
         vals = (laplace_beta_imag(mode, ys, tol=args.tol) if x == 0.0
                 else [laplace_beta_halfplane(mode, x, float(y), tol=args.tol)
                       for y in ys])
@@ -431,6 +434,9 @@ def main(argv=None) -> int:
         if args.config:
             args._sp.set_defaults(**_config_defaults(args._sp, args.config))
             args = parser.parse_args(argv)
+        if not 0 < args.tol < math.inf:
+            raise UsageError(f"--tol must be finite and positive, got "
+                             f"{args.tol}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

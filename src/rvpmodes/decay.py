@@ -208,12 +208,14 @@ def rational_bound_check(t, value, m, kappa):
     return float(scan[i]), float(t[i]), bool(ok)
 
 
-def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200,
-                   t_min=None, floor_factor=1e3):
+_FLOOR_FACTOR = 1e3  # solver noise floor, in machine epsilons of the peak
+
+
+def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200, t_min=None):
     """Windowed envelope fit for one evolved mode.
 
-    Drops the transient t < 10/kappa (configurable) and peaks below
-    floor_factor * machine epsilon * max (solver noise floor), then fits
+    Drops the transient t < 10/kappa (``t_min``) and peaks below
+    _FLOOR_FACTOR * machine epsilon * max (solver noise floor), then fits
     and bootstraps.  Returns (DecayFit with CI, Envelope, verdict);
     ``n_boot=0`` skips the bootstrap and leaves the CI (nan, nan).
     """
@@ -224,7 +226,7 @@ def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200,
     if t_min is None:
         t_min = 10.0 / kappa
     env_all = envelope(times, rho_abs)
-    floor = floor_factor * np.finfo(float).eps * rho_abs.max()
+    floor = _FLOOR_FACTOR * np.finfo(float).eps * rho_abs.max()
     keep = (env_all.t >= t_min) & (env_all.value > floor)
     env = Envelope(t=env_all.t[keep], value=env_all.value[keep],
                    fallback=env_all.fallback)

@@ -1,10 +1,10 @@
 """Radial kinetic equilibria f0(|p|) and radial perturbation profiles.
 
-An :class:`Equilibrium` bundles f0, its analytic radial derivative, and two
-closed-form tail moments that the spectral transforms consume:
-
-* ``tail_kernel_moment(P)``  = int_P^inf (1 + p^2) (-f0'(p)) dp
-* mass normalization is fixed to 4 pi int p^2 f0 dp = 1.
+An :class:`Equilibrium` bundles f0 (unit mass, 4 pi int p^2 f0 dp = 1), its
+analytic radial derivative and its closed-form tail moment; a
+:class:`PerturbationProfile` carries its closed-form tail moment too.  The
+frequency envelopes of the spectral transforms are these tails, so both
+are required.
 
 Carrying f0' analytically matters: the dispersion integrands weight (-f0')
 directly and numerical differentiation would dominate their error budget.
@@ -40,6 +40,8 @@ class Equilibrium:
 
     ``value`` and ``derivative`` accept scalars or numpy arrays of |p|.
     ``support_bound`` is inf for rapidly decaying families.
+    ``tail_kernel_moment(P)`` = int_P^inf (1 + p^2) (-f0'(p)) dp in closed
+    form, vectorized over P.
     ``p_scale`` hints where the momentum integrand mass sits (quadrature map).
     """
 
@@ -47,23 +49,23 @@ class Equilibrium:
     derivative: Callable
     support_bound: float
     label: str
+    tail_kernel_moment: Callable
     p_scale: float = 1.0
     theta: Optional[float] = None
-    tail_kernel_moment: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class PerturbationProfile:
     """Real radial profile of the transformed initial datum at one mode.
 
-    ``tail_weighted_moment(P)`` = int_P^inf p sqrt(1+p^2) h(p) dp, closed
-    form where available (it is the envelope of the source transform).
+    ``tail_weighted_moment(P)`` = int_P^inf p sqrt(1+p^2) h(p) dp in closed
+    form, vectorized over P (it is the envelope of the source transform).
     """
 
     value: Callable
     label: str
+    tail_weighted_moment: Callable
     p_scale: float = 1.0
-    tail_weighted_moment: Optional[Callable] = None
 
 
 def juttner(theta: float) -> Equilibrium:

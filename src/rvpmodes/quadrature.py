@@ -1,18 +1,20 @@
 """Controlled-accuracy 1D integration used throughout the package.
 
-Three entry points:
+Entry points:
 
 * :func:`integrate_finite` -- globally adaptive Gauss-Kronrod (G7, K15)
   bisection on a finite interval.  Integrands must accept numpy arrays
   (all nodes of a panel are evaluated in one call) and may return complex.
 * :func:`integrate_semi_infinite` -- [0, inf) via the rational map
   p = scale*u/(1-u), or plain clipping for compactly supported integrands.
-* :func:`integrate_oscillatory` -- int f(x) e^{i omega x} dx by composite
-  Filon panels, exact for cubic envelopes per panel at any frequency.
+* :func:`filon_sums` -- the one Filon evaluator: composite cubic panels,
+  exact for cubic envelopes per panel at any frequency, for many
+  frequencies on one panelization (kernel tables, the resolvent); a
+  uniform frequency grid costs four chirp-z transforms.
+* :func:`integrate_oscillatory` -- one frequency, with panel doubling.
 
-The Filon node/moment helpers are exposed for the batch kernel-table builder
-in :mod:`rvpmodes.spectral`, which reuses one panelization across thousands
-of frequencies; the Gauss-Legendre panels serve its principal values.
+The Gauss-Legendre panels serve the principal values of
+:mod:`rvpmodes.spectral`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as _fft
 
 __all__ = [
     "QuadResult",
@@ -30,7 +33,7 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_oscillatory",
     "filon_nodes",
-    "filon_node_weights",
+    "filon_sums",
     "gauss_legendre_nodes",
 ]
 
@@ -117,12 +120,12 @@ def integrate_finite(f, a, b, tol=1e-9, max_subdiv=2000):
     singularities (1/sqrt(x), log x, ...) converge without special casing.
     Raises :class:`QuadratureError` carrying the best estimate if the
     subdivision budget is exhausted or the value or its error estimate is
-    not finite.
+    not finite, and ``ValueError`` unless ``tol`` is finite and positive.
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     val, err = _gk15(f, a, b)
     evals = 15
     # Heap of (-error, seq, a, b, value, error); seq breaks value ties.
@@ -182,8 +185,7 @@ def gauss_legendre_nodes(edges, n_panels):
     return nodes.ravel(), (half * w16).ravel()
 
 
-def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0,
-                            max_subdiv=2000):
+def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0):
     """int_0^inf f(p) dp for integrands decaying at least exponentially.
 
     ``support``: upper support bound; a finite one integrates [0, support]
@@ -193,8 +195,7 @@ def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0,
     starts near the action.
     """
     if support is not None and np.isfinite(support):
-        return integrate_finite(f, 0.0, float(support), tol=tol,
-                                max_subdiv=max_subdiv)
+        return integrate_finite(f, 0.0, float(support), tol=tol)
     s = float(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
@@ -203,7 +204,7 @@ def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0,
         w = 1.0 - u
         return f(s * u / w) * (s / (w * w))
 
-    return integrate_finite(g, 0.0, 1.0, tol=tol, max_subdiv=max_subdiv)
+    return integrate_finite(g, 0.0, 1.0, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +263,67 @@ def filon_nodes(a, b, n_panels):
     return left[:, None] + (h / 2.0) * (_FILON_S + 1.0)[None, :], h
 
 
-def filon_node_weights(omega, a, b, n_panels):
-    """Complex weights w with  sum_{p,m} w[p,m] f(nodes[p,m])
-    = int_a^b f(x) e^{i omega x} dx  exactly for per-panel cubic f.
+def _czt(x, m, w):
+    """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
+    ``czt`` operations in its order, so the two agree to the bit."""
+    n = x.shape[0]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = w ** (k ** 2 / 2.)
+    nfft = _fft.next_fast_len(n + m - 1)
+    fwk2 = _fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = _fft.ifft(fwk2 * _fft.fft(x.T * wk2[:n], nfft))
+    return (y[..., n - 1:n + m - 1] * wk2[:m]).T
 
-    ``omega`` may be an array; the returned weights then have shape
-    omega.shape + (n_panels, 4).
+
+_FILON_CHUNK = 512  # omegas per block of the direct (P x T) panel sum
+
+
+def filon_sums(env_nodes, a, b, omegas):
+    """int_a^b env(y) e^{i omega y} dy for many omegas at once.
+
+    env_nodes: (P, 4) envelope values at the nodes of
+    ``filon_nodes(a, b, P)``.  Returns a complex array, one integral value
+    per omega.  For a uniformly spaced grid of more than 64 omegas the
+    panel sum collapses to four chirp-z transforms, so dense time grids
+    cost O((P + T) log) instead of O(P * T).
     """
-    om = np.asarray(omega, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    n_panels = env_nodes.shape[0]
     h = (b - a) / n_panels
-    centers = np.linspace(a, b, n_panels + 1)[:-1] + 0.5 * h
-    mu = _filon_moments(om[..., None] * (h / 2.0))         # (..., 1, 4)
-    lam = mu @ _FILON_L.T                                  # (..., 1, 4)
-    phase = np.exp(1j * om[..., None] * centers)           # (..., P)
-    return (h / 2.0) * phase[..., :, None] * lam
+    centers = a + (np.arange(n_panels) + 0.5) * h
+    nt = len(omegas)
+
+    d = np.diff(omegas)
+    step = d[0] if d.size else 0.0
+    uniform = nt > 64 and step != 0.0 and np.all(
+        np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
+
+    lam_all = _filon_moments(omegas * (h / 2.0)) @ _FILON_L.T  # (T, 4)
+
+    if uniform:
+        om0 = omegas[0]
+        # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
+        #                  * (e^{i step h})^{j p}
+        x = env_nodes * np.exp(1j * om0 * centers)[:, None]    # (P, 4)
+        bsum = _czt(x, nt, np.exp(1j * step * h))               # (T, 4)
+        bsum *= np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
+        return (h / 2.0) * np.sum(bsum * lam_all, axis=1)
+
+    out = np.empty(nt, dtype=complex)
+    for i0 in range(0, nt, _FILON_CHUNK):
+        om = omegas[i0:i0 + _FILON_CHUNK]
+        lam = lam_all[i0:i0 + _FILON_CHUNK]                    # (T, 4)
+        s = env_nodes @ lam.T                                  # (P, T)
+        phase = np.exp(1j * np.outer(om, centers))             # (T, P)
+        out[i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.einsum("tp,pt->t",
+                                                          phase, s)
+    return out
 
 
-def integrate_oscillatory(f, omega, a, b, tol=1e-9, max_panels=2 ** 14):
+_OSC_MAX_PANELS = 2 ** 14
+
+
+def integrate_oscillatory(f, omega, a, b, tol=1e-9):
     """int_a^b f(x) e^{i omega x} dx for a smooth envelope f.
 
     Composite Filon with global panel doubling until the update falls below
@@ -297,15 +342,14 @@ def integrate_oscillatory(f, omega, a, b, tol=1e-9, max_panels=2 ** 14):
     evals = 0
     while True:
         nodes, _ = filon_nodes(a, b, n)
-        w = filon_node_weights(float(omega), a, b, n)
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         evals += nodes.size
-        cur = complex(np.sum(w * vals))
+        cur = complex(filon_sums(vals, a, b, [float(omega)])[0])
         if prev is not None:
             err = abs(cur - prev)
             if err <= tol:
                 return QuadResult(cur, err, evals)
-            if 2 * n > max_panels:
+            if 2 * n > _OSC_MAX_PANELS:
                 raise QuadratureError(
                     f"integrate_oscillatory stalled at {n} panels "
                     f"(estimate {err:g})", QuadResult(cur, err, evals))

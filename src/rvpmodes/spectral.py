@@ -17,9 +17,11 @@ integrals; this module provides
 * the critical wavenumber thresholds for both interaction signs, and the
   root y0 where the dispersion value reaches 1 below threshold.
 
-Batch sampling of kernel tables for the Volterra solver uses composite
-Filon panels on [0, kappa]: one panelization resolves the envelope, after
-which every time sample costs O(panels) regardless of how large t is.
+Batch sampling of kernel tables for the Volterra solver runs the composite
+Filon rule of :func:`rvpmodes.quadrature.filon_sums` on [0, kappa]: one
+panelization resolves the envelope, after which every time sample costs
+O(panels) regardless of how large t is.  The envelopes take their momentum
+tails from the closed forms that every equilibrium and profile carries.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft as _fft
 
 from .equilibria import Equilibrium, PerturbationProfile
-from .quadrature import (QuadResult, QuadratureError,
-                         gauss_legendre_nodes, integrate_oscillatory,
-                         integrate_semi_infinite, filon_nodes,
-                         _filon_moments, _FILON_L)
+from .quadrature import (QuadResult, QuadratureError, filon_nodes,
+                         filon_sums, gauss_legendre_nodes,
+                         integrate_oscillatory, integrate_semi_infinite)
 from .relkin import f_cap, f_cap_complex, scalarize, v_of_p
 
 __all__ = [
@@ -123,37 +123,11 @@ def _beta_kernel(w):
     return out
 
 
-# --- tail moments with quadrature fallback ---------------------------------
+# --- momentum integrals ------------------------------------------------------
 
 def _eq_integral(eq: Equilibrium, integrand, tol):
     return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
                                    support=eq.support_bound)
-
-
-def _tail_by_quadrature(f, P, support, scale, tol):
-    """int_P^inf f(p) dp, one quadrature per P; f vanishes past support."""
-    P = np.asarray(P, dtype=float)
-    vals = [0.0 if p0 >= support else integrate_semi_infinite(
-        lambda q: f(q + p0), tol=tol, scale=scale,
-        support=support - p0).value for p0 in np.atleast_1d(P).ravel()]
-    return scalarize(np.reshape(vals, P.shape))
-
-
-def _kernel_tail(eq: Equilibrium, P, tol=1e-12):
-    """int_P^inf (1 + p^2) (-f0'(p)) dp, vectorized over P."""
-    if eq.tail_kernel_moment is not None:
-        return eq.tail_kernel_moment(P)
-    return _tail_by_quadrature(lambda p: (1.0 + p * p) * (-eq.derivative(p)),
-                               P, eq.support_bound, eq.p_scale, tol)
-
-
-def _weighted_tail(profile: PerturbationProfile, P, tol=1e-12):
-    """int_P^inf p sqrt(1 + p^2) h(p) dp, vectorized over P."""
-    if profile.tail_weighted_moment is not None:
-        return profile.tail_weighted_moment(P)
-    return _tail_by_quadrature(
-        lambda p: p * np.hypot(1.0, p) * profile.value(p), P, math.inf,
-        profile.p_scale, tol)
 
 
 # --- direct time-domain kernels ---------------------------------------------
@@ -216,7 +190,7 @@ def beta_hat_envelope(mode: ModeSpec, y):
     out = np.zeros_like(ya)
     if np.any(mask):
         out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * ya[mask] \
-            * _kernel_tail(mode.equilibrium, plo)
+            * mode.equilibrium.tail_kernel_moment(plo)
     return scalarize(out)
 
 
@@ -233,7 +207,7 @@ def alpha_hat(mode: ModeSpec, y):
     out = np.zeros_like(ya)
     if np.any(mask):
         out[mask] = (2.0 * math.pi / mode.kappa) \
-            * _weighted_tail(mode.profile, plo)
+            * mode.profile.tail_weighted_moment(plo)
     return scalarize(out)
 
 
@@ -267,7 +241,7 @@ def _envelope_derivative(mode: ModeSpec, y):
     out = np.zeros_like(ya)
     eq = mode.equilibrium
     out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * (
-        _kernel_tail(eq, plo)
+        eq.tail_kernel_moment(plo)
         + r * eq.derivative(plo) / ((1.0 - r) * (1.0 + r))**2.5)
     return out
 
@@ -309,6 +283,8 @@ def laplace_beta_imag(mode: ModeSpec, y, tol=1e-10):
     ``tol`` anywhere in the batch; the panel cap raises QuadratureError.
     A float ``y`` returns a complex, an array a complex array.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     kap = mode.kappa
     ya = np.asarray(y, dtype=float)
     yf = ya.ravel()
@@ -423,7 +399,10 @@ def threshold_astro_from_derivative(eq: Equilibrium, tol=1e-11) -> float:
     return 4.0 * float(_eq_integral(eq, integrand, tol).value)
 
 
-def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
+_Y0_XTOL = 1e-12  # absolute bracket width at which find_y0 stops
+
+
+def find_y0(mode: ModeSpec, tol=1e-11,
             max_doublings=60) -> Optional[float]:
     """Frequency y0 >= kappa where the dispersion value reaches 1.
 
@@ -462,62 +441,10 @@ def find_y0(mode: ModeSpec, tol=1e-11, ytol=1e-12,
                 f"after {n} doublings")
     from scipy.optimize import brentq  # only crossings pay for the import
 
-    return float(brentq(g, lo, hi, xtol=ytol, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=_Y0_XTOL, rtol=8.9e-16))
 
 
 # --- batch kernel tables -----------------------------------------------------
-
-def _czt(x, m, w):
-    """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
-    ``czt`` operations in its order, so the two agree to the bit."""
-    n = x.shape[0]
-    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = w ** (k ** 2 / 2.)
-    nfft = _fft.next_fast_len(n + m - 1)
-    fwk2 = _fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = _fft.ifft(fwk2 * _fft.fft(x.T * wk2[:n], nfft))
-    return (y[..., n - 1:n + m - 1] * wk2[:m]).T
-
-
-def _filon_batch(env_nodes, a, b, n_panels, omegas, chunk=512):
-    """int_a^b env(y) e^{i omega y} dy for many omegas at once.
-
-    env_nodes: (n_panels, 4) envelope values at the uniform Filon nodes.
-    Returns a complex array, one integral value per omega.
-    For a uniformly spaced omega grid the panel sum collapses to four
-    chirp-z transforms, so dense time grids cost O((P + T) log) instead
-    of O(P * T).
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    h = (b - a) / n_panels
-    centers = a + (np.arange(n_panels) + 0.5) * h
-    nt = len(omegas)
-
-    d = np.diff(omegas)
-    step = d[0] if d.size else 0.0
-    uniform = nt > 64 and step != 0.0 and np.all(
-        np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
-
-    lam_all = _filon_moments(omegas * (h / 2.0)) @ _FILON_L.T  # (T, 4)
-
-    if uniform:
-        om0 = omegas[0]
-        # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
-        #                  * (e^{i step h})^{j p}
-        x = env_nodes * np.exp(1j * om0 * centers)[:, None]    # (P, 4)
-        bsum = _czt(x, nt, np.exp(1j * step * h))               # (T, 4)
-        bsum *= np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
-        return (h / 2.0) * np.sum(bsum * lam_all, axis=1)
-
-    out = np.empty(nt, dtype=complex)
-    for i0 in range(0, nt, chunk):
-        om = omegas[i0:i0 + chunk]
-        lam = lam_all[i0:i0 + chunk]                           # (T, 4)
-        s = env_nodes @ lam.T                                  # (P, T)
-        phase = np.exp(1j * np.outer(om, centers))             # (T, P)
-        out[i0:i0 + chunk] = (h / 2.0) * np.einsum("tp,pt->t", phase, s)
-    return out
-
 
 def sample_kernels(mode: ModeSpec, times, tol=1e-11,
                    max_panels=2 ** 16) -> KernelTable:
@@ -528,6 +455,8 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
     of t, which is what makes dense long-horizon tables affordable.  Stopping
     at ``max_panels`` short of ``tol`` raises QuadratureError.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     t = np.asarray(times, dtype=float)
     kap = mode.kappa
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
@@ -537,7 +466,7 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
         nodes, _ = filon_nodes(0.0, kap, n)
         env_a = alpha_hat(mode, nodes.ravel()).reshape(nodes.shape)
         env_b = beta_hat_envelope(mode, nodes.ravel()).reshape(nodes.shape)
-        probe = [_filon_batch(env, 0.0, kap, n, om_probe)
+        probe = [filon_sums(env, 0.0, kap, om_probe)
                  for env in (env_a, env_b)]
         return env_a, env_b, np.concatenate(probe)
 
@@ -554,7 +483,7 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
             "panels", QuadResult(probe, 2.0 * err, 8 * (2 * n - 64)))
 
     om = 2.0 * math.pi * t
-    alpha = 2.0 * _filon_batch(env_a, 0.0, kap, n, om).real
-    beta = -2.0 * _filon_batch(env_b, 0.0, kap, n, om).imag
+    alpha = 2.0 * filon_sums(env_a, 0.0, kap, om).real
+    beta = -2.0 * filon_sums(env_b, 0.0, kap, om).imag
     return KernelTable(t=t, alpha=alpha.astype(complex), beta=beta,
                        abs_error=float(2.0 * err))

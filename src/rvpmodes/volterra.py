@@ -25,9 +25,9 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import special as _sp
 
-from .quadrature import filon_nodes
-from .spectral import (ModeSpec, _filon_batch, laplace_beta_imag,
-                       sample_kernels, threshold_astro, threshold_plasma)
+from .quadrature import filon_nodes, filon_sums
+from .spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
+                       threshold_astro, threshold_plasma)
 
 __all__ = [
     "TimeGrid",
@@ -187,14 +187,17 @@ def _resolvent_transform(mode: ModeSpec, y, tol):
     return w / (1.0 - w)
 
 
-def resolvent_kernel(mode: ModeSpec, grid: TimeGrid, tol=1e-8,
-                     y_max_factor=64.0) -> np.ndarray:
+_RESOLVENT_Y_MAX = 64.0  # quadrature in y stops at this multiple of kappa
+
+
+def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
+                     tol=1e-8) -> np.ndarray:
     """Resolvent samples R(t_j) = int G(y) e^{2 pi i y t} dy with
     G = W/(1 - W), W the kernel transform on the imaginary axis.
 
     Requires the mode supercritical (checked first); G then decays like
-    y^-2, the integral is truncated at ``y_max_factor * kappa`` panels of
-    geometric width, and the remaining tail is added in closed form from
+    y^-2, the integral is truncated at ``_RESOLVENT_Y_MAX * kappa`` panels
+    of geometric width, and the remaining tail is added in closed form from
     the y^-2 asymptote via the exponential integral.
     """
     kap = mode.kappa
@@ -213,19 +216,19 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid, tol=1e-8,
     n_in = 1024
     nodes, _ = filon_nodes(0.0, kap, n_in)
     g_in = _resolvent_transform(mode, nodes.ravel(), tol).reshape(nodes.shape)
-    inner = _filon_batch(g_in, 0.0, kap, n_in, om)
+    inner = filon_sums(g_in, 0.0, kap, om)
 
     # Outside: G real on geometric panels [kap, Y].
     total = inner
     seg_lo = kap
     seg_hi = 2.0 * kap
     g_edge = None
-    while seg_lo < y_max_factor * kap:
+    while seg_lo < _RESOLVENT_Y_MAX * kap:
         n_seg = 64
         nodes, _ = filon_nodes(seg_lo, seg_hi, n_seg)
         g_seg = _resolvent_transform(mode, nodes.ravel(), tol).reshape(
             nodes.shape)
-        total = total + _filon_batch(g_seg, seg_lo, seg_hi, n_seg, om)
+        total = total + filon_sums(g_seg, seg_lo, seg_hi, om)
         g_edge = g_seg[-1, -1]
         seg_lo, seg_hi = seg_hi, 2.0 * seg_hi
 

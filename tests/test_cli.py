@@ -134,6 +134,29 @@ class TestDispersion:
         assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
                      "--theta", "0.2", "--x", "-0.5"]) == 2
 
+    @pytest.mark.parametrize("x", ["0,abc", "0,", "0,nan", "inf", "0.5,-inf"])
+    def test_malformed_or_nonfinite_x_is_usage_error(self, x, capsys):
+        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                     "--theta", "0.2", "--x", x, "--n-y", "2"]) == 2
+        assert "computation failed" not in capsys.readouterr().err
+
+
+class TestTolerance:
+    THRESHOLD = ["threshold", "--theta-min", "0.1", "--theta-max", "1.0",
+                 "--n-points", "2"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_flag_is_usage_error(self, tol, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(self.THRESHOLD + ["--tol", tol, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+    def test_bad_tol_config_is_usage_error(self, tol, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kappa = 1.0\nsigma = 1\ntheta = 0.2\ntol = {tol}\n")
+        assert main(["dispersion", "--config", str(cfg), "--n-y", "2"]) == 2
+
 
 class TestConfigFile:
     def test_config_supplies_and_flags_win(self, tmp_path):

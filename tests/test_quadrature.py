@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes.quadrature import (QuadratureError, gauss_legendre_nodes,
-                                 integrate_finite, integrate_oscillatory,
+from rvpmodes.quadrature import (QuadratureError, filon_nodes, filon_sums,
+                                 gauss_legendre_nodes, integrate_finite,
+                                 integrate_oscillatory,
                                  integrate_semi_infinite)
 
 
@@ -41,6 +42,14 @@ class TestFinite:
                              tol=1e-14, max_subdiv=20)
         assert err.value.result.abs_error_estimate > 0
         assert err.value.result.value > 0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_raises(self, tol):
+        # nan <= 0 is False: a NaN tol must not end the loop unconverged
+        with pytest.raises(ValueError):
+            integrate_finite(lambda x: x * x, 0.0, 1.0, tol=tol)
+        with pytest.raises(ValueError):
+            integrate_semi_infinite(np.exp, tol=tol, support=1.0)
 
     def test_nan_integrand_raises(self):
         # nan > tol is False: a NaN must not come back as converged
@@ -173,3 +182,18 @@ class TestOscillatory:
         for j in range(1, k + 1):
             ref = (np.exp(1j * w) - j * ref) / (1j * w)
         assert abs(r.value - ref) < 1e-10
+
+
+class TestFilonSums:
+    @pytest.mark.parametrize("a,b,om0", [(0.0, 1.3, 0.0), (0.7, 2.1, 3.1)])
+    def test_chirp_z_branch_matches_direct_branch(self, a, b, om0):
+        # > 64 uniform omegas take the chirp-z branch; a permuted copy of
+        # the same grid is not uniform and takes the direct panel sum
+        nodes, _ = filon_nodes(a, b, 256)
+        env = np.exp(-nodes * nodes) * (1.0 + 0.5j * np.sin(3.0 * nodes))
+        omegas = om0 + 2.0 * math.pi * np.linspace(0.0, 50.0, 501)
+        perm = np.random.default_rng(5).permutation(omegas.size)
+        fast = filon_sums(env, a, b, omegas)
+        direct = filon_sums(env, a, b, omegas[perm])
+        assert np.max(np.abs(fast[perm] - direct)) \
+            <= 1e-13 * np.max(np.abs(direct))

@@ -15,11 +15,11 @@ from scipy.interpolate import CubicSpline
 import rvpmodes
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
-from rvpmodes.quadrature import (QuadratureError, gauss_legendre_nodes,
+from rvpmodes.quadrature import (QuadratureError, _czt, gauss_legendre_nodes,
                                  integrate_finite, integrate_oscillatory,
                                  integrate_semi_infinite)
 from rvpmodes.relkin import f_cap, v_of_p
-from rvpmodes.spectral import (ModeSpec, _czt, alpha_direct, alpha_hat,
+from rvpmodes.spectral import (ModeSpec, alpha_direct, alpha_hat,
                                alpha_via_inverse, beta_direct, beta_hat,
                                beta_hat_envelope, beta_via_inverse, find_y0,
                                laplace_alpha_imag_tail,
@@ -171,22 +171,46 @@ class TestTransforms:
         assert alpha_via_inverse(mode, 2.0) == 0.0
 
 
+def _p_integral_tail(f, support, scale):
+    """P -> int_P^inf f(p) dp, one adaptive quadrature per P: the oracle
+    for the closed-form tails that every equilibrium and profile carries."""
+    def tail(P):
+        P = np.asarray(P, dtype=float)
+        vals = [0.0 if p0 >= support else integrate_semi_infinite(
+            lambda q: f(q + p0), tol=1e-12, scale=scale,
+            support=support - p0).value for p0 in P.ravel()]
+        return np.reshape(vals, P.shape)
+    return tail
+
+
 class TestTailFallback:
+    """The envelopes built on p-integral tails equal those built on the
+    closed forms, for every equilibrium and profile factory."""
+
     @pytest.mark.parametrize("eq", [juttner(0.2), compact_decreasing(1.5)])
     def test_quadrature_tails_match_closed_forms(self, eq):
-        prof = gaussian_profile(1.0, 1.0)
-        mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq, profile=prof)
-        bare = ModeSpec(
-            kappa=1.0, sigma=+1,
-            equilibrium=dataclasses.replace(eq, tail_kernel_moment=None),
-            profile=dataclasses.replace(prof, tail_weighted_moment=None))
+        oracle_eq = dataclasses.replace(
+            eq, tail_kernel_moment=_p_integral_tail(
+                lambda p: (1.0 + p * p) * (-eq.derivative(p)),
+                eq.support_bound, eq.p_scale))
         ys = np.array([0.0, 0.3, 0.8, 0.95, 0.99])
-        assert np.allclose(beta_hat_envelope(bare, ys),
-                           beta_hat_envelope(mode, ys), rtol=1e-9, atol=1e-12)
-        assert np.allclose(alpha_hat(bare, ys), alpha_hat(mode, ys),
-                           rtol=1e-9, atol=1e-12)
-        assert beta_hat_envelope(bare, 0.5) == pytest.approx(
-            beta_hat_envelope(mode, 0.5), rel=1e-9)
+        for prof in (gaussian_profile(1.0, 1.0), thermal_profile(0.5, 2.0)):
+            oracle_prof = dataclasses.replace(
+                prof, tail_weighted_moment=_p_integral_tail(
+                    lambda p: p * np.hypot(1.0, p) * prof.value(p), math.inf,
+                    prof.p_scale))
+            mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq, profile=prof)
+            oracle = ModeSpec(kappa=1.0, sigma=+1, equilibrium=oracle_eq,
+                              profile=oracle_prof)
+            assert np.allclose(beta_hat_envelope(oracle, ys),
+                               beta_hat_envelope(mode, ys), rtol=1e-9,
+                               atol=1e-12)
+            assert np.allclose(alpha_hat(oracle, ys), alpha_hat(mode, ys),
+                               rtol=1e-9, atol=1e-12)
+            assert beta_hat_envelope(oracle, 0.5) == pytest.approx(
+                beta_hat_envelope(mode, 0.5), rel=1e-9)
+            assert alpha_hat(oracle, 0.5) == pytest.approx(
+                alpha_hat(mode, 0.5), rel=1e-9)
 
 
 class TestCrossPath:
@@ -499,6 +523,13 @@ class TestKernelTableTolerance:
         with pytest.raises(QuadratureError) as info:
             sample_kernels(mode, t, tol=1e-15, max_panels=128)
         assert info.value.result.abs_error_estimate > 1e-15
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_bad_tol_raises(self, mode02, tol):
+        with pytest.raises(ValueError):
+            sample_kernels(mode02, np.linspace(0.0, 10.0, 11), tol=tol)
+        with pytest.raises(ValueError):
+            laplace_beta_imag(mode02, np.array([0.1, 0.5]), tol=tol)
 
     def test_reached_tol_is_reported(self, mode02):
         tab = sample_kernels(mode02, np.linspace(0.0, 30.0, 601), tol=1e-11)
