@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -209,6 +210,41 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
+def _read_trajectory(path):
+    """Column names and the (rows, columns) body of a trajectory CSV; a
+    missing file or column, a malformed or ragged row, or a non-finite
+    ``t`` or ``abs_rho`` is a usage error."""
+    try:
+        with open(path) as fh:
+            header = ""
+            for line in fh:
+                header = line.strip()
+                if header and not header.startswith("#"):
+                    break
+            names = header.split(",")
+            if "t" not in names or "abs_rho" not in names:
+                raise UsageError(f"{path}: trajectory CSV must have 't' and "
+                                 "'abs_rho' columns")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # empty body: checked below
+                body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    if body.size == 0:
+        raise UsageError(f"{path} holds no data rows")
+    if body.shape[1] != len(names):
+        raise UsageError(f"{path}: {body.shape[1]} columns in the rows, "
+                         f"{len(names)} in the header")
+    for name in ("t", "abs_rho"):
+        bad = np.flatnonzero(~np.isfinite(body[:, names.index(name)]))
+        if bad.size:
+            raise UsageError(f"{path}: non-finite {name} in data row "
+                             f"{bad[0] + 1}")
+    return names, body
+
+
 def cmd_fit(args) -> int:
     if args.input is None:
         raise UsageError("fit requires --input trajectory CSV")
@@ -216,18 +252,7 @@ def cmd_fit(args) -> int:
         raise UsageError("fit requires --kappa (sets the transient window)")
     if args.n_boot < 0:
         raise UsageError("--n-boot must be >= 0")
-    try:
-        with open(args.input) as fh:
-            lines = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    if not lines:
-        raise UsageError(f"{args.input} holds no data rows")
-    names = lines[0].split(",")
-    if "t" not in names or "abs_rho" not in names:
-        raise UsageError("trajectory CSV must have 't' and 'abs_rho' columns")
-    body = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    names, body = _read_trajectory(args.input)
     t = body[:, names.index("t")]
     a = body[:, names.index("abs_rho")]
     fit, _, verdict = _decay.fit_mode_decay(

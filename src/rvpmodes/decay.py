@@ -4,8 +4,12 @@
 concern that envelope:
 
 * :func:`envelope` extracts strict local maxima;
-* :func:`fit_stretched` fits c * exp(-eps * t^(1/s)) and reports s with a
-  peak-bootstrap confidence interval;
+* :func:`fit_stretched` fits c * exp(-eps * t^(1/s)) to the peaks in
+  log-amplitude space by variable projection: log c and eps enter
+  linearly, so for each x = 1/s they are an exact box-bounded linear
+  least-squares solve, and only x is searched (grid, then golden section);
+* :func:`bootstrap_s_interval` refits every peak resample at once, by
+  secant steps on the profiled gradient, for a percentile interval of s;
 * :func:`exp_test` classifies the decay as exponential vs sub-exponential
   from the behaviour of lambda(t) = -ln|rho| / t, which plateaus for a true
   exponential and falls like a power for stretched decay;
@@ -84,23 +88,77 @@ def envelope(t, value) -> Envelope:
     return Envelope(t=t[idx], value=v[idx], fallback=False)
 
 
-def _stretched_residuals(params, t, logv):
-    logc, logeps, invs = params
-    return logc - math.exp(logeps) * t**invs - logv
+# Box of the fit, as (log c, eps, x = 1/s).
+_LOGC_MAX = 50.0
+_EPS_MIN, _EPS_MAX = math.exp(-50.0), math.exp(50.0)
+_X_MIN, _X_MAX = 1e-3, 1.5
+_X_GRID = 301      # exponents scanned before the golden-section polish
+_X_TOL = 1e-10     # absolute tolerance on x of both 1-D searches
+_SECANT_ITERS = 40  # cap; bootstrap replicates settle in about 5 steps
+
+
+def _positive_peaks(env):
+    t = np.asarray(env.t, dtype=float)
+    v = np.asarray(env.value, dtype=float)
+    keep = (t > 0) & (v > 0)
+    return t[keep], v[keep]
+
+
+def _profile(x, logt, logv):
+    """Variable projection of log v = log c - eps t^x: for each exponent
+    x (shape (m,)) the exact box-bounded least-squares (log c, eps).
+
+    ``logt`` and ``logv`` have shape (n,) or (m, n).  The problem is convex
+    in (log c, eps): the unconstrained solution stands when it lies in the
+    box, otherwise the optimum lies on one of the four edges, each a
+    clipped 1-D solve.  Returns (log c, eps, t^x, residuals), the last two
+    of shape (m, n).
+    """
+    u = np.exp(x[:, None] * logt)
+    y = np.broadcast_to(logv, u.shape)
+    um, ym = u.mean(axis=1), y.mean(axis=1)
+    du = u - um[:, None]
+    e = -np.sum(du * (y - ym[:, None]), axis=1) / np.sum(du * du, axis=1)
+    a = ym + e * um
+    out = ~((np.abs(a) <= _LOGC_MAX) & (e >= _EPS_MIN) & (e <= _EPS_MAX))
+    if out.any():
+        ub, yb = u[out], y[out]
+        edge_a = np.array([-_LOGC_MAX, _LOGC_MAX])
+        edge_e = np.array([_EPS_MIN, _EPS_MAX])
+        suu = np.sum(ub * ub, axis=1)[:, None]
+        suy = np.sum(ub * yb, axis=1)[:, None]
+        # columns: log c = -50, +50 with eps solved, then eps = e^-50, e^50
+        # with log c solved
+        cand_a = np.hstack([np.broadcast_to(edge_a, (ub.shape[0], 2)),
+                            np.clip(ym[out, None] + edge_e * um[out, None],
+                                    -_LOGC_MAX, _LOGC_MAX)])
+        cand_e = np.hstack([np.clip((edge_a * np.sum(ub, axis=1)[:, None]
+                                     - suy) / suu, _EPS_MIN, _EPS_MAX),
+                            np.broadcast_to(edge_e, (ub.shape[0], 2))])
+        sse = np.sum((cand_a[:, :, None] - cand_e[:, :, None] * ub[:, None]
+                      - yb[:, None]) ** 2, axis=2)
+        best = np.argmin(sse, axis=1)[:, None]
+        a[out] = np.take_along_axis(cand_a, best, axis=1)[:, 0]
+        e[out] = np.take_along_axis(cand_e, best, axis=1)[:, 0]
+    return a, e, u, a[:, None] - e[:, None] * u - y
+
+
+def _sse(x, logt, logv):
+    return np.sum(_profile(np.atleast_1d(x), logt, logv)[3] ** 2, axis=1)
 
 
 def fit_stretched(env: Envelope) -> DecayFit:
     """Least-squares fit of c * exp(-eps t^(1/s)) to a peak sequence.
 
     Stage 1 profiles c out via the early-time maximum and fits
-    ln(-ln(v/c)) against ln t; stage 2 refines (c, eps, 1/s) jointly in
-    log-amplitude space.  Raises :class:`NoDecayError` when the envelope
-    does not decrease.
+    ln(-ln(v/c)) against ln t; it raises :class:`NoDecayError` when the
+    envelope does not decrease.  Stage 2 minimises the squared residuals of
+    log v = log c - eps t^x, x = 1/s, over the box |log c| <= 50,
+    e^-50 <= eps <= e^50, 1e-3 <= x <= 1.5 by variable projection (Golub &
+    Pereyra 1973): (log c, eps) are solved exactly for each x, and the
+    profiled sum is scanned on a grid of x and polished by golden section.
     """
-    t = np.asarray(env.t, dtype=float)
-    v = np.asarray(env.value, dtype=float)
-    keep = (t > 0) & (v > 0)
-    t, v = t[keep], v[keep]
+    t, v = _positive_peaks(env)
     if t.size < 4:
         raise NoDecayError("too few positive peaks to fit")
     c0 = float(v.max()) * (1.0 + 1e-12)
@@ -116,50 +174,78 @@ def fit_stretched(env: Envelope) -> DecayFit:
         ok = ratio < 1.0
     z = np.log(-np.log(ratio[ok]))
     lt = np.log(t[ok])
-    slope, intercept = np.polyfit(lt, z, 1)
+    slope, _ = np.polyfit(lt, z, 1)
     if slope <= 0:
         raise NoDecayError("no decay detected (flat log-log envelope)")
-    x0 = np.array([math.log(c0), float(intercept), float(slope)])
-    x0 = np.clip(x0, [-49.0, -49.0, 2e-3], [49.0, 49.0, 1.49])
 
-    from scipy.optimize import least_squares  # only fits pay for the import
-
-    logv = np.log(v)
-    res = least_squares(
-        _stretched_residuals, x0, args=(t, logv),
-        bounds=([-50.0, -50.0, 1e-3], [50.0, 50.0, 1.5]))
-    logc, logeps, invs = res.x
-    rms = float(np.sqrt(np.mean(res.fun**2)))
-    return DecayFit(c=math.exp(logc), eps=math.exp(logeps), s=1.0 / invs,
-                    rms_residual=rms, window=(float(t[0]), float(t[-1])))
+    logt, logv = np.log(t), np.log(v)
+    grid = np.linspace(_X_MIN, _X_MAX, _X_GRID)
+    sse = _sse(grid, logt, logv)
+    k = int(np.argmin(sse))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _X_GRID - 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    xc, xd = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fc, fd = _sse([xc, xd], logt, logv)
+    while hi - lo > _X_TOL:
+        if fc <= fd:
+            hi, xd, fd = xd, xc, fc
+            xc = hi - golden * (hi - lo)
+            fc = _sse(xc, logt, logv)[0]
+        else:
+            lo, xc, fc = xc, xd, fd
+            xd = lo + golden * (hi - lo)
+            fd = _sse(xd, logt, logv)[0]
+    # a grid point wins only on a bound, where golden section cannot land
+    x = min((sse[k], grid[k]), (fc, xc), (fd, xd))[1]
+    logc, eps, _, res = _profile(np.array([x]), logt, logv)
+    return DecayFit(c=math.exp(logc[0]), eps=float(eps[0]),
+                    s=float(1.0 / x),
+                    rms_residual=float(np.sqrt(np.mean(res ** 2))),
+                    window=(float(t[0]), float(t[-1])))
 
 
 def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
                          level=0.95):
-    """Percentile bootstrap over peaks of the fitted exponent s."""
-    from scipy.optimize import least_squares
+    """Percentile bootstrap over peaks of the fitted exponent s.
 
-    t = np.asarray(env.t, dtype=float)
-    v = np.asarray(env.value, dtype=float)
-    keep = (t > 0) & (v > 0)
-    t, v = t[keep], v[keep]
-    logv = np.log(v)
-    x0 = np.array([math.log(fit.c), math.log(fit.eps), 1.0 / fit.s])
+    Every replicate refits by variable projection, all at once: secant
+    steps on the profiled gradient -2 eps sum(r t^x log t), started from
+    the fit of the full data.  Replicates that end non-finite (a resample
+    of one repeated peak leaves x undetermined) are dropped.
+    """
+    t, v = _positive_peaks(env)
+    logt, logv = np.log(t), np.log(v)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_boot):
-        idx = rng.integers(0, t.size, size=t.size)
-        idx.sort()
-        try:
-            res = least_squares(
-                _stretched_residuals, x0, args=(t[idx], logv[idx]),
-                bounds=([-50.0, -50.0, 1e-3], [50.0, 50.0, 1.5]))
-            out.append(1.0 / res.x[2])
-        except Exception:
-            continue
-    if not out:
+    idx = np.empty((n_boot, t.size), dtype=np.int64)
+    for row in idx:  # one draw per replicate, the stream of a refit loop
+        row[:] = rng.integers(0, t.size, size=t.size)
+    idx.sort(axis=1)
+    lt, lv = logt[idx], logv[idx]
+
+    def grad(x, rows):
+        _, eps, u, res = _profile(x, lt[rows], lv[rows])
+        return -2.0 * eps * np.sum(res * u * lt[rows], axis=1)
+
+    x_prev = np.full(n_boot, 1.0 / fit.s)
+    h = 1e-4 * (_X_MAX - _X_MIN)
+    x = np.where(x_prev - h >= _X_MIN, x_prev - h, x_prev + h)
+    live = np.arange(n_boot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_prev, g = grad(x_prev, live), grad(x, live)
+        for _ in range(_SECANT_ITERS):
+            step = g * (x[live] - x_prev[live]) / (g - g_prev)
+            new = np.clip(x[live] - step, _X_MIN, _X_MAX)
+            x_prev[live] = x[live]
+            x[live] = new
+            moving = np.abs(new - x_prev[live]) > _X_TOL
+            live, g_prev = live[moving], g[moving]
+            if not live.size:
+                break
+            g = grad(x[live], live)
+    s = 1.0 / x[np.isfinite(x)]
+    if not s.size:
         return (math.nan, math.nan)
-    lo, hi = np.quantile(out, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = np.quantile(s, [(1 - level) / 2, (1 + level) / 2])
     return (float(lo), float(hi))
 
 
@@ -171,10 +257,7 @@ def exp_test(env: Envelope) -> str:
     decay; a falling lambda with genuine total decay is sub-exponential;
     envelopes that barely decay return 'none'.
     """
-    t = np.asarray(env.t, dtype=float)
-    v = np.asarray(env.value, dtype=float)
-    keep = (t > 0) & (v > 0)
-    t, v = t[keep], v[keep]
+    t, v = _positive_peaks(env)
     if t.size < 5:
         return "none"
     head = max(1, t.size // 5)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as _sp
 
 from .relkin import bessel_k2_scaled, scalarize
 
@@ -167,11 +166,13 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
         # int_P^inf p sqrt(1+p^2) e^{-p^2/w^2} dp, via u = sqrt(1+p^2):
         #   e^{-P^2/w^2} [ (w^2/2) U + (sqrt(pi) w^3 / 4) erfcx(U/w) ],
         # U = sqrt(1+P^2); erfcx keeps the e^{1/w^2} factor in range.
+        from scipy.special import erfcx  # only Gaussian tails pay for it
+
         P = np.asarray(P, dtype=float)
         u = np.hypot(1.0, P)
         return scalarize(amp * np.exp(-((P / width) ** 2)) * (
             0.5 * width**2 * u
-            + 0.25 * math.sqrt(math.pi) * width**3 * _sp.erfcx(u / width)))
+            + 0.25 * math.sqrt(math.pi) * width**3 * erfcx(u / width)))
 
     return PerturbationProfile(
         value=value,

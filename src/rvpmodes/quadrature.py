@@ -10,7 +10,8 @@ Entry points:
 * :func:`filon_sums` -- the one Filon evaluator: composite cubic panels,
   exact for cubic envelopes per panel at any frequency, for many
   frequencies on one panelization (kernel tables, the resolvent); a
-  uniform frequency grid costs four chirp-z transforms.
+  uniform frequency grid costs four chirp-z transforms on ``numpy.fft``,
+  padded to :func:`next_fast_len`.
 * :func:`integrate_oscillatory` -- one frequency, with panel doubling.
 
 The Gauss-Legendre panels serve the principal values of
@@ -24,7 +25,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "QuadResult",
@@ -35,6 +35,7 @@ __all__ = [
     "filon_nodes",
     "filon_sums",
     "gauss_legendre_nodes",
+    "next_fast_len",
 ]
 
 # QUADPACK (G7, K15) abscissae and weights on [-1, 1].
@@ -251,16 +252,37 @@ def _filon_moments(omega_half):
 
 
 def filon_nodes(a, b, n_panels):
-    """Node abscissae for ``n_panels`` uniform cubic panels on [a, b].
-
-    Returns (nodes, h) where nodes has shape (n_panels, 4); interior panel
-    edges appear twice (once per neighbour), which keeps the bookkeeping
-    trivial at negligible cost.
+    """Node abscissae for ``n_panels`` uniform cubic panels on [a, b],
+    shape (n_panels, 4); interior panel edges appear twice (once per
+    neighbour), which keeps the bookkeeping trivial at negligible cost.
     """
     edges = np.linspace(a, b, n_panels + 1)
     h = (b - a) / n_panels
-    left = edges[:-1]
-    return left[:, None] + (h / 2.0) * (_FILON_S + 1.0)[None, :], h
+    return edges[:-1, None] + (h / 2.0) * (_FILON_S + 1.0)[None, :]
+
+
+@functools.lru_cache(maxsize=1024)
+def next_fast_len(target):
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= ``target``: the padded length
+    SciPy's ``next_fast_len`` gives a complex FFT.  The padding sets the
+    rounding of an FFT convolution, so matching it keeps results bit-equal
+    to the SciPy route."""
+    best = 1 << (target - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # times the smallest power of two reaching target
+                    best = min(best, p3 << (-(-target // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
 
 
 def _czt(x, m, w):
@@ -269,9 +291,9 @@ def _czt(x, m, w):
     n = x.shape[0]
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = w ** (k ** 2 / 2.)
-    nfft = _fft.next_fast_len(n + m - 1)
-    fwk2 = _fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = _fft.ifft(fwk2 * _fft.fft(x.T * wk2[:n], nfft))
+    nfft = next_fast_len(n + m - 1)
+    fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = np.fft.ifft(fwk2 * np.fft.fft(x.T * wk2[:n], nfft))
     return (y[..., n - 1:n + m - 1] * wk2[:m]).T
 
 
@@ -341,7 +363,7 @@ def integrate_oscillatory(f, omega, a, b, tol=1e-9):
     prev = None
     evals = 0
     while True:
-        nodes, _ = filon_nodes(a, b, n)
+        nodes = filon_nodes(a, b, n)
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         evals += nodes.size
         cur = complex(filon_sums(vals, a, b, [float(omega)])[0])

@@ -7,8 +7,9 @@ elementwise on scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "v_of_p",
@@ -22,6 +23,10 @@ __all__ = [
 
 # Beyond this argument K2 underflows to zero in double precision.
 K2_UNDERFLOW_X = 700.0
+
+# e^-745 is below the smallest subnormal double: integrand values under it
+# are zero, so the trapezoid sum of bessel_k2_scaled stops there.
+_K2_LOG_FLOOR = 745.0
 
 # x/v above which F(x, v) switches from the direct formula to its series;
 # the direct x*arctanh(v/x) - v loses ~6 digits to cancellation out here.
@@ -128,12 +133,36 @@ def bessel_k2(x):
     a = _asarray(x, "x")
     if np.any(a <= 0):
         raise ValueError(f"bessel_k2 requires x > 0, got {x!r}")
-    return scalarize(_sp.kv(2, a))
+    from scipy.special import kv  # lazy: no CLI command needs unscaled K2
+
+    return scalarize(kv(2, a))
+
+
+def _k2_scaled(x):
+    # e^x K2(x) = int_0^inf exp(-2x sinh^2(t/2)) cosh 2t dt; sinh^2 avoids
+    # the cancellation in cosh t - 1.  The integrand is even and analytic
+    # in a strip, so the trapezoid rule on [0, inf) converges geometrically
+    # in 1/h; h = 0.2/sqrt(1 + x) resolves both the e^-t and the Gaussian
+    # (width 1/sqrt(x)) regimes.  The cut t solves
+    # 2x sinh^2(t/2) - 2t = _K2_LOG_FLOOR (cosh 2t <= e^2t) by iteration.
+    h = 0.2 / math.sqrt(1.0 + x)
+    t_cut = 0.0
+    for _ in range(4):
+        t_cut = 2.0 * math.asinh(math.sqrt((_K2_LOG_FLOOR + 2.0 * t_cut)
+                                           / (2.0 * x)))
+    t = h * np.arange(int(t_cut / h) + 1)
+    f = np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2) * np.cosh(2.0 * t)
+    return h * (np.sum(f) - 0.5 * f[0])
 
 
 def bessel_k2_scaled(x):
-    """Exponentially scaled e^x * K_2(x); finite for all x > 0."""
+    """Exponentially scaled e^x * K_2(x); finite for all x > 0.
+
+    Trapezoid rule on the integral representation; within 1e-15 relative
+    of ``scipy.special.kve(2, x)``, without importing SciPy.
+    """
     a = _asarray(x, "x")
     if np.any(a <= 0):
         raise ValueError(f"bessel_k2_scaled requires x > 0, got {x!r}")
-    return scalarize(_sp.kve(2, a))
+    out = np.array([_k2_scaled(float(v)) for v in a.ravel()])
+    return scalarize(out.reshape(a.shape))

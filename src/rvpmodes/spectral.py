@@ -439,9 +439,52 @@ def find_y0(mode: ModeSpec, tol=1e-11,
             raise RuntimeError(
                 f"dispersion crossing not bracketed in [{kap:g}, {hi:g}] "
                 f"after {n} doublings")
-    from scipy.optimize import brentq  # only crossings pay for the import
+    return float(_brentq(g, lo, hi, xtol=_Y0_XTOL, rtol=8.9e-16))
 
-    return float(brentq(g, lo, hi, xtol=_Y0_XTOL, rtol=8.9e-16))
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of ``f`` bracketed by [xa, xb]: Brent's method (Brent 1973,
+    ch. 4), step for step the routine behind ``scipy.optimize.brentq``, so
+    both return the same float, after at most 100 iterations."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(100):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq did not converge in 100 iterations")
 
 
 # --- batch kernel tables -----------------------------------------------------
@@ -463,7 +506,7 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
     om_probe = 2.0 * math.pi * t_probe
 
     def envelopes(n):
-        nodes, _ = filon_nodes(0.0, kap, n)
+        nodes = filon_nodes(0.0, kap, n)
         env_a = alpha_hat(mode, nodes.ravel()).reshape(nodes.shape)
         env_b = beta_hat_envelope(mode, nodes.ravel()).reshape(nodes.shape)
         probe = [filon_sums(env, 0.0, kap, om_probe)

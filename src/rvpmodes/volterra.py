@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import special as _sp
 
-from .quadrature import filon_nodes, filon_sums
+from .quadrature import filon_nodes, filon_sums, next_fast_len
 from .spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
                        threshold_astro, threshold_plasma)
 
@@ -123,8 +121,9 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
             mid = (lo + hi) // 2
             if march(lo, mid):
                 return True
-            m = _fft.next_fast_len(hi - lo)  # wraps only into slots < mid-lo
-            conv = _fft.ifft(_fft.fft(rho[lo:mid], m) * _fft.fft(beta[:m], m))
+            m = next_fast_len(hi - lo)  # wraps only into slots < mid-lo
+            conv = np.fft.ifft(np.fft.fft(rho[lo:mid], m)
+                               * np.fft.fft(beta[:m], m))
             hist[mid:hi] += conv[mid - lo:hi - lo]
             return march(mid, hi)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,8 +150,8 @@ def convolve_product_trapezoid(kernel, source, dt):
     convolution with the end-point halves taken back out."""
     kernel, source = np.asarray(kernel), np.asarray(source)
     n = source.size
-    m = _fft.next_fast_len(2 * n - 1)
-    full = _fft.ifft(_fft.fft(kernel[:n], m) * _fft.fft(source, m))[:n]
+    m = next_fast_len(2 * n - 1)
+    full = np.fft.ifft(np.fft.fft(kernel[:n], m) * np.fft.fft(source, m))[:n]
     if not (np.iscomplexobj(kernel) or np.iscomplexobj(source)):
         full = full.real
     out = dt * (full - 0.5 * (kernel[:n] * source[0] + kernel[0] * source))
@@ -214,7 +213,7 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
 
     # Inside the support: G complex (W carries the i b/2 part).
     n_in = 1024
-    nodes, _ = filon_nodes(0.0, kap, n_in)
+    nodes = filon_nodes(0.0, kap, n_in)
     g_in = _resolvent_transform(mode, nodes.ravel(), tol).reshape(nodes.shape)
     inner = filon_sums(g_in, 0.0, kap, om)
 
@@ -225,7 +224,7 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
     g_edge = None
     while seg_lo < _RESOLVENT_Y_MAX * kap:
         n_seg = 64
-        nodes, _ = filon_nodes(seg_lo, seg_hi, n_seg)
+        nodes = filon_nodes(seg_lo, seg_hi, n_seg)
         g_seg = _resolvent_transform(mode, nodes.ravel(), tol).reshape(
             nodes.shape)
         total = total + filon_sums(g_seg, seg_lo, seg_hi, om)
@@ -239,9 +238,11 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
     pos = om > 0
     tail[~pos] = A / Y
     if np.any(pos):
+        from scipy.special import exp1  # only resolvents pay for the import
+
         w = om[pos]
         # int_Y^inf e^{i w y} / y^2 dy = e^{i w Y}/Y + i w E1(-i w Y)
-        e1 = _sp.exp1(-1j * w * Y)
+        e1 = exp1(-1j * w * Y)
         tail[pos] = A * (np.exp(1j * w * Y) / Y + 1j * w * e1)
     total = total + tail
 

@@ -9,6 +9,9 @@ from rvpmodes import decay
 from rvpmodes.decay import (Envelope, NoDecayError, bootstrap_s_interval,
                             envelope, exp_test, fit_mode_decay, fit_stretched,
                             rational_bound_check)
+from rvpmodes.equilibria import juttner, thermal_profile
+from rvpmodes.spectral import ModeSpec
+from rvpmodes.volterra import TimeGrid, solve_mode
 
 
 def synthetic_peaks(c, eps, s, t_lo=2.0, t_hi=300.0, n=120):
@@ -110,6 +113,122 @@ class TestFitModeDecay:
         t, a = self.trajectory()
         with pytest.raises(ValueError, match="n_boot"):
             fit_mode_decay(t, a, 1.0, n_boot=-1)
+
+
+# --- the trust-region fit that variable projection replaced, as an oracle --
+
+_LS_BOUNDS = ([-50.0, -50.0, 1e-3], [50.0, 50.0, 1.5])
+
+
+def _ls_residuals(params, t, logv):
+    logc, logeps, invs = params
+    return logc - math.exp(logeps) * t**invs - logv
+
+
+def _ls_peaks(env):
+    t, v = np.asarray(env.t, dtype=float), np.asarray(env.value, dtype=float)
+    keep = (t > 0) & (v > 0)
+    return t[keep], np.log(v[keep])
+
+
+def ls_fit(env):
+    """(log c, log eps, 1/s) and the sum of squared residuals of
+    ``least_squares`` from the stage-1 start, as fit_stretched had it."""
+    from scipy.optimize import least_squares
+    t, logv = _ls_peaks(env)
+    c0 = float(np.exp(logv).max()) * (1.0 + 1e-12)
+    ratio = np.exp(logv) / c0
+    ok = -np.log(ratio) > 1e-3
+    if np.count_nonzero(ok) < 3:
+        ok = ratio < 1.0
+    slope, intercept = np.polyfit(np.log(t[ok]), np.log(-np.log(ratio[ok])),
+                                  1)
+    x0 = np.clip([math.log(c0), intercept, slope], [-49.0, -49.0, 2e-3],
+                 [49.0, 49.0, 1.49])
+    res = least_squares(_ls_residuals, x0, args=(t, logv), bounds=_LS_BOUNDS)
+    return res.x, float(np.sum(res.fun ** 2))
+
+
+def ls_bootstrap(env, fit, n_boot, seed, level=0.95):
+    from scipy.optimize import least_squares
+    t, logv = _ls_peaks(env)
+    x0 = np.array([math.log(fit.c), math.log(fit.eps), 1.0 / fit.s])
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, t.size, size=t.size)
+        idx.sort()
+        res = least_squares(_ls_residuals, x0, args=(t[idx], logv[idx]),
+                            bounds=_LS_BOUNDS)
+        out.append(1.0 / res.x[2])
+    return tuple(np.quantile(out, [(1 - level) / 2, (1 + level) / 2]))
+
+
+def sse(env, fit):
+    t, logv = _ls_peaks(env)
+    return float(np.sum((math.log(fit.c) - fit.eps * t ** (1.0 / fit.s)
+                         - logv) ** 2))
+
+
+def _mode_envelope(theta, kappa, sigma, dt, t_max, refine):
+    mode = ModeSpec(kappa=kappa, sigma=sigma, equilibrium=juttner(theta),
+                    profile=thermal_profile(theta, 1.0))
+    grid = TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
+    traj = solve_mode(mode, grid, tol=1e-9, refine=refine)
+    a = np.abs(traj.rho)
+    return None if traj.growth else (grid.times, a / a.max())
+
+
+@pytest.fixture(scope="module")
+def readme_fit():
+    """The README ``fit`` of the README ``evolve --refine`` trajectory."""
+    t, a = _mode_envelope(0.5, 1.2, 1, 0.02, 300.0, refine=True)
+    return fit_mode_decay(t, a, 1.2, n_boot=0)
+
+
+@pytest.fixture(scope="module")
+def readme_sweep_fits():
+    """(fit, envelope) of every fitted row of both README sweeps."""
+    out = []
+    for sigma in (1, -1):
+        for kappa in np.linspace(0.3, 1.4, 12):
+            samples = _mode_envelope(0.2, float(kappa), sigma, 0.02, 200.0,
+                                     refine=False)
+            if samples is None:
+                continue
+            try:
+                fit, env, _ = fit_mode_decay(*samples, float(kappa), n_boot=0)
+            except NoDecayError:
+                continue
+            out.append((fit, env))
+    return out
+
+
+class TestAgainstLeastSquares:
+    def test_readme_fit(self, readme_fit):
+        fit, env, _ = readme_fit
+        (logc, logeps, invs), ls_sse = ls_fit(env)
+        assert sse(env, fit) <= ls_sse * (1.0 + 1e-12)
+        assert fit.c == pytest.approx(math.exp(logc), rel=1e-6)
+        assert fit.eps == pytest.approx(math.exp(logeps), rel=1e-6)
+        assert fit.s == pytest.approx(1.0 / invs, rel=1e-6)
+
+    def test_readme_sweep_rows(self, readme_sweep_fits):
+        # ten rows, five of them pinned on log c = 50 and one, at
+        # sigma = -1, kappa = 1.3, where least_squares stays at its start
+        assert len(readme_sweep_fits) == 10
+        for fit, env in readme_sweep_fits:
+            assert sse(env, fit) <= ls_fit(env)[1] * (1.0 + 1e-12)
+            assert abs(math.log(fit.c)) <= 50.0 * (1.0 + 1e-15)
+            assert abs(math.log(fit.eps)) <= 50.0 * (1.0 + 1e-15)
+            assert 1e-3 <= 1.0 / fit.s <= 1.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bootstrap_interval(self, readme_fit, seed):
+        fit, env, _ = readme_fit
+        ours = bootstrap_s_interval(env, fit, n_boot=200, seed=seed)
+        ref = ls_bootstrap(env, fit, n_boot=200, seed=seed)
+        assert ours == pytest.approx(ref, rel=1e-6)
 
 
 class TestExpTest:

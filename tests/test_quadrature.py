@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvpmodes.quadrature import (QuadratureError, filon_nodes, filon_sums,
+                                 next_fast_len,
                                  gauss_legendre_nodes, integrate_finite,
                                  integrate_oscillatory,
                                  integrate_semi_infinite)
@@ -189,7 +190,7 @@ class TestFilonSums:
     def test_chirp_z_branch_matches_direct_branch(self, a, b, om0):
         # > 64 uniform omegas take the chirp-z branch; a permuted copy of
         # the same grid is not uniform and takes the direct panel sum
-        nodes, _ = filon_nodes(a, b, 256)
+        nodes = filon_nodes(a, b, 256)
         env = np.exp(-nodes * nodes) * (1.0 + 0.5j * np.sin(3.0 * nodes))
         omegas = om0 + 2.0 * math.pi * np.linspace(0.0, 50.0, 501)
         perm = np.random.default_rng(5).permutation(omegas.size)
@@ -197,3 +198,13 @@ class TestFilonSums:
         direct = filon_sums(env, a, b, omegas[perm])
         assert np.max(np.abs(fast[perm] - direct)) \
             <= 1e-13 * np.max(np.abs(direct))
+
+
+class TestNextFastLen:
+    def test_equals_scipy_complex_fft_length(self):
+        # the padded length sets an FFT convolution's rounding
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+        rng = np.random.default_rng(0)
+        ns = list(range(1, 20001)) + rng.integers(1, 200001, 3000).tolist()
+        assert [n for n in ns
+                if next_fast_len(n) != scipy_next_fast_len(n)] == []

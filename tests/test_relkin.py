@@ -187,6 +187,14 @@ class TestBesselK2:
         assert bessel_k2_scaled(710.0) == pytest.approx(
             math.sqrt(math.pi / 1420.0), rel=1e-2)
 
+    def test_scaled_matches_scipy_kve(self):
+        # the Juttner normalisation, on the threshold sweep's range and
+        # beyond it
+        from scipy.special import kve
+        x = 1.0 / np.logspace(-5.0, math.log10(50.0), 400)
+        rel = np.abs(bessel_k2_scaled(x) / kve(2, x) - 1.0)
+        assert rel.max() <= 1e-15
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_domain(self, bad):
         with pytest.raises(ValueError):

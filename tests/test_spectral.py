@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import rvpmodes
+from rvpmodes import spectral
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
 from rvpmodes.quadrature import (QuadratureError, _czt, gauss_legendre_nodes,
@@ -455,6 +456,36 @@ class TestDispersionRoot:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="not bracketed"):
                 find_y0(mode, max_doublings=0)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 10.0, -1.0, 7.0),
+    ])
+    def test_brentq_steps_as_scipy(self, f, a, b):
+        from scipy.optimize import brentq
+
+        def logged(calls):
+            def g(x):
+                calls.append(x)
+                return f(x)
+            return g
+        ours, theirs = [], []
+        root = spectral._brentq(logged(ours), a, b, xtol=1e-12, rtol=8.9e-16)
+        assert root == brentq(logged(theirs), a, b, xtol=1e-12, rtol=8.9e-16)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.4, 0.5])
+    def test_crossing_equals_scipy_brentq(self, kappa, monkeypatch):
+        # README sweep, sigma = +1: its subcritical rows
+        from scipy.optimize import brentq
+        theta = 0.2
+        mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=juttner(theta),
+                        profile=thermal_profile(theta, 1.0))
+        ours = find_y0(mode, tol=1e-10)
+        monkeypatch.setattr(spectral, "_brentq", lambda f, a, b, xtol, rtol:
+                            float(brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        assert find_y0(mode, tol=1e-10) == ours
 
     def test_rejects_attractive_sign(self, eq02):
         mode = ModeSpec(kappa=0.5, sigma=-1, equilibrium=eq02,
