@@ -29,7 +29,7 @@ import numpy as np
 from . import decay as _decay
 from .equilibria import (compact_decreasing, gaussian_profile, juttner,
                          thermal_profile)
-from .gevrey import (GevreyParams, g_l1_norm, partition_bound,
+from .gevrey import (MAX_ORDER, GevreyParams, g_l1_norm, partition_bound,
                      product_l1_bound_check, sup_bounds_check)
 from .spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
                        laplace_beta_imag, threshold_astro, threshold_plasma)
@@ -129,8 +129,13 @@ def _build_profile(args):
     raise UsageError(f"unknown profile {name!r}")
 
 
-def _config_echo(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+_NOT_ECHOED = {"config", "output", "help"}
+
+
+def _config_echo(args):
+    """Every option of the subcommand that holds a value, by its dest."""
+    return {a.dest: getattr(args, a.dest) for a in args._sp._actions
+            if a.dest not in _NOT_ECHOED and getattr(args, a.dest) is not None}
 
 
 # --- subcommands -------------------------------------------------------------
@@ -149,8 +154,7 @@ def cmd_threshold(args) -> int:
         ka = math.sqrt(threshold_astro(eq, tol=args.tol).kappa_crit_sq)
         rows.append((float(th), kp, ka))
     _write_csv(args.output, ["theta", "kappa_crit_plasma", "kappa_crit_astro"],
-               rows, _config_echo(args, ["theta_min", "theta_max", "n_points",
-                                         "tol"]))
+               rows, _config_echo(args))
     return 0
 
 
@@ -170,9 +174,7 @@ def cmd_evolve(args) -> int:
         for t, r, a, b in zip(grid.times, traj.rho, traj.alpha_samples,
                               traj.beta_samples)
     ]
-    cfg = _config_echo(args, ["kappa", "sigma", "theta", "dt", "t_max",
-                              "equilibrium", "profile", "width", "amp",
-                              "profile_theta", "p_support", "refine", "tol"])
+    cfg = _config_echo(args)
     cfg["growth"] = traj.growth
     _write_csv(args.output, ["t", "re_rho", "im_rho", "abs_rho", "alpha",
                              "beta"], rows, cfg)
@@ -204,9 +206,7 @@ def cmd_dispersion(args) -> int:
         rows.extend((x, float(y), val.real, val.imag, abs(val - 1.0))
                     for y, val in zip(ys, vals))
     _write_csv(args.output, ["x", "y", "re_Lbeta", "im_Lbeta", "dist_to_one"],
-               rows, _config_echo(args, ["kappa", "sigma", "theta",
-                                         "equilibrium", "x", "y_min", "y_max",
-                                         "n_y", "tol"]))
+               rows, _config_echo(args))
     return 0
 
 
@@ -269,7 +269,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_appendix_verify(args) -> int:
-    params = GevreyParams(K=args.K, L=args.L, v=args.v)
+    try:
+        params = GevreyParams(K=args.K, L=args.L, v=args.v)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not 0 <= args.m_max <= MAX_ORDER:
+        raise UsageError(f"--m-max must lie in [0, {MAX_ORDER}], got "
+                         f"{args.m_max}")
     sup = sup_bounds_check(params, args.m_max)
     prod = product_l1_bound_check(params, m_max=min(args.m_max, 6))
     p5 = partition_bound(5)
@@ -301,7 +307,7 @@ def cmd_appendix_verify(args) -> int:
     for m, val, bound, margin in prod.margins:
         rows.append(("product_l1", m, val, bound, margin))
     _write_csv(args.output, ["check", "m", "value", "bound", "margin"], rows,
-               _config_echo(args, ["K", "L", "v", "m_max"]))
+               _config_echo(args))
     return 0 if all(ok for _, ok in checks) else 1
 
 
@@ -342,6 +348,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"sweep requires --{name.replace('_', '-')}")
     if not (0 < args.kappa_min <= args.kappa_max) or args.n_kappa < 1:
         raise UsageError("empty or invalid kappa range")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
     tasks = [(float(k), args.sigma, args.theta, args.dt, args.t_max, args.tol)
              for k in sorted(kappas)]
@@ -354,10 +362,7 @@ def cmd_sweep(args) -> int:
     header = ["kappa", "supercritical_flag", "y0_or_blank", "fit_c",
               "fit_eps", "fit_s", "verdict", "error"]
     rows = [tuple(r[h] for h in header) for r in results]
-    _write_csv(args.output, header, rows,
-               _config_echo(args, ["kappa_min", "kappa_max", "n_kappa",
-                                   "sigma", "theta", "dt", "t_max", "seed",
-                                   "jobs", "tol"]))
+    _write_csv(args.output, header, rows, _config_echo(args))
     return 0
 
 
@@ -371,10 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="quadrature tolerance (absolute)")
         sp.add_argument("-o", "--output", default=None,
                         help="output path ('-' or omitted: stdout)")
+
+    def tol_opt(sp):
+        sp.add_argument("--tol", type=float, default=1e-9,
+                        help="quadrature tolerance (absolute)")
 
     def mode_opts(sp):
         sp.add_argument("--kappa", type=float)
@@ -392,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("threshold", help="critical wavenumbers vs theta")
     common(sp)
+    tol_opt(sp)
     sp.add_argument("--theta-min", type=float, dest="theta_min")
     sp.add_argument("--theta-max", type=float, dest="theta_max")
     sp.add_argument("--n-points", type=int, dest="n_points", default=200)
@@ -399,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="integrate one mode")
     common(sp)
+    tol_opt(sp)
     mode_opts(sp)
     sp.add_argument("--dt", type=float)
     sp.add_argument("--t-max", type=float, dest="t_max")
@@ -408,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dispersion", help="transform values on Re s >= 0")
     common(sp)
+    tol_opt(sp)
     mode_opts(sp)
     sp.add_argument("--x", default="0", help="comma list of Re s values")
     sp.add_argument("--y-min", type=float, dest="y_min", default=0.0)
@@ -434,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="per-mode pipeline over kappa")
     common(sp)
+    tol_opt(sp)
     sp.add_argument("--kappa-min", type=float, dest="kappa_min")
     sp.add_argument("--kappa-max", type=float, dest="kappa_max")
     sp.add_argument("--n-kappa", type=int, dest="n_kappa", default=8)
@@ -459,7 +470,7 @@ def main(argv=None) -> int:
         if args.config:
             args._sp.set_defaults(**_config_defaults(args._sp, args.config))
             args = parser.parse_args(argv)
-        if not 0 < args.tol < math.inf:
+        if "tol" in vars(args) and not 0 < args.tol < math.inf:
             raise UsageError(f"--tol must be finite and positive, got "
                              f"{args.tol}")
         return args.func(args)

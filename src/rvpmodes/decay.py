@@ -12,8 +12,7 @@ concern that envelope:
   secant steps on the profiled gradient, for a percentile interval of s;
 * :func:`exp_test` classifies the decay as exponential vs sub-exponential
   from the behaviour of lambda(t) = -ln|rho| / t, which plateaus for a true
-  exponential and falls like a power for stretched decay;
-* :func:`rational_bound_check` scans sup |f(t)| (1 + kappa t)^m.
+  exponential and falls like a power for stretched decay.
 
 Distinguishing exp(-eps t^(1/s)) from a plain power law at a finite horizon
 is ill-posed; the verdict logic therefore keys off lambda's log-log slope
@@ -37,7 +36,6 @@ __all__ = [
     "fit_stretched",
     "bootstrap_s_interval",
     "exp_test",
-    "rational_bound_check",
     "fit_mode_decay",
 ]
 
@@ -272,23 +270,6 @@ def exp_test(env: Envelope) -> str:
     if b > SLOPE_PLATEAU and lam_late > 0:
         return "exponential"
     return "sub-exponential"
-
-
-def rational_bound_check(t, value, m, kappa):
-    """Scan d_m = sup |value| (1 + kappa t)^m over the samples.
-
-    Returns (d_m, t_attained, ok); the bound is genuine only when the sup
-    is attained early, so ok requires the argmax in the first half of the
-    window and not at the final sample.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    t = np.asarray(t, dtype=float)
-    v = np.abs(np.asarray(value))
-    scan = v * (1.0 + kappa * t) ** m
-    i = int(np.argmax(scan))
-    ok = (i < t.size - 1) and (t[i] <= 0.5 * t[-1])
-    return float(scan[i]), float(t[i]), bool(ok)
 
 
 _FLOOR_FACTOR = 1e3  # solver noise floor, in machine epsilons of the peak

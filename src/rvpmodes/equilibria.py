@@ -15,6 +15,7 @@ factor so temperatures down to 1e-4 neither overflow nor underflow.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -73,7 +74,9 @@ def juttner(theta: float) -> Equilibrium:
     f0(p) = exp(-sqrt(1+p^2)/theta) / (4 pi theta K_2(1/theta)), which has
     unit total mass.  Internally the equivalent exponent-shifted form
     exp((1 - sqrt(1+p^2))/theta) / (4 pi theta e^{1/theta} K_2(1/theta))
-    is used so that small theta stays in range.
+    is used so that small theta stays in range.  Raises ValueError where
+    that normalisation is not a positive normal double: theta above about
+    1.2e102, or so small that the denominator underflows.
     """
     theta = float(theta)
     if theta <= 0:
@@ -82,7 +85,13 @@ def juttner(theta: float) -> Equilibrium:
         warnings.warn(
             f"theta={theta:g} is deep in the cold regime; values rely on the "
             "scaled-Bessel evaluation", stacklevel=2)
-    norm = 1.0 / (4.0 * math.pi * theta * bessel_k2_scaled(1.0 / theta))
+    denom = 4.0 * math.pi * theta * bessel_k2_scaled(1.0 / theta)
+    norm = 1.0 / denom if denom > 0 else math.inf
+    if not sys.float_info.min <= norm < math.inf:
+        # f0 would underflow to zero everywhere (hot) or overflow (cold)
+        raise ValueError(f"theta={theta:g} is out of range: the Juttner "
+                         f"normalisation {norm:g} is not a positive normal "
+                         "double")
 
     def value(p):
         p = np.asarray(p, dtype=float)

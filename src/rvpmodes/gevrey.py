@@ -19,8 +19,6 @@ where |f^(m)| and |g^(m)| are decreasing in |omega|:
 * sup-norm bounds   |f^(m)| <= (6L/K)^m m!        (family C sums <= 18^n)
 * L1 norms of g^(m) in closed form for m <= 2, and 2|g^(m-1)(R)| beyond
   (family D sums bounded by powers of 2 sqrt(21))
-* a finite-order surrogate of the transform-decay criterion
-  |xi|^(N/s) |phi_hat(xi)| <= C (C N)^N, reporting the smallest workable C
 * the product lemma: L1 derivative bounds of phi*psi from L1 x Linf factor
   bounds, with the constant built exactly as in its proof
 * the partition-count asymptote used by the composition (Faa di Bruno)
@@ -33,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,8 +48,6 @@ __all__ = [
     "g_derivative",
     "sup_bounds_check",
     "g_l1_norm",
-    "g_l1_closed_forms",
-    "gevrey_decay_check",
     "partition_bound",
     "product_l1_bound_check",
 ]
@@ -80,8 +76,9 @@ class GevreyParams:
     v: float
 
     def __post_init__(self):
-        if self.K <= 0 or self.L <= 0:
-            raise ValueError("K and L must be positive")
+        if not (0 < self.K < math.inf and 0 < self.L < math.inf):
+            raise ValueError(f"K and L must be finite and positive, got "
+                             f"K={self.K}, L={self.L}")
         if not (0 <= self.v < 1):
             raise ValueError(f"v must lie in [0, 1), got {self.v}")
 
@@ -289,52 +286,6 @@ def g_l1_norm(params: GevreyParams, m: int) -> float:
         return (2.0 * L / K) * (r2 * v - (2.0 - v * v)
                                 * math.atanh(v / r2)) / (2.0 - v * v)
     return 2.0 * abs(g_derivative(params, m - 1, params.R))
-
-
-def g_l1_closed_forms(params: GevreyParams):
-    """(||g||, ||g'||, ||g''||) on [-R, R]^c; capped by (K/L, 1/2, 4L/K)."""
-    return (g_l1_norm(params, 0), g_l1_norm(params, 1), g_l1_norm(params, 2))
-
-
-@dataclass(frozen=True)
-class DecayCertificate:
-    """Finite-order transform-decay check |xi|^(N/s)|phi| <= C (C N)^N."""
-
-    s: float
-    n_max: int
-    c_per_order: tuple
-    c_star: float
-    budget: float
-
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.c_star) and self.c_star <= self.budget
-
-
-def gevrey_decay_check(transform: Callable, s: float, xi,
-                       n_max: int = 6, budget: float = 10.0
-                       ) -> DecayCertificate:
-    """Smallest C with |xi|^(N/s) |transform(xi)| <= C (C N)^N for
-    N = 1..n_max over the grid ``xi``.
-
-    This is the finite-order surrogate of stretched-exponential decay of
-    the inverse transform: a genuinely sub-exponential transform admits a
-    bounded C, rational decay forces C to grow with the grid extent.
-    """
-    if s <= 1:
-        raise ValueError("Gevrey index s must exceed 1")
-    xi = np.asarray(xi, dtype=float)
-    vals = np.abs(np.asarray(transform(xi)))
-    cs = []
-    for n in range(1, n_max + 1):
-        m_n = float(np.max(np.abs(xi) ** (n / s) * vals))
-        if m_n == 0.0:
-            cs.append(0.0)
-            continue
-        cs.append((m_n / float(n) ** n) ** (1.0 / (n + 1)))
-    c_star = max(cs) if cs else math.inf
-    return DecayCertificate(s=s, n_max=n_max, c_per_order=tuple(cs),
-                            c_star=float(c_star), budget=budget)
 
 
 def partition_bound(m: int):

@@ -12,7 +12,6 @@ Entry points:
   frequencies on one panelization (kernel tables, the resolvent); a
   uniform frequency grid costs four chirp-z transforms on ``numpy.fft``,
   padded to :func:`next_fast_len`.
-* :func:`integrate_oscillatory` -- one frequency, with panel doubling.
 
 The Gauss-Legendre panels serve the principal values of
 :mod:`rvpmodes.spectral`.
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureError",
     "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_oscillatory",
     "filon_nodes",
     "filon_sums",
     "gauss_legendre_nodes",
@@ -340,40 +338,3 @@ def filon_sums(env_nodes, a, b, omegas):
         out[i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.einsum("tp,pt->t",
                                                           phase, s)
     return out
-
-
-_OSC_MAX_PANELS = 2 ** 14
-
-
-def integrate_oscillatory(f, omega, a, b, tol=1e-9):
-    """int_a^b f(x) e^{i omega x} dx for a smooth envelope f.
-
-    Composite Filon with global panel doubling until the update falls below
-    ``tol``; the panel count is set by envelope resolution, not frequency.
-    omega = 0 degenerates to plain (non-oscillatory) integration.
-    """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if omega == 0.0:
-        res = integrate_finite(f, a, b, tol=tol)
-        return QuadResult(complex(res.value), res.abs_error_estimate,
-                          res.evaluations)
-
-    n = 8
-    prev = None
-    evals = 0
-    while True:
-        nodes = filon_nodes(a, b, n)
-        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        evals += nodes.size
-        cur = complex(filon_sums(vals, a, b, [float(omega)])[0])
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= tol:
-                return QuadResult(cur, err, evals)
-            if 2 * n > _OSC_MAX_PANELS:
-                raise QuadratureError(
-                    f"integrate_oscillatory stalled at {n} panels "
-                    f"(estimate {err:g})", QuadResult(cur, err, evals))
-        prev = cur
-        n *= 2

@@ -13,20 +13,18 @@ import numpy as np
 
 __all__ = [
     "v_of_p",
-    "p_of_v",
-    "f_cap",
     "f_cap_complex",
-    "arctanh_complex",
-    "bessel_k2",
     "bessel_k2_scaled",
 ]
-
-# Beyond this argument K2 underflows to zero in double precision.
-K2_UNDERFLOW_X = 700.0
 
 # e^-745 is below the smallest subnormal double: integrand values under it
 # are zero, so the trapezoid sum of bessel_k2_scaled stops there.
 _K2_LOG_FLOOR = 745.0
+
+# Below this argument the trapezoid grid of bessel_k2_scaled reaches t where
+# cosh 2t overflows (from about 3e-151 down), while e^x K2(x) =
+# (2/x^2)(1 + x + O(x^2)) equals its leading term to double precision.
+_K2_SMALL_X = 1e-150
 
 # x/v above which F(x, v) switches from the direct formula to its series;
 # the direct x*arctanh(v/x) - v loses ~6 digits to cancellation out here.
@@ -50,25 +48,13 @@ def v_of_p(p):
 
     For p beyond ~6.7e7 the exact value rounds to 1.0 in double precision;
     the result is clamped to the largest double below 1 so the [0, 1)
-    contract (and the domain of p_of_v) survives.
+    contract survives.
     """
     a = _asarray(p, "p")
     if np.any(a < 0):
         raise ValueError(f"momentum magnitude must be >= 0, got {p!r}")
     return scalarize(np.minimum(a / np.hypot(1.0, a),
                                 np.nextafter(1.0, 0.0)))
-
-
-def p_of_v(v):
-    """Momentum magnitude from speed: p = v / sqrt(1 - v^2).
-
-    Inverse of :func:`v_of_p`.  Factored as (1-v)(1+v) so values of v within
-    1e-12 of the light speed still produce a large finite result, never NaN.
-    """
-    a = _asarray(v, "v")
-    if np.any(a < 0) or np.any(a >= 1):
-        raise ValueError(f"speed must lie in [0, 1), got {v!r}")
-    return scalarize(a / np.sqrt((1.0 - a) * (1.0 + a)))
 
 
 def _f_profile(z, v):
@@ -85,57 +71,14 @@ def _f_profile(z, v):
     return out
 
 
-def f_cap(x, v):
-    """F(x, v) = x*arctanh(v/x) - v for real x > v >= 0.
-
-    Nonnegative and strictly decreasing in x; this is the profile of the
-    one-sided transform of the memory kernel on the real-frequency branch.
-    For x/v large the direct expression cancels catastrophically, so the
-    tail uses the series v^3/(3x^2) + v^5/(5x^4) + v^7/(7x^6).
-    """
-    xa = _asarray(x, "x")
-    va = _asarray(v, "v")
-    if np.any(va < 0) or np.any(va >= 1):
-        raise ValueError(f"speed must lie in [0, 1), got {v!r}")
-    if np.any(xa <= va):
-        raise ValueError("f_cap requires x > v (arctanh argument below 1)")
-    return scalarize(_f_profile(xa, va))
-
-
 def f_cap_complex(z, v):
     """Complex continuation z*arctanh(v/z) - v for z off [-1, 1] scaled by v.
 
-    Same series switch as :func:`f_cap` when |z| >> v.
+    For |z| >> v the direct expression cancels catastrophically, so the
+    tail uses the series v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6).
     """
     return scalarize(_f_profile(np.asarray(z, dtype=complex),
                                 _asarray(v, "v")))
-
-
-def arctanh_complex(z):
-    """Principal-branch complex arctanh.
-
-    Branch cuts are the real rays (-inf, -1] and [1, inf); evaluation exactly
-    on a cut is rejected rather than silently picking a side.
-    """
-    za = np.asarray(z, dtype=complex)
-    on_cut = (za.imag == 0.0) & (np.abs(za.real) >= 1.0)
-    if np.any(on_cut):
-        raise ValueError(f"arctanh branch cut at {z!r}")
-    return scalarize(np.arctanh(za))
-
-
-def bessel_k2(x):
-    """Modified Bessel function K_2(x) for x > 0.
-
-    Underflows to zero for x > ~700; callers needing the small-temperature
-    regime should use :func:`bessel_k2_scaled` instead.
-    """
-    a = _asarray(x, "x")
-    if np.any(a <= 0):
-        raise ValueError(f"bessel_k2 requires x > 0, got {x!r}")
-    from scipy.special import kv  # lazy: no CLI command needs unscaled K2
-
-    return scalarize(kv(2, a))
 
 
 def _k2_scaled(x):
@@ -145,6 +88,8 @@ def _k2_scaled(x):
     # in 1/h; h = 0.2/sqrt(1 + x) resolves both the e^-t and the Gaussian
     # (width 1/sqrt(x)) regimes.  The cut t solves
     # 2x sinh^2(t/2) - 2t = _K2_LOG_FLOOR (cosh 2t <= e^2t) by iteration.
+    if x < _K2_SMALL_X:
+        return 2.0 / x / x  # not 2/(x*x): x*x is subnormal near 1e-154
     h = 0.2 / math.sqrt(1.0 + x)
     t_cut = 0.0
     for _ in range(4):
@@ -156,10 +101,11 @@ def _k2_scaled(x):
 
 
 def bessel_k2_scaled(x):
-    """Exponentially scaled e^x * K_2(x); finite for all x > 0.
+    """Exponentially scaled e^x * K_2(x) for x > 0.
 
     Trapezoid rule on the integral representation; within 1e-15 relative
-    of ``scipy.special.kve(2, x)``, without importing SciPy.
+    of ``scipy.special.kve(2, x)``, without importing SciPy.  The value
+    exceeds the largest double, and is inf, for x below about 1.05e-154.
     """
     a = _asarray(x, "x")
     if np.any(a <= 0):

@@ -6,11 +6,9 @@ built from the perturbation profile and a memory kernel built from the
 equilibrium gradient.  Spherical symmetry reduces both to 1D radial
 integrals; this module provides
 
-* the direct time-domain reductions (``alpha_direct``, ``beta_direct``),
-* the compactly supported frequency envelopes (``alpha_hat``, ``beta_hat``),
-  supported on |y| < kappa because particle speeds never reach 1,
-* inverse-transform evaluation paths that must agree with the direct ones
-  (the cross-path identity is this module's gating self-check),
+* the compactly supported frequency envelopes (``alpha_hat``,
+  ``beta_hat_envelope``), supported on |y| < kappa because particle speeds
+  never reach 1; the kernel tables are their inverse transforms,
 * the one-sided (Fourier-Laplace) transform of the memory kernel on the
   closed right half-plane, whose avoidance of the value 1 certifies an
   integrable resolvent,
@@ -35,27 +33,19 @@ import numpy as np
 from .equilibria import Equilibrium, PerturbationProfile
 from .quadrature import (QuadResult, QuadratureError, filon_nodes,
                          filon_sums, gauss_legendre_nodes,
-                         integrate_oscillatory, integrate_semi_infinite)
-from .relkin import f_cap, f_cap_complex, scalarize, v_of_p
+                         integrate_semi_infinite)
+from .relkin import f_cap_complex, scalarize, v_of_p
 
 __all__ = [
     "ModeSpec",
     "ThresholdReport",
     "KernelTable",
-    "alpha_direct",
-    "beta_direct",
     "alpha_hat",
-    "beta_hat",
     "beta_hat_envelope",
-    "alpha_via_inverse",
-    "beta_via_inverse",
     "laplace_beta_imag",
-    "laplace_alpha_imag_tail",
     "laplace_beta_halfplane",
     "threshold_plasma",
-    "threshold_plasma_from_derivative",
     "threshold_astro",
-    "threshold_astro_from_derivative",
     "find_y0",
     "sample_kernels",
 ]
@@ -96,78 +86,11 @@ class KernelTable:
     abs_error: float
 
 
-# --- small-argument-safe angular kernels -----------------------------------
-
-def _sinc_kernel(w):
-    """sin(w)/w with the w -> 0 series, elementwise."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-3
-    ws = w[small]
-    out[small] = 1.0 - ws * ws / 6.0 * (1.0 - ws * ws / 20.0)
-    wb = w[~small]
-    out[~small] = np.sin(wb) / wb
-    return out
-
-
-def _beta_kernel(w):
-    """cos(w)/w - sin(w)/w^2 with the w -> 0 series, elementwise."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-3
-    ws = w[small]
-    w2 = ws * ws
-    out[small] = -ws / 3.0 + ws * w2 / 30.0 - ws * w2 * w2 / 840.0
-    wb = w[~small]
-    out[~small] = np.cos(wb) / wb - np.sin(wb) / (wb * wb)
-    return out
-
-
 # --- momentum integrals ------------------------------------------------------
 
 def _eq_integral(eq: Equilibrium, integrand, tol):
     return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
                                    support=eq.support_bound)
-
-
-# --- direct time-domain kernels ---------------------------------------------
-
-def alpha_direct(mode: ModeSpec, t: float, tol=1e-11) -> complex:
-    """Source kernel: 4 pi int p^2 h(p) sinc(2 pi kappa v(p) t) dp.
-
-    Real for real radial profiles and even in t.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    w = 2.0 * math.pi * mode.kappa * t
-
-    def integrand(p):
-        return 4.0 * math.pi * p * p * mode.profile.value(p) \
-            * _sinc_kernel(w * v_of_p(p))
-
-    res = integrate_semi_infinite(
-        integrand, tol=tol, scale=mode.profile.p_scale)
-    return complex(res.value)
-
-
-def beta_direct(mode: ModeSpec, t: float, tol=1e-11) -> float:
-    """Memory kernel: (8 pi sigma / kappa) *
-    int p^2 (-f0'(p)) [cos(W)/W - sin(W)/W^2] dp,  W = 2 pi kappa v(p) t.
-
-    Real, odd in t, and zero at t = 0.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if t == 0.0:
-        return 0.0
-    w = 2.0 * math.pi * mode.kappa * t
-    eq = mode.equilibrium
-
-    def integrand(p):
-        return p * p * (-eq.derivative(p)) * _beta_kernel(w * v_of_p(p))
-
-    res = _eq_integral(eq, integrand, tol)
-    return 8.0 * math.pi * mode.sigma / mode.kappa * res.value
 
 
 # --- frequency-domain envelopes ---------------------------------------------
@@ -194,11 +117,6 @@ def beta_hat_envelope(mode: ModeSpec, y):
     return scalarize(out)
 
 
-def beta_hat(mode: ModeSpec, y) -> complex:
-    """Time-Fourier transform of the memory kernel: purely imaginary, odd."""
-    return 1j * beta_hat_envelope(mode, y)
-
-
 def alpha_hat(mode: ModeSpec, y):
     """Time-Fourier transform of the source kernel: real, even,
     (2 pi / kappa) int_{P(|y|/kappa)}^inf p sqrt(1+p^2) h(p) dp inside
@@ -209,22 +127,6 @@ def alpha_hat(mode: ModeSpec, y):
         out[mask] = (2.0 * math.pi / mode.kappa) \
             * mode.profile.tail_weighted_moment(plo)
     return scalarize(out)
-
-
-def alpha_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> complex:
-    """Source kernel reconstructed from its transform:
-    2 int_0^kappa alpha_hat(y) cos(2 pi y t) dy."""
-    res = integrate_oscillatory(lambda y: alpha_hat(mode, y),
-                                2.0 * math.pi * t, 0.0, mode.kappa, tol=tol)
-    return complex(2.0 * res.value.real)
-
-
-def beta_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> float:
-    """Memory kernel reconstructed from its transform:
-    -2 int_0^kappa b(y) sin(2 pi y t) dy with beta_hat = i*b."""
-    res = integrate_oscillatory(lambda y: beta_hat_envelope(mode, y),
-                                2.0 * math.pi * t, 0.0, mode.kappa, tol=tol)
-    return float(-2.0 * res.value.imag)
 
 
 # --- Fourier-Laplace transform on the closed right half-plane ---------------
@@ -313,24 +215,6 @@ def laplace_beta_imag(mode: ModeSpec, y, tol=1e-10):
     return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
-def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
-    """Transform of the source kernel at s = 2*pi*i*y for |y| >= kappa:
-    purely imaginary, (-2i/kappa) int arctanh((kappa/|y|) v(p))
-    p sqrt(1+p^2) h(p) dp, decaying like 1/|y|."""
-    kap = mode.kappa
-    ay = abs(y)
-    if ay < kap:
-        raise ValueError("tail formula applies for |y| >= kappa only")
-
-    def integrand(p):
-        return np.arctanh((kap / ay) * v_of_p(p)) * p * np.hypot(1.0, p) \
-            * mode.profile.value(p)
-
-    res = integrate_semi_infinite(integrand, tol=tol,
-                                  scale=mode.profile.p_scale)
-    return complex(0.0, -2.0 / kap * res.value)
-
-
 def laplace_beta_halfplane(mode: ModeSpec, x: float, y: float,
                            tol=1e-10) -> complex:
     """Transform at s = x + 2*pi*i*y for x > 0 via the closed complex form
@@ -367,16 +251,6 @@ def threshold_plasma(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
     return ThresholdReport(float(res.value) * 4.0, +1, eq.theta)
 
 
-def threshold_plasma_from_derivative(eq: Equilibrium, tol=1e-11) -> float:
-    """Integration-by-parts twin of :func:`threshold_plasma`:
-    4 int [arctanh(v) - v] (1+p^2) (-f0') dp."""
-
-    def integrand(p):
-        return f_cap(1.0, v_of_p(p)) * (1.0 + p * p) * (-eq.derivative(p))
-
-    return 4.0 * float(_eq_integral(eq, integrand, tol).value)
-
-
 def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
     """Attractive-case squared critical wavenumber:
     4 int (sqrt(1+p^2) + p^2/sqrt(1+p^2)) f0(p) dp."""
@@ -387,16 +261,6 @@ def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
 
     res = _eq_integral(eq, integrand, tol)
     return ThresholdReport(float(res.value) * 4.0, -1, eq.theta)
-
-
-def threshold_astro_from_derivative(eq: Equilibrium, tol=1e-11) -> float:
-    """Integration-by-parts twin of :func:`threshold_astro`:
-    4 int p sqrt(1+p^2) (-f0') dp."""
-
-    def integrand(p):
-        return p * np.hypot(1.0, p) * (-eq.derivative(p))
-
-    return 4.0 * float(_eq_integral(eq, integrand, tol).value)
 
 
 _Y0_XTOL = 1e-12  # absolute bracket width at which find_y0 stops

@@ -1,0 +1,303 @@
+"""Independent routes that the library's evaluators are checked against.
+
+None of these is on a production path; each computes an object that
+``rvpmodes`` computes another way, or checks a paper claim on sampled
+data:
+
+* the direct time-domain kernels (``alpha_direct``, ``beta_direct``) and
+  their reconstructions from the frequency envelopes (``alpha_via_inverse``,
+  ``beta_via_inverse``), which must agree: the cross-path kernel identity;
+* the integration-by-parts twins of both critical-wavenumber integrals;
+* the source transform beyond the support (``laplace_alpha_imag_tail``);
+* one-frequency Filon quadrature with panel doubling
+  (``integrate_oscillatory``);
+* the kinematic inverse ``p_of_v``, the real-branch profile ``f_cap``
+  and the unscaled Bessel factor ``bessel_k2``;
+* the rational-envelope scan and the finite-order transform-decay
+  certificate.
+
+Tests import them as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from rvpmodes.quadrature import (QuadResult, QuadratureError, filon_nodes,
+                                 filon_sums, integrate_finite,
+                                 integrate_semi_infinite)
+from rvpmodes.relkin import _asarray, _f_profile, scalarize, v_of_p
+from rvpmodes.spectral import ModeSpec, alpha_hat, beta_hat_envelope
+
+
+# --- kinematics and special functions ---------------------------------------
+
+def p_of_v(v):
+    """Momentum magnitude from speed: p = v / sqrt(1 - v^2).
+
+    Inverse of ``v_of_p``.  Factored as (1-v)(1+v) so values of v within
+    1e-12 of the light speed still produce a large finite result, never NaN.
+    """
+    a = _asarray(v, "v")
+    if np.any(a < 0) or np.any(a >= 1):
+        raise ValueError(f"speed must lie in [0, 1), got {v!r}")
+    return scalarize(a / np.sqrt((1.0 - a) * (1.0 + a)))
+
+
+def f_cap(x, v):
+    """F(x, v) = x*arctanh(v/x) - v for real x > v >= 0.
+
+    Nonnegative and strictly decreasing in x; this is the profile of the
+    one-sided transform of the memory kernel on the real-frequency branch.
+    For x/v large the direct expression cancels catastrophically, so the
+    tail uses the series v^3/(3x^2) + v^5/(5x^4) + v^7/(7x^6).
+    """
+    xa = _asarray(x, "x")
+    va = _asarray(v, "v")
+    if np.any(va < 0) or np.any(va >= 1):
+        raise ValueError(f"speed must lie in [0, 1), got {v!r}")
+    if np.any(xa <= va):
+        raise ValueError("f_cap requires x > v (arctanh argument below 1)")
+    return scalarize(_f_profile(xa, va))
+
+
+def bessel_k2(x):
+    """Modified Bessel function K_2(x) for x > 0, from SciPy.
+
+    Underflows to zero for x > ~700, where only the scaled e^x K_2(x) of
+    ``relkin.bessel_k2_scaled`` stays in range.
+    """
+    a = _asarray(x, "x")
+    if np.any(a <= 0):
+        raise ValueError(f"bessel_k2 requires x > 0, got {x!r}")
+    from scipy.special import kv
+
+    return scalarize(kv(2, a))
+
+
+# --- one-frequency Filon quadrature -----------------------------------------
+
+_OSC_MAX_PANELS = 2 ** 14
+
+
+def integrate_oscillatory(f, omega, a, b, tol=1e-9):
+    """int_a^b f(x) e^{i omega x} dx for a smooth envelope f.
+
+    Composite Filon with global panel doubling until the update falls below
+    ``tol``; the panel count is set by envelope resolution, not frequency.
+    omega = 0 degenerates to plain (non-oscillatory) integration.
+    """
+    if not (a < b):
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    if omega == 0.0:
+        res = integrate_finite(f, a, b, tol=tol)
+        return QuadResult(complex(res.value), res.abs_error_estimate,
+                          res.evaluations)
+
+    n = 8
+    prev = None
+    evals = 0
+    while True:
+        nodes = filon_nodes(a, b, n)
+        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        evals += nodes.size
+        cur = complex(filon_sums(vals, a, b, [float(omega)])[0])
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= tol:
+                return QuadResult(cur, err, evals)
+            if 2 * n > _OSC_MAX_PANELS:
+                raise QuadratureError(
+                    f"integrate_oscillatory stalled at {n} panels "
+                    f"(estimate {err:g})", QuadResult(cur, err, evals))
+        prev = cur
+        n *= 2
+
+
+# --- kernels: direct time-domain reductions and inverse transforms ----------
+
+def _eq_integral(eq, integrand, tol):
+    return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
+                                   support=eq.support_bound)
+
+
+def _sinc_kernel(w):
+    """sin(w)/w with the w -> 0 series, elementwise."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty_like(w)
+    small = np.abs(w) < 1e-3
+    ws = w[small]
+    out[small] = 1.0 - ws * ws / 6.0 * (1.0 - ws * ws / 20.0)
+    wb = w[~small]
+    out[~small] = np.sin(wb) / wb
+    return out
+
+
+def _beta_kernel(w):
+    """cos(w)/w - sin(w)/w^2 with the w -> 0 series, elementwise."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty_like(w)
+    small = np.abs(w) < 1e-3
+    ws = w[small]
+    w2 = ws * ws
+    out[small] = -ws / 3.0 + ws * w2 / 30.0 - ws * w2 * w2 / 840.0
+    wb = w[~small]
+    out[~small] = np.cos(wb) / wb - np.sin(wb) / (wb * wb)
+    return out
+
+
+def alpha_direct(mode: ModeSpec, t: float, tol=1e-11) -> complex:
+    """Source kernel: 4 pi int p^2 h(p) sinc(2 pi kappa v(p) t) dp.
+
+    Real for real radial profiles and even in t.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    w = 2.0 * math.pi * mode.kappa * t
+
+    def integrand(p):
+        return 4.0 * math.pi * p * p * mode.profile.value(p) \
+            * _sinc_kernel(w * v_of_p(p))
+
+    res = integrate_semi_infinite(
+        integrand, tol=tol, scale=mode.profile.p_scale)
+    return complex(res.value)
+
+
+def beta_direct(mode: ModeSpec, t: float, tol=1e-11) -> float:
+    """Memory kernel: (8 pi sigma / kappa) *
+    int p^2 (-f0'(p)) [cos(W)/W - sin(W)/W^2] dp,  W = 2 pi kappa v(p) t.
+
+    Real, odd in t, and zero at t = 0.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t == 0.0:
+        return 0.0
+    w = 2.0 * math.pi * mode.kappa * t
+    eq = mode.equilibrium
+
+    def integrand(p):
+        return p * p * (-eq.derivative(p)) * _beta_kernel(w * v_of_p(p))
+
+    res = _eq_integral(eq, integrand, tol)
+    return 8.0 * math.pi * mode.sigma / mode.kappa * res.value
+
+
+def alpha_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> complex:
+    """Source kernel reconstructed from its transform:
+    2 int_0^kappa alpha_hat(y) cos(2 pi y t) dy."""
+    res = integrate_oscillatory(lambda y: alpha_hat(mode, y),
+                                2.0 * math.pi * t, 0.0, mode.kappa, tol=tol)
+    return complex(2.0 * res.value.real)
+
+
+def beta_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> float:
+    """Memory kernel reconstructed from its transform:
+    -2 int_0^kappa b(y) sin(2 pi y t) dy with beta_hat = i*b."""
+    res = integrate_oscillatory(lambda y: beta_hat_envelope(mode, y),
+                                2.0 * math.pi * t, 0.0, mode.kappa, tol=tol)
+    return float(-2.0 * res.value.imag)
+
+
+def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
+    """Transform of the source kernel at s = 2*pi*i*y for |y| >= kappa:
+    purely imaginary, (-2i/kappa) int arctanh((kappa/|y|) v(p))
+    p sqrt(1+p^2) h(p) dp, decaying like 1/|y|."""
+    kap = mode.kappa
+    ay = abs(y)
+    if ay < kap:
+        raise ValueError("tail formula applies for |y| >= kappa only")
+
+    def integrand(p):
+        return np.arctanh((kap / ay) * v_of_p(p)) * p * np.hypot(1.0, p) \
+            * mode.profile.value(p)
+
+    res = integrate_semi_infinite(integrand, tol=tol,
+                                  scale=mode.profile.p_scale)
+    return complex(0.0, -2.0 / kap * res.value)
+
+
+# --- integration-by-parts twins of the critical wavenumbers -----------------
+
+def threshold_plasma_from_derivative(eq, tol=1e-11) -> float:
+    """Twin of ``threshold_plasma``: 4 int [arctanh(v) - v] (1+p^2)
+    (-f0') dp."""
+
+    def integrand(p):
+        return f_cap(1.0, v_of_p(p)) * (1.0 + p * p) * (-eq.derivative(p))
+
+    return 4.0 * float(_eq_integral(eq, integrand, tol).value)
+
+
+def threshold_astro_from_derivative(eq, tol=1e-11) -> float:
+    """Twin of ``threshold_astro``: 4 int p sqrt(1+p^2) (-f0') dp."""
+
+    def integrand(p):
+        return p * np.hypot(1.0, p) * (-eq.derivative(p))
+
+    return 4.0 * float(_eq_integral(eq, integrand, tol).value)
+
+
+# --- decay checks on sampled data -------------------------------------------
+
+def rational_bound_check(t, value, m, kappa):
+    """Scan d_m = sup |value| (1 + kappa t)^m over the samples.
+
+    Returns (d_m, t_attained, ok); the bound is genuine only when the sup
+    is attained early, so ok requires the argmax in the first half of the
+    window and not at the final sample.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    t = np.asarray(t, dtype=float)
+    v = np.abs(np.asarray(value))
+    scan = v * (1.0 + kappa * t) ** m
+    i = int(np.argmax(scan))
+    ok = (i < t.size - 1) and (t[i] <= 0.5 * t[-1])
+    return float(scan[i]), float(t[i]), bool(ok)
+
+
+@dataclass(frozen=True)
+class DecayCertificate:
+    """Finite-order transform-decay check |xi|^(N/s)|phi| <= C (C N)^N."""
+
+    s: float
+    n_max: int
+    c_per_order: tuple
+    c_star: float
+    budget: float
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.c_star) and self.c_star <= self.budget
+
+
+def gevrey_decay_check(transform: Callable, s: float, xi,
+                       n_max: int = 6, budget: float = 10.0
+                       ) -> DecayCertificate:
+    """Smallest C with |xi|^(N/s) |transform(xi)| <= C (C N)^N for
+    N = 1..n_max over the grid ``xi``.
+
+    This is the finite-order surrogate of stretched-exponential decay of
+    the inverse transform: a genuinely sub-exponential transform admits a
+    bounded C, rational decay forces C to grow with the grid extent.
+    """
+    if s <= 1:
+        raise ValueError("Gevrey index s must exceed 1")
+    xi = np.asarray(xi, dtype=float)
+    vals = np.abs(np.asarray(transform(xi)))
+    cs = []
+    for n in range(1, n_max + 1):
+        m_n = float(np.max(np.abs(xi) ** (n / s) * vals))
+        if m_n == 0.0:
+            cs.append(0.0)
+            continue
+        cs.append((m_n / float(n) ** n) ** (1.0 / (n + 1)))
+    c_star = max(cs) if cs else math.inf
+    return DecayCertificate(s=s, n_max=n_max, c_per_order=tuple(cs),
+                            c_star=float(c_star), budget=budget)

@@ -21,14 +21,14 @@ from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
                              g_derivative, g_l1_norm, partition_bound,
                              sup_bounds_check)
 from rvpmodes.quadrature import integrate_semi_infinite
-from rvpmodes.spectral import (ModeSpec, alpha_direct, alpha_via_inverse,
-                               beta_direct, beta_via_inverse, find_y0,
-                               laplace_beta_imag, threshold_astro,
-                               threshold_astro_from_derivative,
-                               threshold_plasma,
-                               threshold_plasma_from_derivative)
+from rvpmodes.spectral import (ModeSpec, find_y0, laplace_beta_imag,
+                               threshold_astro, threshold_plasma)
 from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
                                solve_mode, solve_volterra)
+
+from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
+                     beta_via_inverse, threshold_astro_from_derivative,
+                     threshold_plasma_from_derivative)
 
 
 def _report(num, desc):

@@ -383,3 +383,46 @@ class TestConfigDefaults:
         assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
         assert "'refin'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigEcho:
+    def test_dispersion_echoes_equilibrium_and_profile_options(self,
+                                                              tmp_path):
+        metas = []
+        for p_support in ("1.5", "3.0"):
+            out = tmp_path / f"d{p_support}.csv"
+            assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                         "--equilibrium", "compact", "--p-support",
+                         p_support, "--profile", "gaussian", "--width",
+                         "0.5", "--n-y", "2", "-o", str(out)]) == 0
+            metas.append(read_csv(out)[0])
+        assert metas[0] != metas[1]
+        assert [m["p_support"] for m in metas] == ["1.5", "3.0"]
+        assert metas[0]["width"] == "0.5"
+
+
+class TestOutOfDomainInput:
+    SWEEP = ["sweep", "--kappa-min", "0.5", "--kappa-max", "0.5",
+             "--n-kappa", "1", "--sigma", "1", "--theta", "0.2", "--dt",
+             "0.05", "--t-max", "10"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_sweep_jobs_below_one(self, jobs, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(self.SWEEP + ["--jobs", jobs, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--v=1.5", "--K=-1", "--L=nan",
+                                      "--m-max=40", "--m-max=-1"])
+    def test_appendix_verify_parameters(self, flag, tmp_path):
+        out = tmp_path / "margins.csv"
+        assert main(["appendix-verify", flag, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "traj.csv", "--kappa", "1.2"],
+        ["appendix-verify"]], ids=["fit", "appendix-verify"])
+    def test_tol_only_where_it_is_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 2

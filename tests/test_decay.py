@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from rvpmodes import decay
 from rvpmodes.decay import (Envelope, NoDecayError, bootstrap_s_interval,
-                            envelope, exp_test, fit_mode_decay, fit_stretched,
-                            rational_bound_check)
+                            envelope, exp_test, fit_mode_decay, fit_stretched)
 from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec
 from rvpmodes.volterra import TimeGrid, solve_mode
+
+from oracles import rational_bound_check
 
 
 def synthetic_peaks(c, eps, s, t_lo=2.0, t_hi=300.0, n=120):

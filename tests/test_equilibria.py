@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
 from rvpmodes.quadrature import integrate_finite, integrate_semi_infinite
-from rvpmodes.relkin import bessel_k2
+
+from oracles import bessel_k2
 
 THETAS = [0.01, 0.1, 0.2, 1.0, 10.0]
 
@@ -65,6 +67,15 @@ class TestJuttner:
             juttner(0.0)
         with pytest.raises(ValueError):
             juttner(-1.0)
+
+    @pytest.mark.parametrize("theta", [1.3e102, 1e103, 1e200, 1e-300])
+    def test_unrepresentable_normalisation_raises(self, theta):
+        # hot: the normalisation underflows and f0 would vanish everywhere;
+        # cold: its denominator underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            with pytest.raises(ValueError, match="normalisation"):
+                juttner(theta)
 
 
 class TestCompact:

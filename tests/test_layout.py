@@ -44,3 +44,117 @@ class TestModuleBoundaries:
                          "from . import decay as _decay\n")
         names = [name for _, _, name in _private_cross_imports(probe)]
         assert names == ["_filon_batch", "_FILON_L", "rvpmodes._hidden"]
+
+
+# --- every top-level name of src/ is reached from a program entry point -----
+
+REPO = SRC.parent.parent
+ENTRY_FILES = (sorted(REPO.glob("scripts/*.py"))
+               + sorted(REPO.glob("bench/*.py")))
+
+
+def _top_level(tree):
+    """Each name a module defines at top level, with its defining node."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defs.update((t.id, node) for t in targets
+                        if isinstance(t, ast.Name))
+    return defs
+
+
+def _bindings(tree, src):
+    """local name -> (module, name) for each rvpmodes import in ``tree``;
+    name is None where a whole module is bound, module is "__init__" for a
+    name imported from the package itself."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "rvpmodes":
+                continue
+            module = module[len("rvpmodes"):].lstrip(".")
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if module:
+                out[local] = (module, alias.name)
+            elif (src / f"{alias.name}.py").is_file():
+                out[local] = (alias.name, None)
+            else:
+                out[local] = ("__init__", alias.name)
+    return out
+
+
+def _references(node, bindings, defs):
+    """(module, name) for each rvpmodes name that ``node`` uses; module is
+    None for a top-level name of the module that holds ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if sub.id in bindings and bindings[sub.id][1] is not None:
+                yield bindings[sub.id]
+            elif sub.id in defs:
+                yield None, sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value,
+                                                           ast.Name):
+            module, name = bindings.get(sub.value.id, (None, ""))
+            if module and name is None:
+                yield module, sub.attr
+
+
+def _unreached(src, entry_files):
+    """Top-level names of the modules in ``src`` that neither ``cli.main``
+    nor any of ``entry_files`` reaches, following references transitively;
+    dunder names are exempt."""
+    modules = {}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules[path.stem] = (_top_level(tree), _bindings(tree, src))
+    todo = [("cli", "main")]
+    for path in entry_files:
+        tree = ast.parse(path.read_text())
+        todo += _references(tree, _bindings(tree, src), {})
+    seen = set()
+    while todo:
+        module, name = todo.pop()
+        if module == "__init__":
+            module, name = modules["__init__"][1].get(name, (None, None))
+        if (module not in modules or name not in modules[module][0]
+                or (module, name) in seen):
+            continue
+        seen.add((module, name))
+        defs, bindings = modules[module]
+        todo += [(other or module, ref)
+                 for other, ref in _references(defs[name], bindings, defs)]
+    return sorted(f"{module}.{name}" for module, (defs, _) in modules.items()
+                  for name in defs if (module, name) not in seen
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+class TestReachability:
+    def test_every_src_name_is_reached(self):
+        assert len(ENTRY_FILES) >= 4
+        assert _unreached(SRC, ENTRY_FILES) == []
+
+    def test_scan_flags_planted_names(self, tmp_path):
+        src = tmp_path / "rvpmodes"
+        src.mkdir()
+        for path in SRC.glob("*.py"):
+            (src / path.name).write_text(path.read_text())
+        with open(src / "spectral.py", "a") as fh:
+            fh.write("\n\n_PLANTED = 3\n\n\n"
+                     "def planted(mode):\n"
+                     "    return threshold_plasma(mode) * _PLANTED\n")
+        assert _unreached(src, ENTRY_FILES) == ["spectral._PLANTED",
+                                                "spectral.planted"]
+        # a use in an entry file reaches the name and what it uses
+        entry = tmp_path / "entry.py"
+        entry.write_text("from rvpmodes import spectral\n"
+                         "spectral.planted(None)\n")
+        assert _unreached(src, ENTRY_FILES + [entry]) == []
