@@ -36,6 +36,7 @@ from .spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
 from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
+MAX_STEPS = 2 ** 20  # time steps of one mode; a --refine run peaks near 1 GB
 
 
 def _fmt(x) -> str:
@@ -129,6 +130,29 @@ def _build_profile(args):
     raise UsageError(f"unknown profile {name!r}")
 
 
+def _usage_checked(build, *args):
+    """``build(*args)``, where the ValueError by which a constructor
+    refuses a value is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _build_mode(args):
+    return _usage_checked(lambda: ModeSpec(
+        args.kappa, args.sigma, _build_equilibrium(args), _build_profile(args)))
+
+
+def _time_grid(dt, t_max):
+    """round(t_max/dt) steps of dt, refused before anything is allocated
+    unless 0 < dt < t_max < inf and t_max/dt <= MAX_STEPS."""
+    if not (0 < dt < t_max < math.inf and t_max / dt <= MAX_STEPS):
+        raise UsageError(f"need finite 0 < dt < t-max with t-max/dt <= "
+                         f"{MAX_STEPS}, got dt={dt}, t-max={t_max}")
+    return TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
+
+
 _NOT_ECHOED = {"config", "output", "help"}
 
 
@@ -147,6 +171,8 @@ def cmd_threshold(args) -> int:
         raise UsageError("empty or invalid theta range")
     thetas = np.logspace(math.log10(args.theta_min),
                          math.log10(args.theta_max), args.n_points)
+    for th in (thetas[0], thetas[-1]):  # juttner takes an interval of theta
+        _usage_checked(juttner, float(th))
     rows = []
     for th in thetas:
         eq = juttner(float(th))
@@ -162,12 +188,8 @@ def cmd_evolve(args) -> int:
     for name in ("kappa", "sigma", "dt", "t_max"):
         if getattr(args, name) is None:
             raise UsageError(f"evolve requires --{name.replace('_', '-')}")
-    if args.dt <= 0 or args.t_max <= args.dt:
-        raise UsageError("need 0 < dt < t-max")
-    eq = _build_equilibrium(args)
-    mode = ModeSpec(kappa=args.kappa, sigma=args.sigma, equilibrium=eq,
-                    profile=_build_profile(args))
-    grid = TimeGrid(dt=args.dt, n_steps=int(round(args.t_max / args.dt)))
+    grid = _time_grid(args.dt, args.t_max)
+    mode = _build_mode(args)
     traj = solve_mode(mode, grid, tol=args.tol, refine=bool(args.refine))
     rows = [
         (float(t), r.real, r.imag, abs(r), a.real, float(b))
@@ -187,9 +209,7 @@ def cmd_dispersion(args) -> int:
             raise UsageError(f"dispersion requires --{name}")
     if args.n_y < 1 or not (args.y_min <= args.y_max):
         raise UsageError("invalid y grid")
-    eq = _build_equilibrium(args)
-    mode = ModeSpec(kappa=args.kappa, sigma=args.sigma, equilibrium=eq,
-                    profile=_build_profile(args))
+    mode = _build_mode(args)
     try:
         xs = [float(s) for s in args.x.split(",")]
     except ValueError as exc:
@@ -276,13 +296,18 @@ def cmd_appendix_verify(args) -> int:
     if not 0 <= args.m_max <= MAX_ORDER:
         raise UsageError(f"--m-max must lie in [0, {MAX_ORDER}], got "
                          f"{args.m_max}")
-    sup = sup_bounds_check(params, args.m_max)
-    prod = product_l1_bound_check(params, m_max=min(args.m_max, 6))
+    try:
+        sup = sup_bounds_check(params, args.m_max)
+        prod = product_l1_bound_check(params, m_max=min(args.m_max, 6))
+        l1 = [g_l1_norm(params, m) for m in range(3)]
+    except ArithmeticError as exc:
+        raise UsageError(f"K={args.K:g}, L={args.L:g}, m-max={args.m_max} "
+                         f"overflow the battery: {type(exc).__name__}: "
+                         f"{exc}") from exc
     p5 = partition_bound(5)
     ratios = [partition_bound(m)[2] for m in (50, 100, 200)]
     ratios_ok = (ratios[0] < ratios[1] < ratios[2] < 1.0)
     caps = (params.K / params.L, 0.5, 4.0 * params.L / params.K)
-    l1 = [g_l1_norm(params, m) for m in range(3)]
     l1_ok = all(val <= cap for val, cap in zip(l1, caps))
 
     checks = [
@@ -312,7 +337,7 @@ def cmd_appendix_verify(args) -> int:
 
 
 def _sweep_row(task):
-    (kappa, sigma, theta, dt, t_max, tol) = task
+    (kappa, sigma, theta, grid, tol) = task
     out = {"kappa": kappa, "supercritical_flag": "", "y0_or_blank": "",
            "fit_c": "", "fit_eps": "", "fit_s": "", "verdict": "",
            "error": ""}
@@ -323,10 +348,8 @@ def _sweep_row(task):
         thr = (threshold_plasma(eq) if sigma == +1 else threshold_astro(eq))
         sup = kappa * kappa > thr.kappa_crit_sq
         out["supercritical_flag"] = int(sup)
-        if sigma == +1 and not sup:
-            y0 = find_y0(mode, tol=min(tol, 1e-10))
-            out["y0_or_blank"] = "" if y0 is None else _fmt(y0)
-        grid = TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
+        if sigma == +1 and not sup:  # find_y0 is None only when sup
+            out["y0_or_blank"] = _fmt(find_y0(mode, tol=min(tol, 1e-10)))
         traj = solve_mode(mode, grid, tol=tol)
         if traj.growth:
             out["verdict"] = "growth"
@@ -350,8 +373,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty or invalid kappa range")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    grid = _time_grid(args.dt, args.t_max)
+    _usage_checked(juttner, args.theta)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
-    tasks = [(float(k), args.sigma, args.theta, args.dt, args.t_max, args.tol)
+    tasks = [(float(k), args.sigma, args.theta, grid, args.tol)
              for k in sorted(kappas)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

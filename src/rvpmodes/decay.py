@@ -23,7 +23,7 @@ is frozen in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,6 @@ class DecayFit:
     eps: float
     s: float
     rms_residual: float
-    window: tuple
     s_ci: Optional[tuple] = None
 
 
@@ -198,8 +197,7 @@ def fit_stretched(env: Envelope) -> DecayFit:
     logc, eps, _, res = _profile(np.array([x]), logt, logv)
     return DecayFit(c=math.exp(logc[0]), eps=float(eps[0]),
                     s=float(1.0 / x),
-                    rms_residual=float(np.sqrt(np.mean(res ** 2))),
-                    window=(float(t[0]), float(t[-1])))
+                    rms_residual=float(np.sqrt(np.mean(res ** 2))))
 
 
 def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
@@ -298,6 +296,4 @@ def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200, t_min=None):
     ci = (bootstrap_s_interval(env, fit, n_boot=n_boot, seed=seed) if n_boot
           else (math.nan, math.nan))
     verdict = exp_test(env)
-    fit = DecayFit(c=fit.c, eps=fit.eps, s=fit.s,
-                   rms_residual=fit.rms_residual, window=fit.window, s_ci=ci)
-    return fit, env, verdict
+    return replace(fit, s_ci=ci), env, verdict

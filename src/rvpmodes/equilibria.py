@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,10 +48,8 @@ class Equilibrium:
     value: Callable
     derivative: Callable
     support_bound: float
-    label: str
     tail_kernel_moment: Callable
     p_scale: float = 1.0
-    theta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class PerturbationProfile:
     """
 
     value: Callable
-    label: str
     tail_weighted_moment: Callable
     p_scale: float = 1.0
 
@@ -116,9 +113,7 @@ def juttner(theta: float) -> Equilibrium:
         value=value,
         derivative=derivative,
         support_bound=math.inf,
-        label=f"juttner(theta={theta:g})",
         p_scale=math.sqrt(2.0 * theta) + 2.0 * theta,
-        theta=theta,
         tail_kernel_moment=tail_kernel_moment,
     )
 
@@ -154,7 +149,6 @@ def compact_decreasing(P: float) -> Equilibrium:
         value=value,
         derivative=derivative,
         support_bound=P,
-        label=f"compact(P={P:g})",
         p_scale=0.5 * P,
         tail_kernel_moment=tail_kernel_moment,
     )
@@ -185,7 +179,6 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
 
     return PerturbationProfile(
         value=value,
-        label=f"gaussian(width={width:g}, amp={amp:g})",
         p_scale=width,
         tail_weighted_moment=tail_weighted_moment,
     )
@@ -217,7 +210,6 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
 
     return PerturbationProfile(
         value=value,
-        label=f"thermal(theta={theta:g}, amp={amp:g})",
         p_scale=math.sqrt(2.0 * theta) + 2.0 * theta,
         tail_weighted_moment=tail_weighted_moment,
     )

@@ -59,8 +59,6 @@ MAX_ORDER = 30  # factorial prefactors exceed double range not far beyond
 class CoeffTable:
     """One row of a coefficient family: entries[(i, j)] with i + j fixed."""
 
-    order: int
-    family: str
     entries: Dict[Tuple[int, int], Fraction]
 
     def sum(self) -> Fraction:
@@ -102,7 +100,7 @@ def c_coeffs(m: int) -> CoeffTable:
     """
     _check_order(m, 1)
     if m in (1, 2):
-        return CoeffTable(m, "C", {(0, 0): Fraction(1)})
+        return CoeffTable({(0, 0): Fraction(1)})
     prev = c_coeffs(m - 1).entries
 
     def at(i, j):
@@ -123,7 +121,7 @@ def c_coeffs(m: int) -> CoeffTable:
             entries[(i, n - i)] = ((2 * n - i + 1) * at(i, n - i)
                                    + (i + 1) * at(i + 1, n - i - 1)) \
                 / Fraction(den)
-    return CoeffTable(m, "C", entries)
+    return CoeffTable(entries)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +134,7 @@ def d_coeffs(m: int) -> CoeffTable:
     """
     _check_order(m, 2)
     if m == 2:
-        return CoeffTable(m, "D", {(0, 0): Fraction(1)})
+        return CoeffTable({(0, 0): Fraction(1)})
     prev = d_coeffs(m - 1).entries
 
     def at(i, j):
@@ -157,7 +155,7 @@ def d_coeffs(m: int) -> CoeffTable:
         for i in range(n + 1):
             entries[(i, n - i)] = ((2 * i + 1) * at(i, n - i - 1)
                                    + (4 * n - 2 * i + 3) * at(i - 1, n - i))
-    return CoeffTable(m, "D", entries)
+    return CoeffTable(entries)
 
 
 def c_row_sum(m: int) -> float:
@@ -308,7 +306,6 @@ class ProductBoundReport:
     """Lemma-style product check: margins of ||(f g)^(m)||_L1 against
     CC^(m0+m) (m0+m)! with CC built from the factor constants."""
 
-    m0: int
     delta: float
     epsilon: float
     constant: float
@@ -362,5 +359,5 @@ def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
         num = 2.0 * res.value  # |(fg)^(m)| is even
         bound = cc ** (m0 + m) * math.factorial(m0 + m)
         rows.append((m, num, bound, num / bound))
-    return ProductBoundReport(m0=m0, delta=delta, epsilon=eps, constant=cc,
+    return ProductBoundReport(delta=delta, epsilon=eps, constant=cc,
                               margins=tuple(rows))

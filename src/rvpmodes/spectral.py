@@ -72,8 +72,6 @@ class ThresholdReport:
     """Squared critical wavenumber for one interaction sign."""
 
     kappa_crit_sq: float
-    interaction: int
-    theta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def threshold_plasma(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
         return p * (2.0 * np.arcsinh(p) - v_of_p(p)) * eq.value(p)
 
     res = _eq_integral(eq, integrand, tol)
-    return ThresholdReport(float(res.value) * 4.0, +1, eq.theta)
+    return ThresholdReport(float(res.value) * 4.0)
 
 
 def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
@@ -260,95 +258,57 @@ def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
         return (u + p * p / u) * eq.value(p)
 
     res = _eq_integral(eq, integrand, tol)
-    return ThresholdReport(float(res.value) * 4.0, -1, eq.theta)
+    return ThresholdReport(float(res.value) * 4.0)
 
 
-_Y0_XTOL = 1e-12  # absolute bracket width at which find_y0 stops
+_Y0_XTOL = 1e-12  # width in y of the bracket at which find_y0 stops
 
 
-def find_y0(mode: ModeSpec, tol=1e-11,
-            max_doublings=60) -> Optional[float]:
+def find_y0(mode: ModeSpec, tol=1e-11) -> Optional[float]:
     """Frequency y0 >= kappa where the dispersion value reaches 1.
 
-    Only meaningful for the repulsive interaction; the transform restricted
-    to |y| >= kappa is real, positive and strictly decreasing there, so a
-    subcritical mode has exactly one crossing.  Returns None for
-    supercritical modes (no crossing exists) and nothing else; raises
-    RuntimeError if ``max_doublings`` doublings of the search interval do
-    not bracket the crossing.
+    Only meaningful for the repulsive interaction.  For y >= kappa the
+    transform is (4/kappa^2) int F(y/kappa, v(p)) (1+p^2)(-f0') dp with
+    F(x, v) = x arctanh(v/x) - v = sum_{k>=1} v^(2k+1) u^k / (2k+1) in
+    u = (kappa/y)^2, so h(u) = W - 1 is increasing and convex on [0, 1],
+    with h(0) = -1 and h(1) = kappa_crit^2/kappa^2 - 1.  Returns None
+    exactly when kappa^2 > kappa_crit^2 (``threshold_plasma``), kappa at
+    equality, and otherwise the root of h by Illinois regula falsi (Dowell
+    & Jarratt 1971, BIT 11:168) once the bracket is ``_Y0_XTOL`` wide in
+    y.  A non-finite transform value, or 100 steps without converging,
+    raises RuntimeError.
     """
     if mode.sigma != +1:
         raise ValueError("dispersion crossing applies to the repulsive case")
     kap = mode.kappa
-
-    def g(y):
-        return laplace_beta_imag(mode, y, tol=tol).real - 1.0
-
-    g_k = g(kap)
-    # At the boundary value the crossing sits at kappa itself and rounding
-    # decides the sign of g(kappa); a band of a few quadrature tolerances
-    # keeps the exactly-critical case from being misread as supercritical.
-    if abs(g_k) <= 1e-9:
-        return kap
-    if g_k < 0.0:
+    kc2 = threshold_plasma(mode.equilibrium).kappa_crit_sq
+    if kap * kap > kc2:
         return None  # supercritical: 1 is never reached
-    lo, hi = kap, 2.0 * kap
-    g_hi = g(hi)
-    n = 0
-    while g_hi > 0.0:
-        lo, hi = hi, 2.0 * hi
-        g_hi = g(hi)
-        n += 1
-        if n > max_doublings:
-            raise RuntimeError(
-                f"dispersion crossing not bracketed in [{kap:g}, {hi:g}] "
-                f"after {n} doublings")
-    return float(_brentq(g, lo, hi, xtol=_Y0_XTOL, rtol=8.9e-16))
-
-
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of ``f`` bracketed by [xa, xb]: Brent's method (Brent 1973,
-    ch. 4), step for step the routine behind ``scipy.optimize.brentq``, so
-    both return the same float, after at most 100 iterations."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
+    a, fa, b, fb = 0.0, -1.0, 1.0, kc2 / (kap * kap) - 1.0
+    if fb == 0.0:
+        return kap  # critical: the crossing sits at kappa itself
+    side = 0  # which end the last step replaced: -1 for a, +1 for b
     for _ in range(100):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+        u = (a * fb - b * fa) / (fb - fa)
+        y = kap / math.sqrt(u)
+        fu = laplace_beta_imag(mode, y, tol=tol).real - 1.0
+        if not math.isfinite(fu):
+            raise RuntimeError(f"find_y0: transform value {fu} at y = {y!r}")
+        # an end kept twice in a row has its value halved (Illinois)
+        if fu < 0.0:
+            a, fa = u, fu
+            fb *= 0.5 if side < 0 else 1.0
+            side = -1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("brentq did not converge in 100 iterations")
+            b, fb = u, fu
+            fa *= 0.5 if side > 0 else 1.0
+            side = +1
+        # kappa/sqrt(a) - kappa/sqrt(b) <= _Y0_XTOL, free of a = 0
+        if fu == 0.0 or (kap * (math.sqrt(b) - math.sqrt(a))
+                         <= _Y0_XTOL * math.sqrt(a * b)):
+            return y
+    raise RuntimeError(f"find_y0: no convergence in 100 steps, y in "
+                       f"[{kap / math.sqrt(b)!r}, {kap / math.sqrt(a)!r}]")
 
 
 # --- batch kernel tables -----------------------------------------------------

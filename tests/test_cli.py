@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rvpmodes
-from rvpmodes import decay
+from rvpmodes import cli, decay
 from rvpmodes.cli import _fmt, main
 from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec
@@ -418,6 +418,55 @@ class TestOutOfDomainInput:
         out = tmp_path / "margins.csv"
         assert main(["appendix-verify", flag, "-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--K", "1e-300"], ["--L", "1e-300"], ["--K", "1e200"]])
+    def test_appendix_verify_overflow(self, flags, tmp_path, capsys):
+        # the battery divides by zero or overflows at these finite values
+        out = tmp_path / "margins.csv"
+        assert main(["appendix-verify", *flags, "-o", str(out)]) == 2
+        assert "K=" in capsys.readouterr().err
+        assert not out.exists()
+
+    EVOLVE = ["evolve", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
+              "--dt", "0.05", "--t-max", "10"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--kappa", "-1"], ["--theta", "-0.2"], ["--theta", "1e103"],
+        ["--width", "-1"], ["--profile", "thermal", "--profile-theta", "-1"],
+        ["--dt", "nan"], ["--t-max", "inf"], ["--dt", "0.1", "--t-max", "1e9"]])
+    def test_evolve_refused_mode_or_grid(self, flags, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(self.EVOLVE + flags + ["-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_dispersion_refused_equilibrium(self, tmp_path):
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", "--kappa", "0.5", "--sigma", "1",
+                     "--equilibrium", "compact", "--p-support", "-2",
+                     "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_threshold_theta_beyond_juttner(self, tmp_path):
+        out = tmp_path / "thr.csv"
+        assert main(["threshold", "--theta-min", "1e100", "--theta-max",
+                     "1e103", "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--theta", "-1"], ["--theta", "1e103"], ["--dt", "1e-9"],
+        ["--dt", "nan"]])
+    def test_sweep_refused_before_any_row(self, flags, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        out = tmp_path / "s.csv"
+        assert main(self.SWEEP + flags + ["-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_step_cap(self):
+        assert cli._time_grid(1.0, float(cli.MAX_STEPS)).n_steps \
+            == cli.MAX_STEPS
+        with pytest.raises(cli.UsageError, match="t-max/dt <= 1048576"):
+            cli._time_grid(1.0, cli.MAX_STEPS + 1.0)
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", "traj.csv", "--kappa", "1.2"],

@@ -408,12 +408,6 @@ class TestThresholds:
                 for th in (1.0, 5.0, 25.0)]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_report_metadata(self, eq02):
-        rp = threshold_plasma(eq02)
-        assert rp.interaction == +1 and rp.theta == 0.2
-        ra = threshold_astro(eq02)
-        assert ra.interaction == -1
-
 
 class TestDispersionRoot:
     def test_supercritical_has_no_crossing(self, eq02, kappa_crit_02):
@@ -448,44 +442,49 @@ class TestDispersionRoot:
         y0 = find_y0(mode)
         assert y0 is not None and y0 > mode.kappa
 
-    def test_unbracketed_crossing_raises(self, eq02):
-        # None means supercritical only; giving up on the bracket raises
-        mode = ModeSpec(kappa=0.05, sigma=+1, equilibrium=eq02,
-                        profile=gaussian_profile(1.0, 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="not bracketed"):
-                find_y0(mode, max_doublings=0)
-
-    @pytest.mark.parametrize("f,a,b", [
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.exp(x) - 10.0, -1.0, 7.0),
-    ])
-    def test_brentq_steps_as_scipy(self, f, a, b):
-        from scipy.optimize import brentq
-
-        def logged(calls):
-            def g(x):
-                calls.append(x)
-                return f(x)
-            return g
-        ours, theirs = [], []
-        root = spectral._brentq(logged(ours), a, b, xtol=1e-12, rtol=8.9e-16)
-        assert root == brentq(logged(theirs), a, b, xtol=1e-12, rtol=8.9e-16)
-        assert ours == theirs
-
     @pytest.mark.parametrize("kappa", [0.3, 0.4, 0.5])
-    def test_crossing_equals_scipy_brentq(self, kappa, monkeypatch):
+    def test_crossing_equals_scipy_brentq(self, kappa):
         # README sweep, sigma = +1: its subcritical rows
         from scipy.optimize import brentq
         theta = 0.2
         mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=juttner(theta),
                         profile=thermal_profile(theta, 1.0))
-        ours = find_y0(mode, tol=1e-10)
-        monkeypatch.setattr(spectral, "_brentq", lambda f, a, b, xtol, rtol:
-                            float(brentq(f, a, b, xtol=xtol, rtol=rtol)))
-        assert find_y0(mode, tol=1e-10) == ours
+        theirs = brentq(lambda y: laplace_beta_imag(mode, y, tol=1e-10).real
+                        - 1.0, kappa, 2.0 * kappa, xtol=1e-12)
+        assert abs(find_y0(mode, tol=1e-10) - theirs) <= 2e-12
+
+    def test_nonfinite_transform_raises(self, monkeypatch):
+        mode = ModeSpec(kappa=0.4, sigma=+1, equilibrium=juttner(0.2),
+                        profile=thermal_profile(0.2, 1.0))
+        calls = []
+
+        def nan_on_fifth(mode, y, tol):
+            calls.append(y)
+            return (complex(math.nan) if len(calls) == 5
+                    else laplace_beta_imag(mode, y, tol=tol))
+
+        monkeypatch.setattr(spectral, "laplace_beta_imag", nan_on_fifth)
+        with pytest.raises(RuntimeError, match="nan"):
+            find_y0(mode, tol=1e-10)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("delta", [-1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("eq", [juttner(0.05), juttner(0.2), juttner(1.0),
+                                    juttner(5.0), compact_decreasing(1.5)],
+                             ids=["theta0.05", "theta0.2", "theta1",
+                                  "theta5", "compact1.5"])
+    def test_no_crossing_exactly_when_supercritical(self, eq, delta):
+        # the comparison the sweep's supercritical flag makes
+        kc2 = threshold_plasma(eq).kappa_crit_sq
+        kappa = math.sqrt(kc2) * (1.0 + delta)
+        mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq,
+                        profile=gaussian_profile(1.0, 1.0))
+        y0 = find_y0(mode)
+        assert (y0 is None) == (kappa * kappa > kc2)
+        if kappa * kappa == kc2:
+            assert y0 == kappa
+        elif y0 is not None:
+            assert y0 >= kappa
 
     def test_rejects_attractive_sign(self, eq02):
         mode = ModeSpec(kappa=0.5, sigma=-1, equilibrium=eq02,
