@@ -22,7 +22,6 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -379,6 +378,8 @@ def cmd_sweep(args) -> int:
     tasks = [(float(k), args.sigma, args.theta, grid, args.tol)
              for k in sorted(kappas)]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # sweep --jobs only
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_row, tasks))
     else:

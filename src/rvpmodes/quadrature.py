@@ -283,14 +283,23 @@ def next_fast_len(target):
     return best
 
 
-def _czt(x, m, w):
-    """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
-    ``czt`` operations in its order, so the two agree to the bit."""
-    n = x.shape[0]
+def _chirp(n, m, w):
+    """Bluestein's chirp w^{k^2/2} for k < max(m, n), the padded length
+    and the FFT of the reciprocal chirp: what every n-to-m chirp-z
+    transform with ratio w shares."""
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = w ** (k ** 2 / 2.)
     nfft = next_fast_len(n + m - 1)
     fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    return wk2, nfft, fwk2
+
+
+def _czt(x, m, w, chirp=None):
+    """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
+    ``czt`` operations in its order, so the two agree to the bit.
+    ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it."""
+    n = x.shape[0]
+    wk2, nfft, fwk2 = chirp or _chirp(n, m, w)
     y = np.fft.ifft(fwk2 * np.fft.fft(x.T * wk2[:n], nfft))
     return (y[..., n - 1:n + m - 1] * wk2[:m]).T
 
@@ -302,16 +311,23 @@ def filon_sums(env_nodes, a, b, omegas):
     """int_a^b env(y) e^{i omega y} dy for many omegas at once.
 
     env_nodes: (P, 4) envelope values at the nodes of
-    ``filon_nodes(a, b, P)``.  Returns a complex array, one integral value
-    per omega.  For a uniformly spaced grid of more than 64 omegas the
-    panel sum collapses to four chirp-z transforms, so dense time grids
-    cost O((P + T) log) instead of O(P * T).
+    ``filon_nodes(a, b, P)``, or a stack (K, P, 4) of K envelopes.  Returns
+    a complex array, one integral value per omega, shape (T,) or (K, T);
+    each row of a stack equals its own call to the bit.  For a uniformly
+    spaced grid of more than 64 omegas the panel sum collapses to four
+    chirp-z transforms, so dense time grids cost O((P + T) log) instead of
+    O(P * T).  The moments and the chirp are computed once per call, and
+    the envelopes of a stack are transformed one at a time.
     """
     omegas = np.asarray(omegas, dtype=float)
-    n_panels = env_nodes.shape[0]
+    stack = np.asarray(env_nodes)
+    if stack.ndim == 2:
+        return filon_sums(stack[None], a, b, omegas)[0]
+    n_panels = stack.shape[1]
     h = (b - a) / n_panels
     centers = a + (np.arange(n_panels) + 0.5) * h
     nt = len(omegas)
+    out = np.empty((len(stack), nt), dtype=complex)
 
     d = np.diff(omegas)
     step = d[0] if d.size else 0.0
@@ -324,17 +340,22 @@ def filon_sums(env_nodes, a, b, omegas):
         om0 = omegas[0]
         # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
         #                  * (e^{i step h})^{j p}
-        x = env_nodes * np.exp(1j * om0 * centers)[:, None]    # (P, 4)
-        bsum = _czt(x, nt, np.exp(1j * step * h))               # (T, 4)
-        bsum *= np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
-        return (h / 2.0) * np.sum(bsum * lam_all, axis=1)
+        w = np.exp(1j * step * h)
+        chirp = _chirp(n_panels, nt, w)
+        shift = np.exp(1j * om0 * centers)[:, None]
+        phase = np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
+        for k, env in enumerate(stack):
+            bsum = _czt(env * shift, nt, w, chirp)              # (T, 4)
+            bsum *= phase
+            out[k] = (h / 2.0) * np.sum(bsum * lam_all, axis=1)
+        return out
 
-    out = np.empty(nt, dtype=complex)
     for i0 in range(0, nt, _FILON_CHUNK):
         om = omegas[i0:i0 + _FILON_CHUNK]
         lam = lam_all[i0:i0 + _FILON_CHUNK]                    # (T, 4)
-        s = env_nodes @ lam.T                                  # (P, T)
         phase = np.exp(1j * np.outer(om, centers))             # (T, P)
-        out[i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.einsum("tp,pt->t",
-                                                          phase, s)
+        for k, env in enumerate(stack):
+            s = env @ lam.T                                    # (P, T)
+            out[k, i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.einsum(
+                "tp,pt->t", phase, s)
     return out

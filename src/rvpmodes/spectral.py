@@ -330,27 +330,27 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
     om_probe = 2.0 * math.pi * t_probe
 
     def envelopes(n):
-        nodes = filon_nodes(0.0, kap, n)
-        env_a = alpha_hat(mode, nodes.ravel()).reshape(nodes.shape)
-        env_b = beta_hat_envelope(mode, nodes.ravel()).reshape(nodes.shape)
-        probe = [filon_sums(env, 0.0, kap, om_probe)
-                 for env in (env_a, env_b)]
-        return env_a, env_b, np.concatenate(probe)
+        """(2, n, 4) alpha and beta envelopes at the Filon nodes, and their
+        transforms at the probe times."""
+        y = filon_nodes(0.0, kap, n).ravel()
+        env = np.stack((alpha_hat(mode, y), beta_hat_envelope(mode, y)))
+        env = env.reshape(2, n, 4)
+        return env, filon_sums(env, 0.0, kap, om_probe).ravel()
 
     n = 64
-    env_a, env_b, probe = envelopes(n)
+    env, probe = envelopes(n)
     err = math.inf
     while err > 0.5 * tol and 2 * n <= max_panels:
         n *= 2
-        env_a, env_b, new = envelopes(n)
+        env, new = envelopes(n)
         err, probe = np.max(np.abs(new - probe)), new
     if 2.0 * err > tol:
         raise QuadratureError(
             f"sample_kernels: change {2.0 * err:g} > tol {tol:g} at {n} "
             "panels", QuadResult(probe, 2.0 * err, 8 * (2 * n - 64)))
 
-    om = 2.0 * math.pi * t
-    alpha = 2.0 * filon_sums(env_a, 0.0, kap, om).real
-    beta = -2.0 * filon_sums(env_b, 0.0, kap, om).imag
+    sums = filon_sums(env, 0.0, kap, 2.0 * math.pi * t)
+    alpha = 2.0 * sums[0].real
+    beta = -2.0 * sums[1].imag
     return KernelTable(t=t, alpha=alpha.astype(complex), beta=beta,
                        abs_error=float(2.0 * err))

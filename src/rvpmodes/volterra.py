@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import filon_nodes, filon_sums, next_fast_len
+from .relkin import exp1_neg_imag
 from .spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
                        threshold_astro, threshold_plasma)
 
@@ -197,7 +198,8 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
     Requires the mode supercritical (checked first); G then decays like
     y^-2, the integral is truncated at ``_RESOLVENT_Y_MAX * kappa`` panels
     of geometric width, and the remaining tail is added in closed form from
-    the y^-2 asymptote via the exponential integral.
+    the y^-2 asymptote via the exponential integral E1 on the imaginary
+    axis, :func:`rvpmodes.relkin.exp1_neg_imag`.
     """
     kap = mode.kappa
     thr = (threshold_plasma(mode.equilibrium) if mode.sigma == +1
@@ -237,13 +239,9 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
     tail = np.empty_like(total)
     pos = om > 0
     tail[~pos] = A / Y
-    if np.any(pos):
-        from scipy.special import exp1  # only resolvents pay for the import
-
-        w = om[pos]
-        # int_Y^inf e^{i w y} / y^2 dy = e^{i w Y}/Y + i w E1(-i w Y)
-        e1 = exp1(-1j * w * Y)
-        tail[pos] = A * (np.exp(1j * w * Y) / Y + 1j * w * e1)
+    w = om[pos]
+    # int_Y^inf e^{i w y} / y^2 dy = e^{i w Y}/Y + i w E1(-i w Y)
+    tail[pos] = A * (np.exp(1j * w * Y) / Y + 1j * w * exp1_neg_imag(w * Y))
     total = total + tail
 
     # Every piece covers y > 0 only; add the mirror image (complex

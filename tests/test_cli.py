@@ -275,16 +275,17 @@ class TestSweepFits:
 
 class TestNoScipyImport:
     def test_cli_commands_load_no_scipy(self, tmp_path):
-        # SciPy serves only lazily imported special functions and the test
-        # oracles: no README command but appendix-verify may load it
+        # SciPy serves only the Gaussian profile's lazily imported erfcx
+        # and the test oracles: no README command and no resolvent loads it
         code = (
-            "import sys\n"
+            "import math, sys\n"
             "import rvpmodes.cli as cli\n"
+            "def loaded():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m.split('.')[0] == 'scipy']\n"
             "def check(argv):\n"
             "    assert cli.main(argv) == 0, argv\n"
-            "    loaded = [m for m in sys.modules\n"
-            "              if m.split('.')[0] == 'scipy']\n"
-            "    assert not loaded, (argv[0], loaded)\n"
+            "    assert not loaded(), (argv[0], loaded())\n"
             "check(['evolve', '--kappa', '1.2', '--sigma', '1', '--theta',"
             " '0.5', '--profile', 'thermal', '--dt', '0.05', '--t-max', '80',"
             " '-o', 'traj.csv'])\n"
@@ -297,7 +298,20 @@ class TestNoScipyImport:
             " '--n-points', '3', '-o', 't.csv'])\n"
             "check(['sweep', '--kappa-min', '0.3', '--kappa-max', '1.3',"
             " '--n-kappa', '2', '--sigma', '1', '--theta', '0.2', '--dt',"
-            " '0.05', '--t-max', '40', '-o', 's.csv'])\n")
+            " '0.05', '--t-max', '40', '-o', 's.csv'])\n"
+            "check(['appendix-verify', '--m-max', '8', '-o', 'm.csv'])\n"
+            "from rvpmodes.equilibria import juttner, thermal_profile\n"
+            "from rvpmodes.spectral import ModeSpec, threshold_plasma\n"
+            "from rvpmodes.volterra import (TimeGrid, apply_resolvent,\n"
+            "                               resolvent_kernel)\n"
+            "eq = juttner(0.5)\n"
+            "kc = math.sqrt(threshold_plasma(eq).kappa_crit_sq)\n"
+            "mode = ModeSpec(kappa=2.0 * kc, sigma=1, equilibrium=eq,\n"
+            "                profile=thermal_profile(0.5, 1.0))\n"
+            "grid = TimeGrid(dt=0.05, n_steps=200)\n"
+            "kern = resolvent_kernel(mode, grid, tol=1e-9)\n"
+            "apply_resolvent(kern, grid.times, grid.dt)\n"
+            "assert not loaded(), ('resolvent', loaded())\n")
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env,

@@ -200,6 +200,21 @@ class TestFilonSums:
         assert np.max(np.abs(fast[perm] - direct)) \
             <= 1e-13 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("n_omegas", [1001, 3, 1300])
+    def test_stack_equals_separate_calls(self, n_omegas):
+        # 1001 uniform omegas take the chirp-z branch; 3, and 1300 shuffled
+        # (more than one block of the panel sum), the direct branch
+        nodes = filon_nodes(0.2, 1.7, 512)
+        stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes),
+                          nodes ** 3 * (1.0 + 0.5j)])
+        omegas = 2.0 * math.pi * np.linspace(0.0, 60.0, n_omegas)
+        if n_omegas == 1300:
+            omegas = np.random.default_rng(3).permutation(omegas)
+        sums = filon_sums(stack, 0.2, 1.7, omegas)
+        assert sums.shape == (3, n_omegas)
+        for env, row in zip(stack, sums):
+            assert np.array_equal(filon_sums(env, 0.2, 1.7, omegas), row)
+
 
 class TestNextFastLen:
     def test_equals_scipy_complex_fft_length(self):

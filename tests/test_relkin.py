@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvpmodes import relkin
 from rvpmodes.equilibria import juttner
-from rvpmodes.relkin import bessel_k2_scaled, f_cap_complex, v_of_p
+from rvpmodes.relkin import (bessel_k2_scaled, exp1_neg_imag, f_cap_complex,
+                             v_of_p)
 
 from oracles import bessel_k2, f_cap, p_of_v
 
@@ -195,3 +197,51 @@ class TestBesselK2:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             bessel_k2(bad)
+
+
+class TestExp1NegImag:
+    def test_matches_scipy_exp1(self):
+        # a log grid over the resolvent's range and beyond, and dense points
+        # around the switch from the power series to the continued fraction
+        from scipy.special import exp1
+        x = np.concatenate([np.logspace(-12.0, 8.0, 2001),
+                            2.0 + np.linspace(-0.1, 0.1, 401)])
+        ref = exp1(-1j * x)
+        assert np.max(np.abs(exp1_neg_imag(x) - ref) / np.abs(ref)) <= 1e-14
+
+    def test_matches_mpmath(self):
+        # SciPy's own error reaches about 1.2e-14 near x = 4.5; mpmath pins
+        # both branches closer
+        x = np.concatenate([np.logspace(-12.0, 8.0, 41),
+                            [1.9999999, 2.0, np.nextafter(2.0, 3.0), 2.0000001,
+                             4.5232725, 4.5758075]])
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.e1(mpmath.mpc(0.0, -v)))
+                            for v in x])
+        assert np.max(np.abs(exp1_neg_imag(x) - ref) / np.abs(ref)) <= 2e-15
+
+    def test_array_matches_scalar_calls(self):
+        x = np.array([[1e-3, 2.0, 2.5], [7.0, 300.0, 1e6]])
+        out = exp1_neg_imag(x)
+        assert out.shape == x.shape
+        for idx in np.ndindex(x.shape):
+            val = exp1_neg_imag(float(x[idx]))
+            assert isinstance(val, complex) and val == out[idx]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError):
+            exp1_neg_imag(np.array([1.0, bad]))
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        # x = 2.5 needs depth 128; capped at 32 the fraction must not return
+        monkeypatch.setattr(relkin, "_E1_MAX_DEPTH", 32)
+        assert isinstance(exp1_neg_imag(1e3), complex)
+        with pytest.raises(ArithmeticError, match="not converged"):
+            exp1_neg_imag(2.5)
+
+    def test_nonfinite_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(relkin, "_e1_fraction",
+                            lambda z, depth: np.full(z.shape, np.nan + 0j))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            exp1_neg_imag(np.array([1.0, 3.0]))
