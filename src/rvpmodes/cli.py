@@ -231,8 +231,9 @@ def cmd_dispersion(args) -> int:
 
 def _read_trajectory(path):
     """Column names and the (rows, columns) body of a trajectory CSV; a
-    missing file or column, a malformed or ragged row, or a non-finite
-    ``t`` or ``abs_rho`` is a usage error."""
+    missing file or column, a malformed or ragged row, a non-finite ``t``
+    or ``abs_rho``, a negative ``abs_rho`` or none positive is a usage
+    error."""
     try:
         with open(path) as fh:
             header = ""
@@ -261,6 +262,12 @@ def _read_trajectory(path):
         if bad.size:
             raise UsageError(f"{path}: non-finite {name} in data row "
                              f"{bad[0] + 1}")
+    a = body[:, names.index("abs_rho")]
+    bad = np.flatnonzero(a < 0)
+    if bad.size:
+        raise UsageError(f"{path}: negative abs_rho in data row {bad[0] + 1}")
+    if not np.any(a > 0):
+        raise UsageError(f"{path}: no positive abs_rho to normalise by")
     return names, body
 
 
@@ -269,6 +276,11 @@ def cmd_fit(args) -> int:
         raise UsageError("fit requires --input trajectory CSV")
     if args.kappa is None:
         raise UsageError("fit requires --kappa (sets the transient window)")
+    if not 0 < args.kappa < math.inf:
+        raise UsageError(f"--kappa must be finite and positive, got "
+                         f"{args.kappa}")
+    if args.t_min is not None and not math.isfinite(args.t_min):
+        raise UsageError(f"--t-min must be finite, got {args.t_min}")
     if args.n_boot < 0:
         raise UsageError("--n-boot must be >= 0")
     names, body = _read_trajectory(args.input)

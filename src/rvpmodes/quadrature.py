@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,43 +211,50 @@ def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0):
 # Filon-type oscillatory quadrature
 # ---------------------------------------------------------------------------
 # Per panel the envelope is interpolated by the cubic through 4 equispaced
-# nodes; int l_m(s) e^{i Om s} ds is evaluated from the monomial moments
-# mu_j(Om) = int_{-1}^{1} s^j e^{i Om s} ds, so the rule is exact for cubic
-# envelopes at every frequency.
+# nodes, and lam_m(Om) = int_{-1}^{1} l_m(s) e^{i Om s} ds weighs the node
+# values, so the rule is exact for cubic envelopes at every frequency.  The
+# weights come from four real moments, C_j = int s^j cos(Om s) ds (j = 0, 2)
+# and S_j = int s^j sin(Om s) ds (j = 1, 3); the symmetric nodes give
+# lam_3 = conj(lam_0) and lam_2 = conj(lam_1).
 
 _FILON_S = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
-# Row m holds the monomial coefficients of the Lagrange cardinal l_m.
-_FILON_L = np.linalg.inv(np.vander(_FILON_S, 4, increasing=True).T)
+# Taylor coefficients in Om^2 of C_0, S_1 / Om, C_2, S_3 / Om, highest
+# power first, for Horner below |Om| = 1 (the 14th term is below 1e-27):
+# the term Om^(2n+q) s^(2n+q) / (2n+q)! of cos (q = 0) or sin (q = 1)
+# integrates against s^j to 2 / (2n+q+j+1).
+_FILON_SERIES = np.array([
+    [(-1) ** n * 2.0 / (math.factorial(2 * n + q) * (2 * n + q + j + 1))
+     for n in reversed(range(13))]
+    for j, q in ((0, 0), (1, 1), (2, 0), (3, 1))])
 
 
-def _filon_moments(omega_half):
-    """mu_j(Om) for j = 0..3, vectorized over Om; shape (..., 4)."""
+def _filon_weights(omega_half):
+    """lam_m(Om) for m = 0..3, vectorized over Om; shape (..., 4)."""
     om = np.asarray(omega_half, dtype=float)
-    out = np.empty(om.shape + (4,), dtype=complex)
+    mom = np.empty((4,) + om.shape)  # C_0, S_1, C_2, S_3
     small = np.abs(om) < 1.0
     if np.any(small):
         w = om[small]
-        acc = np.zeros(w.shape + (4,), dtype=complex)
-        term = np.ones_like(w, dtype=complex)  # (i*Om)^n / n!
-        for n in range(24):
-            for j in range(4):
-                if (n + j) % 2 == 0:
-                    acc[..., j] += term * (2.0 / (n + j + 1))
-            term = term * (1j * w) / (n + 1)
-        out[small] = acc
+        x = w * w
+        acc = np.zeros((4, w.size))
+        for c in _FILON_SERIES.T:
+            acc *= x
+            acc += c[:, None]
+        acc[1::2] *= w
+        mom[:, small] = acc
     big = ~small
     if np.any(big):
+        # int s^j e^{i Om s} ds by parts, split into real and imaginary
         w = om[big]
-        iw = 1j * w
-        e_plus = np.exp(iw)
-        e_minus = np.exp(-iw)
-        mu = np.empty(w.shape + (4,), dtype=complex)
-        mu[..., 0] = (e_plus - e_minus) / iw
-        for j in range(1, 4):
-            sign = -1.0 if j % 2 else 1.0
-            mu[..., j] = (e_plus - sign * e_minus) / iw - (j / iw) * mu[..., j - 1]
-        out[big] = mu
-    return out
+        sin, cos = np.sin(w), np.cos(w)
+        c0 = 2.0 * sin / w
+        s1 = (c0 - 2.0 * cos) / w
+        c2 = (2.0 * sin - 2.0 * s1) / w
+        mom[:, big] = c0, s1, c2, (3.0 * c2 - 2.0 * cos) / w
+    c0, s1, c2, s3 = mom
+    lam0 = (9.0 * c2 - c0) / 16.0 + 1j * ((s1 - 9.0 * s3) / 16.0)
+    lam1 = 9.0 * (c0 - c2) / 16.0 + 1j * (27.0 * (s3 - s1) / 16.0)
+    return np.stack((lam0, lam1, lam1.conj(), lam0.conj()), axis=-1)
 
 
 def filon_nodes(a, b, n_panels):
@@ -316,7 +324,7 @@ def filon_sums(env_nodes, a, b, omegas):
     each row of a stack equals its own call to the bit.  For a uniformly
     spaced grid of more than 64 omegas the panel sum collapses to four
     chirp-z transforms, so dense time grids cost O((P + T) log) instead of
-    O(P * T).  The moments and the chirp are computed once per call, and
+    O(P * T).  The weights and the chirp are computed once per call, and
     the envelopes of a stack are transformed one at a time.
     """
     omegas = np.asarray(omegas, dtype=float)
@@ -334,7 +342,7 @@ def filon_sums(env_nodes, a, b, omegas):
     uniform = nt > 64 and step != 0.0 and np.all(
         np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
 
-    lam_all = _filon_moments(omegas * (h / 2.0)) @ _FILON_L.T  # (T, 4)
+    lam_all = _filon_weights(omegas * (h / 2.0))               # (T, 4)
 
     if uniform:
         om0 = omegas[0]
@@ -350,12 +358,16 @@ def filon_sums(env_nodes, a, b, omegas):
             out[k] = (h / 2.0) * np.sum(bsum * lam_all, axis=1)
         return out
 
+    # the panel sums of each node, then the weights, as in the chirp-z
+    # branch; einsum without ``optimize`` runs its own loops, where a
+    # matmul would wake the BLAS threads, which then spin between calls
+    stack_t = np.ascontiguousarray(np.swapaxes(stack, 1, 2))    # (K, 4, P)
     for i0 in range(0, nt, _FILON_CHUNK):
         om = omegas[i0:i0 + _FILON_CHUNK]
         lam = lam_all[i0:i0 + _FILON_CHUNK]                    # (T, 4)
         phase = np.exp(1j * np.outer(om, centers))             # (T, P)
-        for k, env in enumerate(stack):
-            s = env @ lam.T                                    # (P, T)
-            out[k, i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.einsum(
-                "tp,pt->t", phase, s)
+        for k, env_t in enumerate(stack_t):
+            bsum = np.einsum("tp,mp->tm", phase, env_t)        # (T, 4)
+            out[k, i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.sum(
+                bsum * lam, axis=1)
     return out

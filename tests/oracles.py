@@ -10,7 +10,8 @@ data:
 * the integration-by-parts twins of both critical-wavenumber integrals;
 * the source transform beyond the support (``laplace_alpha_imag_tail``);
 * one-frequency Filon quadrature with panel doubling
-  (``integrate_oscillatory``);
+  (``integrate_oscillatory``), and the Filon weights from the complex
+  monomial moments (``filon_weights_monomial``);
 * the kinematic inverse ``p_of_v``, the real-branch profile ``f_cap``
   and the unscaled Bessel factor ``bessel_k2``;
 * the rational-envelope scan and the finite-order transform-decay
@@ -116,6 +117,49 @@ def integrate_oscillatory(f, omega, a, b, tol=1e-9):
                     f"(estimate {err:g})", QuadResult(cur, err, evals))
         prev = cur
         n *= 2
+
+
+def _filon_moments(omega_half):
+    """mu_j(Om) = int_{-1}^{1} s^j e^{i Om s} ds for j = 0..3, vectorized
+    over Om; shape (..., 4).  A 24-term complex Taylor series below
+    |Om| = 1, integration by parts in complex exponentials above."""
+    om = np.asarray(omega_half, dtype=float)
+    out = np.empty(om.shape + (4,), dtype=complex)
+    small = np.abs(om) < 1.0
+    if np.any(small):
+        w = om[small]
+        acc = np.zeros(w.shape + (4,), dtype=complex)
+        term = np.ones_like(w, dtype=complex)  # (i*Om)^n / n!
+        for n in range(24):
+            for j in range(4):
+                if (n + j) % 2 == 0:
+                    acc[..., j] += term * (2.0 / (n + j + 1))
+            term = term * (1j * w) / (n + 1)
+        out[small] = acc
+    big = ~small
+    if np.any(big):
+        w = om[big]
+        iw = 1j * w
+        e_plus = np.exp(iw)
+        e_minus = np.exp(-iw)
+        mu = np.empty(w.shape + (4,), dtype=complex)
+        mu[..., 0] = (e_plus - e_minus) / iw
+        for j in range(1, 4):
+            sign = -1.0 if j % 2 else 1.0
+            mu[..., j] = ((e_plus - sign * e_minus) / iw
+                          - (j / iw) * mu[..., j - 1])
+        out[big] = mu
+    return out
+
+
+def filon_weights_monomial(omega_half):
+    """The Filon weights int_{-1}^{1} l_m(s) e^{i Om s} ds of the cardinal
+    cubics l_m on the nodes -1, -1/3, 1/3, 1, from the monomial moments
+    and the inverse Vandermonde matrix; shape (..., 4)."""
+    s = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
+    # row m holds the monomial coefficients of l_m
+    coeffs = np.linalg.inv(np.vander(s, 4, increasing=True).T)
+    return _filon_moments(omega_half) @ coeffs.T
 
 
 # --- kernels: direct time-domain reductions and inverse transforms ----------

@@ -113,6 +113,8 @@ class TestEvolveFit:
         ("0,1\n1,nan\n", "non-finite abs_rho"),
         ("0,1\nnan,0.5\n", "non-finite t"),
         ("", "no data rows"),
+        ("0,1\n1,-0.5\n2,0.25\n", "negative abs_rho in data row 2"),
+        ("0,0\n1,0\n", "no positive abs_rho"),
     ])
     def test_malformed_trajectory_is_usage_error(self, tmp_path, capsys,
                                                  body, problem):
@@ -120,6 +122,23 @@ class TestEvolveFit:
         bad.write_text("# schema=v1\nt,abs_rho\n" + body)
         assert main(["fit", "--input", str(bad), "--kappa", "1.0"]) == 2
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--kappa=0", "--kappa=-1",
+                                      "--kappa=inf", "--kappa=nan",
+                                      "--t-min=nan", "--t-min=inf"])
+    def test_bad_kappa_or_t_min_is_usage_error(self, tmp_path, capsys, flag):
+        # used to divide by zero, fit silently, or report a fit failure
+        traj = tmp_path / "traj.csv"
+        t = np.linspace(0.0, 60.0, 601)
+        rows = [f"{x:.17g},{y:.17g}" for x, y in
+                zip(t, np.abs(np.cos(2.0 * t)) / (1.0 + t) ** 2)]
+        traj.write_text("t,abs_rho\n" + "\n".join(rows) + "\n")
+        argv = ["fit", "--input", str(traj), "--kappa", "1.0", "--n-boot", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag]) == 2
+        err = capsys.readouterr().err
+        assert flag.split("=")[0] in err and "computation failed" not in err
 
     def test_nan_peak_is_usage_error_not_fit_failure(self, tmp_path, capsys):
         # a single NaN used to surface as "too few positive peaks to fit"

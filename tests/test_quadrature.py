@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -5,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes.quadrature import (QuadratureError, filon_nodes, filon_sums,
-                                 next_fast_len,
+from rvpmodes import quadrature
+from rvpmodes.quadrature import (QuadratureError, _filon_weights, filon_nodes,
+                                 filon_sums, next_fast_len,
                                  gauss_legendre_nodes, integrate_finite,
                                  integrate_semi_infinite)
 
-from oracles import integrate_oscillatory
+from oracles import filon_weights_monomial, integrate_oscillatory
 
 
 class TestFinite:
@@ -214,6 +217,47 @@ class TestFilonSums:
         assert sums.shape == (3, n_omegas)
         for env, row in zip(stack, sums):
             assert np.array_equal(filon_sums(env, 0.2, 1.7, omegas), row)
+
+
+class TestFilonWeights:
+    def test_match_monomial_moment_route(self):
+        # both switch from series to recurrence at |Om| = 1
+        near_one = np.concatenate([1.0 + np.geomspace(1e-12, 1e-2, 200),
+                                   1.0 - np.geomspace(1e-12, 1e-2, 200),
+                                   np.linspace(0.9, 1.1, 2001), [1.0]])
+        om = np.concatenate([np.linspace(-50.0, 50.0, 20001), near_one,
+                             -near_one, [0.0, 1e-300]])
+        assert np.max(np.abs(_filon_weights(om)
+                             - filon_weights_monomial(om))) <= 1e-14
+
+    def test_match_mpmath_cardinal_cubics(self):
+        import mpmath
+        nodes = [-1, mpmath.mpf(-1) / 3, mpmath.mpf(1) / 3, 1]
+
+        def weight(m, om):
+            def cardinal(s):
+                return mpmath.fprod((s - nodes[k]) / (nodes[m] - nodes[k])
+                                    for k in range(4) if k != m)
+            return complex(mpmath.quad(
+                lambda s: cardinal(s) * mpmath.expj(om * s), [-1, 1]))
+
+        oms = [1e-8, 1e-3, 0.3, 0.9, 0.999999, 1.0, 1.000001, 1.7, 4.2,
+               10.0, 23.5, 47.0]
+        with mpmath.workdps(40):
+            ref = np.array([[weight(m, mpmath.mpf(om)) for m in range(4)]
+                            for om in oms])
+        assert np.max(np.abs(_filon_weights(np.array(oms)) - ref)) <= 2e-15
+
+    def test_filon_rule_makes_no_blas_call(self):
+        # a matmul, dot or @ wakes the BLAS worker threads, which then spin
+        for fn in (quadrature.filon_sums, quadrature._filon_weights,
+                   quadrature._chirp, quadrature._czt):
+            tree = ast.parse(inspect.getsource(fn))
+            calls = [n for n in ast.walk(tree)
+                     if isinstance(n, ast.MatMult)
+                     or (isinstance(n, ast.Attribute) and n.attr in
+                         ("dot", "vdot", "matmul", "inner", "tensordot"))]
+            assert calls == [], fn.__name__
 
 
 class TestNextFastLen:

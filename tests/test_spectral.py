@@ -76,7 +76,10 @@ def _cauchy_oracle(mode, y):
     def b(s):
         return beta_hat_envelope(mode, s)
 
-    cuts = [0.0] + sorted({abs(y - edge), abs(y + edge)})
+    cuts = [0.0]
+    for cut in sorted({abs(y - edge), abs(y + edge)}):
+        if cut > cuts[-1] + 1e-12 * edge:  # no sliver piece where they meet
+            cuts.append(cut)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an unconverged oracle is no oracle
         pv = sum(quad(lambda u: (b(y - u) - b(y + u)) / u, lo, hi,
@@ -327,6 +330,11 @@ class TestAxisEvaluatorOracles:
                            equilibrium=compact_decreasing(0.609375),
                            profile=gaussian_profile(1.0, 1.0)),
              inner=0.234375, outer=1.0)
+    # y = 2.2e-16 split off a piece 4.4e-16 wide that QUADPACK refused
+    @example(mode=ModeSpec(kappa=1.0, sigma=1,
+                           equilibrium=compact_decreasing(1.0),
+                           profile=gaussian_profile(1.0, 1.0)),
+             inner=2.220446049250313e-16, outer=1.0)
     def test_batch_matches_oracles(self, mode, inner, outer):
         kap = mode.kappa
         ys = np.array([0.0, inner * kap, outer * kap, -outer * kap])
@@ -555,6 +563,54 @@ class TestKernelTableChirpZ:
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or os.cpu_count() == 1,
+                        reason="needs per-thread CPU times and two CPUs")
+    def test_tables_leave_blas_threads_idle(self):
+        # a BLAS call wakes the library's worker threads, which then spin
+        # between calls: the README sweep's tables (sigma = +1) once
+        # burned as much CPU in them as in the main thread.  The workers
+        # also spin for about 0.1 s after they start at import, so the
+        # count starts once they have gone idle.
+        code = (
+            "import os, time\n"
+            "import numpy as np\n"
+            "from rvpmodes.equilibria import juttner, thermal_profile\n"
+            "from rvpmodes.spectral import ModeSpec, sample_kernels\n"
+            "def cpu_ticks():\n"
+            "    ticks = {}\n"
+            "    for tid in os.listdir('/proc/self/task'):\n"
+            "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+            "            fields = fh.read().rsplit(')', 1)[1].split()\n"
+            "        ticks[int(tid)] = int(fields[11]) + int(fields[12])\n"
+            "    return ticks\n"
+            "def others(ticks):\n"
+            "    return sum(ticks.values()) - ticks[os.getpid()]\n"
+            "before = cpu_ticks()\n"
+            "for _ in range(25):\n"
+            "    time.sleep(0.2)\n"
+            "    now = cpu_ticks()\n"
+            "    idle = others(now) == others(before)\n"
+            "    before = now\n"
+            "    if idle:\n"
+            "        break\n"
+            "times = 0.02 * np.arange(10001)\n"
+            "for kappa in np.linspace(0.3, 1.4, 12):\n"
+            "    mode = ModeSpec(kappa=float(kappa), sigma=1,\n"
+            "                    equilibrium=juttner(0.2),\n"
+            "                    profile=thermal_profile(0.2, 1.0))\n"
+            "    sample_kernels(mode, times, tol=1e-9)\n"
+            "after = cpu_ticks()\n"
+            "pid = os.getpid()\n"
+            "print(after[pid] - before[pid],\n"
+            "      others(after) - others(before))\n")
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=env, capture_output=True, text=True).stdout
+        main, others = map(int, out.split())
+        assert others <= 0.05 * main, (main, others)
 
 
 class TestKernelTableTolerance:
