@@ -92,6 +92,7 @@ _X_MIN, _X_MAX = 1e-3, 1.5
 _X_GRID = 301      # exponents scanned before the golden-section polish
 _X_TOL = 1e-10     # absolute tolerance on x of both 1-D searches
 _SECANT_ITERS = 40  # cap; bootstrap replicates settle in about 5 steps
+_BLOCK_ELEMS = 2 ** 14  # (rows, peaks) elements per _profile call
 
 
 def _positive_peaks(env):
@@ -140,8 +141,45 @@ def _profile(x, logt, logv):
     return a, e, u, a[:, None] - e[:, None] * u - y
 
 
+def _row_blocks(m, n):
+    """Slices of m rows, each block at most _BLOCK_ELEMS elements of n
+    peaks (one row at least): every row of _profile is its own problem,
+    so a block's rows equal the same rows solved together."""
+    rows = max(1, _BLOCK_ELEMS // n)
+    return [slice(i, i + rows) for i in range(0, m, rows)]
+
+
 def _sse(x, logt, logv):
-    return np.sum(_profile(np.atleast_1d(x), logt, logv)[3] ** 2, axis=1)
+    x = np.atleast_1d(x)
+    return np.concatenate([
+        np.sum(_profile(x[b], logt, logv)[3] ** 2, axis=1)
+        for b in _row_blocks(x.size, logt.size)])
+
+
+def _median(a):
+    """``np.median`` of a 1-D array free of NaN and -0.0, to the bit, by a
+    sort (``np.median`` loads ``numpy.ma``): the mean of the middle pair.
+    A sort and numpy's partition may order -0.0 and 0.0 differently."""
+    s = np.sort(a)
+    mid = s.size // 2
+    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0
+
+
+def _quantile(a, q):
+    """``np.quantile(a, q)`` of a non-empty 1-D array free of NaN and -0.0,
+    for q in [0, 1], to the bit, by a sort (``np.quantile`` loads
+    ``numpy.ma``): numpy's 'linear' method, virtual index (n - 1) q between
+    sorted neighbours, interpolated as numpy's ``_lerp`` does."""
+    s = np.sort(a)
+    v = (s.size - 1) * np.asarray(q, dtype=float)
+    top = v >= s.size - 1
+    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    gamma = v - lo
+    below, above = s[lo], s[hi]
+    diff = above - below
+    return np.where(gamma >= 0.5, above - diff * (1 - gamma),
+                    below + diff * gamma)
 
 
 def fit_stretched(env: Envelope) -> DecayFit:
@@ -160,7 +198,7 @@ def fit_stretched(env: Envelope) -> DecayFit:
         raise NoDecayError("too few positive peaks to fit")
     c0 = float(v.max()) * (1.0 + 1e-12)
     head = max(1, t.size // 5)
-    if np.median(v[-head:]) >= 0.9 * np.median(v[:head]):
+    if _median(v[-head:]) >= 0.9 * _median(v[:head]):
         raise NoDecayError("no decay detected")
 
     ratio = v / c0
@@ -212,15 +250,19 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
     t, v = _positive_peaks(env)
     logt, logv = np.log(t), np.log(v)
     rng = np.random.default_rng(seed)
-    idx = np.empty((n_boot, t.size), dtype=np.int64)
+    idx = np.empty((n_boot, t.size), dtype=np.int32)  # half of int64's bytes
     for row in idx:  # one draw per replicate, the stream of a refit loop
         row[:] = rng.integers(0, t.size, size=t.size)
     idx.sort(axis=1)
-    lt, lv = logt[idx], logv[idx]
 
     def grad(x, rows):
-        _, eps, u, res = _profile(x, lt[rows], lv[rows])
-        return -2.0 * eps * np.sum(res * u * lt[rows], axis=1)
+        g = np.empty(rows.size)
+        for b in _row_blocks(rows.size, t.size):
+            peaks = idx[rows[b]]
+            lt = logt[peaks]
+            _, eps, u, res = _profile(x[b], lt, logv[peaks])
+            g[b] = -2.0 * eps * np.sum(res * u * lt, axis=1)
+        return g
 
     x_prev = np.full(n_boot, 1.0 / fit.s)
     h = 1e-4 * (_X_MAX - _X_MIN)
@@ -241,7 +283,7 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
     s = 1.0 / x[np.isfinite(x)]
     if not s.size:
         return (math.nan, math.nan)
-    lo, hi = np.quantile(s, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = _quantile(s, [(1 - level) / 2, (1 + level) / 2])
     return (float(lo), float(hi))
 
 
@@ -257,14 +299,14 @@ def exp_test(env: Envelope) -> str:
     if t.size < 5:
         return "none"
     head = max(1, t.size // 5)
-    if np.median(v[:head]) < MIN_DECAY_FACTOR * np.median(v[-head:]):
+    if _median(v[:head]) < MIN_DECAY_FACTOR * _median(v[-head:]):
         return "none"
     lam = -np.log(v) / t
     ok = lam > 0
     if np.count_nonzero(ok) < 5:
         return "none"
     b = np.polyfit(np.log(t[ok]), np.log(lam[ok]), 1)[0]
-    lam_late = float(np.median(lam[ok][-max(1, np.count_nonzero(ok) // 5):]))
+    lam_late = float(_median(lam[ok][-max(1, np.count_nonzero(ok) // 5):]))
     if b > SLOPE_PLATEAU and lam_late > 0:
         return "exponential"
     return "sub-exponential"

@@ -167,9 +167,21 @@ def _scalar(x):
     return x.real if x.imag == 0.0 else x
 
 
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre_16():
-    return np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], the positive half (the rule is
+# symmetric): the doubles of numpy.polynomial.legendre.leggauss(16),
+# without importing that package.
+_GL16_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+])
+_GL16_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+])
+_GL16_X = np.concatenate((-_GL16_X[::-1], _GL16_X))
+_GL16_W = np.concatenate((_GL16_W[::-1], _GL16_W))
 
 
 def gauss_legendre_nodes(edges, n_panels):
@@ -177,12 +189,11 @@ def gauss_legendre_nodes(edges, n_panels):
     between each pair of consecutive ``edges``; returns flat (nodes,
     weights).  The rule has even order, so no node lands on a panel edge
     or a panel centre."""
-    x16, w16 = _gauss_legendre_16()
     k = np.arange(n_panels * (len(edges) - 1) + 1) / n_panels
     cuts = np.interp(k, np.arange(len(edges)), edges)
     half = 0.5 * np.diff(cuts)[:, None]
-    nodes = (cuts[:-1, None] + half) + half * x16
-    return nodes.ravel(), (half * w16).ravel()
+    nodes = (cuts[:-1, None] + half) + half * _GL16_X
+    return nodes.ravel(), (half * _GL16_W).ravel()
 
 
 def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0):
@@ -308,11 +319,15 @@ def _czt(x, m, w, chirp=None):
     ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it."""
     n = x.shape[0]
     wk2, nfft, fwk2 = chirp or _chirp(n, m, w)
-    y = np.fft.ifft(fwk2 * np.fft.fft(x.T * wk2[:n], nfft))
+    y = np.fft.fft(x.T * wk2[:n], nfft)
+    np.multiply(fwk2, y, out=y)  # fwk2 first: the operand order sets bits
+    y = np.fft.ifft(y, out=y)
     return (y[..., n - 1:n + m - 1] * wk2[:m]).T
 
 
-_FILON_CHUNK = 512  # omegas per block of the direct (P x T) panel sum
+_FILON_CHUNK = 512  # omegas per block of the direct (T x P) panel sum
+_CZT_BLOCK = 4096  # omegas per block of the chirp-z branch's weighted sums
+_UNIFORM_TOL = 8  # |omega_j - (omega_0 + j step)| allowed, in eps max|omega|
 
 
 def filon_sums(env_nodes, a, b, omegas):
@@ -324,8 +339,10 @@ def filon_sums(env_nodes, a, b, omegas):
     each row of a stack equals its own call to the bit.  For a uniformly
     spaced grid of more than 64 omegas the panel sum collapses to four
     chirp-z transforms, so dense time grids cost O((P + T) log) instead of
-    O(P * T).  The weights and the chirp are computed once per call, and
-    the envelopes of a stack are transformed one at a time.
+    O(P * T).  The chirp is computed once per call; the envelopes of a
+    stack, and the four node columns of each, are transformed one at a
+    time, and the weights are formed in blocks of omegas, so the working
+    memory is a few T-length vectors whatever P and K.
     """
     omegas = np.asarray(omegas, dtype=float)
     stack = np.asarray(env_nodes)
@@ -335,27 +352,34 @@ def filon_sums(env_nodes, a, b, omegas):
     h = (b - a) / n_panels
     centers = a + (np.arange(n_panels) + 0.5) * h
     nt = len(omegas)
+
+    # uniform when every omega sits within rounding of om0 + j step, the
+    # grid the chirp-z transform evaluates; rounding grows with |omega|
+    step = omegas[1] - omegas[0] if nt > 1 else 0.0
+    uniform = nt > 64 and step != 0.0 and np.all(
+        np.abs(omegas - (omegas[0] + np.arange(nt) * step))
+        <= _UNIFORM_TOL * np.finfo(float).eps * np.max(np.abs(omegas)))
     out = np.empty((len(stack), nt), dtype=complex)
 
-    d = np.diff(omegas)
-    step = d[0] if d.size else 0.0
-    uniform = nt > 64 and step != 0.0 and np.all(
-        np.abs(d - step) <= 1e-12 * max(abs(step), 1.0))
-
-    lam_all = _filon_weights(omegas * (h / 2.0))               # (T, 4)
-
     if uniform:
-        om0 = omegas[0]
         # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
         #                  * (e^{i step h})^{j p}
         w = np.exp(1j * step * h)
         chirp = _chirp(n_panels, nt, w)
-        shift = np.exp(1j * om0 * centers)[:, None]
-        phase = np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))[:, None]
+        shift = np.exp(1j * omegas[0] * centers)[:, None]
+        bsum_t = np.empty((4, nt), dtype=complex)
+        bsum = bsum_t.T  # (T, 4) with the strides a batched _czt returns
         for k, env in enumerate(stack):
-            bsum = _czt(env * shift, nt, w, chirp)              # (T, 4)
-            bsum *= phase
-            out[k] = (h / 2.0) * np.sum(bsum * lam_all, axis=1)
+            x = env * shift
+            for m in range(4):
+                bsum_t[m] = _czt(x[:, m], nt, w, chirp)
+            for i0 in range(0, nt, _CZT_BLOCK):
+                i1 = min(i0 + _CZT_BLOCK, nt)
+                block = bsum[i0:i1]
+                block *= np.exp(1j * np.arange(i0, i1) * step
+                                * (a + 0.5 * h))[:, None]
+                lam = _filon_weights(omegas[i0:i1] * (h / 2.0))
+                out[k, i0:i1] = (h / 2.0) * np.sum(block * lam, axis=1)
         return out
 
     # the panel sums of each node, then the weights, as in the chirp-z
@@ -364,7 +388,7 @@ def filon_sums(env_nodes, a, b, omegas):
     stack_t = np.ascontiguousarray(np.swapaxes(stack, 1, 2))    # (K, 4, P)
     for i0 in range(0, nt, _FILON_CHUNK):
         om = omegas[i0:i0 + _FILON_CHUNK]
-        lam = lam_all[i0:i0 + _FILON_CHUNK]                    # (T, 4)
+        lam = _filon_weights(om * (h / 2.0))                   # (T, 4)
         phase = np.exp(1j * np.outer(om, centers))             # (T, P)
         for k, env_t in enumerate(stack_t):
             bsum = np.einsum("tp,mp->tm", phase, env_t)        # (T, 4)

@@ -295,16 +295,25 @@ class TestSweepFits:
 class TestNoScipyImport:
     def test_cli_commands_load_no_scipy(self, tmp_path):
         # SciPy serves only the Gaussian profile's lazily imported erfcx
-        # and the test oracles: no README command and no resolvent loads it
+        # and the test oracles: no README command and no resolvent loads
+        # it.  Nor does a command load what only another runs: the Gevrey
+        # battery (with fractions and decimal) is appendix-verify's,
+        # numpy.ma came with np.median and np.quantile, and
+        # numpy.polynomial with leggauss
         code = (
             "import math, sys\n"
             "import rvpmodes.cli as cli\n"
+            "assert 'rvpmodes.gevrey' not in sys.modules\n"
             "def loaded():\n"
             "    return [m for m in sys.modules\n"
-            "            if m.split('.')[0] == 'scipy']\n"
+            "            if m.split('.')[0] == 'scipy'\n"
+            "            or m.split('.')[:2] in (['numpy', 'ma'],\n"
+            "                                    ['numpy', 'polynomial'])]\n"
             "def check(argv):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "    assert not loaded(), (argv[0], loaded())\n"
+            "    assert argv[0] == 'appendix-verify' \\\n"
+            "        or 'rvpmodes.gevrey' not in sys.modules, argv[0]\n"
             "check(['evolve', '--kappa', '1.2', '--sigma', '1', '--theta',"
             " '0.5', '--profile', 'thermal', '--dt', '0.05', '--t-max', '80',"
             " '-o', 'traj.csv'])\n"
@@ -335,6 +344,33 @@ class TestNoScipyImport:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env,
                        cwd=tmp_path)
+
+
+class TestCsvWriter:
+    def test_float_block_writes_the_bytes_of_tuple_rows(self, tmp_path):
+        # random bit patterns (subnormals, inf, nan) and signed zeros, over
+        # more than one block of rows
+        rng = np.random.default_rng(11)
+        block = rng.integers(0, 2 ** 64 - 1, size=(2 * cli._WRITE_ROWS + 5, 3),
+                             dtype=np.uint64, endpoint=True).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+                   -math.inf, math.nan, 1.7976931348623157e308, 0.1, -1.5]
+        block.ravel()[:len(special)] = special
+        rows = [tuple(float(x) for x in row) for row in block]
+        cli._write_csv(tmp_path / "block.csv", ["a", "b", "c"], block,
+                       {"k": 1})
+        cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], rows,
+                       {"k": 1})
+        text = (tmp_path / "block.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert text.count(b"\n") == 3 + len(rows)
+        assert {b"nan", b"inf", b"-inf", b"-0", b"4.9406564584124654e-324"} \
+            <= set(text.replace(b"\n", b",").split(b","))
+
+    def test_unwritable_path_is_computational_failure(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(RuntimeError, match="cannot write"):
+            cli._write_csv(path, ["a"], np.zeros((3, 1)), {})
 
 
 class TestAppendixVerify:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,45 @@ class TestFitModeDecay:
         t, a = self.trajectory()
         with pytest.raises(ValueError, match="n_boot"):
             fit_mode_decay(t, a, 1.0, n_boot=-1)
+
+    def test_memory_is_bounded_in_the_peak_count(self):
+        # 9 950 peaks and 200 replicates: the grid scan and the refits are
+        # solved in row blocks, and each block gathers its own resamples,
+        # instead of (301 or 200) x 9 950 arrays (146 MB traced)
+        t = 0.01 * np.arange(200001)
+        a = np.abs(np.cos(5.0 * np.pi * t)) * np.exp(-0.5 * t ** (1.0 / 3.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit, env, _ = fit_mode_decay(t, a, 1.0, n_boot=200)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert env.t.size > 9900
+        assert fit.s == pytest.approx(3.0, rel=1e-9)
+        assert peak <= 40e6
+
+
+class TestOrderStatistics:
+    def test_median_and_quantile_equal_numpy_to_the_bit(self):
+        # the sort-based helpers stand in for np.median and np.quantile,
+        # which load numpy.ma; -0.0 is left out, since a sort and numpy's
+        # partition may order it differently from 0.0
+        rng = np.random.default_rng(7)
+        for i in range(10025):
+            n = int(rng.integers(1, 80))
+            a = [rng.lognormal(0.0, 5.0, n),
+                 np.round(rng.normal(size=n), 1),
+                 rng.choice([0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300, 3.0,
+                             np.inf, -np.inf], n),
+                 rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)][i % 4]
+            a = a + 0.0  # -0.0 + 0.0 is 0.0
+            q = [(1 - 0.95) / 2, (1 + 0.95) / 2, rng.random(), 0.5, 0.0, 1.0]
+            with np.errstate(invalid="ignore"):  # inf - inf, as numpy does
+                assert (np.asarray(decay._median(a)).tobytes()
+                        == np.asarray(np.median(a)).tobytes()), a
+                assert (decay._quantile(a, q).tobytes()
+                        == np.quantile(a, q).tobytes()), (a, q)
 
 
 # --- the trust-region fit that variable projection replaced, as an oracle --

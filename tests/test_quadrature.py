@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestFinite:
 
 
 class TestGaussLegendre:
+    def test_rule_is_leggauss_16_to_the_bit(self):
+        x16, w16 = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(quadrature._GL16_X, x16)
+        assert np.array_equal(quadrature._GL16_W, w16)
+
     def test_composite_rule_exact_for_degree_31(self):
         x, w = gauss_legendre_nodes([-1.0, 0.3, 2.0], 3)
         assert x.shape == w.shape == (2 * 3 * 16,)
@@ -217,6 +223,26 @@ class TestFilonSums:
         assert sums.shape == (3, n_omegas)
         for env, row in zip(stack, sums):
             assert np.array_equal(filon_sums(env, 0.2, 1.7, omegas), row)
+
+
+    def test_stacked_call_memory(self):
+        # the README evolve's half-step tables: the four node columns of
+        # each envelope pass the chirp-z transform one at a time, and the
+        # weights and their sum come in blocks of omegas (the whole (T, 4)
+        # arrays at once traced 22 T-length complex vectors)
+        nt = 30001
+        nodes = filon_nodes(0.0, 1.2, 512)
+        stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes)])
+        omegas = 2.0 * math.pi * 0.01 * np.arange(nt)
+        filon_sums(stack, 0.0, 1.2, omegas)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            filon_sums(stack, 0.0, 1.2, omegas)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * nt * np.dtype(complex).itemsize
 
 
 class TestFilonWeights:

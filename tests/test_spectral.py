@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import rvpmodes
-from rvpmodes import spectral
+from rvpmodes import quadrature, spectral
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
 from rvpmodes.quadrature import (QuadratureError, _czt, gauss_legendre_nodes,
@@ -549,6 +549,36 @@ class TestKernelTableChirpZ:
         w = np.exp(1j * 2.0 * math.pi * 0.02 * 1.2 / n)
         ref = czt(x, m=m, w=w, a=1.0 + 0.0j, axis=0)
         assert np.array_equal(_czt(x, m, w), ref)
+
+    def test_long_horizon_table_takes_chirp_z(self, monkeypatch):
+        # omegas 2 pi t up to t = 2400 carry rounding of 1.8e-12, past the
+        # absolute 1e-12 that the uniform-grid test once allowed: 120 001
+        # samples then fell back to the O(P T) direct panel sum
+        lengths = []
+        czt = quadrature._czt
+
+        def spy(x, m, w, chirp=None):
+            lengths.append(m)
+            return czt(x, m, w, chirp)
+        monkeypatch.setattr(quadrature, "_czt", spy)
+        mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                        profile=thermal_profile(0.5, 1.0))
+        t = 0.02 * np.arange(120001)
+        tab = sample_kernels(mode, t)
+        assert t.size in lengths
+        # three samples with the same t.max share the probes, so the
+        # panels, and take the direct panel sum; both branches round the
+        # phase omega y, y <= kappa, to eps omega kappa
+        idx = [50000, 85000, 120000]
+        direct = sample_kernels(mode, t[idx])
+        rounding = np.finfo(float).eps * 2.0 * math.pi * t[-1] * mode.kappa
+        for fast, slow in ((tab.alpha, direct.alpha), (tab.beta, direct.beta)):
+            assert np.max(np.abs(fast[idx] - slow)) \
+                <= rounding * np.max(np.abs(fast))
+        # the direct kernels' quadrature runs out of panels by t = 2400
+        for j in idx[:2]:
+            assert abs(tab.alpha[j] - alpha_direct(mode, t[j])) < 1e-10
+            assert abs(tab.beta[j] - beta_direct(mode, t[j])) < 1e-10
 
     def test_tables_do_not_import_signal_module(self):
         code = ("import sys\n"
