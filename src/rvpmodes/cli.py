@@ -218,7 +218,7 @@ def cmd_dispersion(args) -> int:
     for name in ("kappa", "sigma"):
         if getattr(args, name) is None:
             raise UsageError(f"dispersion requires --{name}")
-    if args.n_y < 1 or not (args.y_min <= args.y_max):
+    if args.n_y < 1 or not (-math.inf < args.y_min <= args.y_max < math.inf):
         raise UsageError("invalid y grid")
     mode = _build_mode(args)
     try:
@@ -232,8 +232,7 @@ def cmd_dispersion(args) -> int:
     rows = []
     for x in xs:
         vals = (laplace_beta_imag(mode, ys, tol=args.tol) if x == 0.0
-                else [laplace_beta_halfplane(mode, x, float(y), tol=args.tol)
-                      for y in ys])
+                else laplace_beta_halfplane(mode, x, ys, tol=args.tol))
         rows.extend((x, float(y), val.real, val.imag, abs(val - 1.0))
                     for y, val in zip(ys, vals))
     _write_csv(args.output, ["x", "y", "re_Lbeta", "im_Lbeta", "dist_to_one"],

@@ -40,8 +40,8 @@ class Equilibrium:
 
     ``value`` and ``derivative`` accept scalars or numpy arrays of |p|.
     ``support_bound`` is inf for rapidly decaying families.
-    ``tail_kernel_moment(P)`` = int_P^inf (1 + p^2) (-f0'(p)) dp in closed
-    form, vectorized over P.
+    ``tail_kernel_moment(U)`` = int_P^inf (1 + p^2) (-f0'(p)) dp in closed
+    form in U = sqrt(1 + P^2), vectorized over real or complex U.
     ``p_scale`` hints where the momentum integrand mass sits (quadrature map).
     """
 
@@ -101,11 +101,10 @@ def juttner(theta: float) -> Equilibrium:
         return scalarize(-(p / (theta * u)) * norm
                          * np.exp((1.0 - u) / theta))
 
-    def tail_kernel_moment(P):
+    def tail_kernel_moment(u):
         # int_P^inf (1+p^2)(-f0') dp = (norm_shifted) e^{(1-U)/theta}
         #   * (U^2 + 2 theta U + 2 theta^2),  U = sqrt(1+P^2).
-        P = np.asarray(P, dtype=float)
-        u = np.hypot(1.0, P)
+        u = np.asarray(u)
         return scalarize(norm * np.exp((1.0 - u) / theta)
                          * (u * u + 2.0 * theta * u + 2.0 * theta * theta))
 
@@ -138,11 +137,14 @@ def compact_decreasing(P: float) -> Equilibrium:
         w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
         return scalarize(-8.0 * c * (p / P**2) * w**3)
 
-    def tail_kernel_moment(x):
+    def tail_kernel_moment(u):
         # int_x^P (1+p^2)(-f0') dp = c [(1+P^2) w^4 - (4/5) P^2 w^5],
-        # w = 1 - (x/P)^2.
-        x = np.asarray(x, dtype=float)
-        w = np.clip(1.0 - (x / P) ** 2, 0.0, None)
+        # w = 1 - (x/P)^2 = 1 - (U^2 - 1)/P^2, U = sqrt(1+x^2); a real U
+        # beyond the support (w < 0) gives 0.
+        u = np.asarray(u)
+        w = 1.0 - (u - 1.0) * (u + 1.0) / (P * P)
+        if not np.iscomplexobj(w):
+            w = np.clip(w, 0.0, None)
         return scalarize(c * ((1.0 + P * P) * w**4 - 0.8 * P * P * w**5))
 
     return Equilibrium(

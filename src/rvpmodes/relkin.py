@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "v_of_p",
-    "f_cap_complex",
     "bessel_k2_scaled",
     "exp1_neg_imag",
 ]
@@ -33,11 +32,6 @@ _K2_SMALL_X = 1e-150
 _E1_SERIES_MAX = 2.0
 _E1_SERIES_TERMS = 40
 _E1_MAX_DEPTH = 4096
-
-# x/v above which F(x, v) switches from the direct formula to its series;
-# the direct x*arctanh(v/x) - v loses ~6 digits to cancellation out here.
-_F_SERIES_RATIO = 1e3
-
 
 def scalarize(out):
     """A 0-d result as a Python scalar; arrays pass through unchanged."""
@@ -63,30 +57,6 @@ def v_of_p(p):
         raise ValueError(f"momentum magnitude must be >= 0, got {p!r}")
     return scalarize(np.minimum(a / np.hypot(1.0, a),
                                 np.nextafter(1.0, 0.0)))
-
-
-def _f_profile(z, v):
-    """z*arctanh(v/z) - v, real or complex, with the series tail
-    v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6) where |z|/v is large."""
-    z, v = np.broadcast_arrays(z, v)
-    series = (np.abs(z) > _F_SERIES_RATIO * np.maximum(v, 1e-300)) | (v == 0.0)
-    out = np.empty_like(z)
-    zs, vs = z[series], v[series]
-    r2 = (vs / zs) ** 2
-    out[series] = (vs**3 / zs**2) * (1.0 / 3.0 + r2 * (0.2 + r2 / 7.0))
-    zd, vd = z[~series], v[~series]
-    out[~series] = zd * np.arctanh(vd / zd) - vd
-    return out
-
-
-def f_cap_complex(z, v):
-    """Complex continuation z*arctanh(v/z) - v for z off [-1, 1] scaled by v.
-
-    For |z| >> v the direct expression cancels catastrophically, so the
-    tail uses the series v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6).
-    """
-    return scalarize(_f_profile(np.asarray(z, dtype=complex),
-                                _asarray(v, "v")))
 
 
 def _k2_scaled(x):

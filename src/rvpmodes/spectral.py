@@ -34,7 +34,7 @@ from .equilibria import Equilibrium, PerturbationProfile
 from .quadrature import (QuadResult, QuadratureError, filon_nodes,
                          filon_sums, gauss_legendre_nodes,
                          integrate_semi_infinite)
-from .relkin import f_cap_complex, scalarize, v_of_p
+from .relkin import scalarize, v_of_p
 
 __all__ = [
     "ModeSpec",
@@ -111,7 +111,7 @@ def beta_hat_envelope(mode: ModeSpec, y):
     out = np.zeros_like(ya)
     if np.any(mask):
         out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * ya[mask] \
-            * mode.equilibrium.tail_kernel_moment(plo)
+            * mode.equilibrium.tail_kernel_moment(np.hypot(1.0, plo))
     return scalarize(out)
 
 
@@ -129,9 +129,10 @@ def alpha_hat(mode: ModeSpec, y):
 
 # --- Fourier-Laplace transform on the closed right half-plane ---------------
 
-_PV_ROWS = 32            # y values per block of the (rows x nodes) array
+_PV_ROWS = 32            # real z values per block of the (rows x nodes) array
 _PV_PANELS = (8, 2 ** 10)  # first and largest panel count per segment
 _PV_NEAR = 1e-5          # |y - s| / kappa below which the quotient uses b'
+_PV_SUBTRACT = 1.0 / 16  # |Im z| / e below which b(z) is subtracted
 
 
 def _envelope_derivative(mode: ModeSpec, y):
@@ -141,96 +142,120 @@ def _envelope_derivative(mode: ModeSpec, y):
     out = np.zeros_like(ya)
     eq = mode.equilibrium
     out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * (
-        eq.tail_kernel_moment(plo)
+        eq.tail_kernel_moment(np.hypot(1.0, plo))
         + r * eq.derivative(plo) / ((1.0 - r) * (1.0 + r))**2.5)
     return out
 
 
-def _pv_sums(mode: ModeSpec, y, b_y, angles, n_panels):
-    """sum_j w_j (b(s_j) - b(y)) / (y - s_j) for each y.  Panels are
-    uniform in phi = arctan(p), s = kappa sin(phi) = kappa v(p), which
-    crowds nodes toward +-kappa, where hot envelopes die off steeply."""
-    phi, w = gauss_legendre_nodes(angles, n_panels)
+def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
+    """sum_j w_j (b(s_j) - b(z)) / (z - s_j) for each z, real or complex.
+    Panels are uniform in phi = arctan(p) on [-edge, 0] and [0, edge],
+    s = kappa sin(phi) = kappa v(p), which crowds nodes toward the support
+    edges, where hot envelopes die off steeply."""
+    phi, w = gauss_legendre_nodes([-edge, 0.0, edge], n_panels)
     s = mode.kappa * np.sin(phi)
     w = w * mode.kappa * np.cos(phi)
     b_s = beta_hat_envelope(mode, s)
-    out = np.empty_like(y)
-    for i in range(0, y.size, _PV_ROWS):
-        d = y[i:i + _PV_ROWS, None] - s
-        near = np.abs(d) < _PV_NEAR * mode.kappa
-        quot = (b_s - b_y[i:i + _PV_ROWS, None]) / np.where(near, 1.0, d)
+    rows = _PV_ROWS * 8 // z.itemsize  # complex blocks hold half the rows
+    out = np.empty_like(z)
+    for i in range(0, z.size, rows):
+        d = z[i:i + rows, None] - s
+        near = np.isrealobj(d) & (np.abs(d) < _PV_NEAR * mode.kappa)
+        quot = (b_s - b_z[i:i + rows, None]) / np.where(near, 1.0, d)
         if near.any():
-            # A node on (or next to) y: b(s) - b(y) cancels, so use
-            # -(mean of b' between s and y), two-point Gauss; its limit
-            # at s = y is -b'(y).
+            # A node on (or next to) y on the axis: b(s) - b(y) cancels, so
+            # use -(mean of b' between s and y), two-point Gauss; its limit
+            # at s = y is -b'(y).  Off the axis |d| >= -Im z > 0.
             mid = s[np.nonzero(near)[1]] + 0.5 * d[near]
             off = d[near] / (2.0 * math.sqrt(3.0))
             quot[near] = -0.5 * (_envelope_derivative(mode, mid - off)
                                  + _envelope_derivative(mode, mid + off))
-        out[i:i + _PV_ROWS] = quot @ w
+        out[i:i + rows] = quot @ w
     return out
+
+
+def _dispersion(mode: ModeSpec, x, y, tol):
+    """W at z = y - i x/(2 pi) for x >= 0, y a float or an array; x = 0 is
+    the axis, z = y - i0 (see ``laplace_beta_imag``)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    ya = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(ya)):
+        raise ValueError(f"y must be finite, got {ya[~np.isfinite(ya)][0]}")
+    kap = mode.kappa
+    edge = math.atan(mode.equilibrium.support_bound)  # pi/2 if unbounded
+    e = kap * math.sin(edge)  # kappa v(P): b vanishes for |y| >= e
+    depth = x / (2.0 * math.pi)  # -Im z
+    z = ya.ravel() - 1j * depth if x else ya.ravel()
+    # Off the axis b(z) is subtracted only near the support, where the pole
+    # needs it: farther off, a cold envelope continued to z outgrows its
+    # axis values by e^{(1 - Re U)/theta}, costing digits (theta = 0.003
+    # missed 1e-10 at |Im z| = e/4), while the plain sum converges fast.
+    inside = (np.abs(z.real) < e) & (depth < _PV_SUBTRACT * e)
+    zi = z[inside]
+    if x:
+        b_z = np.zeros_like(z)
+        b_z[inside] = (4.0 * math.pi * mode.sigma / kap**3) * zi \
+            * mode.equilibrium.tail_kernel_moment(
+                1.0 / np.sqrt((1.0 - zi / kap) * (1.0 + zi / kap)))
+        log_in = np.log((zi + e) / (zi - e))
+    else:
+        b_z = beta_hat_envelope(mode, z)
+        log_in = np.log((e + zi) / (e - zi))
+    log_term = np.zeros_like(z)
+    log_term[inside] = b_z[inside] * log_in
+    n = _PV_PANELS[0]
+    prev = _cauchy_sums(mode, z, b_z, edge, n)
+    while True:
+        n *= 2
+        cur = _cauchy_sums(mode, z, b_z, edge, n)
+        err = np.max(np.abs(cur - prev), initial=0.0) / (2.0 * math.pi)
+        if err <= tol or 2 * n > _PV_PANELS[1]:
+            break
+        prev = cur
+    out = (cur + log_term) / (2.0 * math.pi)
+    if not x:
+        out = out + 0.5j * b_z  # the i pi of the log, taken apart on the axis
+    if err > tol:
+        raise QuadratureError(
+            f"dispersion transform: change {err:g} > tol {tol:g} at {n} "
+            "panels per segment", QuadResult(out, float(err), 32 * n))
+    return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
 def laplace_beta_imag(mode: ModeSpec, y, tol=1e-10):
     """Transform of the memory kernel at s = 2*pi*i*y (imaginary axis).
 
-    With b = beta_hat_envelope (odd, zero for |y| >= kappa), for every y
-    W = (1/2pi) PV int_{-kappa}^{kappa} b(s) / (y - s) ds + (i/2) b(y),
-    evaluated as (1/2pi) [sum_j w_j (b(s_j) - b(y)) / (y - s_j)
-    + b(y) log|(kappa + y)/(kappa - y)|] + (i/2) b(y) on composite
-    16-point Gauss-Legendre panels with edges at 0 and, for compact
-    equilibria, +-kappa v(P).  Panels double until W changes by at most
-    ``tol`` anywhere in the batch; the panel cap raises QuadratureError.
-    A float ``y`` returns a complex, an array a complex array.
+    The limit of ``laplace_beta_halfplane`` as x -> 0+, with the same
+    nodes, panel doubling, QuadratureError and input rules:
+    W = (1/2pi) PV int_{-e}^{e} b(s) / (y - s) ds + (i/2) b(y)
+    = (1/2pi) [sum_j w_j (b(s_j) - b(y)) / (y - s_j)
+    + b(y) log|(e + y)/(e - y)|] + (i/2) b(y).  A node within 1e-5 kappa
+    of y takes -(mean of b' between them) for the cancelling quotient.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    kap = mode.kappa
-    ya = np.asarray(y, dtype=float)
-    yf = ya.ravel()
-    b_y = beta_hat_envelope(mode, yf)
-    inside = np.abs(yf) < kap
-    log_term = np.zeros_like(yf)
-    log_term[inside] = b_y[inside] * np.log((kap + yf[inside])
-                                            / (kap - yf[inside]))
-    edge = math.atan(mode.equilibrium.support_bound)  # pi/2 if unbounded
-    angles = sorted({-0.5 * math.pi, -edge, 0.0, edge, 0.5 * math.pi})
-    n = _PV_PANELS[0]
-    prev = _pv_sums(mode, yf, b_y, angles, n)
-    while True:
-        n *= 2
-        cur = _pv_sums(mode, yf, b_y, angles, n)
-        err = np.max(np.abs(cur - prev), initial=0.0) / (2.0 * math.pi)
-        if err <= tol or 2 * n > _PV_PANELS[1]:
-            break
-        prev = cur
-    out = (cur + log_term) / (2.0 * math.pi) + 0.5j * b_y
-    if err > tol:
-        raise QuadratureError(
-            f"laplace_beta_imag: change {err:g} > tol {tol:g} at {n} panels "
-            "per segment",
-            QuadResult(out, float(err), 16 * n * (len(angles) - 1)))
-    return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
+    return _dispersion(mode, 0.0, y, tol)
 
 
-def laplace_beta_halfplane(mode: ModeSpec, x: float, y: float,
-                           tol=1e-10) -> complex:
-    """Transform at s = x + 2*pi*i*y for x > 0 via the closed complex form
-    (4 sigma / kappa^2) int [z arctanh(v/z) - v] (1+p^2)(-f0') dp,
-    z = (x + 2*pi*i*y) / (2*pi*i*kappa)."""
-    if not x > 0:
-        raise ValueError("laplace_beta_halfplane requires x > 0; "
-                         "use laplace_beta_imag on the axis")
-    kap = mode.kappa
-    eq = mode.equilibrium
-    z = complex(y / kap, -x / (2.0 * math.pi * kap))
+def laplace_beta_halfplane(mode: ModeSpec, x: float, y, tol=1e-10):
+    """Transform of the memory kernel at s = x + 2*pi*i*y for x > 0.
 
-    def integrand(p):
-        return f_cap_complex(z, v_of_p(p)) * (1.0 + p * p) \
-            * (-eq.derivative(p))
-
-    res = _eq_integral(eq, integrand, tol)
-    return 4.0 * mode.sigma / kap**2 * complex(res.value)
+    With b = beta_hat_envelope, odd and zero for |y| >= e (e = kappa, or
+    kappa v(P) for an equilibrium supported on [0, P]), at z = y - ix/2pi
+    W = (1/2pi) int_{-e}^{e} b(s) / (z - s) ds
+    = (1/2pi) [sum_j w_j (b(s_j) - b(z)) / (z - s_j)
+    + b(z) log((z + e)/(z - e))]
+    on composite 16-point Gauss-Legendre panels in phi = arctan(p).  b(z)
+    is the envelope continued through the kernel tail moment at complex
+    U = 1/sqrt(1 - (z/kappa)^2) where |Re z| < e and |Im z| < e/16, and 0
+    elsewhere.  Panels double until W changes by at most ``tol`` anywhere
+    in the batch; the panel cap raises QuadratureError.  A float ``y``
+    returns a complex, an array a complex array.  A non-finite x or y, or
+    an x too small to move z off the axis, raises ValueError.
+    """
+    if not (math.isfinite(x) and x / (2.0 * math.pi) > 0.0):
+        raise ValueError("laplace_beta_halfplane requires finite x > 0; "
+                         f"use laplace_beta_imag on the axis, got x = {x!r}")
+    return _dispersion(mode, x, y, tol)
 
 
 # --- critical wavenumbers ----------------------------------------------------

@@ -12,8 +12,11 @@ data:
 * one-frequency Filon quadrature with panel doubling
   (``integrate_oscillatory``), and the Filon weights from the complex
   monomial moments (``filon_weights_monomial``);
-* the kinematic inverse ``p_of_v``, the real-branch profile ``f_cap``
-  and the unscaled Bessel factor ``bessel_k2``;
+* the memory-kernel transform off the axis by one adaptive momentum
+  integral per point (``laplace_beta_halfplane_momentum``);
+* the kinematic inverse ``p_of_v``, the profile ``f_cap`` with its
+  complex continuation ``f_cap_complex``, and the unscaled Bessel factor
+  ``bessel_k2``;
 * the rational-envelope scan and the finite-order transform-decay
   certificate.
 
@@ -31,7 +34,7 @@ import numpy as np
 from rvpmodes.quadrature import (QuadResult, QuadratureError, filon_nodes,
                                  filon_sums, integrate_finite,
                                  integrate_semi_infinite)
-from rvpmodes.relkin import _asarray, _f_profile, scalarize, v_of_p
+from rvpmodes.relkin import _asarray, scalarize, v_of_p
 from rvpmodes.spectral import ModeSpec, alpha_hat, beta_hat_envelope
 
 
@@ -49,6 +52,25 @@ def p_of_v(v):
     return scalarize(a / np.sqrt((1.0 - a) * (1.0 + a)))
 
 
+# x/v above which F(x, v) switches from the direct formula to its series;
+# the direct x*arctanh(v/x) - v loses ~6 digits to cancellation out here.
+_F_SERIES_RATIO = 1e3
+
+
+def _f_profile(z, v):
+    """z*arctanh(v/z) - v, real or complex, with the series tail
+    v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6) where |z|/v is large."""
+    z, v = np.broadcast_arrays(z, v)
+    series = (np.abs(z) > _F_SERIES_RATIO * np.maximum(v, 1e-300)) | (v == 0.0)
+    out = np.empty_like(z)
+    zs, vs = z[series], v[series]
+    r2 = (vs / zs) ** 2
+    out[series] = (vs**3 / zs**2) * (1.0 / 3.0 + r2 * (0.2 + r2 / 7.0))
+    zd, vd = z[~series], v[~series]
+    out[~series] = zd * np.arctanh(vd / zd) - vd
+    return out
+
+
 def f_cap(x, v):
     """F(x, v) = x*arctanh(v/x) - v for real x > v >= 0.
 
@@ -64,6 +86,16 @@ def f_cap(x, v):
     if np.any(xa <= va):
         raise ValueError("f_cap requires x > v (arctanh argument below 1)")
     return scalarize(_f_profile(xa, va))
+
+
+def f_cap_complex(z, v):
+    """Complex continuation z*arctanh(v/z) - v for z off [-1, 1] scaled by v.
+
+    For |z| >> v the direct expression cancels catastrophically, so the
+    tail uses the series v^3/(3z^2) + v^5/(5z^4) + v^7/(7z^6).
+    """
+    return scalarize(_f_profile(np.asarray(z, dtype=complex),
+                                _asarray(v, "v")))
 
 
 def bessel_k2(x):
@@ -264,6 +296,26 @@ def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
     res = integrate_semi_infinite(integrand, tol=tol,
                                   scale=mode.profile.p_scale)
     return complex(0.0, -2.0 / kap * res.value)
+
+
+def laplace_beta_halfplane_momentum(mode: ModeSpec, x: float, y: float,
+                                    tol=1e-10) -> complex:
+    """Transform of the memory kernel at s = x + 2*pi*i*y for x > 0 via
+    the closed complex form (4 sigma / kappa^2) int [z arctanh(v/z) - v]
+    (1+p^2)(-f0') dp, z = (x + 2*pi*i*y) / (2*pi*i*kappa): one adaptive
+    momentum integral per point."""
+    if not x > 0:
+        raise ValueError("laplace_beta_halfplane_momentum requires x > 0")
+    kap = mode.kappa
+    eq = mode.equilibrium
+    z = complex(y / kap, -x / (2.0 * math.pi * kap))
+
+    def integrand(p):
+        return f_cap_complex(z, v_of_p(p)) * (1.0 + p * p) \
+            * (-eq.derivative(p))
+
+    res = _eq_integral(eq, integrand, tol)
+    return 4.0 * mode.sigma / kap**2 * complex(res.value)
 
 
 # --- integration-by-parts twins of the critical wavenumbers -----------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rvpmodes
-from rvpmodes import cli, decay
+from rvpmodes import cli, decay, quadrature
 from rvpmodes.cli import _fmt, main
 from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec
@@ -165,7 +165,13 @@ class TestEvolveFit:
 
 
 class TestDispersion:
-    def test_csv_contract(self, tmp_path):
+    def test_csv_contract(self, tmp_path, monkeypatch):
+        # off the axis too the transform is a Cauchy sum, with no adaptive
+        # momentum quadrature behind it
+        def refused(*args, **kwargs):
+            raise AssertionError("integrate_finite called")
+
+        monkeypatch.setattr(quadrature, "integrate_finite", refused)
         out = tmp_path / "disp.csv"
         rc = main(["dispersion", "--kappa", "1.0", "--sigma", "1",
                    "--theta", "0.2", "--x", "0,0.5", "--y-min", "0.0",
@@ -178,6 +184,19 @@ class TestDispersion:
             x, y, re, im, dist = map(float, row)
             assert dist == pytest.approx(abs(complex(re, im) - 1.0),
                                          rel=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [("--y-max", "inf"),
+                                             ("--y-min", "-inf"),
+                                             ("--y-max", "nan")])
+    def test_nonfinite_y_range_is_usage_error(self, flag, value, tmp_path,
+                                              capsys):
+        # --y-max inf used to exit 0 with rows at y = nan
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                     "--theta", "0.2", f"{flag}={value}",
+                     "-o", str(out)]) == 2
+        assert "invalid y grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_x_rejected(self):
         assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from rvpmodes import relkin
 from rvpmodes.equilibria import juttner
-from rvpmodes.relkin import (bessel_k2_scaled, exp1_neg_imag, f_cap_complex,
-                             v_of_p)
+from rvpmodes.relkin import bessel_k2_scaled, exp1_neg_imag, v_of_p
 
-from oracles import bessel_k2, f_cap, p_of_v
+from oracles import bessel_k2, f_cap, f_cap_complex, p_of_v
 
 
 class TestScalarInScalarOut:

@@ -26,7 +26,8 @@ from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
                      beta_via_inverse, f_cap, integrate_oscillatory,
-                     laplace_alpha_imag_tail, rational_bound_check,
+                     laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
+                     rational_bound_check,
                      threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
@@ -202,10 +203,12 @@ class TestTailFallback:
 
     @pytest.mark.parametrize("eq", [juttner(0.2), compact_decreasing(1.5)])
     def test_quadrature_tails_match_closed_forms(self, eq):
+        tail = _p_integral_tail(lambda p: (1.0 + p * p) * (-eq.derivative(p)),
+                                eq.support_bound, eq.p_scale)
+        # the closed form takes U = sqrt(1 + P^2)
         oracle_eq = dataclasses.replace(
-            eq, tail_kernel_moment=_p_integral_tail(
-                lambda p: (1.0 + p * p) * (-eq.derivative(p)),
-                eq.support_bound, eq.p_scale))
+            eq, tail_kernel_moment=lambda u: tail(np.sqrt((u - 1.0)
+                                                          * (u + 1.0))))
         ys = np.array([0.0, 0.3, 0.8, 0.95, 0.99])
         for prof in (gaussian_profile(1.0, 1.0), thermal_profile(0.5, 2.0)):
             oracle_prof = dataclasses.replace(
@@ -293,10 +296,24 @@ class TestLaplaceOnAxis:
             assert v.imag != 0.0
 
     def test_continuity_from_half_plane(self, mode02):
+        tol = 1e-11
         for y in (0.0, 0.5, 1.3):
-            axis = laplace_beta_imag(mode02, y, tol=1e-11)
-            off = laplace_beta_halfplane(mode02, 1e-6, y, tol=1e-11)
-            assert abs(axis - off) < 1e-5
+            axis = laplace_beta_imag(mode02, y, tol=tol)
+            for x, bound in ((1e-6, 1e-5), (1e-12, 10 * tol)):
+                off = laplace_beta_halfplane(mode02, x, y, tol=tol)
+                assert abs(axis - off) < bound
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_raises(self, mode02, bad):
+        # a NaN in a batch used to run the panel loop to its cap and come
+        # back unflagged, because err > tol is False for NaN
+        for y in (bad, np.array([0.1, bad, 0.5])):
+            with pytest.raises(ValueError, match="y must be finite"):
+                laplace_beta_imag(mode02, y)
+            with pytest.raises(ValueError, match="y must be finite"):
+                laplace_beta_halfplane(mode02, 0.5, y)
+        with pytest.raises(ValueError, match="finite x > 0"):
+            laplace_beta_halfplane(mode02, bad, np.array([0.1, 0.5]))
 
     def test_alpha_tail_matches_principal_value(self, mode02):
         for y in (1.0, 2.0):
@@ -347,15 +364,17 @@ class TestAxisEvaluatorOracles:
     def test_y_on_quadrature_node(self, mode02):
         # The evaluator's first two grids put nodes at s = kappa sin(phi),
         # phi on 8 and 16 Gauss-Legendre panels per half of
-        # [-pi/2, pi/2]; y on a node makes b(s) - b(y) vanish exactly.
+        # [-pi/2, pi/2]; y on a node makes b(s) - b(y) vanish exactly on
+        # the axis, and nearly so at x = 1e-12 off it.
         for n in (8, 16):
             phi, _ = gauss_legendre_nodes([-0.5 * math.pi, 0.0,
                                            0.5 * math.pi], n)
             ys = mode02.kappa * np.sin(phi[::9])
-            w = laplace_beta_imag(mode02, ys, tol=self.TOL)
-            assert np.all(np.isfinite(w))
-            for y, val in zip(ys, w):
-                assert abs(val - _cauchy_oracle(mode02, y)) <= 10 * self.TOL
+            ref = np.array([_cauchy_oracle(mode02, y) for y in ys])
+            for w in (laplace_beta_imag(mode02, ys, tol=self.TOL),
+                      laplace_beta_halfplane(mode02, 1e-12, ys,
+                                             tol=self.TOL)):
+                assert np.all(np.abs(w - ref) <= 10 * self.TOL)
 
     def test_array_matches_scalar_calls(self, mode02):
         ys = np.array([[0.0, 0.3, -0.7], [1.0, 1.5, -4.0]])
@@ -368,9 +387,29 @@ class TestAxisEvaluatorOracles:
 
 
 class TestLaplaceHalfPlane:
+    TOL = 1e-10
+
     def test_requires_positive_x(self, mode02):
-        with pytest.raises(ValueError):
-            laplace_beta_halfplane(mode02, 0.0, 1.0)
+        # 1e-323 / (2 pi) rounds to 0, which would put z on the axis
+        for x in (0.0, -0.5, 1e-323):
+            with pytest.raises(ValueError):
+                laplace_beta_halfplane(mode02, x, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=axis_modes(), log_x=st.floats(-6.0, math.log10(5.0)),
+           inner=st.floats(-0.99, 0.99), outer=st.floats(1.0, 20.0))
+    def test_batch_matches_momentum_oracle(self, mode, log_x, inner, outer):
+        # e is the support edge of b: kappa, or kappa v(P) if compact
+        x = 10.0 ** log_x
+        eq = mode.equilibrium
+        e = mode.kappa * (v_of_p(eq.support_bound)
+                          if math.isfinite(eq.support_bound) else 1.0)
+        ys = np.array([0.0, inner * e, e, -e, outer * e, -outer * e])
+        w = laplace_beta_halfplane(mode, x, ys, tol=self.TOL)
+        for y, val in zip(ys, w):
+            ref = laplace_beta_halfplane_momentum(mode, x, float(y),
+                                                  tol=1e-13)
+            assert abs(val - ref) <= 10 * self.TOL
 
     def test_real_axis_negative_for_repulsive(self, mode02):
         for x in (0.2, 1.0, 5.0):
