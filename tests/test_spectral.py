@@ -398,6 +398,12 @@ class TestLaplaceHalfPlane:
     @settings(max_examples=25, deadline=None)
     @given(mode=axis_modes(), log_x=st.floats(-6.0, math.log10(5.0)),
            inner=st.floats(-0.99, 0.99), outer=st.floats(1.0, 20.0))
+    # cold, far off the axis: subtracting the continued b(z) here, which
+    # outgrows the envelope by e^{(1 - Re U)/theta}, changed by 5.6e20 at
+    # the panel cap
+    @example(mode=ModeSpec(kappa=0.2, sigma=1, equilibrium=juttner(0.01),
+                           profile=gaussian_profile(1.0, 1.0)),
+             log_x=math.log10(5.0), inner=0.3, outer=2.0)
     def test_batch_matches_momentum_oracle(self, mode, log_x, inner, outer):
         # e is the support edge of b: kappa, or kappa v(P) if compact
         x = 10.0 ** log_x
