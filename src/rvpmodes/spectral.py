@@ -170,7 +170,11 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
             off = d[near] / (2.0 * math.sqrt(3.0))
             quot[near] = -0.5 * (_envelope_derivative(mode, mid - off)
                                  + _envelope_derivative(mode, mid + off))
-        out[i:i + rows] = quot @ w
+        # complex blocks: a zgemv would wake the BLAS worker thread, which
+        # then spins as long as the main one; einsum runs its own loop.
+        # The real gemv stays: it does parallel work on the resolvent.
+        out[i:i + rows] = (np.einsum("rn,n->r", quot, w)
+                           if np.iscomplexobj(quot) else quot @ w)
     return out
 
 

@@ -87,7 +87,8 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     samples are frozen at the saturated value and the flag is set.
     Non-finite ``alpha`` or ``beta`` samples raise ``ValueError``.
     Divide and conquer (Hairer, Lubich & Schlichte 1985), O(N log^2 N): the
-    history of a block's left half reaches its right half as one FFT, and a
+    history of a block's left half reaches its right half as one FFT (the
+    kernel's spectrum is taken once per padded length and call), and a
     base block of at most ``_BASE`` steps, a lower-triangular Toeplitz
     system, is one convolution with the march's impulse response.
     """
@@ -115,6 +116,8 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
         for i in range(1, g.size):
             g[i] = dt * np.dot(beta[i:0:-1], g[:i]) / denom
 
+    spectra = {}  # fft(beta[:m], m) by padded length m: blocks share them
+
     def march(lo, hi):
         """Fill rho[lo:hi], hist[lo:hi] holding the history of rho[1:lo];
         True once the growth cap has frozen the tail."""
@@ -123,8 +126,9 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
             if march(lo, mid):
                 return True
             m = next_fast_len(hi - lo)  # wraps only into slots < mid-lo
-            conv = np.fft.ifft(np.fft.fft(rho[lo:mid], m)
-                               * np.fft.fft(beta[:m], m))
+            if m not in spectra:
+                spectra[m] = np.fft.fft(beta[:m], m)
+            conv = np.fft.ifft(np.fft.fft(rho[lo:mid], m) * spectra[m])
             hist[mid:hi] += conv[mid - lo:hi - lo]
             return march(mid, hi)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -143,7 +147,12 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
             rho[i] = val
         return False
 
-    return rho, n > 1 and march(1, n)
+    try:
+        return rho, n > 1 and march(1, n)
+    finally:
+        # march refers to itself; the cycle would keep rho, hist, beta, g
+        # and the caller's alpha alive until the cyclic collector runs
+        del march
 
 
 def convolve_product_trapezoid(kernel, source, dt):

@@ -36,6 +36,53 @@ def rel_close(a, b, rtol, floor=1e-12):
     return abs(a - b) <= rtol * max(abs(a), abs(b), floor)
 
 
+# --- BLAS worker threads -----------------------------------------------------
+
+needs_thread_ticks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+    reason="needs per-thread CPU times and two CPUs")
+
+
+def blas_worker_ticks(workload):
+    """(main-thread, other-thread) CPU ticks of ``workload`` run in a fresh
+    interpreter with numpy as np, ModeSpec, juttner and thermal_profile
+    imported.  A BLAS call wakes the library's worker threads, which then
+    spin between calls.  The workers also spin for about 0.1 s after they
+    start at import, so the count starts once they have gone idle."""
+    code = (
+        "import os, time\n"
+        "import numpy as np\n"
+        "from rvpmodes.equilibria import juttner, thermal_profile\n"
+        "from rvpmodes.spectral import ModeSpec\n"
+        "def cpu_ticks():\n"
+        "    ticks = {}\n"
+        "    for tid in os.listdir('/proc/self/task'):\n"
+        "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+        "            fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "        ticks[int(tid)] = int(fields[11]) + int(fields[12])\n"
+        "    return ticks\n"
+        "def others(ticks):\n"
+        "    return sum(ticks.values()) - ticks[os.getpid()]\n"
+        "before = cpu_ticks()\n"
+        "for _ in range(25):\n"
+        "    time.sleep(0.2)\n"
+        "    now = cpu_ticks()\n"
+        "    idle = others(now) == others(before)\n"
+        "    before = now\n"
+        "    if idle:\n"
+        "        break\n"
+        + workload +
+        "after = cpu_ticks()\n"
+        "pid = os.getpid()\n"
+        "print(after[pid] - before[pid],\n"
+        "      others(after) - others(before))\n")
+    src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=env, capture_output=True, text=True).stdout
+    return tuple(map(int, out.split()))
+
+
 # --- independent routes to the on-axis transform (test oracles) -------------
 
 def _eq_integral(eq, integrand, tol=1e-13):
@@ -428,6 +475,20 @@ class TestLaplaceHalfPlane:
             assert laplace_beta_halfplane(mode02, 0.5, y).imag > 0.0
             assert laplace_beta_halfplane(mode02, 0.5, -y).imag < 0.0
 
+    @needs_thread_ticks
+    def test_leaves_blas_threads_idle(self):
+        # the complex Cauchy sums once ran as a zgemv, and the BLAS worker
+        # burned as much CPU as the main thread over 40 such calls; 120
+        # give the main thread enough ticks for a 5 % margin to hold one
+        main, others = blas_worker_ticks(
+            "from rvpmodes.spectral import laplace_beta_halfplane\n"
+            "mode = ModeSpec(kappa=0.46, sigma=1, equilibrium=juttner(0.2),\n"
+            "                profile=thermal_profile(0.2, 1.0))\n"
+            "ys = np.linspace(0.0, 2.0, 81)\n"
+            "for x in np.linspace(0.05, 2.0, 120):\n"
+            "    laplace_beta_halfplane(mode, float(x), ys)\n")
+        assert others <= 0.05 * main, (main, others)
+
     def test_time_domain_laplace_oracle(self, mode02):
         x, y = 0.7, 0.9
         val = laplace_beta_halfplane(mode02, x, y)
@@ -639,52 +700,18 @@ class TestKernelTableChirpZ:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
-                        or os.cpu_count() == 1,
-                        reason="needs per-thread CPU times and two CPUs")
+    @needs_thread_ticks
     def test_tables_leave_blas_threads_idle(self):
-        # a BLAS call wakes the library's worker threads, which then spin
-        # between calls: the README sweep's tables (sigma = +1) once
-        # burned as much CPU in them as in the main thread.  The workers
-        # also spin for about 0.1 s after they start at import, so the
-        # count starts once they have gone idle.
-        code = (
-            "import os, time\n"
-            "import numpy as np\n"
-            "from rvpmodes.equilibria import juttner, thermal_profile\n"
-            "from rvpmodes.spectral import ModeSpec, sample_kernels\n"
-            "def cpu_ticks():\n"
-            "    ticks = {}\n"
-            "    for tid in os.listdir('/proc/self/task'):\n"
-            "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
-            "            fields = fh.read().rsplit(')', 1)[1].split()\n"
-            "        ticks[int(tid)] = int(fields[11]) + int(fields[12])\n"
-            "    return ticks\n"
-            "def others(ticks):\n"
-            "    return sum(ticks.values()) - ticks[os.getpid()]\n"
-            "before = cpu_ticks()\n"
-            "for _ in range(25):\n"
-            "    time.sleep(0.2)\n"
-            "    now = cpu_ticks()\n"
-            "    idle = others(now) == others(before)\n"
-            "    before = now\n"
-            "    if idle:\n"
-            "        break\n"
+        # the README sweep's tables (sigma = +1) once burned as much CPU
+        # in the BLAS workers as in the main thread
+        main, others = blas_worker_ticks(
+            "from rvpmodes.spectral import sample_kernels\n"
             "times = 0.02 * np.arange(10001)\n"
             "for kappa in np.linspace(0.3, 1.4, 12):\n"
             "    mode = ModeSpec(kappa=float(kappa), sigma=1,\n"
             "                    equilibrium=juttner(0.2),\n"
             "                    profile=thermal_profile(0.2, 1.0))\n"
-            "    sample_kernels(mode, times, tol=1e-9)\n"
-            "after = cpu_ticks()\n"
-            "pid = os.getpid()\n"
-            "print(after[pid] - before[pid],\n"
-            "      others(after) - others(before))\n")
-        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             env=env, capture_output=True, text=True).stdout
-        main, others = map(int, out.split())
+            "    sample_kernels(mode, times, tol=1e-9)\n")
         assert others <= 0.05 * main, (main, others)
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from rvpmodes.equilibria import gaussian_profile, juttner, thermal_profile
+from rvpmodes.quadrature import next_fast_len
 from rvpmodes.spectral import ModeSpec, sample_kernels, threshold_plasma
 from rvpmodes.volterra import (_BASE, GROWTH_CAP, SubcriticalModeError,
                                TimeGrid, apply_resolvent,
@@ -276,6 +278,52 @@ class TestFastMarchOracle:
         assert out.dtype == ref.dtype
         assert out[0] == 0.0
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def padded_lengths(lo, hi):
+    """The FFT length of each internal block of the march over [lo, hi)."""
+    if hi - lo <= _BASE:
+        return []
+    mid = (lo + hi) // 2
+    return ([next_fast_len(hi - lo)] + padded_lengths(lo, mid)
+            + padded_lengths(mid, hi))
+
+
+class TestMarchSpectra:
+    """The kernel's spectrum is taken once per padded length, not once per
+    block, and the reuse changes no bit of the solution."""
+
+    N = 10001
+
+    def seeded(self):
+        rng = np.random.default_rng(self.N)
+        decay = np.exp(-np.linspace(0.0, 4.0, self.N))
+        alpha = rng.normal(size=self.N) + 1j * rng.normal(size=self.N)
+        beta = (rng.normal(size=self.N)
+                + 1j * rng.normal(size=self.N)) * decay
+        return alpha, beta
+
+    def test_one_kernel_spectrum_per_padded_length(self, monkeypatch):
+        # each block transforms its left half; the kernel once per length
+        calls = []
+        fft = np.fft.fft
+
+        def spy(a, n=None, *args, **kwargs):
+            calls.append(n)
+            return fft(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "fft", spy)
+        solve_volterra(*self.seeded(), 0.01)
+        lengths = padded_lengths(1, self.N)
+        assert sorted(calls) == sorted(lengths + list(set(lengths)))
+        assert len(calls) == 134
+
+    def test_solution_bits_pinned(self):
+        # sha256 of rho from the march that transformed the kernel afresh
+        # in every block (numpy 2.4 pocketfft, x86-64)
+        rho, growth = solve_volterra(*self.seeded(), 0.01)
+        assert not growth
+        assert hashlib.sha256(rho.tobytes()).hexdigest() == (
+            "4fde7b263967cca4a1c66005b492cfd374d6b12c0385fb0fc7cd2dff744738b1")
 
 
 class TestBaseBlockOracle:
