@@ -83,18 +83,20 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _config_defaults(sp, path):
-    """Values of a ``key = value`` config file, cast with each option's
-    type, to install as the subcommand's defaults: any flag on the command
-    line, abbreviated or not, then wins by construction.  A key that names
-    no option of the subcommand is a usage error."""
-    actions = {action.dest: action for action in sp._actions}
+def _config_tokens(sp, path):
+    """The ``key = value`` lines of a config file as ``--flag=value``
+    tokens of subcommand ``sp``, for its parser to check as it checks typed
+    flags; a switch takes a yes word as its bare flag and a no word as
+    nothing.  A line without ``=``, or a key that names no option of the
+    subcommand (or names ``help`` or ``config``), is a usage error."""
+    actions = {action.dest: action for action in sp._actions
+               if action.dest not in ("help", "config")}
     try:
         with open(path) as fh:
             lines = [line.split("#", 1)[0].strip() for line in fh]
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    defaults = {}
+    tokens = []
     for line in filter(None, lines):
         if "=" not in line:
             raise UsageError(f"bad config line: {line!r}")
@@ -104,42 +106,34 @@ def _config_defaults(sp, path):
         if action is None:
             raise UsageError(f"config key {key!r} is not an option of "
                              f"{sp.prog}")
-        if isinstance(action, argparse._StoreTrueAction):
-            if raw.lower() not in _TRUE_WORDS | _FALSE_WORDS:
-                raise UsageError(f"config {key}={raw!r} is not a boolean")
-            defaults[key] = raw.lower() in _TRUE_WORDS
-            continue
-        try:
-            defaults[key] = action.type(raw) if action.type else raw
-        except ValueError as exc:
-            raise UsageError(f"config {key}={raw!r}: {exc}") from exc
-    return defaults
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in _TRUE_WORDS:
+            tokens.append(flag)
+        elif raw.lower() not in _FALSE_WORDS:
+            raise UsageError(f"config {key}={raw!r} is not a boolean")
+    return tokens
 
 
 def _build_equilibrium(args):
-    name = (args.equilibrium or "juttner").lower()
-    if name == "juttner":
-        if args.theta is None:
-            raise UsageError("juttner equilibrium requires --theta")
-        return juttner(args.theta)
-    if name == "compact":
+    if args.equilibrium == "compact":
         if args.p_support is None:
             raise UsageError("compact equilibrium requires --p-support")
         return compact_decreasing(args.p_support)
-    raise UsageError(f"unknown equilibrium {name!r}")
+    if args.theta is None:
+        raise UsageError("juttner equilibrium requires --theta")
+    return juttner(args.theta)
 
 
 def _build_profile(args):
-    name = (args.profile or "gaussian").lower()
-    if name == "gaussian":
-        return gaussian_profile(args.width if args.width is not None else 1.0,
-                                args.amp if args.amp is not None else 1.0)
-    if name == "thermal":
+    amp = args.amp if args.amp is not None else 1.0
+    if args.profile == "thermal":
         th = args.profile_theta if args.profile_theta is not None else args.theta
         if th is None:
             raise UsageError("thermal profile requires --profile-theta or --theta")
-        return thermal_profile(th, args.amp if args.amp is not None else 1.0)
-    raise UsageError(f"unknown profile {name!r}")
+        return thermal_profile(th, amp)
+    return gaussian_profile(args.width if args.width is not None else 1.0, amp)
 
 
 def _usage_checked(build, *args):
@@ -177,8 +171,6 @@ def _config_echo(args):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
-    if args.theta_min is None or args.theta_max is None:
-        raise UsageError("threshold requires --theta-min and --theta-max")
     if not (0 < args.theta_min < args.theta_max) or args.n_points < 1:
         raise UsageError("empty or invalid theta range")
     thetas = np.logspace(math.log10(args.theta_min),
@@ -197,9 +189,6 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    for name in ("kappa", "sigma", "dt", "t_max"):
-        if getattr(args, name) is None:
-            raise UsageError(f"evolve requires --{name.replace('_', '-')}")
     grid = _time_grid(args.dt, args.t_max)
     mode = _build_mode(args)
     traj = solve_mode(mode, grid, tol=args.tol, refine=bool(args.refine))
@@ -215,9 +204,6 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    for name in ("kappa", "sigma"):
-        if getattr(args, name) is None:
-            raise UsageError(f"dispersion requires --{name}")
     if args.n_y < 1 or not (-math.inf < args.y_min <= args.y_max < math.inf):
         raise UsageError("invalid y grid")
     mode = _build_mode(args)
@@ -283,10 +269,6 @@ def _read_trajectory(path):
 
 
 def cmd_fit(args) -> int:
-    if args.input is None:
-        raise UsageError("fit requires --input trajectory CSV")
-    if args.kappa is None:
-        raise UsageError("fit requires --kappa (sets the transient window)")
     if not 0 < args.kappa < math.inf:
         raise UsageError(f"--kappa must be finite and positive, got "
                          f"{args.kappa}")
@@ -348,15 +330,12 @@ def cmd_appendix_verify(args) -> int:
     for name, ok in checks:
         sys.stdout.write(f"{name:28s} {'PASS' if ok else 'FAIL'}\n")
 
-    rows = []
-    for m, val, bound, margin in sup.f_margins:
-        rows.append(("f_sup", m, val, bound, margin))
-    for m, val, bound, margin in sup.c_sum_margins:
-        rows.append(("c_sum", m, val, bound, margin))
-    for m, val, bound, margin in sup.d_sum_margins:
-        rows.append(("d_sum", m, val, bound, margin))
-    for m, val, bound, margin in prod.margins:
-        rows.append(("product_l1", m, val, bound, margin))
+    rows = [(check, m, val, bound, margin)
+            for check, margins in (("f_sup", sup.f_margins),
+                                   ("c_sum", sup.c_sum_margins),
+                                   ("d_sum", sup.d_sum_margins),
+                                   ("product_l1", prod.margins))
+            for m, val, bound, margin in margins]
     _write_csv(args.output, ["check", "m", "value", "bound", "margin"], rows,
                _config_echo(args))
     return 0 if all(ok for _, ok in checks) else 1
@@ -392,9 +371,6 @@ def _sweep_row(task):
 
 
 def cmd_sweep(args) -> int:
-    for name in ("kappa_min", "kappa_max", "sigma", "theta", "dt", "t_max"):
-        if getattr(args, name) is None:
-            raise UsageError(f"sweep requires --{name.replace('_', '-')}")
     if not (0 < args.kappa_min <= args.kappa_max) or args.n_kappa < 1:
         raise UsageError("empty or invalid kappa range")
     if args.jobs < 1:
@@ -427,10 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linearized relativistic Vlasov-Poisson mode toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, func, help, required=()):
+        """A subcommand running ``func``; the options named (by dest) in
+        ``required`` may come from flags or the config file, and ``main``
+        refuses the run unless each holds a value."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func, _sp=sp, _required=required)
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("-o", "--output", default=None,
                         help="output path ('-' or omitted: stdout)")
+        return sp
 
     def tol_opt(sp):
         sp.add_argument("--tol", type=float, default=1e-9,
@@ -450,53 +432,49 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--amp", type=float)
         sp.add_argument("--profile-theta", type=float, dest="profile_theta")
 
-    sp = sub.add_parser("threshold", help="critical wavenumbers vs theta")
-    common(sp)
+    sp = command("threshold", cmd_threshold, "critical wavenumbers vs theta",
+                 ("theta_min", "theta_max"))
     tol_opt(sp)
     sp.add_argument("--theta-min", type=float, dest="theta_min")
     sp.add_argument("--theta-max", type=float, dest="theta_max")
     sp.add_argument("--n-points", type=int, dest="n_points", default=200)
-    sp.set_defaults(func=cmd_threshold, _sp=sp)
 
-    sp = sub.add_parser("evolve", help="integrate one mode")
-    common(sp)
+    sp = command("evolve", cmd_evolve, "integrate one mode",
+                 ("kappa", "sigma", "dt", "t_max"))
     tol_opt(sp)
     mode_opts(sp)
     sp.add_argument("--dt", type=float)
     sp.add_argument("--t-max", type=float, dest="t_max")
     sp.add_argument("--refine", action="store_true",
                     help="Richardson-extrapolate with a half-step solve")
-    sp.set_defaults(func=cmd_evolve, _sp=sp)
 
-    sp = sub.add_parser("dispersion", help="transform values on Re s >= 0")
-    common(sp)
+    sp = command("dispersion", cmd_dispersion, "transform values on Re s >= 0",
+                 ("kappa", "sigma"))
     tol_opt(sp)
     mode_opts(sp)
     sp.add_argument("--x", default="0", help="comma list of Re s values")
     sp.add_argument("--y-min", type=float, dest="y_min", default=0.0)
     sp.add_argument("--y-max", type=float, dest="y_max", default=2.0)
     sp.add_argument("--n-y", type=int, dest="n_y", default=81)
-    sp.set_defaults(func=cmd_dispersion, _sp=sp)
 
-    sp = sub.add_parser("fit", help="stretched-decay fit of a trajectory")
-    common(sp)
+    sp = command("fit", cmd_fit, "stretched-decay fit of a trajectory",
+                 ("input", "kappa"))
     sp.add_argument("--input", help="trajectory CSV from 'evolve'")
-    sp.add_argument("--kappa", type=float)
+    sp.add_argument("--kappa", type=float,
+                    help="wavenumber; sets the transient window")
     sp.add_argument("--t-min", type=float, dest="t_min", default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n-boot", type=int, dest="n_boot", default=200)
-    sp.set_defaults(func=cmd_fit, _sp=sp)
 
-    sp = sub.add_parser("appendix-verify", help="derivative/bound battery")
-    common(sp)
+    sp = command("appendix-verify", cmd_appendix_verify,
+                 "derivative/bound battery")
     sp.add_argument("--K", type=float, default=1.0)
     sp.add_argument("--L", type=float, default=1.0)
     sp.add_argument("--v", type=float, default=0.5)
     sp.add_argument("--m-max", type=int, dest="m_max", default=16)
-    sp.set_defaults(func=cmd_appendix_verify, _sp=sp)
 
-    sp = sub.add_parser("sweep", help="per-mode pipeline over kappa")
-    common(sp)
+    sp = command("sweep", cmd_sweep, "per-mode pipeline over kappa",
+                 ("kappa_min", "kappa_max", "sigma", "theta", "dt", "t_max"))
     tol_opt(sp)
     sp.add_argument("--kappa-min", type=float, dest="kappa_min")
     sp.add_argument("--kappa-max", type=float, dest="kappa_max")
@@ -509,20 +487,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted and echoed; sweep reports point fits with "
                          "no interval, so the seed does not change its output")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(func=cmd_sweep, _sp=sp)
 
     return p
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args._sp.set_defaults(**_config_defaults(args._sp, args.config))
-            args = parser.parse_args(argv)
+            # config values enter as flags ahead of the typed ones, so the
+            # parser checks both alike and a typed flag, the later, wins
+            args = parser.parse_args(
+                argv[:1] + _config_tokens(args._sp, args.config) + argv[1:])
+        missing = [f"--{name.replace('_', '-')}" for name in args._required
+                   if getattr(args, name) is None]
+        if missing:
+            raise UsageError(f"{args.command} requires {', '.join(missing)}")
         if "tol" in vars(args) and not 0 < args.tol < math.inf:
             raise UsageError(f"--tol must be finite and positive, got "
                              f"{args.tol}")

@@ -123,8 +123,8 @@ def compact_decreasing(P: float) -> Equilibrium:
     The normalization is exact: c = 3465 / (512 pi P^3).
     """
     P = float(P)
-    if P <= 0:
-        raise ValueError(f"support bound must be positive, got {P}")
+    if not 0 < P < math.inf:
+        raise ValueError(f"support bound must be finite and positive, got {P}")
     c = 3465.0 / (512.0 * math.pi * P**3)
 
     def value(p):
@@ -160,8 +160,9 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
     """h(p) = amp * exp(-(p/width)^2)."""
     width = float(width)
     amp = float(amp)
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not (0 < width < math.inf and math.isfinite(amp)):
+        raise ValueError(f"need finite width > 0 and finite amp, got "
+                         f"width={width}, amp={amp}")
 
     def value(p):
         p = np.asarray(p, dtype=float)
@@ -195,8 +196,9 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
     """
     theta = float(theta)
     amp = float(amp)
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not (0 < theta < math.inf and math.isfinite(amp)):
+        raise ValueError(f"need finite theta > 0 and finite amp, got "
+                         f"theta={theta}, amp={amp}")
 
     def value(p):
         p = np.asarray(p, dtype=float)

@@ -103,9 +103,7 @@ def c_coeffs(m: int) -> CoeffTable:
         return CoeffTable({(0, 0): Fraction(1)})
     prev = c_coeffs(m - 1).entries
 
-    def at(i, j):
-        if i < 0 or j < 0:
-            return Fraction(0)
+    def at(i, j):  # no row holds a negative index
         return prev.get((i, j), Fraction(0))
 
     entries = {}
@@ -137,9 +135,7 @@ def d_coeffs(m: int) -> CoeffTable:
         return CoeffTable({(0, 0): Fraction(1)})
     prev = d_coeffs(m - 1).entries
 
-    def at(i, j):
-        if i < 0 or j < 0:
-            return Fraction(0)
+    def at(i, j):  # no row holds a negative index
         return prev.get((i, j), Fraction(0))
 
     entries = {}

@@ -214,13 +214,13 @@ def _dispersion(mode: ModeSpec, x, y, tol):
         n *= 2
         cur = _cauchy_sums(mode, z, b_z, edge, n)
         err = np.max(np.abs(cur - prev), initial=0.0) / (2.0 * math.pi)
-        if err <= tol or 2 * n > _PV_PANELS[1]:
+        if not err > tol or 2 * n > _PV_PANELS[1]:  # NaN stops too
             break
         prev = cur
     out = (cur + log_term) / (2.0 * math.pi)
     if not x:
         out = out + 0.5j * b_z  # the i pi of the log, taken apart on the axis
-    if err > tol:
+    if not err <= tol:
         raise QuadratureError(
             f"dispersion transform: change {err:g} > tol {tol:g} at {n} "
             "panels per segment", QuadResult(out, float(err), 32 * n))
@@ -373,7 +373,7 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11,
         n *= 2
         env, new = envelopes(n)
         err, probe = np.max(np.abs(new - probe)), new
-    if 2.0 * err > tol:
+    if not 2.0 * err <= tol:  # a NaN change fails too
         raise QuadratureError(
             f"sample_kernels: change {2.0 * err:g} > tol {tol:g} at {n} "
             "panels", QuadResult(probe, 2.0 * err, 8 * (2 * n - 64)))

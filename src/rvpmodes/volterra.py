@@ -92,8 +92,7 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     base block of at most ``_BASE`` steps, a lower-triangular Toeplitz
     system, is one convolution with the march's impulse response.
     """
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta, dtype=complex if np.iscomplexobj(alpha) else float)
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
     if alpha.shape != beta.shape or alpha.ndim != 1:
         raise ValueError("alpha and beta must be 1D arrays of equal length")
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):

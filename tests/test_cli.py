@@ -473,6 +473,36 @@ class TestConfigDefaults:
         assert not out.exists()
 
 
+    def test_config_value_meets_choices(self, tmp_path, monkeypatch):
+        # a config sigma = 2 once ran every row into the ModeSpec refusal
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa-min = 0.5\nkappa-max = 0.5\nn-kappa = 1\n"
+                       "sigma = 2\ntheta = 0.2\ndt = 0.05\nt-max = 10\n")
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["help = yes", "config = other.cfg"])
+    def test_help_or_config_key_is_usage_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1.0\nsigma = 1\ntheta = 0.5\n"
+                       f"dt = 0.1\nt-max = 2\n{line}\n")
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_options_are_listed_together(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa-min = 0.5\ntheta = 0.2\n")
+        assert main(["sweep", "--config", str(cfg), "--dt", "0.05"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: sweep requires --kappa-max, --sigma, --t-max")
+
+
 class TestConfigEcho:
     def test_dispersion_echoes_equilibrium_and_profile_options(self,
                                                               tmp_path):
@@ -526,6 +556,23 @@ class TestOutOfDomainInput:
     def test_evolve_refused_mode_or_grid(self, flags, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(self.EVOLVE + flags + ["-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--equilibrium", "compact", "--p-support", "nan"],
+        ["--equilibrium", "compact", "--p-support", "inf"],
+        ["--amp", "nan"], ["--amp", "inf"], ["--width", "nan"],
+        ["--width", "inf"], ["--profile", "thermal", "--profile-theta", "nan"],
+        ["--profile", "thermal", "--profile-theta", "inf"]])
+    @pytest.mark.parametrize("command", ["evolve", "dispersion"])
+    def test_nonfinite_equilibrium_or_profile(self, command, flags, tmp_path):
+        # the constructors once checked only <= 0: a NaN support bound
+        # wrote NaN rows, a non-finite amp failed in the march
+        argv = self.EVOLVE if command == "evolve" else [
+            "dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
+            "--n-y", "2"]
+        out = tmp_path / "out.csv"
+        assert main(argv + flags + ["-o", str(out)]) == 2
         assert not out.exists()
 
     def test_dispersion_refused_equilibrium(self, tmp_path):

@@ -735,3 +735,24 @@ class TestKernelTableTolerance:
     def test_reached_tol_is_reported(self, mode02):
         tab = sample_kernels(mode02, np.linspace(0.0, 30.0, 601), tol=1e-11)
         assert tab.abs_error <= 1e-11
+
+    def test_nan_change_raises(self, mode02, monkeypatch):
+        # an envelope that yields NaN once passed both convergence guards:
+        # the table came back all NaN at 128 panels, and the transform ran
+        # to its panel cap and returned NaN
+        eq = dataclasses.replace(
+            mode02.equilibrium,
+            tail_kernel_moment=lambda u: np.full(np.shape(u), np.nan))
+        mode = dataclasses.replace(mode02, equilibrium=eq)
+        with pytest.raises(QuadratureError):
+            sample_kernels(mode, np.linspace(0.0, 10.0, 11))
+        panels, cauchy_sums = [], spectral._cauchy_sums
+
+        def spy(*args):
+            panels.append(args[-1])
+            return cauchy_sums(*args)
+
+        monkeypatch.setattr(spectral, "_cauchy_sums", spy)
+        with pytest.raises(QuadratureError):
+            laplace_beta_imag(mode, np.array([0.1, 0.5]))
+        assert panels == [8, 16]  # a NaN change stops the doubling

@@ -17,8 +17,7 @@ from rvpmodes.volterra import (_BASE, GROWTH_CAP, SubcriticalModeError,
 
 def direct_solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     """Step-by-step product-trapezoidal march, one dot product per step."""
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta, dtype=complex if np.iscomplexobj(alpha) else float)
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
     n = alpha.size
     rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
     beta = beta.astype(rho.dtype)
@@ -108,6 +107,16 @@ class TestSolver:
             errs.append(np.max(np.abs(rho - exact)))
         order = math.log2(errs[0] / errs[1])
         assert 1.8 <= order <= 2.2
+
+    @pytest.mark.filterwarnings("error")
+    def test_real_alpha_keeps_complex_beta(self):
+        # a real alpha once cast beta to float: Im beta was dropped with
+        # only a ComplexWarning
+        t = 0.02 * np.arange(300)
+        alpha, beta = np.cos(t), (0.3 + 0.8j) * np.exp(-t)
+        rho, _ = assert_matches_direct(alpha, beta, 0.02)
+        ref, _ = solve_volterra(alpha.astype(complex), beta, 0.02)
+        assert np.array_equal(rho, ref)
 
     def test_initial_sample_is_source(self):
         alpha = np.array([2.5, 1.0, 0.3])
