@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
@@ -34,6 +35,7 @@ from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
 MAX_STEPS = 2 ** 20  # time steps of one mode; a --refine run peaks near 0.55 GB
+MAX_POINTS = 2 ** 16  # points of a threshold, dispersion or sweep grid
 
 
 def _fmt(x) -> str:
@@ -159,6 +161,12 @@ def _time_grid(dt, t_max):
     return TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
 
 
+def _count(flag, n, top=MAX_POINTS):
+    """Refuse a count outside 1..top before anything is allocated."""
+    if not 1 <= n <= top:
+        raise UsageError(f"{flag} must lie in 1..{top}, got {n}")
+
+
 _NOT_ECHOED = {"config", "output", "help"}
 
 
@@ -171,7 +179,8 @@ def _config_echo(args):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
-    if not (0 < args.theta_min < args.theta_max) or args.n_points < 1:
+    _count("--n-points", args.n_points)
+    if not 0 < args.theta_min < args.theta_max:
         raise UsageError("empty or invalid theta range")
     thetas = np.logspace(math.log10(args.theta_min),
                          math.log10(args.theta_max), args.n_points)
@@ -204,7 +213,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    if args.n_y < 1 or not (-math.inf < args.y_min <= args.y_max < math.inf):
+    _count("--n-y", args.n_y)
+    if not -math.inf < args.y_min <= args.y_max < math.inf:
         raise UsageError("invalid y grid")
     mode = _build_mode(args)
     try:
@@ -371,10 +381,11 @@ def _sweep_row(task):
 
 
 def cmd_sweep(args) -> int:
-    if not (0 < args.kappa_min <= args.kappa_max) or args.n_kappa < 1:
+    _count("--n-kappa", args.n_kappa)
+    if not 0 < args.kappa_min <= args.kappa_max:
         raise UsageError("empty or invalid kappa range")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    # a process pool starts all its workers at once, whatever the rows
+    _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
     _usage_checked(juttner, args.theta)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)

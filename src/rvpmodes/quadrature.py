@@ -12,6 +12,8 @@ Entry points:
   frequencies on one panelization (kernel tables, the resolvent); a
   uniform frequency grid costs four chirp-z transforms on ``numpy.fft``,
   padded to :func:`next_fast_len`.
+* :func:`filon_table` -- transforms of frequency envelopes on a time
+  grid through :func:`filon_sums`, on uniform panels doubled to ``tol``.
 
 The Gauss-Legendre panels serve the principal values of
 :mod:`rvpmodes.spectral`.
@@ -33,6 +35,7 @@ __all__ = [
     "integrate_semi_infinite",
     "filon_nodes",
     "filon_sums",
+    "filon_table",
     "gauss_legendre_nodes",
     "next_fast_len",
 ]
@@ -395,3 +398,43 @@ def filon_sums(env_nodes, a, b, omegas):
             out[k, i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.sum(
                 bsum * lam, axis=1)
     return out
+
+
+_FILON_MAX_PANELS = 2 ** 16  # panel cap of filon_table's doubling
+
+
+def filon_table(envelope, a, b, times, tol):
+    """int_a^b env(y) e^{2 pi i y t} dy at each t of ``times``, and the
+    last change of the values at the probe times.
+
+    ``envelope(y)`` gives the envelope at the flat node array ``y``, shape
+    (y.size,), or (K, y.size) for a stack of K envelopes (values (K, T)).
+    Uniform panels of [a, b] double from 64 until the values at three
+    probe times (0, 0.37 max t and max t; at least 1 and 2) move by at
+    most ``tol``; that one panelization then serves every t, so a sample
+    costs the same whatever its t.  Stopping at ``_FILON_MAX_PANELS``
+    short of ``tol``, or on a NaN change, raises QuadratureError.
+    """
+    t = np.asarray(times, dtype=float)
+    t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
+    om_probe = 2.0 * math.pi * t_probe
+
+    def tabulate(n):
+        """The envelope at the nodes of n panels, shape (..., n, 4), and
+        its transforms at the probe times."""
+        env = np.asarray(envelope(filon_nodes(a, b, n).ravel()))
+        env = env.reshape(env.shape[:-1] + (n, 4))
+        return env, filon_sums(env, a, b, om_probe)
+
+    n = 64
+    env, probe = tabulate(n)
+    err = math.inf
+    while err > tol and 2 * n <= _FILON_MAX_PANELS:
+        n *= 2
+        env, new = tabulate(n)
+        err, probe = np.max(np.abs(new - probe)), new
+    if not err <= tol:  # a NaN change fails too
+        raise QuadratureError(
+            f"filon_table: change {err:g} > tol {tol:g} at {n} panels",
+            QuadResult(probe, float(err), env.size // n * (2 * n - 64)))
+    return filon_sums(env, a, b, 2.0 * math.pi * t), float(err)

@@ -1,4 +1,4 @@
-"""Relativistic kinematics and the few special functions the model needs.
+"""Relativistic kinematics and the one special function the model needs.
 
 Units: speed of light c = 1, particle mass m = 1, so momenta are measured in
 units of m*c and speeds lie in [0, 1).  Everything here is pure and operates
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "v_of_p",
     "bessel_k2_scaled",
-    "exp1_neg_imag",
 ]
 
 # e^-745 is below the smallest subnormal double: integrand values under it
@@ -26,12 +25,6 @@ _K2_LOG_FLOOR = 745.0
 # (2/x^2)(1 + x + O(x^2)) equals its leading term to double precision.
 _K2_SMALL_X = 1e-150
 
-# E1(-ix) is summed as its power series up to this x and as its continued
-# fraction beyond.  At x <= 2 the series terms x^k/(k k!) fall below 1e-37
-# by k = _E1_SERIES_TERMS; at x > 2 the fraction converges within depth 256.
-_E1_SERIES_MAX = 2.0
-_E1_SERIES_TERMS = 40
-_E1_MAX_DEPTH = 4096
 
 def scalarize(out):
     """A 0-d result as a Python scalar; arrays pass through unchanged."""
@@ -90,58 +83,3 @@ def bessel_k2_scaled(x):
         raise ValueError(f"bessel_k2_scaled requires x > 0, got {x!r}")
     out = np.array([_k2_scaled(float(v)) for v in a.ravel()])
     return scalarize(out.reshape(a.shape))
-
-
-def _e1_fraction(z, depth):
-    """e^z E1(z) = 1/(z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...))), the
-    fraction cut after ``depth`` levels and evaluated from the bottom up."""
-    f = z + (2.0 * depth + 1.0)
-    for k in range(depth, 0, -1):
-        f = z + (2.0 * k - 1.0) - float(k * k) / f
-    return 1.0 / f
-
-
-def exp1_neg_imag(x):
-    """Exponential integral E1(-i x) for real x > 0, in place of
-    ``scipy.special.exp1(-1j * x)``, without importing SciPy.
-
-    The power series -gamma - log(-ix) - sum (ix)^k / (k k!) for x <= 2,
-    and beyond that the continued fraction e^{ix}/(-ix + 1 - 1^2/(-ix + 3
-    - ...)) (Abramowitz & Stegun 5.1.11 and 5.1.22).  The fraction is
-    evaluated from the bottom up at depths 16, 32, ... until two depths
-    agree to 1e-15 relative; a non-finite value, or no agreement by depth
-    4096, raises ``ArithmeticError``.
-    """
-    a = _asarray(x, "x")
-    if np.any(a <= 0):
-        raise ValueError(f"exp1_neg_imag requires x > 0, got {x!r}")
-    out = np.empty(a.shape, dtype=complex)
-    small = a <= _E1_SERIES_MAX
-    xs = a[small]
-    term = np.ones(xs.shape, dtype=complex)  # (ix)^k / k!
-    acc = np.zeros(xs.shape, dtype=complex)
-    for k in range(1, _E1_SERIES_TERMS + 1):
-        term = term * (1j * xs) / k
-        acc += term / k
-    out[small] = -np.euler_gamma - (np.log(xs) - 0.5j * math.pi) - acc
-
-    z = -1j * a[~small]
-    depth = 16
-    frac = _e1_fraction(z, depth)
-    todo = np.arange(z.size)
-    while todo.size:
-        depth *= 2
-        if depth > _E1_MAX_DEPTH:
-            raise ArithmeticError(
-                f"exp1_neg_imag: continued fraction not converged at depth "
-                f"{_E1_MAX_DEPTH} for x = {-z[todo[0]].imag!r}")
-        deeper = _e1_fraction(z[todo], depth)
-        if not np.all(np.isfinite(deeper)):
-            raise ArithmeticError(
-                f"exp1_neg_imag: non-finite continued fraction at depth "
-                f"{depth} for x = {-z[todo[~np.isfinite(deeper)][0]].imag!r}")
-        done = np.abs(deeper - frac[todo]) <= 1e-15 * np.abs(deeper)
-        frac[todo] = deeper
-        todo = todo[~done]
-    out[~small] = np.exp(-z) * frac
-    return scalarize(out)

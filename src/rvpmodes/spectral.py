@@ -16,7 +16,7 @@ integrals; this module provides
   root y0 where the dispersion value reaches 1 below threshold.
 
 Batch sampling of kernel tables for the Volterra solver runs the composite
-Filon rule of :func:`rvpmodes.quadrature.filon_sums` on [0, kappa]: one
+Filon rule of :func:`rvpmodes.quadrature.filon_table` on [0, kappa]: one
 panelization resolves the envelope, after which every time sample costs
 O(panels) regardless of how large t is.  The envelopes take their momentum
 tails from the closed forms that every equilibrium and profile carries.
@@ -31,9 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import Equilibrium, PerturbationProfile
-from .quadrature import (QuadResult, QuadratureError, filon_nodes,
-                         filon_sums, gauss_legendre_nodes,
-                         integrate_semi_infinite)
+from .quadrature import (QuadResult, QuadratureError, filon_table,
+                         gauss_legendre_nodes, integrate_semi_infinite)
 from .relkin import scalarize, v_of_p
 
 __all__ = [
@@ -172,7 +171,8 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
                                  + _envelope_derivative(mode, mid + off))
         # complex blocks: a zgemv would wake the BLAS worker thread, which
         # then spins as long as the main one; einsum runs its own loop.
-        # The real gemv stays: it does parallel work on the resolvent.
+        # The real gemv stays: on the resolvent's nodes it is about 10 %
+        # faster than einsum, with CPU time no more than wall time.
         out[i:i + rows] = (np.einsum("rn,n->r", quot, w)
                            if np.iscomplexobj(quot) else quot @ w)
     return out
@@ -342,44 +342,23 @@ def find_y0(mode: ModeSpec, tol=1e-11) -> Optional[float]:
 
 # --- batch kernel tables -----------------------------------------------------
 
-def sample_kernels(mode: ModeSpec, times, tol=1e-11,
-                   max_panels=2 ** 16) -> KernelTable:
+def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     """Sample both kernels on a time grid through their transforms.
 
     One Filon panelization of [0, kappa] is refined until probe values
-    stabilize, then reused for every t; the cost per sample is independent
-    of t, which is what makes dense long-horizon tables affordable.  Stopping
-    at ``max_panels`` short of ``tol`` raises QuadratureError.
+    stabilize, then reused for every t (``quadrature.filon_table``); the
+    cost per sample is independent of t, which is what makes dense
+    long-horizon tables affordable.  Stopping at the panel cap short of
+    ``tol`` raises QuadratureError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     t = np.asarray(times, dtype=float)
-    kap = mode.kappa
-    t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
-    om_probe = 2.0 * math.pi * t_probe
-
-    def envelopes(n):
-        """(2, n, 4) alpha and beta envelopes at the Filon nodes, and their
-        transforms at the probe times."""
-        y = filon_nodes(0.0, kap, n).ravel()
-        env = np.stack((alpha_hat(mode, y), beta_hat_envelope(mode, y)))
-        env = env.reshape(2, n, 4)
-        return env, filon_sums(env, 0.0, kap, om_probe).ravel()
-
-    n = 64
-    env, probe = envelopes(n)
-    err = math.inf
-    while err > 0.5 * tol and 2 * n <= max_panels:
-        n *= 2
-        env, new = envelopes(n)
-        err, probe = np.max(np.abs(new - probe)), new
-    if not 2.0 * err <= tol:  # a NaN change fails too
-        raise QuadratureError(
-            f"sample_kernels: change {2.0 * err:g} > tol {tol:g} at {n} "
-            "panels", QuadResult(probe, 2.0 * err, 8 * (2 * n - 64)))
-
-    sums = filon_sums(env, 0.0, kap, 2.0 * math.pi * t)
+    # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
+    sums, err = filon_table(
+        lambda y: np.stack((alpha_hat(mode, y), beta_hat_envelope(mode, y))),
+        0.0, mode.kappa, t, 0.5 * tol)
     alpha = 2.0 * sums[0].real
     beta = -2.0 * sums[1].imag
     return KernelTable(t=t, alpha=alpha.astype(complex), beta=beta,
-                       abs_error=float(2.0 * err))
+                       abs_error=2.0 * err)

@@ -11,9 +11,11 @@ synthetic constant-kernel benchmark does this).
 
 The resolvent kernel R is the function whose one-sided transform equals
 W / (1 - W) where W is the transform of beta; it expresses the solution as
-rho = alpha + R * alpha.  It is reconstructed here by inverse transform over
-the imaginary axis, which is legitimate only when 1 - W is bounded away
-from zero, i.e. for supercritical modes; subcritical input is refused.
+rho = alpha + R * alpha.  It is reconstructed here from its jump across
+the support [-kappa, kappa] of the imaginary axis, the only singularity of
+W / (1 - W) when 1 - W is bounded away from zero, i.e. for supercritical
+modes (subcritical input is refused): one Filon row on [0, kappa], its
+panels doubled until the result moves by at most ``tol``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import filon_nodes, filon_sums, next_fast_len
-from .relkin import exp1_neg_imag
+from .quadrature import filon_table, next_fast_len
 from .spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
                        threshold_astro, threshold_plasma)
 
@@ -190,24 +191,19 @@ def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
                           beta_samples=table.beta, growth=growth)
 
 
-def _resolvent_transform(mode: ModeSpec, y, tol):
-    w = laplace_beta_imag(mode, y, tol=tol)
-    return w / (1.0 - w)
-
-
-_RESOLVENT_Y_MAX = 64.0  # quadrature in y stops at this multiple of kappa
-
-
 def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
                      tol=1e-8) -> np.ndarray:
-    """Resolvent samples R(t_j) = int G(y) e^{2 pi i y t} dy with
-    G = W/(1 - W), W the kernel transform on the imaginary axis.
+    """Resolvent samples R(t_j) from the jump of G = W/(1 - W), W the
+    kernel transform on the imaginary axis.
 
-    Requires the mode supercritical (checked first); G then decays like
-    y^-2, the integral is truncated at ``_RESOLVENT_Y_MAX * kappa`` panels
-    of geometric width, and the remaining tail is added in closed form from
-    the y^-2 asymptote via the exponential integral E1 on the imaginary
-    axis, :func:`rvpmodes.relkin.exp1_neg_imag`.
+    Requires the mode supercritical (checked first): then G has no
+    singularity but its jump across the support, Im G = Im W / |1 - W|^2
+    = b / (2 |1 - W|^2), zero for |y| >= e (Plemelj-Sokhotski), and a
+    causal R is its sine transform, R(t) = -4 int_0^kappa Im G(y)
+    sin(2 pi y t) dy.  That is one Filon row on [0, kappa], panels doubled
+    until the transform at the probe times moves by at most ``tol / 4``,
+    so R by at most ``tol`` (``quadrature.filon_table``; its panel cap
+    raises QuadratureError).
     """
     kap = mode.kappa
     thr = (threshold_plasma(mode.equilibrium) if mode.sigma == +1
@@ -218,43 +214,12 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
             "transform reaches 1 on the integration path; no integrable "
             "resolvent reconstruction")
 
-    times = grid.times
-    om = 2.0 * math.pi * times
+    def im_g(y):
+        w = laplace_beta_imag(mode, y, tol=tol)
+        return w.imag / np.abs(1.0 - w) ** 2
 
-    # Inside the support: G complex (W carries the i b/2 part).
-    n_in = 1024
-    nodes = filon_nodes(0.0, kap, n_in)
-    g_in = _resolvent_transform(mode, nodes.ravel(), tol).reshape(nodes.shape)
-    inner = filon_sums(g_in, 0.0, kap, om)
-
-    # Outside: G real on geometric panels [kap, Y].
-    total = inner
-    seg_lo = kap
-    seg_hi = 2.0 * kap
-    g_edge = None
-    while seg_lo < _RESOLVENT_Y_MAX * kap:
-        n_seg = 64
-        nodes = filon_nodes(seg_lo, seg_hi, n_seg)
-        g_seg = _resolvent_transform(mode, nodes.ravel(), tol).reshape(
-            nodes.shape)
-        total = total + filon_sums(g_seg, seg_lo, seg_hi, om)
-        g_edge = g_seg[-1, -1]
-        seg_lo, seg_hi = seg_hi, 2.0 * seg_hi
-
-    # Tail: G(y) ~ A / y^2 beyond Y.
-    Y = seg_lo
-    A = g_edge * Y * Y
-    tail = np.empty_like(total)
-    pos = om > 0
-    tail[~pos] = A / Y
-    w = om[pos]
-    # int_Y^inf e^{i w y} / y^2 dy = e^{i w Y}/Y + i w E1(-i w Y)
-    tail[pos] = A * (np.exp(1j * w * Y) / Y + 1j * w * exp1_neg_imag(w * Y))
-    total = total + tail
-
-    # Every piece covers y > 0 only; add the mirror image (complex
-    # conjugate at -y) by taking twice the real part.
-    return 2.0 * total.real + 0j
+    sums, _ = filon_table(im_g, 0.0, kap, grid.times, 0.25 * tol)
+    return -4.0 * sums.imag + 0j
 
 
 def apply_resolvent(resolvent, alpha, dt):

@@ -530,6 +530,39 @@ class TestOutOfDomainInput:
         assert main(self.SWEEP + ["--jobs", jobs, "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("cpus, jobs", [(2, "3"), (None, "2")])
+    def test_sweep_jobs_above_cpu_count(self, cpus, jobs, tmp_path,
+                                        monkeypatch):
+        # a process pool starts all its workers at once, whatever the rows;
+        # this test itself may start none
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a process pool was asked for")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "s.csv"
+        assert main(self.SWEEP + ["--jobs", jobs, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--theta-min", "0.1", "--theta-max", "1",
+         "--n-points"],
+        ["dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
+         "--n-y"],
+        SWEEP + ["--n-kappa"]], ids=["threshold", "dispersion", "sweep"])
+    def test_grid_count_cap(self, argv, tmp_path, capsys, monkeypatch):
+        # 1e12 points once went to numpy and exited 1 with a MemoryError
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        out = tmp_path / "out.csv"
+        for n in (10 ** 12, cli.MAX_POINTS + 1):
+            assert main(argv + [str(n), "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{argv[-1]} must lie in 1..65536" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--v=1.5", "--K=-1", "--L=nan",
                                       "--m-max=40", "--m-max=-1"])
     def test_appendix_verify_parameters(self, flag, tmp_path):

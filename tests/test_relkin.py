@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes import relkin
 from rvpmodes.equilibria import juttner
-from rvpmodes.relkin import bessel_k2_scaled, exp1_neg_imag, v_of_p
+from rvpmodes.relkin import bessel_k2_scaled, v_of_p
 
-from oracles import bessel_k2, f_cap, f_cap_complex, p_of_v
+import oracles
+from oracles import bessel_k2, exp1_neg_imag, f_cap, f_cap_complex, p_of_v
 
 
 class TestScalarInScalarOut:
@@ -234,13 +234,13 @@ class TestExp1NegImag:
 
     def test_unconverged_fraction_raises(self, monkeypatch):
         # x = 2.5 needs depth 128; capped at 32 the fraction must not return
-        monkeypatch.setattr(relkin, "_E1_MAX_DEPTH", 32)
+        monkeypatch.setattr(oracles, "_E1_MAX_DEPTH", 32)
         assert isinstance(exp1_neg_imag(1e3), complex)
         with pytest.raises(ArithmeticError, match="not converged"):
             exp1_neg_imag(2.5)
 
     def test_nonfinite_fraction_raises(self, monkeypatch):
-        monkeypatch.setattr(relkin, "_e1_fraction",
+        monkeypatch.setattr(oracles, "_e1_fraction",
                             lambda z, depth: np.full(z.shape, np.nan + 0j))
         with pytest.raises(ArithmeticError, match="non-finite"):
             exp1_neg_imag(np.array([1.0, 3.0]))

@@ -716,13 +716,14 @@ class TestKernelTableChirpZ:
 
 
 class TestKernelTableTolerance:
-    def test_panel_cap_short_of_tol_raises(self):
+    def test_panel_cap_short_of_tol_raises(self, monkeypatch):
         # README evolve mode: 128 panels leave a probe change ~1e-6
         mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
                         profile=thermal_profile(0.5, 1.0))
         t = np.linspace(0.0, 300.0, 15001)
+        monkeypatch.setattr(quadrature, "_FILON_MAX_PANELS", 128)
         with pytest.raises(QuadratureError) as info:
-            sample_kernels(mode, t, tol=1e-15, max_panels=128)
+            sample_kernels(mode, t, tol=1e-15)
         assert info.value.result.abs_error_estimate > 1e-15
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])

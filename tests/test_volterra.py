@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from rvpmodes import quadrature
 from rvpmodes.equilibria import gaussian_profile, juttner, thermal_profile
-from rvpmodes.quadrature import next_fast_len
-from rvpmodes.spectral import ModeSpec, sample_kernels, threshold_plasma
+from rvpmodes.quadrature import QuadratureError, next_fast_len
+from rvpmodes.spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
+                               threshold_astro, threshold_plasma)
 from rvpmodes.volterra import (_BASE, GROWTH_CAP, SubcriticalModeError,
                                TimeGrid, apply_resolvent,
                                convolve_product_trapezoid, resolvent_kernel,
                                solve_mode, solve_volterra)
+
+from oracles import resolvent_kernel_axis
 
 
 # --- direct O(N^2) loops: oracles for the fast march and convolution ---------
@@ -169,12 +174,37 @@ class TestSolver:
         assert 1.8 <= math.log2(e1 / e2) <= 2.2
 
 
+def jump_direct(mode, t, n_panels=64):
+    """R(t) = -4 int_0^kappa Im G(y) sin(2 pi y t) dy, Im G = Im W/|1 - W|^2,
+    as a direct 16-point Gauss-Legendre sum on ``n_panels`` equal panels in
+    phi = arcsin(y/kappa): y = kappa sin(phi) crowds the nodes toward the
+    support edge, where hot envelopes die off steeply."""
+    x, w = leggauss(16)
+    edges = np.linspace(0.0, 0.5 * math.pi, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    phi = (edges[:-1, None] + half + half * x).ravel()
+    y = mode.kappa * np.sin(phi)
+    wy = (half * w).ravel() * mode.kappa * np.cos(phi)
+    wv = laplace_beta_imag(mode, y, tol=1e-12)
+    im_g = wv.imag / np.abs(1.0 - wv) ** 2
+    return np.array([-4.0 * np.sum(wy * im_g * np.sin(2.0 * math.pi * y * tk))
+                     for tk in t])
+
+
 @pytest.fixture(scope="module")
 def deep_mode():
     eq = juttner(0.5)
     kc = math.sqrt(threshold_plasma(eq).kappa_crit_sq)
     return ModeSpec(kappa=2.0 * kc, sigma=+1, equilibrium=eq,
                     profile=thermal_profile(0.5, 1.0))
+
+
+@pytest.fixture(scope="module")
+def attractive_mode():
+    eq = juttner(0.2)
+    kc = math.sqrt(threshold_astro(eq).kappa_crit_sq)
+    return ModeSpec(kappa=1.5 * kc, sigma=-1, equilibrium=eq,
+                    profile=thermal_profile(0.2, 1.0))
 
 
 class TestResolvent:
@@ -201,6 +231,36 @@ class TestResolvent:
         rho_res = apply_resolvent(kern, traj.alpha_samples, grid.dt)
         scale = np.max(np.abs(traj.rho))
         assert np.max(np.abs(rho_res - traj.rho)) < 1e-4 * scale
+
+    @pytest.mark.parametrize("which", ["deep_mode", "attractive_mode"])
+    def test_matches_direct_jump_sum(self, which, request):
+        # the criterion-6 mode and a sigma = -1 mode; at these t the
+        # whole-axis route with its E1 tail is 6.8e-8 and 4.4e-10 of max|R|
+        # off
+        mode = request.getfixturevalue(which)
+        grid = TimeGrid(dt=0.05, n_steps=1000)
+        kern = resolvent_kernel(mode, grid, tol=1e-10)
+        idx = np.array([7, 20, 66, 200, 634, 1000])
+        direct = jump_direct(mode, grid.times[idx])
+        scale = np.max(np.abs(kern))
+        assert np.max(np.abs(kern[idx] - direct)) <= 1e-10 * scale
+        assert kern.dtype == complex and np.all(kern.imag == 0.0)
+
+    def test_near_whole_axis_route(self, deep_mode):
+        # the route this replaced is itself 4.1e-7 of max|R| off
+        grid = TimeGrid(dt=0.01, n_steps=5000)
+        kern = resolvent_kernel(deep_mode, grid, tol=1e-9)
+        axis = resolvent_kernel_axis(deep_mode, grid.times, tol=1e-9)
+        scale = np.max(np.abs(kern))
+        assert np.max(np.abs(kern - axis)) <= 1e-6 * scale
+
+    def test_panel_cap_short_of_tol_raises(self, deep_mode, monkeypatch):
+        # the criterion-6 mode needs 1 024 panels at tol 1e-9
+        monkeypatch.setattr(quadrature, "_FILON_MAX_PANELS", 128)
+        with pytest.raises(QuadratureError) as info:
+            resolvent_kernel(deep_mode, TimeGrid(dt=0.01, n_steps=5000),
+                             tol=1e-9)
+        assert info.value.result.abs_error_estimate > 1e-9
 
     def test_subcritical_refused(self, eq02, kappa_crit_02):
         mode = ModeSpec(kappa=0.8 * kappa_crit_02, sigma=+1,
