@@ -161,10 +161,10 @@ def _time_grid(dt, t_max):
     return TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
 
 
-def _count(flag, n, top=MAX_POINTS):
-    """Refuse a count outside 1..top before anything is allocated."""
-    if not 1 <= n <= top:
-        raise UsageError(f"{flag} must lie in 1..{top}, got {n}")
+def _count(flag, n, top=MAX_POINTS, bottom=1):
+    """Refuse a count outside bottom..top before anything is allocated."""
+    if not bottom <= n <= top:
+        raise UsageError(f"{flag} must lie in {bottom}..{top}, got {n}")
 
 
 _NOT_ECHOED = {"config", "output", "help"}
@@ -221,9 +221,10 @@ def cmd_dispersion(args) -> int:
         xs = [float(s) for s in args.x.split(",")]
     except ValueError as exc:
         raise UsageError(f"--x {args.x!r}: {exc}") from exc
-    if not all(0 <= x < math.inf for x in xs):
+    if not all(x == 0.0 or 0.0 < x / (2.0 * math.pi) < math.inf for x in xs):
         raise UsageError("dispersion is defined on the closed right half-"
-                         f"plane: --x needs finite x >= 0, got {args.x!r}")
+                         "plane: --x needs 0 or finite x with x/(2 pi) > 0 "
+                         f"(z off the axis), got {args.x!r}")
     ys = np.linspace(args.y_min, args.y_max, args.n_y)
     rows = []
     for x in xs:
@@ -284,8 +285,7 @@ def cmd_fit(args) -> int:
                          f"{args.kappa}")
     if args.t_min is not None and not math.isfinite(args.t_min):
         raise UsageError(f"--t-min must be finite, got {args.t_min}")
-    if args.n_boot < 0:
-        raise UsageError("--n-boot must be >= 0")
+    _count("--n-boot", args.n_boot, bottom=0)
     names, body = _read_trajectory(args.input)
     t = body[:, names.index("t")]
     a = body[:, names.index("abs_rho")]
@@ -303,7 +303,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_appendix_verify(args) -> int:
-    # the battery's exact arithmetic (fractions, decimal) loads only here
+    # the battery's exact arithmetic (fractions) loads only here
     from .gevrey import (MAX_ORDER, GevreyParams, g_l1_norm, partition_bound,
                          product_l1_bound_check, sup_bounds_check)
 

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import Equilibrium, PerturbationProfile
-from .quadrature import (QuadResult, QuadratureError, filon_table,
-                         gauss_legendre_nodes, integrate_semi_infinite)
+from .quadrature import (double_panels, filon_table, gauss_legendre_nodes,
+                         integrate_semi_infinite)
 from .relkin import scalarize, v_of_p
 
 __all__ = [
@@ -92,13 +92,22 @@ def _eq_integral(eq: Equilibrium, integrand, tol):
 
 # --- frequency-domain envelopes ---------------------------------------------
 
-def _inside_support(mode: ModeSpec, y):
-    """y as an array, the mask |y| < kappa, and on it r = |y|/kappa and
-    P = r/sqrt(1 - r^2), the momentum of a particle at speed r."""
+def _on_support(mode: ModeSpec, y, formula):
+    """formula(y, r, P) on |y| < kappa, 0 beyond, r = |y|/kappa and P =
+    r/sqrt(1 - r^2) the momentum at speed r; a float y gives a float."""
     ya = np.asarray(y, dtype=float)
     mask = np.abs(ya) < mode.kappa
-    r = np.abs(ya[mask]) / mode.kappa
-    return ya, mask, r, r / np.sqrt((1.0 - r) * (1.0 + r))
+    out = np.zeros_like(ya)
+    if np.any(mask):
+        r = np.abs(ya[mask]) / mode.kappa
+        out[mask] = formula(ya[mask], r, r / np.sqrt((1.0 - r) * (1.0 + r)))
+    return scalarize(out)
+
+
+def _b(mode: ModeSpec, y, u):
+    """b(y) = (4 pi sigma / kappa^3) y T(U), real or continued to complex."""
+    return (4.0 * math.pi * mode.sigma / mode.kappa**3) * y \
+        * mode.equilibrium.tail_kernel_moment(u)
 
 
 def beta_hat_envelope(mode: ModeSpec, y):
@@ -106,24 +115,15 @@ def beta_hat_envelope(mode: ModeSpec, y):
     b(y) = (4 pi sigma / kappa^3) y int_{P(|y|/kappa)}^inf (1+p^2)(-f0') dp
     for |y| < kappa and 0 beyond (no particle outpaces its mode).
     """
-    ya, mask, _, plo = _inside_support(mode, y)
-    out = np.zeros_like(ya)
-    if np.any(mask):
-        out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * ya[mask] \
-            * mode.equilibrium.tail_kernel_moment(np.hypot(1.0, plo))
-    return scalarize(out)
+    return _on_support(mode, y, lambda y, r, p: _b(mode, y, np.hypot(1.0, p)))
 
 
 def alpha_hat(mode: ModeSpec, y):
     """Time-Fourier transform of the source kernel: real, even,
     (2 pi / kappa) int_{P(|y|/kappa)}^inf p sqrt(1+p^2) h(p) dp inside
     |y| < kappa and 0 beyond."""
-    ya, mask, _, plo = _inside_support(mode, y)
-    out = np.zeros_like(ya)
-    if np.any(mask):
-        out[mask] = (2.0 * math.pi / mode.kappa) \
-            * mode.profile.tail_weighted_moment(plo)
-    return scalarize(out)
+    return _on_support(mode, y, lambda y, r, p: (2.0 * math.pi / mode.kappa)
+                       * mode.profile.tail_weighted_moment(p))
 
 
 # --- Fourier-Laplace transform on the closed right half-plane ---------------
@@ -137,13 +137,11 @@ _PV_SUBTRACT = 1.0 / 16  # |Im z| / e below which b(z) is subtracted
 def _envelope_derivative(mode: ModeSpec, y):
     """b'(y) = (4 pi sigma / kappa^3) [T(P) + r f0'(P) / (1 - r^2)^{5/2}],
     r = |y|/kappa, P = r/sqrt(1 - r^2), T the kernel tail moment."""
-    ya, mask, r, plo = _inside_support(mode, y)
-    out = np.zeros_like(ya)
     eq = mode.equilibrium
-    out[mask] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * (
-        eq.tail_kernel_moment(np.hypot(1.0, plo))
-        + r * eq.derivative(plo) / ((1.0 - r) * (1.0 + r))**2.5)
-    return out
+    return _on_support(mode, y, lambda y, r, p: (
+        4.0 * math.pi * mode.sigma / mode.kappa**3) * (
+        eq.tail_kernel_moment(np.hypot(1.0, p))
+        + r * eq.derivative(p) / ((1.0 - r) * (1.0 + r))**2.5))
 
 
 def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
@@ -181,8 +179,6 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
 def _dispersion(mode: ModeSpec, x, y, tol):
     """W at z = y - i x/(2 pi) for x >= 0, y a float or an array; x = 0 is
     the axis, z = y - i0 (see ``laplace_beta_imag``)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     ya = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(ya)):
         raise ValueError(f"y must be finite, got {ya[~np.isfinite(ya)][0]}")
@@ -199,31 +195,21 @@ def _dispersion(mode: ModeSpec, x, y, tol):
     zi = z[inside]
     if x:
         b_z = np.zeros_like(z)
-        b_z[inside] = (4.0 * math.pi * mode.sigma / kap**3) * zi \
-            * mode.equilibrium.tail_kernel_moment(
-                1.0 / np.sqrt((1.0 - zi / kap) * (1.0 + zi / kap)))
+        b_z[inside] = _b(mode, zi, 1.0 / np.sqrt((1.0 - zi / kap)
+                                                 * (1.0 + zi / kap)))
         log_in = np.log((zi + e) / (zi - e))
     else:
         b_z = beta_hat_envelope(mode, z)
         log_in = np.log((e + zi) / (e - zi))
     log_term = np.zeros_like(z)
     log_term[inside] = b_z[inside] * log_in
-    n = _PV_PANELS[0]
-    prev = _cauchy_sums(mode, z, b_z, edge, n)
-    while True:
-        n *= 2
-        cur = _cauchy_sums(mode, z, b_z, edge, n)
-        err = np.max(np.abs(cur - prev), initial=0.0) / (2.0 * math.pi)
-        if not err > tol or 2 * n > _PV_PANELS[1]:  # NaN stops too
-            break
-        prev = cur
-    out = (cur + log_term) / (2.0 * math.pi)
-    if not x:
-        out = out + 0.5j * b_z  # the i pi of the log, taken apart on the axis
-    if not err <= tol:
-        raise QuadratureError(
-            f"dispersion transform: change {err:g} > tol {tol:g} at {n} "
-            "panels per segment", QuadResult(out, float(err), 32 * n))
+
+    def transform(n):
+        w = (_cauchy_sums(mode, z, b_z, edge, n) + log_term) / (2.0 * math.pi)
+        w = w if x else w + 0.5j * b_z  # the i pi of the log, on the axis
+        return w, w
+
+    out, _ = double_panels(transform, *_PV_PANELS, tol, "dispersion transform")
     return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
@@ -351,8 +337,6 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     long-horizon tables affordable.  Stopping at the panel cap short of
     ``tol`` raises QuadratureError.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     t = np.asarray(times, dtype=float)
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
     sums, err = filon_table(

@@ -163,6 +163,22 @@ class TestEvolveFit:
         assert main(["fit", "--input", str(traj), "--kappa", "1.2",
                      "--n-boot", "-1"]) == 2
 
+    def test_n_boot_cap(self, tmp_path, capsys, monkeypatch):
+        # 1e12 replicates once exited 1 with a MemoryError of 2.47 PiB
+        traj = tmp_path / "traj.csv"
+        t = np.linspace(0.0, 60.0, 601)
+        rows = [f"{x:.17g},{y:.17g}" for x, y in
+                zip(t, np.abs(np.cos(2.0 * t)) / (1.0 + t) ** 2)]
+        traj.write_text("t,abs_rho\n" + "\n".join(rows) + "\n")
+        argv = ["fit", "--input", str(traj), "--kappa", "1.0", "--n-boot"]
+        assert main(argv + ["0"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_read_trajectory", None)  # nothing may run
+        for n in (10 ** 12, cli.MAX_POINTS + 1):
+            assert main(argv + [str(n)]) == 2
+            err = capsys.readouterr().err
+            assert "--n-boot must lie in 0..65536" in err
+
 
 class TestDispersion:
     def test_csv_contract(self, tmp_path, monkeypatch):
@@ -201,6 +217,23 @@ class TestDispersion:
     def test_negative_x_rejected(self):
         assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
                      "--theta", "0.2", "--x", "-0.5"]) == 2
+
+    @pytest.mark.parametrize("x", ["1e-323", "0,1e-323"])
+    def test_x_that_leaves_z_on_the_axis_is_usage_error(self, x, tmp_path,
+                                                        capsys):
+        # 1e-323/(2 pi) rounds to 0: the CLI once passed it on and exited 1
+        # with the evaluator's ValueError
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                     "--theta", "0.2", "--x", x, "--n-y", "2",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "x/(2 pi) > 0" in err and "computation failed" not in err
+        assert not out.exists()
+        # the least x whose z leaves the axis is accepted
+        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                     "--theta", "0.2", "--x", "5e-323", "--n-y", "2",
+                     "-o", str(out)]) == 0
 
     @pytest.mark.parametrize("x", ["0,abc", "0,", "0,nan", "inf", "0.5,-inf"])
     def test_malformed_or_nonfinite_x_is_usage_error(self, x, capsys):

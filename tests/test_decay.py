@@ -69,6 +69,15 @@ class TestFitStretched:
         with pytest.raises(NoDecayError):
             fit_stretched(Envelope(t=t, value=np.ones(60)))
 
+    def test_rising_tail_after_early_drop_raises(self):
+        # the last peaks sit below 0.9 of the first, so the median gate
+        # passes, but after the drop the peaks rise: ln(-ln(v/c)) falls
+        # with ln t, and only the slope gate refuses a fit
+        t = np.arange(1.0, 11.0)
+        v = np.array([1.0, 1.0, 0.01, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 0.8])
+        with pytest.raises(NoDecayError, match="flat log-log envelope"):
+            fit_stretched(Envelope(t=t, value=v))
+
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=60, deadline=None)
     def test_scale_equivariance(self, gamma):

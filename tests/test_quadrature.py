@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvpmodes import quadrature
-from rvpmodes.quadrature import (QuadratureError, _filon_weights, filon_nodes,
-                                 filon_sums, next_fast_len,
-                                 gauss_legendre_nodes, integrate_finite,
-                                 integrate_semi_infinite)
+from rvpmodes.quadrature import (QuadratureError, _filon_weights,
+                                 double_panels, filon_nodes, filon_sums,
+                                 next_fast_len, gauss_legendre_nodes,
+                                 integrate_finite, integrate_semi_infinite)
 
 from oracles import filon_weights_monomial, integrate_oscillatory
 
@@ -103,6 +103,49 @@ class TestFinite:
         true_err = abs(r.value - exact)
         assert true_err <= 10.0 * r.abs_error_estimate + 1e-13 * abs(exact)
         assert true_err < 1e-9 * max(1.0, abs(exact))
+
+
+class TestDoublePanels:
+    @staticmethod
+    def rule(changes):
+        """evaluate(n) whose probe moves by changes[k] on the k-th
+        doubling, recording each n it is called with."""
+        calls = []
+
+        def evaluate(n):
+            calls.append(n)
+            k = len(calls) - 1
+            return f"result at {n}", np.array([sum(changes[:k]), 0.0])
+        return evaluate, calls
+
+    def test_stops_at_first_change_within_tol(self):
+        # binary fractions: the probe differences are exact
+        evaluate, calls = self.rule([1.0, 0.25, 2.0 ** -10, 2.0 ** -12])
+        result, change = double_panels(evaluate, 8, 1024, 2.0 ** -10, "rule")
+        assert calls == [8, 16, 32, 64]
+        assert (result, change) == ("result at 64", 2.0 ** -10)
+
+    def test_nan_change_raises(self):
+        evaluate, calls = self.rule([1.0, math.nan, 0.0])
+        with pytest.raises(QuadratureError):
+            double_panels(evaluate, 8, 1024, 1e-3, "rule")
+        assert calls == [8, 16, 32]
+
+    def test_cap_raises_naming_the_caller(self):
+        evaluate, calls = self.rule([1.0] * 10)
+        with pytest.raises(QuadratureError, match="^rule: change 1 > tol") \
+                as info:
+            double_panels(evaluate, 8, 64, 1e-3, "rule")
+        assert calls == [8, 16, 32, 64]
+        assert info.value.result.abs_error_estimate == 1.0
+        assert info.value.result.evaluations == 64  # the last pass's panels
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_tol_raises_before_any_pass(self, tol):
+        evaluate, calls = self.rule([0.0])
+        with pytest.raises(ValueError, match="^rule: tol"):
+            double_panels(evaluate, 8, 1024, tol, "rule")
+        assert calls == []
 
 
 class TestGaussLegendre:

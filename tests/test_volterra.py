@@ -262,6 +262,11 @@ class TestResolvent:
                              tol=1e-9)
         assert info.value.result.abs_error_estimate > 1e-9
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_tol_raises(self, deep_mode, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            resolvent_kernel(deep_mode, TimeGrid(dt=0.1, n_steps=10), tol=tol)
+
     def test_subcritical_refused(self, eq02, kappa_crit_02):
         mode = ModeSpec(kappa=0.8 * kappa_crit_02, sigma=+1,
                         equilibrium=eq02,
