@@ -24,6 +24,9 @@ import os
 import sys
 import warnings
 
+# no CLI BLAS call gains from a second thread, which spins idle for CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import decay as _decay

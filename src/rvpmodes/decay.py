@@ -93,6 +93,7 @@ _X_GRID = 301      # exponents scanned before the golden-section polish
 _X_TOL = 1e-10     # absolute tolerance on x of both 1-D searches
 _SECANT_ITERS = 40  # cap; bootstrap replicates settle in about 5 steps
 _BLOCK_ELEMS = 2 ** 14  # (rows, peaks) elements per _profile call
+_BOOT_ELEMS = 2 ** 18  # (replicates, peaks) resample indices held at once
 
 
 def _positive_peaks(env):
@@ -141,12 +142,12 @@ def _profile(x, logt, logv):
     return a, e, u, a[:, None] - e[:, None] * u - y
 
 
-def _row_blocks(m, n):
-    """Slices of m rows, each block at most _BLOCK_ELEMS elements of n
-    peaks (one row at least): every row of _profile is its own problem,
-    so a block's rows equal the same rows solved together."""
-    rows = max(1, _BLOCK_ELEMS // n)
-    return [slice(i, i + rows) for i in range(0, m, rows)]
+def _row_blocks(m, n, elems=_BLOCK_ELEMS):
+    """Slices of m rows, each block at most ``elems`` elements of n peaks
+    (one row at least): every row of _profile is its own problem, so a
+    block's rows equal the same rows solved together."""
+    rows = max(1, elems // n)
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 def _sse(x, logt, logv):
@@ -242,32 +243,45 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
                          level=0.95):
     """Percentile bootstrap over peaks of the fitted exponent s.
 
-    Every replicate refits by variable projection, all at once: secant
-    steps on the profiled gradient -2 eps sum(r t^x log t), started from
-    the fit of the full data.  Replicates that end non-finite (a resample
-    of one repeated peak leaves x undetermined) are dropped.
+    Replicates refit by variable projection, _BOOT_ELEMS resampled peaks
+    at a time (memory does not grow with ``n_boot``): secant steps on the
+    profiled gradient -2 eps sum(r t^x log t), started from the fit of the
+    full data.  Replicates that end non-finite (a resample of one repeated
+    peak leaves x undetermined) are dropped.
     """
     t, v = _positive_peaks(env)
     logt, logv = np.log(t), np.log(v)
     rng = np.random.default_rng(seed)
-    idx = np.empty((n_boot, t.size), dtype=np.int32)  # half of int64's bytes
-    for row in idx:  # one draw per replicate, the stream of a refit loop
-        row[:] = rng.integers(0, t.size, size=t.size)
-    idx.sort(axis=1)
+    x = np.empty(n_boot)
+    for b in _row_blocks(n_boot, t.size, _BOOT_ELEMS):
+        idx = np.empty((b.stop - b.start, t.size), dtype=np.int32)
+        for row in idx:  # one draw per replicate, the stream of a refit loop
+            row[:] = rng.integers(0, t.size, size=t.size)
+        idx.sort(axis=1)
+        x[b] = _secant_refits(idx, logt, logv, 1.0 / fit.s)
+    s = 1.0 / x[np.isfinite(x)]
+    if not s.size:
+        return (math.nan, math.nan)
+    lo, hi = _quantile(s, [(1 - level) / 2, (1 + level) / 2])
+    return (float(lo), float(hi))
+
+
+def _secant_refits(idx, logt, logv, x0):
+    """x = 1/s refit from ``x0`` for each row of peak indices ``idx``."""
 
     def grad(x, rows):
         g = np.empty(rows.size)
-        for b in _row_blocks(rows.size, t.size):
+        for b in _row_blocks(rows.size, logt.size):
             peaks = idx[rows[b]]
             lt = logt[peaks]
             _, eps, u, res = _profile(x[b], lt, logv[peaks])
             g[b] = -2.0 * eps * np.sum(res * u * lt, axis=1)
         return g
 
-    x_prev = np.full(n_boot, 1.0 / fit.s)
+    x_prev = np.full(len(idx), x0)
     h = 1e-4 * (_X_MAX - _X_MIN)
     x = np.where(x_prev - h >= _X_MIN, x_prev - h, x_prev + h)
-    live = np.arange(n_boot)
+    live = np.arange(len(idx))
     with np.errstate(divide="ignore", invalid="ignore"):
         g_prev, g = grad(x_prev, live), grad(x, live)
         for _ in range(_SECANT_ITERS):
@@ -280,11 +294,7 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
             if not live.size:
                 break
             g = grad(x[live], live)
-    s = 1.0 / x[np.isfinite(x)]
-    if not s.size:
-        return (math.nan, math.nan)
-    lo, hi = _quantile(s, [(1 - level) / 2, (1 + level) / 2])
-    return (float(lo), float(hi))
+    return x
 
 
 def exp_test(env: Envelope) -> str:

@@ -42,51 +42,27 @@ __all__ = [
     "next_fast_len",
 ]
 
-# QUADPACK (G7, K15) abscissae and weights on [-1, 1].
+# QUADPACK (G7, K15) abscissae and weights on [-1, 1], from the centre out
+# (the rule is symmetric), and the Gauss-7 weights of the odd abscissae.
 _XK = np.array([
-    -0.99145537112081263920685469752633,
-    -0.94910791234275852452618968404785,
-    -0.86486442335976907278971278864093,
-    -0.74153118559939443986386477328079,
-    -0.58608723546769113029414483825873,
-    -0.40584515137739716690660641207696,
-    -0.20778495500789846760068940377324,
-    0.0,
-    0.20778495500789846760068940377324,
-    0.40584515137739716690660641207696,
-    0.58608723546769113029414483825873,
-    0.74153118559939443986386477328079,
-    0.86486442335976907278971278864093,
-    0.94910791234275852452618968404785,
-    0.99145537112081263920685469752633,
+    0.0, 0.20778495500789846760068940377324,
+    0.40584515137739716690660641207696, 0.58608723546769113029414483825873,
+    0.74153118559939443986386477328079, 0.86486442335976907278971278864093,
+    0.94910791234275852452618968404785, 0.99145537112081263920685469752633,
 ])
 _WK = np.array([
-    0.02293532201052922496373200805897,
-    0.06309209262997855329070066318921,
-    0.10479001032225018383987632254152,
-    0.14065325971552591874518959051024,
-    0.16900472663926790282658342659855,
-    0.19035057806478540991325640242101,
-    0.20443294007529889241416199923465,
-    0.20948214108472782801299917489171,
-    0.20443294007529889241416199923465,
-    0.19035057806478540991325640242101,
-    0.16900472663926790282658342659855,
-    0.14065325971552591874518959051024,
-    0.10479001032225018383987632254152,
-    0.06309209262997855329070066318921,
-    0.02293532201052922496373200805897,
+    0.20948214108472782801299917489171, 0.20443294007529889241416199923465,
+    0.19035057806478540991325640242101, 0.16900472663926790282658342659855,
+    0.14065325971552591874518959051024, 0.10479001032225018383987632254152,
+    0.06309209262997855329070066318921, 0.02293532201052922496373200805897,
 ])
-# Gauss-7 weights aligned with the odd Kronrod abscissae.
 _WG = np.array([
-    0.12948496616886969327061143267908,
-    0.27970539148927666790146777142378,
-    0.38183005050511894495036977548898,
-    0.41795918367346938775510204081633,
-    0.38183005050511894495036977548898,
-    0.27970539148927666790146777142378,
-    0.12948496616886969327061143267908,
+    0.41795918367346938775510204081633, 0.38183005050511894495036977548898,
+    0.27970539148927666790146777142378, 0.12948496616886969327061143267908,
 ])
+_XK = np.concatenate((-_XK[:0:-1], _XK))
+_WK = np.concatenate((_WK[:0:-1], _WK))
+_WG = np.concatenate((_WG[:0:-1], _WG))
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
@@ -322,17 +298,19 @@ def _chirp(n, m, w):
 def _czt(x, m, w, chirp=None):
     """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
     ``czt`` operations in its order, so the two agree to the bit.
-    ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it."""
+    ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it.  The
+    result is a view of the padded FFT buffer."""
     n = x.shape[0]
     wk2, nfft, fwk2 = chirp or _chirp(n, m, w)
     y = np.fft.fft(x.T * wk2[:n], nfft)
     np.multiply(fwk2, y, out=y)  # fwk2 first: the operand order sets bits
-    y = np.fft.ifft(y, out=y)
-    return (y[..., n - 1:n + m - 1] * wk2[:m]).T
+    y = np.fft.ifft(y, out=y)[..., n - 1:n + m - 1]
+    y *= wk2[:m]
+    return y.T
 
 
 _FILON_CHUNK = 512  # omegas per block of the direct (T x P) panel sum
-_CZT_BLOCK = 4096  # omegas per block of the chirp-z branch's weighted sums
+_CZT_BLOCK = 4096  # omegas per block of the chirp-z branch's weights
 _UNIFORM_TOL = 8  # |omega_j - (omega_0 + j step)| allowed, in eps max|omega|
 
 
@@ -345,10 +323,10 @@ def filon_sums(env_nodes, a, b, omegas):
     each row of a stack equals its own call to the bit.  For a uniformly
     spaced grid of more than 64 omegas the panel sum collapses to four
     chirp-z transforms, so dense time grids cost O((P + T) log) instead of
-    O(P * T).  The chirp is computed once per call; the envelopes of a
-    stack, and the four node columns of each, are transformed one at a
-    time, and the weights are formed in blocks of omegas, so the working
-    memory is a few T-length vectors whatever P and K.
+    O(P * T).  The chirp, the phase and the weights are formed once per
+    call, and the four node columns of each envelope of a stack are
+    transformed one at a time, so the working memory is K + 7 T-length
+    vectors whatever P.
     """
     omegas = np.asarray(omegas, dtype=float)
     stack = np.asarray(env_nodes)
@@ -373,19 +351,32 @@ def filon_sums(env_nodes, a, b, omegas):
         w = np.exp(1j * step * h)
         chirp = _chirp(n_panels, nt, w)
         shift = np.exp(1j * omegas[0] * centers)[:, None]
-        bsum_t = np.empty((4, nt), dtype=complex)
-        bsum = bsum_t.T  # (T, 4) with the strides a batched _czt returns
-        for k, env in enumerate(stack):
+        # the phase and the weights lam_0, lam_1, once for the whole stack
+        phase = np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))
+        lam01 = np.empty((2, nt), dtype=complex)
+        for i0 in range(0, nt, _CZT_BLOCK):
+            b = slice(i0, i0 + _CZT_BLOCK)
+            lam01[:, b] = _filon_weights(omegas[b] * (h / 2.0))[:, :2].T
+
+        def term(x, lam):
+            """Panel sum of node column x, times phase, times lam: in the
+            transform's own FFT buffer, freed with the result."""
+            col = _czt(x, nt, w, chirp)
+            col *= phase
+            col *= lam
+            return col
+
+        pair = np.empty(nt, dtype=complex)
+        for env, acc in zip(stack, out):
             x = env * shift
-            for m in range(4):
-                bsum_t[m] = _czt(x[:, m], nt, w, chirp)
-            for i0 in range(0, nt, _CZT_BLOCK):
-                i1 = min(i0 + _CZT_BLOCK, nt)
-                block = bsum[i0:i1]
-                block *= np.exp(1j * np.arange(i0, i1) * step
-                                * (a + 0.5 * h))[:, None]
-                lam = _filon_weights(omegas[i0:i1] * (h / 2.0))
-                out[k, i0:i1] = (h / 2.0) * np.sum(block * lam, axis=1)
+            # (t0 + t1) + (t2 + t3), as np.sum adds a row of four, so the
+            # tables keep their bits; lam_2, lam_3 conjugate lam_1, lam_0
+            pair[:] = term(x[:, 2], np.conjugate(lam01[1], out=acc))
+            pair += term(x[:, 3], np.conjugate(lam01[0], out=acc))
+            acc[:] = term(x[:, 0], lam01[0])
+            acc += term(x[:, 1], lam01[1])
+            acc += pair
+            acc *= h / 2.0
         return out
 
     # the panel sums of each node, then the weights, as in the chirp-z

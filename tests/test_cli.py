@@ -398,6 +398,36 @@ class TestNoScipyImport:
                        cwd=tmp_path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+class TestBlasThreads:
+    """A CLI process starts OpenBLAS with one thread: no worker to spin."""
+
+    @staticmethod
+    def run(code, **env):
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        child = {key: value for key, value in os.environ.items()
+                 if key != "OPENBLAS_NUM_THREADS"}
+        child.update(env, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], check=True,
+                              env=child, capture_output=True,
+                              text=True).stdout.strip()
+
+    THREADS = ("import os, rvpmodes.cli\n"
+               "print(len(os.listdir('/proc/self/task')))")
+
+    def test_package_import_loads_no_numpy(self):
+        assert self.run("import sys, rvpmodes\n"
+                        "print('numpy' in sys.modules)") == "False"
+
+    def test_cli_import_runs_one_thread(self):
+        assert self.run(self.THREADS) == "1"
+
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="needs two CPUs")
+    def test_user_thread_count_wins(self):
+        assert self.run(self.THREADS, OPENBLAS_NUM_THREADS="2") == "2"
+
+
 class TestCsvWriter:
     def test_float_block_writes_the_bytes_of_tuple_rows(self, tmp_path):
         # random bit patterns (subnormals, inf, nan) and signed zeros, over

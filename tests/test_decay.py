@@ -142,6 +142,36 @@ class TestFitModeDecay:
         assert fit.s == pytest.approx(3.0, rel=1e-9)
         assert peak <= 40e6
 
+    def test_bootstrap_memory_is_bounded_in_the_replicates(self):
+        # 2 000 replicates of 1 000 peaks refit _BOOT_ELEMS resampled peaks
+        # at a time (3.0 MB traced), not all 2e6 indices at once (10.1 MB)
+        t = np.linspace(1.0, 300.0, 1000)
+        v = 2.0 * np.exp(-0.7 * t ** (1.0 / 3.0)) * (1 + 0.01 * np.sin(7 * t))
+        env = Envelope(t=t, value=v)
+        fit = fit_stretched(env)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lo, hi = bootstrap_s_interval(env, fit, n_boot=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert lo < fit.s < hi
+        assert peak <= 5e6
+
+    def test_bootstrap_blocks_equal_one_block(self, monkeypatch):
+        # each replicate is its own problem, drawn in the same stream order
+        env = synthetic_peaks(2.0, 0.7, 3.0)
+        rng = np.random.default_rng(3)
+        noisy = Envelope(t=env.t, value=env.value
+                         * np.exp(rng.normal(0, 0.05, env.t.size)))
+        fit = fit_stretched(noisy)
+        cis = []
+        for elems in (10 ** 9, 7 * env.t.size, 1):
+            monkeypatch.setattr(decay, "_BOOT_ELEMS", elems)
+            cis.append(bootstrap_s_interval(noisy, fit, n_boot=50, seed=2))
+        assert cis[0] == cis[1] == cis[2]
+
 
 class TestOrderStatistics:
     def test_median_and_quantile_equal_numpy_to_the_bit(self):

@@ -252,10 +252,11 @@ class TestFilonSums:
         assert np.max(np.abs(fast[perm] - direct)) \
             <= 1e-13 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("n_omegas", [1001, 3, 1300])
+    @pytest.mark.parametrize("n_omegas", [1001, 9000, 3, 1300])
     def test_stack_equals_separate_calls(self, n_omegas):
-        # 1001 uniform omegas take the chirp-z branch; 3, and 1300 shuffled
-        # (more than one block of the panel sum), the direct branch
+        # 1001 and 9000 (three blocks of weights) uniform omegas take the
+        # chirp-z branch; 3, and 1300 shuffled (more than one block of the
+        # panel sum), the direct branch
         nodes = filon_nodes(0.2, 1.7, 512)
         stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes),
                           nodes ** 3 * (1.0 + 0.5j)])
@@ -267,12 +268,27 @@ class TestFilonSums:
         for env, row in zip(stack, sums):
             assert np.array_equal(filon_sums(env, 0.2, 1.7, omegas), row)
 
+    def test_weights_are_formed_once_for_the_stack(self, monkeypatch):
+        # the chirp-z branch forms each block's weights once for all the
+        # envelopes of a stack, not once per envelope
+        calls = []
+
+        def spy(omega_half):
+            calls.append(omega_half.size)
+            return _filon_weights(omega_half)
+        monkeypatch.setattr(quadrature, "_filon_weights", spy)
+        nodes = filon_nodes(0.0, 1.2, 256)
+        stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes)])
+        omegas = 2.0 * math.pi * 0.02 * np.arange(10001)
+        filon_sums(stack, 0.0, 1.2, omegas)
+        assert calls == [4096, 4096, 1809]
 
     def test_stacked_call_memory(self):
         # the README evolve's half-step tables: the four node columns of
-        # each envelope pass the chirp-z transform one at a time, and the
-        # weights and their sum come in blocks of omegas (the whole (T, 4)
-        # arrays at once traced 22 T-length complex vectors)
+        # each envelope pass the chirp-z transform one at a time and are
+        # added into the sums as they come, and the weights are formed in
+        # blocks of omegas (the whole (T, 4) arrays at once traced 22
+        # T-length complex vectors; 9.2 now)
         nt = 30001
         nodes = filon_nodes(0.0, 1.2, 512)
         stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes)])

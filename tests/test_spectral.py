@@ -48,7 +48,10 @@ def blas_worker_ticks(workload):
     interpreter with numpy as np, ModeSpec, juttner and thermal_profile
     imported.  A BLAS call wakes the library's worker threads, which then
     spin between calls.  The workers also spin for about 0.1 s after they
-    start at import, so the count starts once they have gone idle."""
+    start at import, so the count starts once they have gone idle.  The
+    child runs with BLAS's default thread count (importing ``rvpmodes.cli``
+    sets OPENBLAS_NUM_THREADS=1 for this process and its children), and a
+    child without a worker thread fails: it would pass vacuously."""
     code = (
         "import os, time\n"
         "import numpy as np\n"
@@ -75,12 +78,16 @@ def blas_worker_ticks(workload):
         "after = cpu_ticks()\n"
         "pid = os.getpid()\n"
         "print(after[pid] - before[pid],\n"
-        "      others(after) - others(before))\n")
+        "      others(after) - others(before), len(after))\n")
     src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env=env, capture_output=True, text=True).stdout
-    return tuple(map(int, out.split()))
+    main, others, threads = map(int, out.split())
+    assert threads >= 2, f"the child runs {threads} thread: no BLAS worker"
+    return main, others
 
 
 # --- independent routes to the on-axis transform (test oracles) -------------
