@@ -2,19 +2,20 @@
 """Critical-wavenumber curves over temperature, plus the headline numbers.
 
 Writes the sweep CSV and prints the repulsive peak (location/value), the
-critical box size 1/sup, and the cold-limit coefficient of the attractive
-curve.  Equivalent CSV: `rvpmodes threshold --theta-min ... -o ...`.
+critical box size 1/sup, and the largest relative deviation of the
+attractive column from its closed form 1/sqrt(pi theta) over the grid.
+Equivalent CSV: `rvpmodes threshold --theta-min ... -o ...`.
 """
 
 import argparse
+import csv
 import math
 
-import numpy as np
 from scipy.optimize import minimize_scalar
 
 from rvpmodes.cli import main as cli_main
 from rvpmodes.equilibria import juttner
-from rvpmodes.spectral import threshold_astro, threshold_plasma
+from rvpmodes.spectral import threshold_plasma
 
 
 def run(theta_min, theta_max, n_points, out):
@@ -32,16 +33,16 @@ def run(theta_min, theta_max, n_points, out):
           f"{peak_theta:.4f}")
     print(f"critical box size 1/sup = {1.0 / peak:.4f}")
 
-    import warnings
-    thetas = np.logspace(-4, -2, 20)
-    with warnings.catch_warnings():
-        # the cold-regime flag is expected on this asymptote scan
-        warnings.simplefilter("ignore", UserWarning)
-        ks = [math.sqrt(threshold_astro(juttner(t)).kappa_crit_sq)
-              for t in thetas]
-    c_fit = math.exp(float(np.mean(np.log(ks) + 0.5 * np.log(thetas))))
-    print(f"attractive cold asymptote: kappa_crit ~ {c_fit:.5f}/sqrt(theta)"
-          f"   (1/sqrt(pi) = {1.0 / math.sqrt(math.pi):.5f})")
+    # the thermal attractive threshold is exactly 1/(pi theta): p = sinh chi
+    # turns its integral into K_2(1/theta), which the normalisation cancels
+    with open(out) as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    dev = max(abs(float(r["kappa_crit_astro"])
+                  * math.sqrt(math.pi * float(r["theta"])) - 1.0)
+              for r in rows)
+    print(f"attractive: kappa_crit = 1/sqrt(pi theta) to {dev:.2e} relative "
+          f"over {len(rows)} temperatures")
 
 
 if __name__ == "__main__":

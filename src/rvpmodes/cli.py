@@ -355,16 +355,14 @@ def cmd_appendix_verify(args) -> int:
 
 
 def _sweep_row(task):
-    (kappa, sigma, theta, grid, tol) = task
+    (kappa, sigma, theta, kappa_crit_sq, grid, tol) = task
     out = {"kappa": kappa, "supercritical_flag": "", "y0_or_blank": "",
            "fit_c": "", "fit_eps": "", "fit_s": "", "verdict": "",
            "error": ""}
     try:
-        eq = juttner(theta)
-        mode = ModeSpec(kappa=kappa, sigma=sigma, equilibrium=eq,
+        mode = ModeSpec(kappa=kappa, sigma=sigma, equilibrium=juttner(theta),
                         profile=thermal_profile(theta, 1.0))
-        thr = (threshold_plasma(eq) if sigma == +1 else threshold_astro(eq))
-        sup = kappa * kappa > thr.kappa_crit_sq
+        sup = kappa * kappa > kappa_crit_sq
         out["supercritical_flag"] = int(sup)
         if sigma == +1 and not sup:  # find_y0 is None only when sup
             out["y0_or_blank"] = _fmt(find_y0(mode, tol=min(tol, 1e-10)))
@@ -390,10 +388,12 @@ def cmd_sweep(args) -> int:
     # a process pool starts all its workers at once, whatever the rows
     _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
-    _usage_checked(juttner, args.theta)
+    eq = _usage_checked(juttner, args.theta)
+    # one threshold for every row: it depends on theta and sigma only
+    thr = threshold_plasma(eq) if args.sigma == +1 else threshold_astro(eq)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
-    tasks = [(float(k), args.sigma, args.theta, grid, args.tol)
-             for k in sorted(kappas)]
+    tasks = [(float(k), args.sigma, args.theta, thr.kappa_crit_sq, grid,
+              args.tol) for k in sorted(kappas)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # sweep --jobs only
 

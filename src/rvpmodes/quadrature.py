@@ -2,9 +2,11 @@
 
 Entry points:
 
-* :func:`integrate_finite` -- globally adaptive Gauss-Kronrod (G7, K15)
-  bisection on a finite interval.  Integrands must accept numpy arrays
-  (all nodes of a panel are evaluated in one call) and may return complex.
+* :func:`integrate_finite` -- composite 16-point Gauss-Legendre panels
+  on a finite interval, doubled to ``tol`` by :func:`double_panels`, for
+  smooth integrands that take a numpy array and may return complex; an
+  endpoint singularity or a kink raises at the panel cap (the adaptive
+  Gauss-Kronrod route for those is an oracle in ``tests/oracles.py``).
 * :func:`integrate_semi_infinite` -- [0, inf) via the rational map
   p = scale*u/(1-u), or plain clipping for compactly supported integrands.
 * :func:`filon_sums` -- the one Filon evaluator: composite cubic panels,
@@ -16,14 +18,13 @@ Entry points:
   grid through :func:`filon_sums`, on uniform panels doubled to ``tol``
   by :func:`double_panels`, which the dispersion transform shares.
 
-The Gauss-Legendre panels serve the principal values of
+The Gauss-Legendre panels also serve the principal values of
 :mod:`rvpmodes.spectral`.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,29 +43,6 @@ __all__ = [
     "next_fast_len",
 ]
 
-# QUADPACK (G7, K15) abscissae and weights on [-1, 1], from the centre out
-# (the rule is symmetric), and the Gauss-7 weights of the odd abscissae.
-_XK = np.array([
-    0.0, 0.20778495500789846760068940377324,
-    0.40584515137739716690660641207696, 0.58608723546769113029414483825873,
-    0.74153118559939443986386477328079, 0.86486442335976907278971278864093,
-    0.94910791234275852452618968404785, 0.99145537112081263920685469752633,
-])
-_WK = np.array([
-    0.20948214108472782801299917489171, 0.20443294007529889241416199923465,
-    0.19035057806478540991325640242101, 0.16900472663926790282658342659855,
-    0.14065325971552591874518959051024, 0.10479001032225018383987632254152,
-    0.06309209262997855329070066318921, 0.02293532201052922496373200805897,
-])
-_WG = np.array([
-    0.41795918367346938775510204081633, 0.38183005050511894495036977548898,
-    0.27970539148927666790146777142378, 0.12948496616886969327061143267908,
-])
-_XK = np.concatenate((-_XK[:0:-1], _XK))
-_WK = np.concatenate((_WK[:0:-1], _WK))
-_WG = np.concatenate((_WG[:0:-1], _WG))
-_GAUSS_IDX = np.arange(1, 15, 2)
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -81,66 +59,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, result: QuadResult):
         super().__init__(message)
         self.result = result
-
-
-def _gk15(f, a, b):
-    """One (G7, K15) panel.  Returns (kronrod, error_estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    y = f(c + h * _XK)
-    y = np.asarray(y)
-    k = h * np.sum(_WK * y)
-    g = h * np.sum(_WG * y[_GAUSS_IDX])
-    return k, abs(k - g)
-
-
-def integrate_finite(f, a, b, tol=1e-9, max_subdiv=2000):
-    """Adaptive int_a^b f(x) dx to absolute tolerance ``tol``.
-
-    Panels never evaluate the endpoints, so integrable endpoint
-    singularities (1/sqrt(x), log x, ...) converge without special casing.
-    Raises :class:`QuadratureError` carrying the best estimate if the
-    subdivision budget is exhausted or the value or its error estimate is
-    not finite, and ``ValueError`` unless ``tol`` is finite and positive.
-    """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    val, err = _gk15(f, a, b)
-    evals = 15
-    # Heap of (-error, seq, a, b, value, error); seq breaks value ties.
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
-    total_val, total_err = val, err
-    while total_err > tol and len(heap) < max_subdiv:
-        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # Interval at floating-point resolution: keep as is.
-            heapq.heappush(heap, (0.0, seq + 1, pa, pb, pval, perr))
-            seq += 1
-            continue
-        v1, e1 = _gk15(f, pa, mid)
-        v2, e2 = _gk15(f, mid, pb)
-        evals += 30
-        total_val += v1 + v2 - pval
-        total_err += e1 + e2 - perr
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
-    total_err = abs(total_err)
-    res = QuadResult(_scalar(total_val), float(total_err), evals)
-    if not (np.isfinite(total_val) and np.isfinite(total_err)):
-        raise QuadratureError(
-            "integrate_finite hit a non-finite value or error estimate "
-            f"({res.value}, {total_err}) after {evals} evaluations", res)
-    if total_err > 100 * tol and not total_err <= 1e-14 * abs(total_val):
-        raise QuadratureError(
-            f"integrate_finite did not reach tol={tol:g} "
-            f"(estimate {total_err:g} after {evals} evaluations)", res)
-    return res
 
 
 def _scalar(x):
@@ -177,14 +95,46 @@ def gauss_legendre_nodes(edges, n_panels):
     return nodes.ravel(), (half * _GL16_W).ravel()
 
 
+_GL_START_PANELS = 4  # first pass; from 1 or 2, coarse passes agree early
+_GL_MAX_PANELS = 2 ** 12  # its panel cap: 65 536 nodes in the last pass
+
+
+def integrate_finite(f, a, b, tol=1e-9):
+    """int_a^b f(x) dx to absolute tolerance ``tol``, for a smooth ``f``.
+
+    Equal panels of [a, b], 16 Gauss-Legendre nodes each, double from
+    ``_GL_START_PANELS`` to at most ``_GL_MAX_PANELS`` (``double_panels``)
+    until the value moves by at most ``tol``, the error estimate;
+    ``evaluations`` counts the integrand values of every pass.  An
+    endpoint singularity (1/sqrt(x), log x) or a kink converges too slowly
+    and raises QuadratureError at the cap, as does a non-finite value; the
+    adaptive Gauss-Kronrod route in ``tests/oracles.py`` handles those.
+    Raises ``ValueError`` unless a < b and ``tol`` is finite and positive.
+    """
+    if not (a < b):
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    evaluations = 0
+
+    def evaluate(n):
+        nonlocal evaluations
+        x, w = gauss_legendre_nodes((a, b), n)
+        evaluations += x.size
+        value = np.sum(w * np.asarray(f(x)))
+        return value, value
+
+    value, change = double_panels(evaluate, _GL_START_PANELS, _GL_MAX_PANELS,
+                                  tol, "integrate_finite")
+    return QuadResult(_scalar(value), change, evaluations)
+
+
 def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0):
     """int_0^inf f(p) dp for integrands decaying at least exponentially.
 
     ``support``: upper support bound; a finite one integrates [0, support]
     directly, None or inf the whole half-line.
     ``scale``: characteristic p where the integrand mass sits; the map
-    p = scale*u/(1-u) places that region mid-interval so the adaptive pass
-    starts near the action.
+    p = scale*u/(1-u) places that region mid-interval, where the first
+    panels already resolve it.
     """
     if support is not None and np.isfinite(support):
         return integrate_finite(f, 0.0, float(support), tol=tol)

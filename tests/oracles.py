@@ -7,6 +7,11 @@ data:
 * the direct time-domain kernels (``alpha_direct``, ``beta_direct``) and
   their reconstructions from the frequency envelopes (``alpha_via_inverse``,
   ``beta_via_inverse``), which must agree: the cross-path kernel identity;
+* globally adaptive Gauss-Kronrod (G7, K15) integration
+  (``integrate_adaptive``, and ``integrate_semi_infinite_adaptive`` on the
+  maps of ``quadrature.integrate_semi_infinite``), which copes with
+  endpoint singularities and kinks that the production Gauss-Legendre
+  doubling refuses; every momentum integral below goes through it;
 * the integration-by-parts twins of both critical-wavenumber integrals;
 * the source transform beyond the support (``laplace_alpha_imag_tail``);
 * one-frequency Filon quadrature with panel doubling
@@ -28,15 +33,15 @@ Tests import them as ``from oracles import ...``.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from rvpmodes.quadrature import (QuadResult, QuadratureError, filon_nodes,
-                                 filon_sums, integrate_finite,
-                                 integrate_semi_infinite)
+from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
+                                 filon_nodes, filon_sums)
 from rvpmodes.relkin import _asarray, scalarize, v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                laplace_beta_imag)
@@ -179,6 +184,111 @@ def exp1_neg_imag(x):
     return scalarize(out)
 
 
+# --- adaptive Gauss-Kronrod integration --------------------------------------
+
+# QUADPACK (G7, K15) abscissae and weights on [-1, 1], from the centre out
+# (the rule is symmetric), and the Gauss-7 weights of the odd abscissae.
+_XK = np.array([
+    0.0, 0.20778495500789846760068940377324,
+    0.40584515137739716690660641207696, 0.58608723546769113029414483825873,
+    0.74153118559939443986386477328079, 0.86486442335976907278971278864093,
+    0.94910791234275852452618968404785, 0.99145537112081263920685469752633,
+])
+_WK = np.array([
+    0.20948214108472782801299917489171, 0.20443294007529889241416199923465,
+    0.19035057806478540991325640242101, 0.16900472663926790282658342659855,
+    0.14065325971552591874518959051024, 0.10479001032225018383987632254152,
+    0.06309209262997855329070066318921, 0.02293532201052922496373200805897,
+])
+_WG = np.array([
+    0.41795918367346938775510204081633, 0.38183005050511894495036977548898,
+    0.27970539148927666790146777142378, 0.12948496616886969327061143267908,
+])
+_XK = np.concatenate((-_XK[:0:-1], _XK))
+_WK = np.concatenate((_WK[:0:-1], _WK))
+_WG = np.concatenate((_WG[:0:-1], _WG))
+_GAUSS_IDX = np.arange(1, 15, 2)
+
+
+def _gk15(f, a, b):
+    """One (G7, K15) panel.  Returns (kronrod, error_estimate)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    y = f(c + h * _XK)
+    y = np.asarray(y)
+    k = h * np.sum(_WK * y)
+    g = h * np.sum(_WG * y[_GAUSS_IDX])
+    return k, abs(k - g)
+
+
+def integrate_adaptive(f, a, b, tol=1e-9, max_subdiv=2000):
+    """Adaptive int_a^b f(x) dx to absolute tolerance ``tol``.
+
+    Panels never evaluate the endpoints, so integrable endpoint
+    singularities (1/sqrt(x), log x, ...) converge without special casing.
+    Raises :class:`QuadratureError` carrying the best estimate if the
+    subdivision budget is exhausted or the value or its error estimate is
+    not finite, and ``ValueError`` unless ``tol`` is finite and positive.
+    An estimate up to 100 ``tol`` (or within 1e-14 of the value) is
+    accepted without a signal.
+    """
+    if not (a < b):
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    val, err = _gk15(f, a, b)
+    evals = 15
+    # Heap of (-error, seq, a, b, value, error); seq breaks value ties.
+    seq = 0
+    heap = [(-err, seq, a, b, val, err)]
+    total_val, total_err = val, err
+    while total_err > tol and len(heap) < max_subdiv:
+        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if mid <= pa or mid >= pb:
+            # Interval at floating-point resolution: keep as is.
+            heapq.heappush(heap, (0.0, seq + 1, pa, pb, pval, perr))
+            seq += 1
+            continue
+        v1, e1 = _gk15(f, pa, mid)
+        v2, e2 = _gk15(f, mid, pb)
+        evals += 30
+        total_val += v1 + v2 - pval
+        total_err += e1 + e2 - perr
+        seq += 1
+        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
+    total_err = abs(total_err)
+    res = QuadResult(_scalar(total_val), float(total_err), evals)
+    if not (np.isfinite(total_val) and np.isfinite(total_err)):
+        raise QuadratureError(
+            "integrate_adaptive hit a non-finite value or error estimate "
+            f"({res.value}, {total_err}) after {evals} evaluations", res)
+    if total_err > 100 * tol and not total_err <= 1e-14 * abs(total_val):
+        raise QuadratureError(
+            f"integrate_adaptive did not reach tol={tol:g} "
+            f"(estimate {total_err:g} after {evals} evaluations)", res)
+    return res
+
+
+def integrate_semi_infinite_adaptive(f, tol=1e-9, support=None, scale=1.0):
+    """``quadrature.integrate_semi_infinite`` on ``integrate_adaptive``:
+    [0, support] for a finite ``support``, else [0, inf) through the
+    rational map p = scale*u/(1-u)."""
+    if support is not None and np.isfinite(support):
+        return integrate_adaptive(f, 0.0, float(support), tol=tol)
+    s = float(scale)
+    if s <= 0:
+        raise ValueError("scale must be positive")
+
+    def g(u):
+        w = 1.0 - u
+        return f(s * u / w) * (s / (w * w))
+
+    return integrate_adaptive(g, 0.0, 1.0, tol=tol)
+
+
 # --- one-frequency Filon quadrature -----------------------------------------
 
 _OSC_MAX_PANELS = 2 ** 14
@@ -194,7 +304,7 @@ def integrate_oscillatory(f, omega, a, b, tol=1e-9):
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if omega == 0.0:
-        res = integrate_finite(f, a, b, tol=tol)
+        res = integrate_adaptive(f, a, b, tol=tol)
         return QuadResult(complex(res.value), res.abs_error_estimate,
                           res.evaluations)
 
@@ -264,8 +374,9 @@ def filon_weights_monomial(omega_half):
 # --- kernels: direct time-domain reductions and inverse transforms ----------
 
 def _eq_integral(eq, integrand, tol):
-    return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
-                                   support=eq.support_bound)
+    return integrate_semi_infinite_adaptive(integrand, tol=tol,
+                                            scale=eq.p_scale,
+                                            support=eq.support_bound)
 
 
 def _sinc_kernel(w):
@@ -306,7 +417,7 @@ def alpha_direct(mode: ModeSpec, t: float, tol=1e-11) -> complex:
         return 4.0 * math.pi * p * p * mode.profile.value(p) \
             * _sinc_kernel(w * v_of_p(p))
 
-    res = integrate_semi_infinite(
+    res = integrate_semi_infinite_adaptive(
         integrand, tol=tol, scale=mode.profile.p_scale)
     return complex(res.value)
 
@@ -360,8 +471,8 @@ def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
         return np.arctanh((kap / ay) * v_of_p(p)) * p * np.hypot(1.0, p) \
             * mode.profile.value(p)
 
-    res = integrate_semi_infinite(integrand, tol=tol,
-                                  scale=mode.profile.p_scale)
+    res = integrate_semi_infinite_adaptive(integrand, tol=tol,
+                                           scale=mode.profile.p_scale)
     return complex(0.0, -2.0 / kap * res.value)
 
 

@@ -20,14 +20,14 @@ from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
 from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
                              g_derivative, g_l1_norm, partition_bound,
                              sup_bounds_check)
-from rvpmodes.quadrature import integrate_semi_infinite
 from rvpmodes.spectral import (ModeSpec, find_y0, laplace_beta_imag,
                                threshold_astro, threshold_plasma)
 from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
                                solve_mode, solve_volterra)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, threshold_astro_from_derivative,
+                     beta_via_inverse, integrate_semi_infinite_adaptive,
+                     threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
 
@@ -360,8 +360,8 @@ def test_criterion_10_appendix_suite():
                 q = np.atleast_1d(q)
                 return np.array([abs(g_derivative(params, m, x + params.R))
                                  for x in q])
-            ref = 2.0 * integrate_semi_infinite(absg, tol=1e-11,
-                                                scale=params.R).value
+            ref = 2.0 * integrate_semi_infinite_adaptive(
+                absg, tol=1e-11, scale=params.R).value
             assert g_l1_norm(params, m) == pytest.approx(ref, abs=1e-8)
 
         # partition facts

@@ -182,8 +182,8 @@ class TestEvolveFit:
 
 class TestDispersion:
     def test_csv_contract(self, tmp_path, monkeypatch):
-        # off the axis too the transform is a Cauchy sum, with no adaptive
-        # momentum quadrature behind it
+        # off the axis too the transform is a Cauchy sum, with no momentum
+        # quadrature behind it
         def refused(*args, **kwargs):
             raise AssertionError("integrate_finite called")
 
@@ -307,6 +307,40 @@ class TestSweep:
         assert rc == 0
         _, _, rows = read_csv(out)
         assert rows[0][6] == "growth"
+
+    @pytest.mark.parametrize("sigma,name", [("1", "threshold_plasma"),
+                                            ("-1", "threshold_astro")])
+    def test_threshold_once_per_sweep(self, sigma, name, tmp_path,
+                                      monkeypatch):
+        # kappa_crit^2 depends on theta and sigma only, not on the row
+        calls = []
+        for fn in ("threshold_plasma", "threshold_astro"):
+            def counted(eq, fn=fn, real=getattr(cli, fn)):
+                calls.append(fn)
+                return real(eq)
+            monkeypatch.setattr(cli, fn, counted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kappa-min", "0.3", "--kappa-max", "1.4",
+                     "--n-kappa", "12", "--sigma", sigma, "--theta", "0.2",
+                     "--dt", "0.1", "--t-max", "2", "-o", str(out)]) == 0
+        assert len(read_csv(out)[2]) == 12
+        assert calls == [name]
+
+    def test_threshold_failure_fails_the_run(self, tmp_path, monkeypatch,
+                                             capsys):
+        def refused(eq):
+            raise quadrature.QuadratureError("threshold did not converge",
+                                             None)
+
+        monkeypatch.setattr(cli, "threshold_astro", refused)
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kappa-min", "0.5", "--kappa-max", "0.6",
+                     "--n-kappa", "2", "--sigma", "-1", "--theta", "0.2",
+                     "--dt", "0.1", "--t-max", "2", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "QuadratureError: threshold did not converge" in \
+            capsys.readouterr().err
 
 
 class TestSweepFits:

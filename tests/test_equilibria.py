@@ -6,15 +6,15 @@ import pytest
 
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
-from rvpmodes.quadrature import integrate_finite, integrate_semi_infinite
 
-from oracles import bessel_k2
+from oracles import (bessel_k2, integrate_adaptive,
+                     integrate_semi_infinite_adaptive)
 
 THETAS = [0.01, 0.1, 0.2, 1.0, 10.0]
 
 
 def mass(eq, tol=1e-11):
-    return integrate_semi_infinite(
+    return integrate_semi_infinite_adaptive(
         lambda p: 4.0 * math.pi * p * p * eq.value(p), tol=tol,
         support=eq.support_bound if math.isfinite(eq.support_bound) else None,
         scale=eq.p_scale).value
@@ -57,7 +57,7 @@ class TestJuttner:
     def test_tail_kernel_moment_matches_quadrature(self):
         eq = juttner(0.35)
         for p0 in (0.0, 0.4, 2.0):
-            ref = integrate_semi_infinite(
+            ref = integrate_semi_infinite_adaptive(
                 lambda q: (1.0 + (q + p0) ** 2) * (-eq.derivative(q + p0)),
                 tol=1e-13, scale=eq.p_scale).value
             assert eq.tail_kernel_moment(math.hypot(1.0, p0)) \
@@ -87,8 +87,8 @@ class TestCompact:
 
     def test_unit_mass(self):
         eq = compact_decreasing(1.5)
-        val = integrate_finite(lambda p: 4.0 * math.pi * p * p * eq.value(p),
-                               0.0, 1.5, tol=1e-12).value
+        val = integrate_adaptive(lambda p: 4.0 * math.pi * p * p * eq.value(p),
+                                 0.0, 1.5, tol=1e-12).value
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_derivative_nonpositive(self):
@@ -106,7 +106,7 @@ class TestCompact:
     def test_tail_kernel_moment_matches_quadrature(self):
         eq = compact_decreasing(1.5)
         for p0 in (0.0, 0.5, 1.2):
-            ref = integrate_finite(
+            ref = integrate_adaptive(
                 lambda p: (1.0 + p * p) * (-eq.derivative(p)), p0, 1.5,
                 tol=1e-13).value
             assert eq.tail_kernel_moment(math.hypot(1.0, p0)) \
@@ -126,14 +126,14 @@ class TestProfiles:
 
     def test_gaussian_mass_moment(self):
         g = gaussian_profile(1.0, 1.0)
-        val = integrate_semi_infinite(
+        val = integrate_semi_infinite_adaptive(
             lambda p: 4.0 * math.pi * p * p * g.value(p), tol=1e-11).value
         assert val == pytest.approx(math.pi ** 1.5, rel=1e-9)
 
     def test_gaussian_tail_weighted_moment(self):
         g = gaussian_profile(0.8, 1.7)
         for p0 in (0.0, 0.5, 2.0):
-            ref = integrate_semi_infinite(
+            ref = integrate_semi_infinite_adaptive(
                 lambda q: (q + p0) * np.hypot(1.0, q + p0)
                 * g.value(q + p0), tol=1e-13, scale=0.8).value
             assert g.tail_weighted_moment(p0) == pytest.approx(ref, rel=1e-9)
@@ -141,7 +141,7 @@ class TestProfiles:
     def test_thermal_tail_weighted_moment(self):
         pr = thermal_profile(0.4, 2.0)
         for p0 in (0.0, 1.0):
-            ref = integrate_semi_infinite(
+            ref = integrate_semi_infinite_adaptive(
                 lambda q: (q + p0) * np.hypot(1.0, q + p0)
                 * pr.value(q + p0), tol=1e-13, scale=pr.p_scale).value
             assert pr.tail_weighted_moment(p0) == pytest.approx(ref,

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from rvpmodes import gevrey
 from rvpmodes.gevrey import (GevreyParams, c_coeffs, c_row_sum, d_coeffs,
                              d_row_sum, f_derivative, g_derivative, g_l1_norm,
                              partition_bound, product_l1_bound_check,
                              sup_bounds_check)
-from rvpmodes.quadrature import integrate_semi_infinite
 
-from oracles import gevrey_decay_check, laplace_alpha_imag_tail
+from oracles import (gevrey_decay_check, integrate_semi_infinite_adaptive,
+                     laplace_alpha_imag_tail)
 
 # Exact coefficient rows frozen after validation against the symbolic
 # differentiation oracle below.
@@ -266,8 +267,8 @@ class TestL1Norms:
             return np.array([abs(g_derivative(params, m, x + params.R))
                              for x in q])
 
-        ref = 2.0 * integrate_semi_infinite(absg, tol=1e-11,
-                                            scale=params.R).value
+        ref = 2.0 * integrate_semi_infinite_adaptive(absg, tol=1e-11,
+                                                     scale=params.R).value
         assert g_l1_norm(params, m) == pytest.approx(ref, abs=1e-8)
 
     def test_caps(self):
@@ -323,6 +324,23 @@ class TestProductLemma:
         rep = product_l1_bound_check(params, m_max=6)
         assert rep.all_within
         assert rep.constant >= 2.0 * max(rep.delta, rep.epsilon) * 0.999
+
+    @pytest.mark.parametrize("params", [PARAMS,
+                                        GevreyParams(K=1.0, L=1.0, v=0.3),
+                                        GevreyParams(K=1.0, L=1.0, v=0.5)])
+    def test_tails_match_adaptive_route(self, params, monkeypatch):
+        # each tail 2 int_0^inf |(fg)^(m)(q + R)| dq at the default tol
+        # 1e-10, against the adaptive route at 1e-13
+        ours = product_l1_bound_check(params, m_max=6).margins
+        monkeypatch.setattr(
+            gevrey, "integrate_semi_infinite",
+            lambda f, tol, scale: integrate_semi_infinite_adaptive(
+                f, tol=1e-13, scale=scale))
+        ref = product_l1_bound_check(params, m_max=6).margins
+        for (m, num, bound, _), (m_ref, num_ref, bound_ref, _) in zip(ours,
+                                                                      ref):
+            assert (m, bound) == (m_ref, bound_ref)
+            assert num == pytest.approx(num_ref, abs=2e-10)
 
     def test_requires_m0_at_least_one(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,8 @@ from rvpmodes.quadrature import (QuadratureError, _filon_weights,
                                  next_fast_len, gauss_legendre_nodes,
                                  integrate_finite, integrate_semi_infinite)
 
-from oracles import filon_weights_monomial, integrate_oscillatory
+from oracles import (filon_weights_monomial, integrate_adaptive,
+                     integrate_oscillatory)
 
 
 class TestFinite:
@@ -24,13 +25,13 @@ class TestFinite:
         assert r.evaluations > 0
 
     def test_endpoint_singularity(self):
-        r = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
+        r = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
         assert r.value == pytest.approx(2.0, abs=1e-8)
 
     def test_log_endpoint_blowup(self):
         # |arctanh(v) - v| over [-1, 1]; closed form 2 (ln 2 - 1/2)
-        r = integrate_finite(lambda v: np.abs(np.arctanh(v) - v),
-                             -1.0, 1.0, tol=1e-9)
+        r = integrate_adaptive(lambda v: np.abs(np.arctanh(v) - v),
+                               -1.0, 1.0, tol=1e-9)
         assert r.value == pytest.approx(2.0 * (math.log(2.0) - 0.5), abs=1e-8)
 
     def test_complex_integrand(self):
@@ -40,12 +41,43 @@ class TestFinite:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate_finite(lambda x: x, 0.5, 0.5)
+
+    @pytest.mark.parametrize("f,exact", [
+        (lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+         math.sqrt(math.pi) * math.exp(-2.25)),
+        (lambda x: np.exp((-1.0 + 3j) * x * x),
+         complex(np.sqrt(math.pi / (1.0 - 3j))))])
+    def test_smooth_integrand_reaches_tol(self, f, exact):
+        # [-8, 8] holds the Gaussians to below 1e-27
+        r = integrate_finite(f, -8.0, 8.0, tol=1e-12)
+        assert abs(r.value - exact) <= 1e-12
+        assert r.abs_error_estimate <= 1e-12
+        assert type(r.value) is type(exact)
+        # every pass counts: n0, 2 n0, ..., n panels of 16 nodes each
+        n = quadrature._GL_START_PANELS
+        total = 16 * n
+        while total < r.evaluations:
+            n *= 2
+            total += 16 * n
+        assert total == r.evaluations
+
+    def test_endpoint_singularity_raises_at_the_cap(self):
+        # the adaptive oracle returns 2 - 4.8e-10 here; the panels, whose
+        # error falls like sqrt(panel width), refuse rather than return a
+        # value whose last change exceeds tol
+        with pytest.raises(QuadratureError, match="at 4096 panels") as info:
+            integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
+        assert info.value.result.abs_error_estimate > 1e-9
+        r = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
+        assert abs(r.value - 2.0) <= 1e-9
 
     def test_nonconvergence_carries_best_value(self):
         # genuinely nasty: x^{-0.99} needs more panels than allowed
         with pytest.raises(QuadratureError) as err:
-            integrate_finite(lambda x: np.abs(x) ** -0.999, 0.0, 1.0,
-                             tol=1e-14, max_subdiv=20)
+            integrate_adaptive(lambda x: np.abs(x) ** -0.999, 0.0, 1.0,
+                               tol=1e-14, max_subdiv=20)
         assert err.value.result.abs_error_estimate > 0
         assert err.value.result.value > 0
 
@@ -66,7 +98,7 @@ class TestFinite:
         # the K15 centre node sits on the pole: value inf, estimate nan
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(QuadratureError):
-            integrate_finite(lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0)
+            integrate_adaptive(lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0)
 
     # estimate may overshoot, must not undershoot true error by > 10x
     BATTERY = [

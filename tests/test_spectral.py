@@ -26,6 +26,7 @@ from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
                      beta_via_inverse, f_cap, integrate_oscillatory,
+                     integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
                      rational_bound_check,
                      threshold_astro_from_derivative,
@@ -508,6 +509,16 @@ class TestLaplaceHalfPlane:
         assert abs(val - osc.value) < 1e-6
 
 
+def _threshold_on_adaptive_route(threshold, eq):
+    """``threshold(eq)`` with its momentum integral on the adaptive route
+    at tol 1e-13."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "integrate_semi_infinite",
+                   lambda f, tol, **maps: integrate_semi_infinite_adaptive(
+                       f, tol=1e-13, **maps))
+        return threshold(eq).kappa_crit_sq
+
+
 class TestThresholds:
     def test_identity_pairs(self):
         for theta in (0.05, 0.2, 1.0, 5.0):
@@ -537,6 +548,41 @@ class TestThresholds:
         for theta in (0.05, 0.2, 1.0, 4.0):
             thr = threshold_astro(juttner(theta)).kappa_crit_sq
             assert thr == pytest.approx(1.0 / (math.pi * theta), rel=1e-10)
+
+    # uniform panels accept a change below tol before they resolve the
+    # p ~ 1 structure, which the map p = scale u/(1-u) squeezes to
+    # u ~ 1/(2 theta) on a hot equilibrium: 7.4e-11 and 4.3e-11 off
+    # (the adaptive route misses the second by 7.4e-11 itself)
+    HOT_MISSES = {(+1, 316.2277660168379), (-1, 1000.0)}
+
+    @pytest.mark.parametrize("sigma", [+1, -1])
+    @pytest.mark.parametrize("theta", np.logspace(-4.0, 6.0, 21))
+    def test_thermal_thresholds_within_tol(self, sigma, theta, request):
+        # attractive: exactly 1/(pi theta); repulsive: the adaptive route
+        # at 1e-13.  rel 1e-13 allows for the scaled-Bessel normalisation
+        # of a cold equilibrium (1.8e-14 at theta = 1e-4)
+        if (sigma, float(theta)) in self.HOT_MISSES:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="two coarse passes agree to tol "
+                "before the panels resolve p ~ 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            eq = juttner(float(theta))
+        if sigma == +1:
+            ours = threshold_plasma(eq, tol=1e-11).kappa_crit_sq
+            ref = _threshold_on_adaptive_route(threshold_plasma, eq)
+        else:
+            ours = threshold_astro(eq, tol=1e-11).kappa_crit_sq
+            ref = 1.0 / (math.pi * theta)
+        assert ours == pytest.approx(ref, abs=1e-11, rel=1e-13)
+
+    @pytest.mark.parametrize("sigma", [+1, -1])
+    @pytest.mark.parametrize("support", [0.1, 0.5, 1.0, 3.0, 10.0])
+    def test_compact_thresholds_match_adaptive_route(self, sigma, support):
+        eq = compact_decreasing(support)
+        thr = threshold_plasma if sigma == +1 else threshold_astro
+        assert thr(eq, tol=1e-11).kappa_crit_sq == pytest.approx(
+            _threshold_on_adaptive_route(thr, eq), abs=1e-11, rel=1e-13)
 
     def test_astro_decreasing_toward_zero(self):
         vals = [threshold_astro(juttner(th)).kappa_crit_sq
