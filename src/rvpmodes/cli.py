@@ -307,48 +307,20 @@ def cmd_fit(args) -> int:
 
 def cmd_appendix_verify(args) -> int:
     # the battery's exact arithmetic (fractions) loads only here
-    from .gevrey import (MAX_ORDER, GevreyParams, g_l1_norm, partition_bound,
-                         product_l1_bound_check, sup_bounds_check)
+    from .gevrey import MAX_ORDER, GevreyParams, appendix_battery
 
-    try:
-        params = GevreyParams(K=args.K, L=args.L, v=args.v)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _usage_checked(GevreyParams, args.K, args.L, args.v)
     if not 0 <= args.m_max <= MAX_ORDER:
         raise UsageError(f"--m-max must lie in [0, {MAX_ORDER}], got "
                          f"{args.m_max}")
     try:
-        sup = sup_bounds_check(params, args.m_max)
-        prod = product_l1_bound_check(params, m_max=min(args.m_max, 6))
-        l1 = [g_l1_norm(params, m) for m in range(3)]
+        checks, rows = appendix_battery(params, args.m_max)
     except ArithmeticError as exc:
         raise UsageError(f"K={args.K:g}, L={args.L:g}, m-max={args.m_max} "
                          f"overflow the battery: {type(exc).__name__}: "
                          f"{exc}") from exc
-    p5 = partition_bound(5)
-    ratios = [partition_bound(m)[2] for m in (50, 100, 200)]
-    ratios_ok = (ratios[0] < ratios[1] < ratios[2] < 1.0)
-    caps = (params.K / params.L, 0.5, 4.0 * params.L / params.K)
-    l1_ok = all(val <= cap for val, cap in zip(l1, caps))
-
-    checks = [
-        ("sup_bounds_f", sup.all_within),
-        ("coeff_sums_C", all(r[3] <= 1 for r in sup.c_sum_margins)),
-        ("coeff_sums_D", all(r[3] <= 1 for r in sup.d_sum_margins)),
-        ("l1_caps_g", l1_ok),
-        ("product_lemma", prod.all_within),
-        ("partition_p5", p5[0] == 7),
-        ("partition_ratio_monotone", ratios_ok),
-    ]
     for name, ok in checks:
         sys.stdout.write(f"{name:28s} {'PASS' if ok else 'FAIL'}\n")
-
-    rows = [(check, m, val, bound, margin)
-            for check, margins in (("f_sup", sup.f_margins),
-                                   ("c_sum", sup.c_sum_margins),
-                                   ("d_sum", sup.d_sum_margins),
-                                   ("product_l1", prod.margins))
-            for m, val, bound, margin in margins]
     _write_csv(args.output, ["check", "m", "value", "bound", "margin"], rows,
                _config_echo(args))
     return 0 if all(ok for _, ok in checks) else 1

@@ -23,6 +23,9 @@ where |f^(m)| and |g^(m)| are decreasing in |omega|:
   bounds, with the constant built exactly as in its proof
 * the partition-count asymptote used by the composition (Faa di Bruno)
   estimate.
+
+The battery's one entry point is ``appendix_battery(params, m_max)``: the
+seven verdicts, each judged on its own values, and the margin rows.
 """
 
 from __future__ import annotations
@@ -31,19 +34,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from types import MappingProxyType
 
 import numpy as np
 
 from .quadrature import integrate_semi_infinite
 
 __all__ = [
-    "CoeffTable",
     "GevreyParams",
+    "appendix_battery",
     "c_coeffs",
     "d_coeffs",
-    "c_row_sum",
-    "d_row_sum",
     "f_derivative",
     "g_derivative",
     "sup_bounds_check",
@@ -53,16 +54,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 30  # factorial prefactors exceed double range not far beyond
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """One row of a coefficient family: entries[(i, j)] with i + j fixed."""
-
-    entries: Dict[Tuple[int, int], Fraction]
-
-    def sum(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -90,76 +81,60 @@ def _check_order(m, low):
         raise ValueError(f"order must lie in [{low}, {MAX_ORDER}], got {m}")
 
 
+def _next_row(prev, grow, weights, den=1):
+    """The read-only row after ``prev`` of a two-term recurrence: entries
+    (a prev[i - grow, j] + b prev[i - grow + 1, j - 1]) / den, (a, b) =
+    weights(i), for i = 0..top ascending and j = top - i, where top is
+    ``prev``'s plus ``grow`` (0 or 1); an index ``prev`` lacks counts 0."""
+    top = sum(next(iter(prev))) + grow
+    row = {}
+    for i in range(top + 1):
+        a, b = weights(i)
+        j = top - i
+        row[(i, j)] = Fraction(a * prev.get((i - grow, j), 0)
+                               + b * prev.get((i - grow + 1, j - 1), 0), den)
+    return MappingProxyType(row)
+
+
 @lru_cache(maxsize=None)
-def c_coeffs(m: int) -> CoeffTable:
-    """Coefficient row C^m for the derivatives of f.
+def c_coeffs(m: int):
+    """Coefficient row C^m for the derivatives of f: {(i, j): Fraction}.
 
     C^1 = C^2 = {(0,0): 1}; odd rows build from the preceding even row,
     even rows divide by (n+1)(2n+1), hence the exact rationals.  Row m
-    holds indices (i, n-i) with n = (m-1)//2.
+    holds indices (i, n-i) with n = (m-1)//2.  The row is shared by the
+    cache, so it is a read-only mapping.
     """
     _check_order(m, 1)
     if m in (1, 2):
-        return CoeffTable({(0, 0): Fraction(1)})
-    prev = c_coeffs(m - 1).entries
-
-    def at(i, j):  # no row holds a negative index
-        return prev.get((i, j), Fraction(0))
-
-    entries = {}
+        return MappingProxyType({(0, 0): Fraction(1)})
+    prev = c_coeffs(m - 1)
     if m % 2 == 1:  # m = 2n+1 from row 2n
         n = (m - 1) // 2
-        for i in range(n + 1):
-            entries[(i, n - i)] = ((4 * n - 2 * i + 1) * at(i - 1, n - i)
-                                   + (2 * i + 1) * at(i, n - 1 - i))
-    else:  # m = 2n+2 from row 2n+1
-        n = (m - 2) // 2
-        den = (n + 1) * (2 * n + 1)
-        for i in range(n + 1):
-            entries[(i, n - i)] = ((2 * n - i + 1) * at(i, n - i)
-                                   + (i + 1) * at(i + 1, n - i - 1)) \
-                / Fraction(den)
-    return CoeffTable(entries)
+        return _next_row(prev, 1, lambda i: (4 * n - 2 * i + 1, 2 * i + 1))
+    n = (m - 2) // 2  # m = 2n+2 from row 2n+1
+    return _next_row(prev, 0, lambda i: (2 * n - i + 1, i + 1),
+                     (n + 1) * (2 * n + 1))
 
 
 @lru_cache(maxsize=None)
-def d_coeffs(m: int) -> CoeffTable:
+def d_coeffs(m: int):
     """Coefficient row D^m for the derivatives of g (defined for m >= 2).
 
     D^2 = {(0,0): 1}; odd rows divide by (2n)(2n-1).  Row m holds indices
-    (i, j) with i + j = (m - 2 + (m % 2)) // 2 ... concretely i + j equals
-    n-1 for both m = 2n and m = 2n+1.
+    (i, j) with i + j = n-1 for both m = 2n and m = 2n+1.  Read-only, as
+    ``c_coeffs``.
     """
     _check_order(m, 2)
     if m == 2:
-        return CoeffTable({(0, 0): Fraction(1)})
-    prev = d_coeffs(m - 1).entries
-
-    def at(i, j):  # no row holds a negative index
-        return prev.get((i, j), Fraction(0))
-
-    entries = {}
+        return MappingProxyType({(0, 0): Fraction(1)})
+    prev = d_coeffs(m - 1)
     if m % 2 == 1:  # m = 2n+1 from row 2n
         n = (m - 1) // 2
-        den = (2 * n) * (2 * n - 1)
-        for i in range(n):
-            entries[(i, n - 1 - i)] = ((4 * n - 2 * i) * at(i, n - 1 - i)
-                                       + (2 * i + 2) * at(i + 1, n - 2 - i)) \
-                / Fraction(den)
-    else:  # m = 2n+2 from row 2n+1
-        n = (m - 2) // 2
-        for i in range(n + 1):
-            entries[(i, n - i)] = ((2 * i + 1) * at(i, n - i - 1)
-                                   + (4 * n - 2 * i + 3) * at(i - 1, n - i))
-    return CoeffTable(entries)
-
-
-def c_row_sum(m: int) -> float:
-    return float(c_coeffs(m).sum())
-
-
-def d_row_sum(m: int) -> float:
-    return float(d_coeffs(m).sum())
+        return _next_row(prev, 0, lambda i: (4 * n - 2 * i, 2 * i + 2),
+                         (2 * n) * (2 * n - 1))
+    n = (m - 2) // 2  # m = 2n+2 from row 2n+1
+    return _next_row(prev, 1, lambda i: (4 * n - 2 * i + 3, 2 * i + 1))
 
 
 def _poly_eval(entries, lw2, kv2):
@@ -170,26 +145,31 @@ def _poly_eval(entries, lw2, kv2):
     return acc
 
 
+def _vanishes(params: GevreyParams, m: int, omega: float) -> bool:
+    """The checks f_derivative and g_derivative share: the order and the
+    domain |omega| > Kv/L; True at v = 0, where f and g vanish."""
+    _check_order(m, 0)
+    if abs(omega) * params.L <= params.K * params.v:
+        raise ValueError("omega inside the singular interval |omega|<=Kv/L")
+    return params.v == 0.0
+
+
 def f_derivative(params: GevreyParams, m: int, omega: float) -> float:
     """m-th derivative of f(omega) = arctanh(K v/(L omega)), |omega|>Kv/L."""
-    _check_order(m, 0)
-    K, L, v = params.K, params.L, params.v
-    if abs(omega) * L <= K * v:
-        raise ValueError("omega inside the singular interval |omega|<=Kv/L")
-    if v == 0.0:
+    if _vanishes(params, m, omega):
         return 0.0
+    K, L, v = params.K, params.L, params.v
     if m == 0:
         return math.atanh(K * v / (L * omega))
     lw2 = (L * omega) ** 2
     kv2 = (K * v) ** 2
     den = lw2 - kv2
+    s = _poly_eval(c_coeffs(m), lw2, kv2)
     if m % 2 == 1:
         n = (m - 1) // 2
-        s = _poly_eval(c_coeffs(m).entries, lw2, kv2)
         return -math.factorial(2 * n) * K * v * L**(2 * n + 1) \
             / den**(2 * n + 1) * s
     n = (m - 2) // 2
-    s = _poly_eval(c_coeffs(m).entries, lw2, kv2)
     return math.factorial(2 * n + 2) * K * v * L**(2 * n + 3) * omega \
         / den**(2 * n + 2) * s
 
@@ -200,12 +180,9 @@ def g_derivative(params: GevreyParams, m: int, omega: float) -> float:
     Orders 0 and 1 use their explicit forms; beyond that the closed form
     runs on the D coefficient rows.
     """
-    _check_order(m, 0)
-    K, L, v = params.K, params.L, params.v
-    if abs(omega) * L <= K * v:
-        raise ValueError("omega inside the singular interval |omega|<=Kv/L")
-    if v == 0.0:
+    if _vanishes(params, m, omega):
         return 0.0
+    K, L, v = params.K, params.L, params.v
     if m == 0:
         return (L * omega / K) * math.atanh(K * v / (L * omega)) - v
     lw2 = (L * omega) ** 2
@@ -214,52 +191,46 @@ def g_derivative(params: GevreyParams, m: int, omega: float) -> float:
     if m == 1:
         return (L / K) * math.atanh(K * v / (L * omega)) \
             - v * L * L * omega / den
+    s = _poly_eval(d_coeffs(m), lw2, kv2)
     if m % 2 == 0:
         n = m // 2
-        s = _poly_eval(d_coeffs(m).entries, lw2, kv2)
         return 2.0 * math.factorial(2 * n - 2) * K * K * v**3 * L**(2 * n) \
             / den**(2 * n) * s
     n = (m - 1) // 2
-    s = _poly_eval(d_coeffs(m).entries, lw2, kv2)
     return -2.0 * math.factorial(2 * n) * K * K * v**3 * L**(2 * n + 2) \
         * omega / den**(2 * n + 1) * s
 
 
-@dataclass(frozen=True)
-class SupBoundsReport:
-    """Margins (value / bound) for the f sup bounds and coefficient sums."""
-
-    f_margins: tuple       # (m, |f^(m)(R)|, (6L/K)^m m!, margin)
-    c_sum_margins: tuple   # (m, sum C^m, (sqrt 18)^m, margin)
-    d_sum_margins: tuple   # (m, sum D^m, (2 sqrt 21)^m, margin)
-
-    @property
-    def all_within(self) -> bool:
-        rows = self.f_margins + self.c_sum_margins + self.d_sum_margins
-        return all(r[3] <= 1.0 for r in rows)
+def _margins(orders, value, bound):
+    """(m, value(m), bound(m), value / bound) for each order m."""
+    rows = []
+    for m in orders:
+        val, cap = value(m), bound(m)
+        rows.append((m, val, cap, val / cap))
+    return tuple(rows)
 
 
-def sup_bounds_check(params: GevreyParams, m_max: int) -> SupBoundsReport:
-    """Evaluate |f^(m)(R)| against (6L/K)^m m! and the coefficient-sum
-    bounds; |f^(m)| decreases on |omega| >= R so the sup sits at R."""
+def _within(rows):
+    return all(r[3] <= 1.0 for r in rows)
+
+
+def sup_bounds_check(params: GevreyParams, m_max: int):
+    """Rows (m, value, bound, value / bound) of three families:
+    |f^(m)(R)| against (6L/K)^m m! (|f^(m)| decreases on |omega| >= R, so
+    the sup sits at R), and the row sums of C^m against (sqrt 18)^m and
+    of D^m against (2 sqrt 21)^m."""
     _check_order(m_max, 0)
     K, L = params.K, params.L
-    f_rows = []
-    for m in range(m_max + 1):
-        sup = abs(f_derivative(params, m, params.R))
-        bound = (6.0 * L / K) ** m * math.factorial(m)
-        f_rows.append((m, sup, bound, sup / bound))
-    c_rows = []
-    for m in range(1, m_max + 1):
-        s = c_row_sum(m)
-        bound = math.sqrt(18.0) ** m
-        c_rows.append((m, s, bound, s / bound))
-    d_rows = []
-    for m in range(2, m_max + 1):
-        s = d_row_sum(m)
-        bound = (2.0 * math.sqrt(21.0)) ** m
-        d_rows.append((m, s, bound, s / bound))
-    return SupBoundsReport(tuple(f_rows), tuple(c_rows), tuple(d_rows))
+    f_rows = _margins(range(m_max + 1),
+                      lambda m: abs(f_derivative(params, m, params.R)),
+                      lambda m: (6.0 * L / K) ** m * math.factorial(m))
+    c_rows = _margins(range(1, m_max + 1),
+                      lambda m: float(sum(c_coeffs(m).values())),
+                      lambda m: math.sqrt(18.0) ** m)
+    d_rows = _margins(range(2, m_max + 1),
+                      lambda m: float(sum(d_coeffs(m).values())),
+                      lambda m: (2.0 * math.sqrt(21.0)) ** m)
+    return f_rows, c_rows, d_rows
 
 
 def g_l1_norm(params: GevreyParams, m: int) -> float:
@@ -297,28 +268,13 @@ def partition_bound(m: int):
     return p, asym, p / asym
 
 
-@dataclass(frozen=True)
-class ProductBoundReport:
-    """Lemma-style product check: margins of ||(f g)^(m)||_L1 against
-    CC^(m0+m) (m0+m)! with CC built from the factor constants."""
-
-    delta: float
-    epsilon: float
-    constant: float
-    margins: tuple  # (m, numeric L1, bound, margin)
-
-    @property
-    def all_within(self) -> bool:
-        return all(r[3] <= 1.0 for r in self.margins)
-
-
 def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
-                           m0: int = 1, tol: float = 1e-10
-                           ) -> ProductBoundReport:
+                           m0: int = 1, tol: float = 1e-10):
     """Check the derivative-of-product L1 bound for phi = g, psi = f.
 
-    delta and epsilon are the smallest constants with
-    ||g^(m)||_L1 <= delta^(m0+m) (m0+m)! and
+    Returns the rows (m, ||(f g)^(m)||_L1, CC^(m0+m) (m0+m)!, margin)
+    and (delta, epsilon, CC).  delta and epsilon are the smallest
+    constants with ||g^(m)||_L1 <= delta^(m0+m) (m0+m)! and
     ||f^(m)||_Linf <= epsilon^(m0+m) (m0+m)! over m <= m_max; the product
     constant is CC = 2c * max(1, ((m0!)^2 (2c)^m0)^(1/m0)) with
     c = max(delta, epsilon), exactly the construction in the lemma's
@@ -334,9 +290,11 @@ def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
     c = max(delta, eps)
     cc = 2.0 * c * max(1.0, ((math.factorial(m0) ** 2 * (2.0 * c) ** m0)
                              ** (1.0 / m0)))
+    if cc == 0.0:  # v = 0: f = g = 0, so each norm and each bound is 0
+        return (tuple((m, 0.0, 0.0, 0.0) for m in range(m_max + 1)),
+                (delta, eps, cc))
 
-    rows = []
-    for m in range(m_max + 1):
+    def l1_norm(m):
         binom = [math.comb(m, i) for i in range(m + 1)]
 
         def deriv_abs(w):
@@ -352,8 +310,37 @@ def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
 
         res = integrate_semi_infinite(lambda q: deriv_abs(q + R), tol=tol,
                                       scale=R)
-        num = 2.0 * res.value  # |(fg)^(m)| is even
-        bound = cc ** (m0 + m) * math.factorial(m0 + m)
-        rows.append((m, num, bound, num / bound))
-    return ProductBoundReport(delta=delta, epsilon=eps, constant=cc,
-                              margins=tuple(rows))
+        return 2.0 * res.value  # |(fg)^(m)| is even
+
+    rows = _margins(range(m_max + 1), l1_norm,
+                    lambda m: cc ** (m0 + m) * math.factorial(m0 + m))
+    return rows, (delta, eps, cc)
+
+
+def appendix_battery(params: GevreyParams, m_max: int):
+    """``(checks, rows)`` of the appendix battery through order m_max:
+    seven ``(name, passed)`` verdicts, each judged on its own values only,
+    and the margin rows ``(family, m, value, bound, margin)`` of f_sup,
+    c_sum, d_sum and product_l1.  An ArithmeticError means the parameters
+    overflow the battery."""
+    f_rows, c_rows, d_rows = sup_bounds_check(params, m_max)
+    # each product order is a quadrature of m + 1 products: order 6 at most
+    prod_rows, _ = product_l1_bound_check(params, m_max=min(m_max, 6))
+    l1 = [g_l1_norm(params, m) for m in range(3)]
+    caps = (params.K / params.L, 0.5, 4.0 * params.L / params.K)
+    ratios = [partition_bound(m)[2] for m in (50, 100, 200)]
+    checks = [
+        ("sup_bounds_f", _within(f_rows)),
+        ("coeff_sums_C", _within(c_rows)),
+        ("coeff_sums_D", _within(d_rows)),
+        ("l1_caps_g", all(val <= cap for val, cap in zip(l1, caps))),
+        ("product_lemma", _within(prod_rows)),
+        ("partition_p5", partition_bound(5)[0] == 7),
+        ("partition_ratio_monotone", ratios[0] < ratios[1] < ratios[2] < 1.0),
+    ]
+    rows = [(family, *row)
+            for family, margins in (("f_sup", f_rows), ("c_sum", c_rows),
+                                    ("d_sum", d_rows),
+                                    ("product_l1", prod_rows))
+            for row in margins]
+    return checks, rows

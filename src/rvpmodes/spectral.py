@@ -32,7 +32,7 @@ import numpy as np
 
 from .equilibria import Equilibrium, PerturbationProfile
 from .quadrature import (double_panels, filon_table, gauss_legendre_nodes,
-                         integrate_semi_infinite)
+                         integrate_finite, integrate_semi_infinite)
 from .relkin import scalarize, v_of_p
 
 __all__ = [
@@ -77,7 +77,6 @@ class ThresholdReport:
 class KernelTable:
     """alpha and beta sampled on a shared time grid, with error bounds."""
 
-    t: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     abs_error: float
@@ -85,9 +84,21 @@ class KernelTable:
 
 # --- momentum integrals ------------------------------------------------------
 
-def _eq_integral(eq: Equilibrium, integrand, tol):
-    return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
-                                   support=eq.support_bound)
+def _eq_integral(eq: Equilibrium, integrand, tol) -> float:
+    """int integrand(p) dp over the support of ``eq``, to ``tol``.
+
+    On a hot equilibrium (unbounded, ``p_scale`` > 2) the map p =
+    p_scale u/(1 - u) squeezes the p ~ 1 structure into u ~ 1/p_scale,
+    where two coarse passes can agree to tol before they resolve it; there
+    [0, 1] runs on plain panels and [1, inf) on the map, each to tol/2.
+    """
+    if math.isfinite(eq.support_bound) or eq.p_scale <= 2.0:
+        return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
+                                       support=eq.support_bound).value
+    head = integrate_finite(integrand, 0.0, 1.0, tol=0.5 * tol)
+    tail = integrate_semi_infinite(lambda p: integrand(1.0 + p),
+                                   tol=0.5 * tol, scale=eq.p_scale)
+    return head.value + tail.value
 
 
 # --- frequency-domain envelopes ---------------------------------------------
@@ -260,8 +271,7 @@ def threshold_plasma(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
     def integrand(p):
         return p * (2.0 * np.arcsinh(p) - v_of_p(p)) * eq.value(p)
 
-    res = _eq_integral(eq, integrand, tol)
-    return ThresholdReport(float(res.value) * 4.0)
+    return ThresholdReport(_eq_integral(eq, integrand, tol) * 4.0)
 
 
 def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
@@ -272,8 +282,7 @@ def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
         u = np.hypot(1.0, p)
         return (u + p * p / u) * eq.value(p)
 
-    res = _eq_integral(eq, integrand, tol)
-    return ThresholdReport(float(res.value) * 4.0)
+    return ThresholdReport(_eq_integral(eq, integrand, tol) * 4.0)
 
 
 _Y0_XTOL = 1e-12  # width in y of the bracket at which find_y0 stops
@@ -344,5 +353,5 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
         0.0, mode.kappa, t, 0.5 * tol)
     alpha = 2.0 * sums[0].real
     beta = -2.0 * sums[1].imag
-    return KernelTable(t=t, alpha=alpha.astype(complex), beta=beta,
+    return KernelTable(alpha=alpha.astype(complex), beta=beta,
                        abs_error=2.0 * err)

@@ -66,7 +66,6 @@ class TimeGrid:
 class ModeTrajectory:
     """Solution samples together with the kernel tables that produced them."""
 
-    grid: TimeGrid
     rho: np.ndarray
     alpha_samples: np.ndarray
     beta_samples: np.ndarray
@@ -187,7 +186,7 @@ def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
         rho_h, growth_h = solve_volterra(table_h.alpha, table_h.beta, half.dt)
         if not growth_h:
             rho = (4.0 * rho_h[::2] - rho) / 3.0
-    return ModeTrajectory(grid=grid, rho=rho, alpha_samples=table.alpha,
+    return ModeTrajectory(rho=rho, alpha_samples=table.alpha,
                           beta_samples=table.beta, growth=growth)
 
 

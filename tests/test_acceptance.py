@@ -275,7 +275,7 @@ def _exact_f_derivative(kf, lf, vf, m, wf):
     kv2 = (kf * vf) ** 2
     den = lw2 - kv2
     s = sum(cf * lw2**i * kv2**j
-            for (i, j), cf in c_coeffs(m).entries.items())
+            for (i, j), cf in c_coeffs(m).items())
     if m % 2 == 1:
         n = (m - 1) // 2
         return -Fraction(math.factorial(2 * n)) * kf * vf \
@@ -291,7 +291,7 @@ def _exact_g_derivative(kf, lf, vf, m, wf):
     kv2 = (kf * vf) ** 2
     den = lw2 - kv2
     s = sum(cf * lw2**i * kv2**j
-            for (i, j), cf in d_coeffs(m).entries.items())
+            for (i, j), cf in d_coeffs(m).items())
     if m % 2 == 0:
         n = m // 2
         return 2 * Fraction(math.factorial(2 * n - 2)) * kf**2 * vf**3 \
@@ -350,8 +350,8 @@ def test_criterion_10_appendix_suite():
 
         # sup-norm and coefficient-sum bounds, margins <= 1 through m = 16
         for v in (0.1, 0.5, 0.9):
-            assert sup_bounds_check(GevreyParams(K=1.0, L=1.0, v=v),
-                                    16).all_within
+            rows = sup_bounds_check(GevreyParams(K=1.0, L=1.0, v=v), 16)
+            assert all(r[3] <= 1.0 for family in rows for r in family)
 
         # closed-form L1 norms against quadrature
         params = GevreyParams(K=1.0, L=1.0, v=0.5)

@@ -500,6 +500,37 @@ class TestAppendixVerify:
         assert header == ["check", "m", "value", "bound", "margin"]
         assert all(float(r[4]) <= 1.0 for r in rows)
 
+    def test_zero_speed_passes(self, tmp_path, capsys):
+        # f = g = 0 at v = 0: the product constant is 0, and the product
+        # lemma's rows are (m, 0, 0, 0) instead of 0/0 margins
+        out = tmp_path / "margins.csv"
+        assert main(["appendix-verify", "--v", "0", "-o", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and all(ln.endswith(" PASS") for ln in lines)
+        _, _, rows = read_csv(out)
+        product = [r for r in rows if r[0] == "product_l1"]
+        assert product == [["product_l1", str(m), "0", "0", "0"]
+                           for m in range(7)]
+
+    def test_each_check_judged_on_its_own_rows(self, tmp_path, capsys,
+                                               monkeypatch):
+        # one C row sum over its bound fails coeff_sums_C and nothing else
+        from rvpmodes import gevrey
+        real = gevrey.sup_bounds_check
+
+        def pushed(params, m_max):
+            f_rows, c_rows, d_rows = real(params, m_max)
+            m, _, bound, _ = c_rows[3]
+            over = (m, 2.0 * bound, bound, 2.0)
+            return f_rows, c_rows[:3] + (over,) + c_rows[4:], d_rows
+
+        monkeypatch.setattr(gevrey, "sup_bounds_check", pushed)
+        out = tmp_path / "margins.csv"
+        assert main(["appendix-verify", "-o", str(out)]) == 1
+        failed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.endswith(" FAIL")]
+        assert failed == ["coeff_sums_C"]
+
 
 class TestParallelSweep:
     def test_worker_pool_matches_serial(self, tmp_path):

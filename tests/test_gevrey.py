@@ -6,10 +6,9 @@ import pytest
 import sympy as sp
 
 from rvpmodes import gevrey
-from rvpmodes.gevrey import (GevreyParams, c_coeffs, c_row_sum, d_coeffs,
-                             d_row_sum, f_derivative, g_derivative, g_l1_norm,
-                             partition_bound, product_l1_bound_check,
-                             sup_bounds_check)
+from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
+                             g_derivative, g_l1_norm, partition_bound,
+                             product_l1_bound_check, sup_bounds_check)
 
 from oracles import (gevrey_decay_check, integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail)
@@ -54,29 +53,36 @@ PARAMS = GevreyParams(K=1.3, L=0.7, v=0.55)
 
 class TestCoefficientTables:
     def test_base_rows(self):
-        assert c_coeffs(1).entries == {(0, 0): 1}
-        assert c_coeffs(2).entries == {(0, 0): 1}
-        assert d_coeffs(2).entries == {(0, 0): 1}
-        assert d_coeffs(3).entries == {(0, 0): 2}
-        assert c_coeffs(3).entries == {(1, 0): 3, (0, 1): 1}
+        assert c_coeffs(1) == {(0, 0): 1}
+        assert c_coeffs(2) == {(0, 0): 1}
+        assert d_coeffs(2) == {(0, 0): 1}
+        assert d_coeffs(3) == {(0, 0): 2}
+        assert c_coeffs(3) == {(1, 0): 3, (0, 1): 1}
 
     @pytest.mark.parametrize("m", sorted(C_GOLDEN))
     def test_c_golden(self, m):
-        assert c_coeffs(m).entries == C_GOLDEN[m]
+        assert c_coeffs(m) == C_GOLDEN[m]
 
     @pytest.mark.parametrize("m", sorted(D_GOLDEN))
     def test_d_golden(self, m):
-        assert d_coeffs(m).entries == D_GOLDEN[m]
+        assert d_coeffs(m) == D_GOLDEN[m]
 
     def test_recomputation_identical(self):
-        a = dict(c_coeffs(12).entries)
+        a = dict(c_coeffs(12))
         c_coeffs.cache_clear()
         d_coeffs.cache_clear()
-        assert dict(c_coeffs(12).entries) == a
+        assert dict(c_coeffs(12)) == a
+
+    def test_rows_are_read_only(self):
+        # the cache hands every caller the same row
+        with pytest.raises(TypeError):
+            c_coeffs(3)[(0, 0)] = Fraction(5)
+        with pytest.raises(TypeError):
+            d_coeffs(3)[(0, 0)] = Fraction(5)
 
     def test_reach_order_thirty(self):
-        assert all(v > 0 for v in c_coeffs(30).entries.values())
-        assert all(v > 0 for v in d_coeffs(30).entries.values())
+        assert all(v > 0 for v in c_coeffs(30).values())
+        assert all(v > 0 for v in d_coeffs(30).values())
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
@@ -235,8 +241,8 @@ class TestBounds:
     @pytest.mark.parametrize("v", [0.1, 0.5, 0.9])
     def test_sup_bounds_hold(self, v):
         params = GevreyParams(K=1.0, L=1.0, v=v)
-        rep = sup_bounds_check(params, 16)
-        assert rep.all_within
+        f_rows, c_rows, d_rows = sup_bounds_check(params, 16)
+        assert all(r[3] <= 1.0 for r in f_rows + c_rows + d_rows)
 
     def test_order_zero_below_one(self):
         # |f(R)| = arctanh(v / sqrt 2) <= arctanh(1/sqrt 2) < 1
@@ -246,11 +252,12 @@ class TestBounds:
 
     def test_c_sums_power_bound(self):
         for n in range(1, 13):
-            assert c_row_sum(2 * n) <= 18.0 ** n
+            assert float(sum(c_coeffs(2 * n).values())) <= 18.0 ** n
 
     def test_d_sums_power_bound(self):
         for m in range(2, 25):
-            assert d_row_sum(m) <= (2.0 * math.sqrt(21.0)) ** m
+            assert float(sum(d_coeffs(m).values())) \
+                <= (2.0 * math.sqrt(21.0)) ** m
 
 
 class TestL1Norms:
@@ -321,9 +328,9 @@ class TestProductLemma:
     @pytest.mark.parametrize("params", [PARAMS,
                                         GevreyParams(K=1.0, L=1.0, v=0.3)])
     def test_margins_within_one(self, params):
-        rep = product_l1_bound_check(params, m_max=6)
-        assert rep.all_within
-        assert rep.constant >= 2.0 * max(rep.delta, rep.epsilon) * 0.999
+        rows, (delta, eps, cc) = product_l1_bound_check(params, m_max=6)
+        assert all(r[3] <= 1.0 for r in rows)
+        assert cc >= 2.0 * max(delta, eps) * 0.999
 
     @pytest.mark.parametrize("params", [PARAMS,
                                         GevreyParams(K=1.0, L=1.0, v=0.3),
@@ -331,16 +338,23 @@ class TestProductLemma:
     def test_tails_match_adaptive_route(self, params, monkeypatch):
         # each tail 2 int_0^inf |(fg)^(m)(q + R)| dq at the default tol
         # 1e-10, against the adaptive route at 1e-13
-        ours = product_l1_bound_check(params, m_max=6).margins
+        ours, _ = product_l1_bound_check(params, m_max=6)
         monkeypatch.setattr(
             gevrey, "integrate_semi_infinite",
             lambda f, tol, scale: integrate_semi_infinite_adaptive(
                 f, tol=1e-13, scale=scale))
-        ref = product_l1_bound_check(params, m_max=6).margins
+        ref, _ = product_l1_bound_check(params, m_max=6)
         for (m, num, bound, _), (m_ref, num_ref, bound_ref, _) in zip(ours,
                                                                       ref):
             assert (m, bound) == (m_ref, bound_ref)
             assert num == pytest.approx(num_ref, abs=2e-10)
+
+    def test_zero_speed(self):
+        # f = g = 0: CC = 0, each norm and each bound is 0, no 0/0 margin
+        rows, (delta, eps, cc) = product_l1_bound_check(
+            GevreyParams(K=1.0, L=1.0, v=0.0), m_max=6)
+        assert (delta, eps, cc) == (0.0, 0.0, 0.0)
+        assert rows == tuple((m, 0.0, 0.0, 0.0) for m in range(7))
 
     def test_requires_m0_at_least_one(self):
         with pytest.raises(ValueError):

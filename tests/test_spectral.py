@@ -549,22 +549,13 @@ class TestThresholds:
             thr = threshold_astro(juttner(theta)).kappa_crit_sq
             assert thr == pytest.approx(1.0 / (math.pi * theta), rel=1e-10)
 
-    # uniform panels accept a change below tol before they resolve the
-    # p ~ 1 structure, which the map p = scale u/(1-u) squeezes to
-    # u ~ 1/(2 theta) on a hot equilibrium: 7.4e-11 and 4.3e-11 off
-    # (the adaptive route misses the second by 7.4e-11 itself)
-    HOT_MISSES = {(+1, 316.2277660168379), (-1, 1000.0)}
-
     @pytest.mark.parametrize("sigma", [+1, -1])
     @pytest.mark.parametrize("theta", np.logspace(-4.0, 6.0, 21))
-    def test_thermal_thresholds_within_tol(self, sigma, theta, request):
+    def test_thermal_thresholds_within_tol(self, sigma, theta):
         # attractive: exactly 1/(pi theta); repulsive: the adaptive route
         # at 1e-13.  rel 1e-13 allows for the scaled-Bessel normalisation
-        # of a cold equilibrium (1.8e-14 at theta = 1e-4)
-        if (sigma, float(theta)) in self.HOT_MISSES:
-            request.applymarker(pytest.mark.xfail(
-                strict=True, reason="two coarse passes agree to tol "
-                "before the panels resolve p ~ 1"))
+        # of a cold equilibrium (1.8e-14 at theta = 1e-4).  The hot cases
+        # theta = 316.2 (+1) and 1000 (-1) need the split at p = 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # cold regime
             eq = juttner(float(theta))
