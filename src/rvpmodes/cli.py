@@ -326,11 +326,14 @@ def cmd_appendix_verify(args) -> int:
     return 0 if all(ok for _, ok in checks) else 1
 
 
+_SWEEP_COLUMNS = ("kappa", "supercritical_flag", "y0_or_blank", "fit_c",
+                  "fit_eps", "fit_s", "verdict", "error")
+
+
 def _sweep_row(task):
     (kappa, sigma, theta, kappa_crit_sq, grid, tol) = task
-    out = {"kappa": kappa, "supercritical_flag": "", "y0_or_blank": "",
-           "fit_c": "", "fit_eps": "", "fit_s": "", "verdict": "",
-           "error": ""}
+    out = dict.fromkeys(_SWEEP_COLUMNS, "")
+    out["kappa"] = kappa
     try:
         mode = ModeSpec(kappa=kappa, sigma=sigma, equilibrium=juttner(theta),
                         profile=thermal_profile(theta, 1.0))
@@ -373,11 +376,9 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_row, tasks))
     else:
         results = [_sweep_row(t) for t in tasks]
-    results.sort(key=lambda r: r["kappa"])
-    header = ["kappa", "supercritical_flag", "y0_or_blank", "fit_c",
-              "fit_eps", "fit_s", "verdict", "error"]
-    rows = [tuple(r[h] for h in header) for r in results]
-    _write_csv(args.output, header, rows, _config_echo(args))
+    # both routes return the rows in task order, which is kappa order
+    rows = [tuple(r[h] for h in _SWEEP_COLUMNS) for r in results]
+    _write_csv(args.output, _SWEEP_COLUMNS, rows, _config_echo(args))
     return 0
 
 

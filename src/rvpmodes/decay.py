@@ -7,7 +7,7 @@ concern that envelope:
 * :func:`fit_stretched` fits c * exp(-eps * t^(1/s)) to the peaks in
   log-amplitude space by variable projection: log c and eps enter
   linearly, so for each x = 1/s they are an exact box-bounded linear
-  least-squares solve, and only x is searched (grid, then golden section);
+  least-squares solve, and only x is searched (a grid, then rescans);
 * :func:`bootstrap_s_interval` refits every peak resample at once, by
   secant steps on the profiled gradient, for a percentile interval of s;
 * :func:`exp_test` classifies the decay as exponential vs sub-exponential
@@ -89,11 +89,12 @@ def envelope(t, value) -> Envelope:
 _LOGC_MAX = 50.0
 _EPS_MIN, _EPS_MAX = math.exp(-50.0), math.exp(50.0)
 _X_MIN, _X_MAX = 1e-3, 1.5
-_X_GRID = 301      # exponents scanned before the golden-section polish
-_X_TOL = 1e-10     # absolute tolerance on x of both 1-D searches
+_X_GRID = 301      # exponents of the first scan; rescans go ten times finer
+_X_TOL = 1e-10     # absolute tolerance on x of the rescans and the refits
 _SECANT_ITERS = 40  # cap; bootstrap replicates settle in about 5 steps
 _BLOCK_ELEMS = 2 ** 14  # (rows, peaks) elements per _profile call
 _BOOT_ELEMS = 2 ** 18  # (replicates, peaks) resample indices held at once
+_BOOT_LEVEL = 0.95  # of the bootstrap's percentile interval of s
 
 
 def _positive_peaks(env):
@@ -192,7 +193,8 @@ def fit_stretched(env: Envelope) -> DecayFit:
     log v = log c - eps t^x, x = 1/s, over the box |log c| <= 50,
     e^-50 <= eps <= e^50, 1e-3 <= x <= 1.5 by variable projection (Golub &
     Pereyra 1973): (log c, eps) are solved exactly for each x, and the
-    profiled sum is scanned on a grid of x and polished by golden section.
+    profiled sum is scanned on a grid of x, then rescanned about the best
+    x, ten times finer each time and clipped to the box, to _X_TOL.
     """
     t, v = _positive_peaks(env)
     if t.size < 4:
@@ -215,33 +217,21 @@ def fit_stretched(env: Envelope) -> DecayFit:
         raise NoDecayError("no decay detected (flat log-log envelope)")
 
     logt, logv = np.log(t), np.log(v)
-    grid = np.linspace(_X_MIN, _X_MAX, _X_GRID)
-    sse = _sse(grid, logt, logv)
-    k = int(np.argmin(sse))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _X_GRID - 1)]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    xc, xd = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    fc, fd = _sse([xc, xd], logt, logv)
-    while hi - lo > _X_TOL:
-        if fc <= fd:
-            hi, xd, fd = xd, xc, fc
-            xc = hi - golden * (hi - lo)
-            fc = _sse(xc, logt, logv)[0]
-        else:
-            lo, xc, fc = xc, xd, fd
-            xd = lo + golden * (hi - lo)
-            fd = _sse(xd, logt, logv)[0]
-    # a grid point wins only on a bound, where golden section cannot land
-    x = min((sse[k], grid[k]), (fc, xc), (fd, xd))[1]
+    xs = np.linspace(_X_MIN, _X_MAX, _X_GRID)
+    step = xs[1] - xs[0]
+    x = xs[np.argmin(_sse(xs, logt, logv))]
+    while step > _X_TOL:  # 21 points over +-step, the middle one x itself
+        xs = np.clip(x + step * np.linspace(-1.0, 1.0, 21), _X_MIN, _X_MAX)
+        x = xs[np.argmin(_sse(xs, logt, logv))]
+        step /= 10.0
     logc, eps, _, res = _profile(np.array([x]), logt, logv)
     return DecayFit(c=math.exp(logc[0]), eps=float(eps[0]),
                     s=float(1.0 / x),
                     rms_residual=float(np.sqrt(np.mean(res ** 2))))
 
 
-def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
-                         level=0.95):
-    """Percentile bootstrap over peaks of the fitted exponent s.
+def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0):
+    """95 % percentile bootstrap over peaks of the fitted exponent s.
 
     Replicates refit by variable projection, _BOOT_ELEMS resampled peaks
     at a time (memory does not grow with ``n_boot``): secant steps on the
@@ -262,7 +252,7 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0,
     s = 1.0 / x[np.isfinite(x)]
     if not s.size:
         return (math.nan, math.nan)
-    lo, hi = _quantile(s, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = _quantile(s, [(1 - _BOOT_LEVEL) / 2, (1 + _BOOT_LEVEL) / 2])
     return (float(lo), float(hi))
 
 

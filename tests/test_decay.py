@@ -303,6 +303,17 @@ class TestAgainstLeastSquares:
             assert abs(math.log(fit.eps)) <= 50.0 * (1.0 + 1e-15)
             assert 1e-3 <= 1.0 / fit.s <= 1.5
 
+    def test_exponent_optimum_on_the_box_edge(self):
+        # t^1.8 lies past the box's x <= 1.5: least_squares ends on the
+        # bound, and the search must reach it exactly, not stop short
+        t = np.linspace(0.5, 6.0, 40)
+        env = Envelope(t=t, value=1.3 * np.exp(-0.4 * t ** 1.8))
+        (_, _, invs), ls_sse = ls_fit(env)
+        assert invs == pytest.approx(1.5, rel=1e-15)
+        fit = fit_stretched(env)
+        assert fit.s == 1.0 / 1.5
+        assert sse(env, fit) <= ls_sse * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bootstrap_interval(self, readme_fit, seed):
         fit, env, _ = readme_fit

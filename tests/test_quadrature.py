@@ -377,6 +377,19 @@ class TestFilonWeights:
             assert calls == [], fn.__name__
 
 
+class TestChirp:
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    @pytest.mark.parametrize("turn", [0.02 * 1.2, 0.37, -3.1])
+    def test_chirp_equals_complex_power_bit_for_bit(self, n, turn):
+        # SciPy's czt forms the chirp as a complex power; _chirp forms it
+        # from one logarithm, and the two must agree to the last bit
+        m = 2 ** 17 + 1
+        w = np.exp(1j * 2.0 * math.pi * turn / n)
+        k = np.arange(m)
+        wk2 = quadrature._chirp(n, m, w)[0]
+        assert wk2.tobytes() == (w ** (k ** 2 / 2.)).tobytes()
+
+
 class TestNextFastLen:
     def test_equals_scipy_complex_fft_length(self):
         # the padded length sets an FFT convolution's rounding
