@@ -33,7 +33,7 @@ from . import decay as _decay
 from .equilibria import (compact_decreasing, gaussian_profile, juttner,
                          thermal_profile)
 from .spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
-                       laplace_beta_imag, threshold_astro, threshold_plasma)
+                       threshold_astro, threshold_plasma)
 from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
@@ -185,8 +185,7 @@ def cmd_threshold(args) -> int:
     _count("--n-points", args.n_points)
     if not 0 < args.theta_min < args.theta_max:
         raise UsageError("empty or invalid theta range")
-    thetas = np.logspace(math.log10(args.theta_min),
-                         math.log10(args.theta_max), args.n_points)
+    thetas = np.geomspace(args.theta_min, args.theta_max, args.n_points)
     for th in (thetas[0], thetas[-1]):  # juttner takes an interval of theta
         _usage_checked(juttner, float(th))
     rows = []
@@ -224,15 +223,13 @@ def cmd_dispersion(args) -> int:
         xs = [float(s) for s in args.x.split(",")]
     except ValueError as exc:
         raise UsageError(f"--x {args.x!r}: {exc}") from exc
-    if not all(x == 0.0 or 0.0 < x / (2.0 * math.pi) < math.inf for x in xs):
+    if not all(0.0 <= x < math.inf for x in xs):
         raise UsageError("dispersion is defined on the closed right half-"
-                         "plane: --x needs 0 or finite x with x/(2 pi) > 0 "
-                         f"(z off the axis), got {args.x!r}")
+                         f"plane: --x needs finite x >= 0, got {args.x!r}")
     ys = np.linspace(args.y_min, args.y_max, args.n_y)
     rows = []
     for x in xs:
-        vals = (laplace_beta_imag(mode, ys, tol=args.tol) if x == 0.0
-                else laplace_beta_halfplane(mode, x, ys, tol=args.tol))
+        vals = laplace_beta_halfplane(mode, x, ys, tol=args.tol)
         rows.extend((x, float(y), val.real, val.imag, abs(val - 1.0))
                     for y, val in zip(ys, vals))
     _write_csv(args.output, ["x", "y", "re_Lbeta", "im_Lbeta", "dist_to_one"],

@@ -8,7 +8,7 @@ Entry points:
   endpoint singularity or a kink raises at the panel cap (the adaptive
   Gauss-Kronrod route for those is an oracle in ``tests/oracles.py``).
 * :func:`integrate_semi_infinite` -- [0, inf) via the rational map
-  p = scale*u/(1-u), or plain clipping for compactly supported integrands.
+  p = scale*u/(1-u).
 * :func:`filon_sums` -- the one Filon evaluator: composite cubic panels,
   exact for cubic envelopes per panel at any frequency, for many
   frequencies on one panelization (kernel tables, the resolvent); a
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,9 +105,9 @@ def integrate_finite(f, a, b, tol=1e-9):
     Equal panels of [a, b], 16 Gauss-Legendre nodes each, double from
     ``_GL_START_PANELS`` to at most ``_GL_MAX_PANELS`` (``double_panels``)
     until the value moves by at most ``tol``, the error estimate;
-    ``evaluations`` counts the integrand values of every pass.  An
-    endpoint singularity (1/sqrt(x), log x) or a kink converges too slowly
-    and raises QuadratureError at the cap, as does a non-finite value; the
+    ``evaluations`` counts the integrand values of every pass, also in
+    the QuadratureError raised on a non-finite value or at the cap, where
+    an endpoint singularity (1/sqrt(x), log x) or a kink ends up; the
     adaptive Gauss-Kronrod route in ``tests/oracles.py`` handles those.
     Raises ``ValueError`` unless a < b and ``tol`` is finite and positive.
     """
@@ -122,22 +122,22 @@ def integrate_finite(f, a, b, tol=1e-9):
         value = np.sum(w * np.asarray(f(x)))
         return value, value
 
-    value, change = double_panels(evaluate, _GL_START_PANELS, _GL_MAX_PANELS,
-                                  tol, "integrate_finite")
+    try:
+        value, change = double_panels(evaluate, _GL_START_PANELS,
+                                      _GL_MAX_PANELS, tol, "integrate_finite")
+    except QuadratureError as exc:  # it counts panels, not evaluations
+        raise QuadratureError(str(exc), replace(
+            exc.result, evaluations=evaluations)) from None
     return QuadResult(_scalar(value), change, evaluations)
 
 
-def integrate_semi_infinite(f, tol=1e-9, support=None, scale=1.0):
+def integrate_semi_infinite(f, tol=1e-9, scale=1.0):
     """int_0^inf f(p) dp for integrands decaying at least exponentially.
 
-    ``support``: upper support bound; a finite one integrates [0, support]
-    directly, None or inf the whole half-line.
     ``scale``: characteristic p where the integrand mass sits; the map
     p = scale*u/(1-u) places that region mid-interval, where the first
     panels already resolve it.
     """
-    if support is not None and np.isfinite(support):
-        return integrate_finite(f, 0.0, float(support), tol=tol)
     s = float(scale)
     if s <= 0:
         raise ValueError("scale must be positive")

@@ -92,9 +92,12 @@ def _eq_integral(eq: Equilibrium, integrand, tol) -> float:
     where two coarse passes can agree to tol before they resolve it; there
     [0, 1] runs on plain panels and [1, inf) on the map, each to tol/2.
     """
-    if math.isfinite(eq.support_bound) or eq.p_scale <= 2.0:
-        return integrate_semi_infinite(integrand, tol=tol, scale=eq.p_scale,
-                                       support=eq.support_bound).value
+    if math.isfinite(eq.support_bound):
+        return integrate_finite(integrand, 0.0, eq.support_bound,
+                                tol=tol).value
+    if eq.p_scale <= 2.0:
+        return integrate_semi_infinite(integrand, tol=tol,
+                                       scale=eq.p_scale).value
     head = integrate_finite(integrand, 0.0, 1.0, tol=0.5 * tol)
     tail = integrate_semi_infinite(lambda p: integrand(1.0 + p),
                                    tol=0.5 * tol, scale=eq.p_scale)
@@ -188,8 +191,8 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
 
 
 def _dispersion(mode: ModeSpec, x, y, tol):
-    """W at z = y - i x/(2 pi) for x >= 0, y a float or an array; x = 0 is
-    the axis, z = y - i0 (see ``laplace_beta_imag``)."""
+    """W at z = y - i x/(2 pi) for x >= 0, y a float or an array (see
+    ``laplace_beta_halfplane``)."""
     ya = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(ya)):
         raise ValueError(f"y must be finite, got {ya[~np.isfinite(ya)][0]}")
@@ -197,27 +200,26 @@ def _dispersion(mode: ModeSpec, x, y, tol):
     edge = math.atan(mode.equilibrium.support_bound)  # pi/2 if unbounded
     e = kap * math.sin(edge)  # kappa v(P): b vanishes for |y| >= e
     depth = x / (2.0 * math.pi)  # -Im z
-    z = ya.ravel() - 1j * depth if x else ya.ravel()
+    # On the axis z stays real: a real gemv and the near-node patch.  A
+    # subnormal depth is the axis too: 1/depth would overflow in the
+    # quotient at a node, and W there is within depth |W'| of the axis.
+    z = (ya.ravel() - 1j * depth if depth >= np.finfo(float).tiny
+         else ya.ravel())
     # Off the axis b(z) is subtracted only near the support, where the pole
     # needs it: farther off, a cold envelope continued to z outgrows its
     # axis values by e^{(1 - Re U)/theta}, costing digits (theta = 0.003
     # missed 1e-10 at |Im z| = e/4), while the plain sum converges fast.
     inside = (np.abs(z.real) < e) & (depth < _PV_SUBTRACT * e)
     zi = z[inside]
-    if x:
-        b_z = np.zeros_like(z)
-        b_z[inside] = _b(mode, zi, 1.0 / np.sqrt((1.0 - zi / kap)
-                                                 * (1.0 + zi / kap)))
-        log_in = np.log((zi + e) / (zi - e))
-    else:
-        b_z = beta_hat_envelope(mode, z)
-        log_in = np.log((e + zi) / (e - zi))
-    log_term = np.zeros_like(z)
-    log_term[inside] = b_z[inside] * log_in
+    b_z = np.zeros_like(z)
+    b_z[inside] = _b(mode, zi, 1.0 / np.sqrt((1.0 - zi / kap)
+                                             * (1.0 + zi / kap)))
+    log_term = np.zeros(z.shape, dtype=complex)
+    log_term[inside] = b_z[inside] * (np.log((e + zi) / (e - zi))
+                                      + 1j * math.pi)
 
     def transform(n):
         w = (_cauchy_sums(mode, z, b_z, edge, n) + log_term) / (2.0 * math.pi)
-        w = w if x else w + 0.5j * b_z  # the i pi of the log, on the axis
         return w, w
 
     out, _ = double_panels(transform, *_PV_PANELS, tol, "dispersion transform")
@@ -225,37 +227,35 @@ def _dispersion(mode: ModeSpec, x, y, tol):
 
 
 def laplace_beta_imag(mode: ModeSpec, y, tol=1e-10):
-    """Transform of the memory kernel at s = 2*pi*i*y (imaginary axis).
-
-    The limit of ``laplace_beta_halfplane`` as x -> 0+, with the same
-    nodes, panel doubling, QuadratureError and input rules:
-    W = (1/2pi) PV int_{-e}^{e} b(s) / (y - s) ds + (i/2) b(y)
-    = (1/2pi) [sum_j w_j (b(s_j) - b(y)) / (y - s_j)
-    + b(y) log|(e + y)/(e - y)|] + (i/2) b(y).  A node within 1e-5 kappa
-    of y takes -(mean of b' between them) for the cancelling quotient.
+    """Transform of the memory kernel at s = 2*pi*i*y (imaginary axis):
+    ``laplace_beta_halfplane`` at x = 0, bit for bit,
+    W = (1/2pi) PV int_{-e}^{e} b(s) / (y - s) ds + (i/2) b(y).
     """
     return _dispersion(mode, 0.0, y, tol)
 
 
 def laplace_beta_halfplane(mode: ModeSpec, x: float, y, tol=1e-10):
-    """Transform of the memory kernel at s = x + 2*pi*i*y for x > 0.
+    """Transform of the memory kernel at s = x + 2*pi*i*y for x >= 0.
 
     With b = beta_hat_envelope, odd and zero for |y| >= e (e = kappa, or
     kappa v(P) for an equilibrium supported on [0, P]), at z = y - ix/2pi
     W = (1/2pi) int_{-e}^{e} b(s) / (z - s) ds
     = (1/2pi) [sum_j w_j (b(s_j) - b(z)) / (z - s_j)
-    + b(z) log((z + e)/(z - e))]
+    + b(z) (log((e + z)/(e - z)) + i pi)]
     on composite 16-point Gauss-Legendre panels in phi = arctan(p).  b(z)
-    is the envelope continued through the kernel tail moment at complex
+    is the envelope continued through the kernel tail moment at
     U = 1/sqrt(1 - (z/kappa)^2) where |Re z| < e and |Im z| < e/16, and 0
-    elsewhere.  Panels double until W changes by at most ``tol`` anywhere
+    elsewhere.  On the axis (x/2pi below the least normal double) W is
+    the x -> 0+ limit: the log is real, its i pi gives the jump (i/2) b(y),
+    and a node within 1e-5 kappa of y takes -(mean of b' between them) for
+    the cancelling quotient.  Panels double until W changes by at most ``tol`` anywhere
     in the batch; the panel cap raises QuadratureError.  A float ``y``
-    returns a complex, an array a complex array.  A non-finite x or y, or
-    an x too small to move z off the axis, raises ValueError.
+    returns a complex, an array a complex array.  A negative or non-finite
+    x, or a non-finite y, raises ValueError.
     """
-    if not (math.isfinite(x) and x / (2.0 * math.pi) > 0.0):
-        raise ValueError("laplace_beta_halfplane requires finite x > 0; "
-                         f"use laplace_beta_imag on the axis, got x = {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("laplace_beta_halfplane requires finite x >= 0, "
+                         f"got x = {x!r}")
     return _dispersion(mode, x, y, tol)
 
 

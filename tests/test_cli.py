@@ -47,6 +47,15 @@ class TestThreshold:
             assert ka == pytest.approx(1.0 / math.sqrt(math.pi * th),
                                        rel=1e-8)
 
+    def test_grid_keeps_its_ends(self, tmp_path):
+        # 10 ** log10(0.03) is 0.029999999999999995: the ends come back as
+        # the values given
+        out = tmp_path / "thr.csv"
+        assert main(["threshold", "--theta-min", "0.03", "--theta-max", "10",
+                     "--n-points", "3", "-o", str(out)]) == 0
+        thetas = [float(row[0]) for row in read_csv(out)[2]]
+        assert thetas[0] == 0.03 and thetas[-1] == 10.0
+
     def test_empty_range_is_usage_error(self, capsys):
         rc = main(["threshold", "--theta-min", "1.0", "--theta-max", "0.5"])
         assert rc == 2
@@ -219,21 +228,20 @@ class TestDispersion:
                      "--theta", "0.2", "--x", "-0.5"]) == 2
 
     @pytest.mark.parametrize("x", ["1e-323", "0,1e-323"])
-    def test_x_that_leaves_z_on_the_axis_is_usage_error(self, x, tmp_path,
-                                                        capsys):
-        # 1e-323/(2 pi) rounds to 0: the CLI once passed it on and exited 1
-        # with the evaluator's ValueError
-        out = tmp_path / "disp.csv"
-        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
-                     "--theta", "0.2", "--x", x, "--n-y", "2",
-                     "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "x/(2 pi) > 0" in err and "computation failed" not in err
-        assert not out.exists()
-        # the least x whose z leaves the axis is accepted
-        assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
-                     "--theta", "0.2", "--x", "5e-323", "--n-y", "2",
-                     "-o", str(out)]) == 0
+    def test_x_that_rounds_onto_the_axis_gives_axis_values(self, x,
+                                                           tmp_path):
+        # 1e-323/(2 pi) rounds to 0, so z sits on the axis, where W is its
+        # x -> 0+ limit: the rows of x = 0, value for value
+        def values(x, name):
+            out = tmp_path / name
+            assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
+                         "--theta", "0.2", "--x", x, "--y-min", "-1.5",
+                         "--y-max", "1.5", "--n-y", "7", "-o", str(out)]) == 0
+            return [row[1:] for row in read_csv(out)[2]]
+
+        axis = values("0", "axis.csv")
+        rows = values(x, "disp.csv")
+        assert rows == axis * (len(rows) // len(axis))
 
     @pytest.mark.parametrize("x", ["0,abc", "0,", "0,nan", "inf", "0.5,-inf"])
     def test_malformed_or_nonfinite_x_is_usage_error(self, x, capsys):

@@ -73,6 +73,14 @@ class TestFinite:
         r = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
         assert abs(r.value - 2.0) <= 1e-9
 
+    def test_error_counts_every_evaluation(self):
+        # as a result does (192 for exp on [0, 1]): 16 (4 + 8 + ... + 4096)
+        # integrand values, not the 4096 panels of the last pass
+        assert integrate_finite(np.exp, 0.0, 1.0).evaluations == 192
+        with pytest.raises(QuadratureError) as info:
+            integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-9)
+        assert info.value.result.evaluations == 131008
+
     def test_nonconvergence_carries_best_value(self):
         # genuinely nasty: x^{-0.99} needs more panels than allowed
         with pytest.raises(QuadratureError) as err:
@@ -87,7 +95,7 @@ class TestFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x * x, 0.0, 1.0, tol=tol)
         with pytest.raises(ValueError):
-            integrate_semi_infinite(np.exp, tol=tol, support=1.0)
+            integrate_semi_infinite(lambda p: np.exp(-p), tol=tol)
 
     def test_nan_integrand_raises(self):
         # nan > tol is False: a NaN must not come back as converged
@@ -213,7 +221,8 @@ class TestSemiInfinite:
             calls.append(np.max(p))
             return np.where(p <= 2.0, p, 0.0)
 
-        r = integrate_semi_infinite(f, tol=1e-11, support=2.0)
+        # a compact support is a finite interval: no map, no node beyond
+        r = integrate_finite(f, 0.0, 2.0, tol=1e-11)
         assert r.value == pytest.approx(2.0, abs=1e-10)
         assert max(calls) <= 2.0
 

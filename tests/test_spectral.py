@@ -25,7 +25,8 @@ from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                threshold_astro, threshold_plasma)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, f_cap, integrate_oscillatory,
+                     beta_via_inverse, f_cap, integrate_adaptive,
+                     integrate_oscillatory,
                      integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
                      rational_bound_check,
@@ -93,10 +94,16 @@ def blas_worker_ticks(workload):
 
 # --- independent routes to the on-axis transform (test oracles) -------------
 
+def _half_line(f, tol, support, scale):
+    """int_0^support f: on [0, support] if it is finite, else through the
+    map of ``integrate_semi_infinite``."""
+    if math.isfinite(support):
+        return integrate_finite(f, 0.0, support, tol=tol)
+    return integrate_semi_infinite(f, tol=tol, scale=scale)
+
+
 def _eq_integral(eq, integrand, tol=1e-13):
-    support = eq.support_bound if math.isfinite(eq.support_bound) else None
-    return integrate_semi_infinite(integrand, tol=tol, support=support,
-                                   scale=eq.p_scale).value
+    return _half_line(integrand, tol, eq.support_bound, eq.p_scale).value
 
 
 def _beyond_oracle(mode, y):
@@ -245,9 +252,9 @@ def _p_integral_tail(f, support, scale):
     for the closed-form tails that every equilibrium and profile carries."""
     def tail(P):
         P = np.asarray(P, dtype=float)
-        vals = [0.0 if p0 >= support else integrate_semi_infinite(
-            lambda q: f(q + p0), tol=1e-12, scale=scale,
-            support=support - p0).value for p0 in P.ravel()]
+        vals = [0.0 if p0 >= support else _half_line(
+            lambda q: f(q + p0), 1e-12, support - p0, scale).value
+            for p0 in P.ravel()]
         return np.reshape(vals, P.shape)
     return tail
 
@@ -343,6 +350,12 @@ class TestLaplaceOnAxis:
             assert laplace_beta_imag(mode02, -y) == pytest.approx(
                 laplace_beta_imag(mode02, y), rel=1e-10)
 
+    # the compact equilibrium on [0, 1.5] at kappa = 0.5: b vanishes for
+    # |y| >= e = 0.5 v(1.5) = 0.416, inside the kappa of the mode
+    COMPACT = ModeSpec(kappa=0.5, sigma=+1,
+                       equilibrium=compact_decreasing(1.5),
+                       profile=gaussian_profile(1.0, 1.0))
+
     def test_imaginary_part_inside_support(self, mode02):
         for y in (0.3, 0.8):
             v = laplace_beta_imag(mode02, y)
@@ -350,13 +363,36 @@ class TestLaplaceOnAxis:
                 0.5 * beta_hat_envelope(mode02, y), rel=1e-12)
             assert v.imag != 0.0
 
-    def test_continuity_from_half_plane(self, mode02):
+    def test_imaginary_part_inside_support_compact(self):
+        mode = self.COMPACT
+        for y in (0.2, 0.35):
+            v = laplace_beta_imag(mode, y)
+            assert v.imag == pytest.approx(
+                0.5 * beta_hat_envelope(mode, y), rel=1e-12)
+            assert v.imag != 0.0
+        # between e and kappa, and beyond kappa, b = 0 and W is real
+        for y in (0.45, 0.7):
+            assert beta_hat_envelope(mode, y) == 0.0
+            assert laplace_beta_imag(mode, y).imag == 0.0
+
+    @staticmethod
+    def _continuity(mode, ys, bound_1e6):
+        """W at x = 1e-6 within ``bound_1e6`` of the axis value, at
+        x = 1e-12 within 10 tol."""
         tol = 1e-11
-        for y in (0.0, 0.5, 1.3):
-            axis = laplace_beta_imag(mode02, y, tol=tol)
-            for x, bound in ((1e-6, 1e-5), (1e-12, 10 * tol)):
-                off = laplace_beta_halfplane(mode02, x, y, tol=tol)
+        for y in ys:
+            axis = laplace_beta_imag(mode, y, tol=tol)
+            for x, bound in ((1e-6, bound_1e6), (1e-12, 10 * tol)):
+                off = laplace_beta_halfplane(mode, x, y, tol=tol)
                 assert abs(axis - off) < bound
+
+    def test_continuity_from_half_plane(self, mode02):
+        self._continuity(mode02, (0.0, 0.5, 1.3), 1e-5)
+
+    def test_continuity_from_half_plane_compact(self):
+        # inside e, between e and kappa, and beyond kappa; W moves by
+        # 1.14e-5 at y = 0.35 from the axis to x = 1e-6, linearly in x
+        self._continuity(self.COMPACT, (0.0, 0.2, 0.35, 0.45, 0.7), 2e-5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_input_raises(self, mode02, bad):
@@ -367,7 +403,7 @@ class TestLaplaceOnAxis:
                 laplace_beta_imag(mode02, y)
             with pytest.raises(ValueError, match="y must be finite"):
                 laplace_beta_halfplane(mode02, 0.5, y)
-        with pytest.raises(ValueError, match="finite x > 0"):
+        with pytest.raises(ValueError, match="finite x >= 0"):
             laplace_beta_halfplane(mode02, bad, np.array([0.1, 0.5]))
 
     def test_alpha_tail_matches_principal_value(self, mode02):
@@ -420,7 +456,8 @@ class TestAxisEvaluatorOracles:
         # The evaluator's first two grids put nodes at s = kappa sin(phi),
         # phi on 8 and 16 Gauss-Legendre panels per half of
         # [-pi/2, pi/2]; y on a node makes b(s) - b(y) vanish exactly on
-        # the axis, and nearly so at x = 1e-12 off it.
+        # the axis, and nearly so at x = 1e-12 off it.  At x = 5e-323,
+        # x/2pi is subnormal, and 1/(x/2pi) overflowed in the quotient.
         for n in (8, 16):
             phi, _ = gauss_legendre_nodes([-0.5 * math.pi, 0.0,
                                            0.5 * math.pi], n)
@@ -428,6 +465,8 @@ class TestAxisEvaluatorOracles:
             ref = np.array([_cauchy_oracle(mode02, y) for y in ys])
             for w in (laplace_beta_imag(mode02, ys, tol=self.TOL),
                       laplace_beta_halfplane(mode02, 1e-12, ys,
+                                             tol=self.TOL),
+                      laplace_beta_halfplane(mode02, 5e-323, ys,
                                              tol=self.TOL)):
                 assert np.all(np.abs(w - ref) <= 10 * self.TOL)
 
@@ -444,11 +483,30 @@ class TestAxisEvaluatorOracles:
 class TestLaplaceHalfPlane:
     TOL = 1e-10
 
-    def test_requires_positive_x(self, mode02):
-        # 1e-323 / (2 pi) rounds to 0, which would put z on the axis
-        for x in (0.0, -0.5, 1e-323):
-            with pytest.raises(ValueError):
+    def test_requires_finite_nonnegative_x(self, mode02):
+        for x in (-0.5, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite x >= 0"):
                 laplace_beta_halfplane(mode02, x, 1.0)
+        # 1e-323 / (2 pi) rounds to 0: z on the axis, where W is its limit
+        for x in (0.0, -0.0, 1e-323):
+            assert (laplace_beta_halfplane(mode02, x, 0.3)
+                    == laplace_beta_imag(mode02, 0.3))
+
+    @pytest.mark.parametrize("mode", [
+        ModeSpec(kappa=1.0, sigma=+1, equilibrium=juttner(0.2),
+                 profile=gaussian_profile(1.0, 1.0)),
+        ModeSpec(kappa=0.5, sigma=-1, equilibrium=compact_decreasing(1.5),
+                 profile=gaussian_profile(1.0, 1.0))], ids=["juttner",
+                                                           "compact"])
+    def test_axis_is_x_zero_bit_for_bit(self, mode):
+        ys = np.array([-1.3, -0.45, 0.0, 0.2, 0.35, 0.4, 0.45, 0.7, 1.0,
+                       2.5])
+        axis = laplace_beta_imag(mode, ys, tol=self.TOL)
+        assert np.array_equal(
+            laplace_beta_halfplane(mode, 0.0, ys, tol=self.TOL), axis)
+        for y in ys:  # a scalar is a batch of one, with its own panels
+            assert (laplace_beta_halfplane(mode, 0.0, float(y), tol=self.TOL)
+                    == laplace_beta_imag(mode, float(y), tol=self.TOL))
 
     @settings(max_examples=25, deadline=None)
     @given(mode=axis_modes(), log_x=st.floats(-6.0, math.log10(5.0)),
@@ -513,9 +571,11 @@ def _threshold_on_adaptive_route(threshold, eq):
     """``threshold(eq)`` with its momentum integral on the adaptive route
     at tol 1e-13."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "integrate_finite",
+                   lambda f, a, b, tol: integrate_adaptive(f, a, b, tol=1e-13))
         mp.setattr(spectral, "integrate_semi_infinite",
-                   lambda f, tol, **maps: integrate_semi_infinite_adaptive(
-                       f, tol=1e-13, **maps))
+                   lambda f, tol, scale: integrate_semi_infinite_adaptive(
+                       f, tol=1e-13, scale=scale))
         return threshold(eq).kappa_crit_sq
 
 
