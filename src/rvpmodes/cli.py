@@ -286,6 +286,8 @@ def cmd_fit(args) -> int:
     if args.t_min is not None and not math.isfinite(args.t_min):
         raise UsageError(f"--t-min must be finite, got {args.t_min}")
     _count("--n-boot", args.n_boot, bottom=0)
+    if args.seed < 0:  # random.Random(-s) would repeat the stream of s
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     names, body = _read_trajectory(args.input)
     t = body[:, names.index("t")]
     a = body[:, names.index("abs_rho")]

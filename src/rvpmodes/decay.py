@@ -23,6 +23,7 @@ is frozen in the test suite.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -94,6 +95,7 @@ _X_TOL = 1e-10     # absolute tolerance on x of the rescans and the refits
 _SECANT_ITERS = 40  # cap; bootstrap replicates settle in about 5 steps
 _BLOCK_ELEMS = 2 ** 14  # (rows, peaks) elements per _profile call
 _BOOT_ELEMS = 2 ** 18  # (replicates, peaks) resample indices held at once
+_DRAW_WORDS = 2 ** 12  # 32-bit generator words turned into draws at once
 _BOOT_LEVEL = 0.95  # of the bootstrap's percentile interval of s
 
 
@@ -237,16 +239,20 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0):
     at a time (memory does not grow with ``n_boot``): secant steps on the
     profiled gradient -2 eps sum(r t^x log t), started from the fit of the
     full data.  Replicates that end non-finite (a resample of one repeated
-    peak leaves x undetermined) are dropped.
+    peak leaves x undetermined) are dropped.  The resamples come from one
+    Mersenne Twister stream, ``random.Random(seed)``, replicate after
+    replicate (see :func:`_bounded_draws`); a negative seed, which would
+    repeat the stream of its absolute value, raises ``ValueError``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     t, v = _positive_peaks(env)
     logt, logv = np.log(t), np.log(v)
-    rng = np.random.default_rng(seed)
+    gen = random.Random(seed)
     x = np.empty(n_boot)
     for b in _row_blocks(n_boot, t.size, _BOOT_ELEMS):
         idx = np.empty((b.stop - b.start, t.size), dtype=np.int32)
-        for row in idx:  # one draw per replicate, the stream of a refit loop
-            row[:] = rng.integers(0, t.size, size=t.size)
+        _bounded_draws(gen, t.size, idx.reshape(-1))
         idx.sort(axis=1)
         x[b] = _secant_refits(idx, logt, logv, 1.0 / fit.s)
     s = 1.0 / x[np.isfinite(x)]
@@ -254,6 +260,29 @@ def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0):
         return (math.nan, math.nan)
     lo, hi = _quantile(s, [(1 - _BOOT_LEVEL) / 2, (1 + _BOOT_LEVEL) / 2])
     return (float(lo), float(hi))
+
+
+def _bounded_draws(gen, n, out):
+    """Fill the 1-D ``out`` with uniform draws from range(n), 1 <= n <= 2^32.
+
+    Lemire's multiply-shift, the rule of numpy's ``integers``: a 32-bit
+    word w of ``gen.getrandbits`` gives (w n) >> 32, unless the low word
+    of w n lies below 2^32 mod n, when w is rejected.  Words are taken in
+    stream order, _DRAW_WORDS at most at once and never more than the
+    draws still missing, so each word is used or rejected and a fill of
+    several arrays continues one stream exactly as a single fill would.
+    ``import numpy`` has loaded ``random`` already; ``numpy.random`` would
+    add its bit generators and OpenSSL's ``_hashlib`` (6.3 MB of RSS) to a
+    ``fit`` process.
+    """
+    done = 0
+    while done < out.size:
+        k = min(_DRAW_WORDS, out.size - done)
+        words = gen.getrandbits(32 * k).to_bytes(4 * k, "little")
+        m = np.frombuffer(words, dtype="<u4") * np.uint64(n)
+        m = m[(m & 0xFFFFFFFF) >= (1 << 32) % n]
+        out[done:done + m.size] = m >> 32
+        done += m.size
 
 
 def _secant_refits(idx, logt, logv, x0):

@@ -99,7 +99,6 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
         raise ValueError("alpha and beta must be finite")
     n = alpha.size
     rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
-    beta = beta.astype(rho.dtype)
     rho[0] = alpha[0]
     denom = 1.0 - 0.5 * dt * beta[0]
     if abs(denom) < 1e-12:

@@ -26,7 +26,9 @@ data:
   complex continuation ``f_cap_complex``, and the unscaled Bessel factor
   ``bessel_k2``;
 * the rational-envelope scan and the finite-order transform-decay
-  certificate.
+  certificate;
+* the bootstrap's bounded draws one generator word at a time
+  (``bounded_draws``).
 
 Tests import them as ``from oracles import ...``.
 """
@@ -585,6 +587,19 @@ def rational_bound_check(t, value, m, kappa):
     i = int(np.argmax(scan))
     ok = (i < t.size - 1) and (t[i] <= 0.5 * t[-1])
     return float(scan[i]), float(t[i]), bool(ok)
+
+
+def bounded_draws(gen, n, size):
+    """``size`` draws from range(n) by Lemire's rule, one word at a time:
+    w = ``gen.getrandbits(32)`` gives (w n) >> 32, and w is drawn again
+    while the low word of w n lies below 2^32 mod n."""
+    out = []
+    for _ in range(size):
+        m = gen.getrandbits(32) * n
+        while m % 2 ** 32 < 2 ** 32 % n:
+            m = gen.getrandbits(32) * n
+        out.append(m >> 32)
+    return out
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,15 @@ class TestEvolveFit:
             err = capsys.readouterr().err
             assert "--n-boot must lie in 0..65536" in err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        # it exited 1 with numpy's "expected non-negative integer"; the
+        # generator would take -1 for the stream of seed 1
+        monkeypatch.setattr(cli, "_read_trajectory", None)  # nothing may run
+        assert main(["fit", "--input", str(tmp_path / "traj.csv"),
+                     "--kappa", "1.2", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestDispersion:
     def test_csv_contract(self, tmp_path, monkeypatch):
@@ -434,6 +443,26 @@ class TestNoScipyImport:
             "kern = resolvent_kernel(mode, grid, tol=1e-9)\n"
             "apply_resolvent(kern, grid.times, grid.dt)\n"
             "assert not loaded(), ('resolvent', loaded())\n")
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                       cwd=tmp_path)
+
+    def test_fit_loads_no_numpy_random(self, tmp_path):
+        # the bootstrap draws from random.Random, which numpy has loaded:
+        # numpy.random would bring its bit generators and, through
+        # secrets, OpenSSL's _hashlib (6.3 MB of RSS in all)
+        code = (
+            "import sys\n"
+            "import rvpmodes.cli as cli\n"
+            "assert cli.main(['evolve', '--kappa', '1.2', '--sigma', '1',"
+            " '--theta', '0.5', '--profile', 'thermal', '--dt', '0.05',"
+            " '--t-max', '80', '-o', 'traj.csv']) == 0\n"
+            "assert cli.main(['fit', '--input', 'traj.csv', '--kappa', '1.2',"
+            " '--n-boot', '20', '-o', 'fit.txt']) == 0\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.startswith('numpy.random') or m == '_hashlib']\n"
+            "assert not loaded, loaded\n")
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env,

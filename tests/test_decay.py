@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec
 from rvpmodes.volterra import TimeGrid, solve_mode
 
-from oracles import rational_bound_check
+from oracles import bounded_draws, rational_bound_check
 
 
 def synthetic_peaks(c, eps, s, t_lo=2.0, t_hi=300.0, n=120):
@@ -172,6 +173,27 @@ class TestFitModeDecay:
             cis.append(bootstrap_s_interval(noisy, fit, n_boot=50, seed=2))
         assert cis[0] == cis[1] == cis[2]
 
+    def test_negative_seed_refused(self):
+        # random.Random(-1) would repeat the stream of seed 1
+        env = synthetic_peaks(2.0, 0.7, 3.0)
+        with pytest.raises(ValueError, match="seed"):
+            bootstrap_s_interval(env, fit_stretched(env), n_boot=10, seed=-1)
+
+
+class TestBoundedDraws:
+    @pytest.mark.parametrize("n", [1, 2, 3, 696, 2 ** 16, 2 ** 31 + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_equal_to_one_word_at_a_time(self, n, seed):
+        # 2.5 chunks of words; at n = 2^31 + 1 about half the words are
+        # rejected, so every chunk comes back short and is refilled
+        size = 5 * decay._DRAW_WORDS // 2
+        ours, ref = random.Random(seed), random.Random(seed)
+        out = np.empty(size, dtype=np.int64)
+        decay._bounded_draws(ours, n, out)
+        assert out.tolist() == bounded_draws(ref, n, size)
+        # every word drawn was used or rejected: the stream goes on alike
+        assert ours.getstate() == ref.getstate()
+
 
 class TestOrderStatistics:
     def test_median_and_quantile_equal_numpy_to_the_bit(self):
@@ -233,10 +255,10 @@ def ls_bootstrap(env, fit, n_boot, seed, level=0.95):
     from scipy.optimize import least_squares
     t, logv = _ls_peaks(env)
     x0 = np.array([math.log(fit.c), math.log(fit.eps), 1.0 / fit.s])
-    rng = np.random.default_rng(seed)
+    gen = random.Random(seed)
     out = []
     for _ in range(n_boot):
-        idx = rng.integers(0, t.size, size=t.size)
+        idx = np.array(bounded_draws(gen, t.size, t.size))
         idx.sort()
         res = least_squares(_ls_residuals, x0, args=(t[idx], logv[idx]),
                             bounds=_LS_BOUNDS)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,26 @@ class TestMarchSpectra:
         assert not growth
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
             "4fde7b263967cca4a1c66005b492cfd374d6b12c0385fb0fc7cd2dff744738b1")
+
+
+class TestMarchMemory:
+    def test_peak_in_vectors_of_the_horizon(self):
+        # rho, hist, the kernel spectra and the top block's FFT convolution
+        # trace 6.0 complex vectors of length n; a complex copy of the real
+        # beta made it 7.0
+        n = 30000
+        t = 0.01 * np.arange(n)
+        alpha = np.exp(-t) * np.cos(3.0 * t)
+        beta = -0.5 * np.exp(-t) * np.sin(2.0 * t)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rho, growth = solve_volterra(alpha, beta, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not growth
+        assert peak <= 6.5 * n * rho.itemsize
 
 
 class TestBaseBlockOracle:
