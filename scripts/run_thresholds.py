@@ -4,7 +4,9 @@
 Writes the sweep CSV and prints the repulsive peak (location/value), the
 critical box size 1/sup, and the largest relative deviation of the
 attractive column from its closed form 1/sqrt(pi theta) over the grid.
-Equivalent CSV: `rvpmodes threshold --theta-min ... -o ...`.
+Equivalent CSV: `rvpmodes threshold --theta-min ... -o ...`.  The peak
+search is SciPy's bounded `minimize_scalar`, so this script, unlike the
+package, needs SciPy (it comes with the `test` extra).
 """
 
 import argparse

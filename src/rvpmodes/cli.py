@@ -125,34 +125,42 @@ def _build_equilibrium(args):
     if args.equilibrium == "compact":
         if args.p_support is None:
             raise UsageError("compact equilibrium requires --p-support")
-        return compact_decreasing(args.p_support)
+        return _usage_checked(compact_decreasing, args.p_support,
+                              flag="--p-support")
     if args.theta is None:
         raise UsageError("juttner equilibrium requires --theta")
-    return juttner(args.theta)
+    return _usage_checked(juttner, args.theta, flag="--theta")
 
 
 def _build_profile(args):
     amp = args.amp if args.amp is not None else 1.0
+    if not math.isfinite(amp):
+        raise UsageError(f"--amp must be finite, got {amp}")
     if args.profile == "thermal":
-        th = args.profile_theta if args.profile_theta is not None else args.theta
+        flag, th = (("--profile-theta", args.profile_theta)
+                    if args.profile_theta is not None
+                    else ("--theta", args.theta))
         if th is None:
             raise UsageError("thermal profile requires --profile-theta or --theta")
-        return thermal_profile(th, amp)
-    return gaussian_profile(args.width if args.width is not None else 1.0, amp)
+        return _usage_checked(thermal_profile, th, amp, flag=flag)
+    return _usage_checked(gaussian_profile,
+                          args.width if args.width is not None else 1.0, amp,
+                          flag="--width")
 
 
-def _usage_checked(build, *args):
+def _usage_checked(build, *args, flag=None):
     """``build(*args)``, where the ValueError by which a constructor
-    refuses a value is a usage error."""
+    refuses a value is a usage error, which names ``flag`` if given."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
 
 
 def _build_mode(args):
-    return _usage_checked(lambda: ModeSpec(
-        args.kappa, args.sigma, _build_equilibrium(args), _build_profile(args)))
+    return _usage_checked(ModeSpec, args.kappa, args.sigma,
+                          _build_equilibrium(args), _build_profile(args),
+                          flag="--kappa")
 
 
 def _time_grid(dt, t_max):
@@ -183,11 +191,16 @@ def _config_echo(args):
 
 def cmd_threshold(args) -> int:
     _count("--n-points", args.n_points)
+    for flag, th in (("--theta-min", args.theta_min),
+                     ("--theta-max", args.theta_max)):
+        if not math.isfinite(th):
+            raise UsageError(f"{flag} must be finite, got {th}")
     if not 0 < args.theta_min < args.theta_max:
         raise UsageError("empty or invalid theta range")
     thetas = np.geomspace(args.theta_min, args.theta_max, args.n_points)
-    for th in (thetas[0], thetas[-1]):  # juttner takes an interval of theta
-        _usage_checked(juttner, float(th))
+    # juttner takes an interval of theta
+    _usage_checked(juttner, float(thetas[0]), flag="--theta-min")
+    _usage_checked(juttner, float(thetas[-1]), flag="--theta-max")
     rows = []
     for th in thetas:
         eq = juttner(float(th))
@@ -362,7 +375,7 @@ def cmd_sweep(args) -> int:
     # a process pool starts all its workers at once, whatever the rows
     _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
-    eq = _usage_checked(juttner, args.theta)
+    eq = _usage_checked(juttner, args.theta, flag="--theta")
     # one threshold for every row: it depends on theta and sigma only
     thr = threshold_plasma(eq) if args.sigma == +1 else threshold_astro(eq)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)

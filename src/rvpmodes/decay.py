@@ -186,6 +186,19 @@ def _quantile(a, q):
                     below + diff * gamma)
 
 
+def _slope(x, y):
+    """Least-squares slope of y on x, centred: sum(dx dy) / sum(dx^2).
+
+    The straight lines of the decay tests need only this number, which
+    ``np.polyfit`` would get from LAPACK's ``dgelsd`` (and page its code
+    into the process).  NaN when x is constant or holds a NaN.
+    """
+    if not x.max() > x.min():
+        return math.nan
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
 def fit_stretched(env: Envelope) -> DecayFit:
     """Least-squares fit of c * exp(-eps t^(1/s)) to a peak sequence.
 
@@ -212,10 +225,7 @@ def fit_stretched(env: Envelope) -> DecayFit:
     ok = -np.log(ratio) > 1e-3
     if np.count_nonzero(ok) < 3:
         ok = ratio < 1.0
-    z = np.log(-np.log(ratio[ok]))
-    lt = np.log(t[ok])
-    slope, _ = np.polyfit(lt, z, 1)
-    if slope <= 0:
+    if not _slope(np.log(t[ok]), np.log(-np.log(ratio[ok]))) > 0:
         raise NoDecayError("no decay detected (flat log-log envelope)")
 
     logt, logv = np.log(t), np.log(v)
@@ -322,7 +332,7 @@ def exp_test(env: Envelope) -> str:
     Computes lambda(t) = -ln v / t on the peaks and fits its log-log slope
     b.  A plateau (b > SLOPE_PLATEAU) at a positive level is exponential
     decay; a falling lambda with genuine total decay is sub-exponential;
-    envelopes that barely decay return 'none'.
+    envelopes that barely decay, or whose b is NaN, return 'none'.
     """
     t, v = _positive_peaks(env)
     if t.size < 5:
@@ -334,7 +344,9 @@ def exp_test(env: Envelope) -> str:
     ok = lam > 0
     if np.count_nonzero(ok) < 5:
         return "none"
-    b = np.polyfit(np.log(t[ok]), np.log(lam[ok]), 1)[0]
+    b = _slope(np.log(t[ok]), np.log(lam[ok]))
+    if not math.isfinite(b):
+        return "none"
     lam_late = float(_median(lam[ok][-max(1, np.count_nonzero(ok) // 5):]))
     if b > SLOPE_PLATEAU and lam_late > 0:
         return "exponential"

@@ -125,7 +125,14 @@ def compact_decreasing(P: float) -> Equilibrium:
     P = float(P)
     if not 0 < P < math.inf:
         raise ValueError(f"support bound must be finite and positive, got {P}")
-    c = 3465.0 / (512.0 * math.pi * P**3)
+    try:
+        c = 3465.0 / (512.0 * math.pi * P**3)
+    except ArithmeticError:  # P^3 overflows, or underflows to 0
+        c = math.nan
+    if not sys.float_info.min <= c < math.inf:
+        raise ValueError(f"support bound P={P:g} is out of range: the "
+                         "normalisation 3465/(512 pi P^3) is not a positive "
+                         "normal double")
 
     def value(p):
         p = np.asarray(p, dtype=float)
@@ -157,26 +164,46 @@ def compact_decreasing(P: float) -> Equilibrium:
 
 
 def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
-    """h(p) = amp * exp(-(p/width)^2)."""
+    """h(p) = amp * exp(-(p/width)^2).
+
+    Raises ValueError unless the width's tail moment at P = 0, the largest
+    (with amp = 1), is a positive normal double: width from about 2.1e-154
+    to 5.6e102.
+    """
     width = float(width)
     amp = float(amp)
     if not (0 < width < math.inf and math.isfinite(amp)):
         raise ValueError(f"need finite width > 0 and finite amp, got "
                          f"width={width}, amp={amp}")
+    # that moment lies between w^2/2 and w^2/2 + sqrt(pi) w^3/4 (erfcx <= 1),
+    # each within rounding of it where it leaves the normal doubles; a
+    # float w**3 would raise OverflowError, a numpy one gives inf
+    w = np.float64(width)
+    with np.errstate(over="ignore"):
+        low = 0.5 * w**2
+        high = low + 0.25 * math.sqrt(math.pi) * w**3
+    if not sys.float_info.min <= low <= high < math.inf:
+        raise ValueError(f"width={width:g} is out of range: its tail moment "
+                         "at P = 0 is not a positive normal double")
+
+    def gauss(p):
+        # (p/w)^2 = inf beyond about 1.3e154 w: e^-inf = 0 is exact
+        with np.errstate(over="ignore"):
+            return np.exp(-((p / width) ** 2))
 
     def value(p):
         p = np.asarray(p, dtype=float)
-        return scalarize(amp * np.exp(-((p / width) ** 2)))
+        return scalarize(amp * gauss(p))
 
     def tail_weighted_moment(P):
         # int_P^inf p sqrt(1+p^2) e^{-p^2/w^2} dp, via u = sqrt(1+p^2):
         #   e^{-P^2/w^2} [ (w^2/2) U + (sqrt(pi) w^3 / 4) erfcx(U/w) ],
         # U = sqrt(1+P^2); erfcx keeps the e^{1/w^2} factor in range.
-        from scipy.special import erfcx  # only Gaussian tails pay for it
+        from .special import erfcx  # only Gaussian tails compile it
 
         P = np.asarray(P, dtype=float)
         u = np.hypot(1.0, P)
-        return scalarize(amp * np.exp(-((P / width) ** 2)) * (
+        return scalarize(amp * gauss(P) * (
             0.5 * width**2 * u
             + 0.25 * math.sqrt(math.pi) * width**3 * erfcx(u / width)))
 

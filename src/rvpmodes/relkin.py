@@ -1,4 +1,4 @@
-"""Relativistic kinematics and the one special function the model needs.
+"""Relativistic kinematics and the scaled Bessel K2 the Jüttner law needs.
 
 Units: speed of light c = 1, particle mass m = 1, so momenta are measured in
 units of m*c and speeds lie in [0, 1).  Everything here is pure and operates

@@ -25,6 +25,7 @@ tails from the closed forms that every equilibrium and profile carries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One spatial Fourier mode: wavenumber, interaction sign, and data."""
+    """One spatial Fourier mode: wavenumber, interaction sign, and data.
+
+    ``kappa`` must keep the kernel prefactor 4 pi/kappa^3 a positive
+    normal double: about 4.2e-103 <= kappa <= 5.6e102.
+    """
 
     kappa: float
     sigma: int
@@ -62,6 +67,14 @@ class ModeSpec:
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be positive, got {self.kappa}")
+        try:
+            prefactor = 4.0 * math.pi / float(self.kappa) ** 3  # of _b
+        except ArithmeticError:  # kappa^3 overflows, or underflows to 0
+            prefactor = math.nan
+        if not sys.float_info.min <= prefactor < math.inf:
+            raise ValueError(f"kappa={self.kappa:g} is out of range: the "
+                             "kernel prefactor 4 pi/kappa^3 is not a positive "
+                             "normal double")
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import rvpmodes
 from rvpmodes import cli, decay, quadrature
 from rvpmodes.cli import _fmt, main
 from rvpmodes.equilibria import juttner, thermal_profile
-from rvpmodes.spectral import ModeSpec
+from rvpmodes.spectral import ModeSpec, threshold_plasma
 from rvpmodes.volterra import TimeGrid, solve_mode
 
 
@@ -360,6 +361,19 @@ class TestSweep:
             capsys.readouterr().err
 
 
+class TestNoLapack:
+    def test_sweep_row(self, no_linalg):
+        # a README sweep row with a fit: the march, the tables and the
+        # decay fit call nothing of numpy.linalg, so no LAPACK code is paged
+        # into a sweep process
+        eq = juttner(0.2)
+        kc2 = threshold_plasma(eq).kappa_crit_sq
+        grid = TimeGrid(dt=0.02, n_steps=10000)
+        row = cli._sweep_row((0.8, 1, 0.2, kc2, grid, 1e-9))
+        assert row["error"] == "" and row["verdict"] == "sub-exponential"
+        assert float(row["fit_s"]) > 1.0
+
+
 class TestSweepFits:
     ARGS = ["sweep", "--kappa-min", "0.9", "--kappa-max", "1.3",
             "--n-kappa", "2", "--sigma", "1", "--theta", "0.5",
@@ -397,12 +411,11 @@ class TestSweepFits:
 
 class TestNoScipyImport:
     def test_cli_commands_load_no_scipy(self, tmp_path):
-        # SciPy serves only the Gaussian profile's lazily imported erfcx
-        # and the test oracles: no README command and no resolvent loads
-        # it.  Nor does a command load what only another runs: the Gevrey
-        # battery (with fractions and decimal) is appendix-verify's,
-        # numpy.ma came with np.median and np.quantile, and
-        # numpy.polynomial with leggauss
+        # SciPy serves only the test oracles: no command and no resolvent
+        # loads it.  Nor does a command load what only another runs: the
+        # Gevrey battery (with fractions and decimal) is appendix-verify's,
+        # rvpmodes.special (erfcx) the Gaussian profile's, numpy.ma came
+        # with np.median and np.quantile, and numpy.polynomial with leggauss
         code = (
             "import math, sys\n"
             "import rvpmodes.cli as cli\n"
@@ -431,6 +444,7 @@ class TestNoScipyImport:
             " '--n-kappa', '2', '--sigma', '1', '--theta', '0.2', '--dt',"
             " '0.05', '--t-max', '40', '-o', 's.csv'])\n"
             "check(['appendix-verify', '--m-max', '8', '-o', 'm.csv'])\n"
+            "assert 'rvpmodes.special' not in sys.modules\n"
             "from rvpmodes.equilibria import juttner, thermal_profile\n"
             "from rvpmodes.spectral import ModeSpec, threshold_plasma\n"
             "from rvpmodes.volterra import (TimeGrid, apply_resolvent,\n"
@@ -442,7 +456,12 @@ class TestNoScipyImport:
             "grid = TimeGrid(dt=0.05, n_steps=200)\n"
             "kern = resolvent_kernel(mode, grid, tol=1e-9)\n"
             "apply_resolvent(kern, grid.times, grid.dt)\n"
-            "assert not loaded(), ('resolvent', loaded())\n")
+            "assert not loaded(), ('resolvent', loaded())\n"
+            "assert 'rvpmodes.special' not in sys.modules\n"
+            "assert cli.main(['evolve', '--kappa', '1.2', '--sigma', '1',"
+            " '--theta', '0.5', '--profile', 'gaussian', '--dt', '0.05',"
+            " '--t-max', '80', '-o', 'traj_gauss.csv']) == 0\n"
+            "assert not loaded(), ('gaussian evolve', loaded())\n")
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env,
@@ -778,6 +797,41 @@ class TestOutOfDomainInput:
         assert main(["dispersion", "--kappa", "0.5", "--sigma", "1",
                      "--equilibrium", "compact", "--p-support", "-2",
                      "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_threshold_theta_max_finite(self, value, tmp_path, capsys):
+        # inf once went to np.geomspace: a RuntimeWarning, then exit 0
+        out = tmp_path / "thr.csv"
+        assert main(["threshold", "--theta-min", "1e6", "--theta-max", value,
+                     "--n-points", "1", "-o", str(out)]) == 2
+        assert "--theta-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--equilibrium", "compact", "--p-support", "1e150"], "--p-support"),
+        (["--equilibrium", "compact", "--p-support", "1e-300"], "--p-support"),
+        (["--equilibrium", "compact", "--p-support", "1.5", "--kappa",
+          "1e-300"], "--kappa"),
+        (["--kappa", "1e150"], "--kappa"),
+        (["--width", "1e-300"], "--width"),
+        (["--width", "1e200"], "--width")],
+        ids=["p-support-1e150", "p-support-1e-300", "compact-kappa-1e-300",
+             "kappa-1e150", "width-1e-300", "width-1e200"])
+    @pytest.mark.parametrize("command", ["evolve", "dispersion"])
+    def test_unrepresentable_mode_names_its_flag(self, command, flags, flag,
+                                                 tmp_path, capsys):
+        # these exited 1 with a bare OverflowError or ZeroDivisionError,
+        # and a width of 1e-300 exited 0 with alpha = 0 after an overflow
+        # warning; a later flag wins over the base command's
+        argv = self.EVOLVE if command == "evolve" else [
+            "dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
+            "--n-y", "2"]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + flags + ["-o", str(out)]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_threshold_theta_beyond_juttner(self, tmp_path):

@@ -1,10 +1,11 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvpmodes import decay
@@ -103,6 +104,57 @@ class TestFitStretched:
         assert (lo, hi) == again
 
 
+class TestSlope:
+    @given(st.lists(st.floats(min_value=0.0, max_value=7.0), min_size=3,
+                    max_size=60, unique=True),
+           st.floats(min_value=-5.0, max_value=5.0),
+           st.floats(min_value=-5.0, max_value=5.0),
+           st.sampled_from([0.0, 1e-8, 1e-3, 1.0]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_polyfit(self, x, a, b, noise, seed):
+        # the decay tests' lines: ln t of peaks at t in [1, 1 100] against
+        # a noisy line.  Errors are relative to the data's slope scale
+        # max |y| / |x - mean x|, which stands in for |b| where b is 0 or the
+        # noise hides the line.  np.polyfit, through lstsq on the scaled
+        # Vandermonde matrix, is itself off by up to about 3e-13 of it
+        # there; the centred sums hold the exact slope of the data to a
+        # few ulps
+        x = np.array(x)
+        assume(x.max() - x.min() >= 1.0)
+        rng = random.Random(seed)
+        y = a + b * x + noise * np.array([rng.gauss(0.0, 1.0) for _ in x])
+        dx = x - x.mean()
+        ref = np.polyfit(x, y, 1)[0]
+        scale = max(abs(ref), np.max(np.abs(y)) / math.sqrt(np.sum(dx * dx)))
+        assert abs(decay._slope(x, y) - ref) <= 1e-12 * scale
+        fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+        exact = (sum((u - mx) * (v - my) for u, v in zip(fx, fy))
+                 / sum((u - mx) ** 2 for u in fx))
+        assert abs(decay._slope(x, y) - float(exact)) <= 1e-14 * scale
+
+    def test_nan_for_constant_or_nan_abscissae(self):
+        assert math.isnan(decay._slope(np.full(5, 0.1), np.arange(5.0)))
+        x = np.array([1.0, math.nan, 3.0])
+        assert math.isnan(decay._slope(x, np.arange(3.0)))
+
+    def test_degenerate_slope_raises(self):
+        # peaks that share one time: ln t is constant, and no line through
+        # the peaks counts as decay
+        env = Envelope(t=np.full(10, 5.0), value=np.geomspace(1.0, 1e-3, 10))
+        with pytest.raises(NoDecayError, match="flat log-log envelope"):
+            fit_stretched(env)
+        assert exp_test(env) == "none"
+
+    def test_nan_slope_raises(self, monkeypatch):
+        env = synthetic_peaks(2.0, 0.7, 3.0)
+        monkeypatch.setattr(decay, "_slope", lambda x, y: math.nan)
+        with pytest.raises(NoDecayError, match="flat log-log envelope"):
+            fit_stretched(env)
+        assert exp_test(env) == "none"
+
+
 class TestFitModeDecay:
     @staticmethod
     def trajectory():
@@ -172,6 +224,15 @@ class TestFitModeDecay:
             monkeypatch.setattr(decay, "_BOOT_ELEMS", elems)
             cis.append(bootstrap_s_interval(noisy, fit, n_boot=50, seed=2))
         assert cis[0] == cis[1] == cis[2]
+
+    def test_no_lapack(self, request):
+        # the line fits are closed forms: no numpy.linalg call, so no
+        # LAPACK code paged into a fit process
+        t, a = self.trajectory()
+        ref = fit_mode_decay(t, a, 1.0, n_boot=20)
+        request.getfixturevalue("no_linalg")
+        fit, env, verdict = fit_mode_decay(t, a, 1.0, n_boot=20)
+        assert (fit, verdict) == (ref[0], ref[2])
 
     def test_negative_seed_refused(self):
         # random.Random(-1) would repeat the stream of seed 1

@@ -116,6 +116,13 @@ class TestCompact:
         with pytest.raises(ValueError):
             compact_decreasing(-2.0)
 
+    @pytest.mark.parametrize("P", [1e-300, 1e-104, 1e102, 1e150])
+    def test_unrepresentable_normalisation_raises(self, P):
+        # P^3 underflowed to a ZeroDivisionError or overflowed to an
+        # OverflowError
+        with pytest.raises(ValueError, match="normalisation"):
+            compact_decreasing(P)
+
 
 class TestProfiles:
     def test_gaussian_values(self):
@@ -150,5 +157,26 @@ class TestProfiles:
     def test_domains(self):
         with pytest.raises(ValueError):
             gaussian_profile(0.0, 1.0)
+
+    @pytest.mark.parametrize("width", [1e-300, 2.1e-154, 5.7e102, 1e200])
+    def test_gaussian_width_out_of_range(self, width):
+        # the tail moment at P = 0 underflows (1e-300 once gave alpha = 0
+        # after an overflow warning) or overflows (w**3 raised)
+        with pytest.raises(ValueError, match="tail moment at P = 0"):
+            gaussian_profile(width, 1.0)
+
+    @pytest.mark.parametrize("width", [2.2e-154, 5.6e102])
+    def test_gaussian_width_at_the_ends(self, width):
+        # the accepted ends: the tail moment at P = 0 is normal and finite,
+        # and (p/w)^2 overflowing far out gives e^-inf = 0 without a warning
+        # (P = 1e8 is beyond every node: 1 - v(P) is below rounding there)
+        g = gaussian_profile(width, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            head = g.tail_weighted_moment(0.0)
+            far = g.tail_weighted_moment(1e8)
+            assert g.value(1e300) == 0.0
+        assert 2.2250738585072014e-308 <= head < math.inf
+        assert 0.0 <= far <= head
         with pytest.raises(ValueError):
             thermal_profile(-0.2)

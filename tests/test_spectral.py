@@ -170,6 +170,16 @@ class TestModeSpec:
         with pytest.raises(ValueError):
             ModeSpec(kappa=1.0, sigma=2, equilibrium=eq02, profile=prof)
 
+    @pytest.mark.parametrize("kappa", [1e-300, 4e-103, 5.7e102, 1e150])
+    def test_kernel_prefactor_out_of_range(self, eq02, kappa):
+        # 4 pi/kappa^3 once raised a bare ZeroDivisionError or
+        # OverflowError in the first envelope call
+        prof = gaussian_profile(1.0, 1.0)
+        with pytest.raises(ValueError, match="kernel prefactor"):
+            ModeSpec(kappa=kappa, sigma=1, equilibrium=eq02, profile=prof)
+        for ok in (4.3e-103, 5.6e102):
+            ModeSpec(kappa=ok, sigma=1, equilibrium=eq02, profile=prof)
+
 
 class TestTimeKernels:
     def test_alpha_at_zero_is_mass_moment(self, mode02):
