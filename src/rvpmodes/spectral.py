@@ -32,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import Equilibrium, PerturbationProfile
-from .quadrature import (double_panels, filon_table, gauss_legendre_nodes,
-                         integrate_finite, integrate_semi_infinite)
+from .quadrature import (QuadratureError, QuadResult, double_panels,
+                         filon_table, gauss_legendre_nodes, integrate_finite,
+                         integrate_semi_infinite)
 from .relkin import scalarize, v_of_p
 
 __all__ = [
@@ -357,7 +358,8 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     stabilize, then reused for every t (``quadrature.filon_table``); the
     cost per sample is independent of t, which is what makes dense
     long-horizon tables affordable.  Stopping at the panel cap short of
-    ``tol`` raises QuadratureError.
+    ``tol`` raises QuadratureError, as does a beta table that is 0 at
+    every sample (no node inside the envelope's support).
     """
     t = np.asarray(times, dtype=float)
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
@@ -366,5 +368,8 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
         0.0, mode.kappa, t, 0.5 * tol)
     alpha = 2.0 * sums[0].real
     beta = -2.0 * sums[1].imag
+    if not beta.any():  # it would write out an uncoupled mode as this one
+        raise QuadratureError("sample_kernels: beta is 0 at every sample",
+                              QuadResult(0.0, 2.0 * err, t.size))
     return KernelTable(alpha=alpha.astype(complex), beta=beta,
                        abs_error=2.0 * err)

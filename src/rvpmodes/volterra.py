@@ -174,17 +174,21 @@ def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
     ``refine=True`` runs an additional half-step solve and Richardson
     extrapolates (the trapezoidal error is a clean dt^2 series for these
     analytic kernels), pushing the floor low enough to follow stretched
-    tails down to ~1e-10 of the initial amplitude.
+    tails down to ~1e-10 of the initial amplitude.  The half-step solve
+    runs first and frees its tables, keeping every other sample of its
+    rho, so the peak is that solve's own; a growing mode pays for it too.
     """
-    times = grid.times
-    table = sample_kernels(mode, times, tol=tol)
-    rho, growth = solve_volterra(table.alpha, table.beta, grid.dt)
-    if refine and not growth:
+    rho_h = None
+    if refine:
         half = TimeGrid(dt=grid.dt / 2.0, n_steps=2 * grid.n_steps)
-        table_h = sample_kernels(mode, half.times, tol=tol)
-        rho_h, growth_h = solve_volterra(table_h.alpha, table_h.beta, half.dt)
-        if not growth_h:
-            rho = (4.0 * rho_h[::2] - rho) / 3.0
+        table = sample_kernels(mode, half.times, tol=tol)
+        rho_h, growth = solve_volterra(table.alpha, table.beta, half.dt)
+        rho_h = None if growth else rho_h[::2].copy()
+        del table
+    table = sample_kernels(mode, grid.times, tol=tol)
+    rho, growth = solve_volterra(table.alpha, table.beta, grid.dt)
+    if rho_h is not None and not growth:
+        rho = (4.0 * rho_h - rho) / 3.0
     return ModeTrajectory(rho=rho, alpha_samples=table.alpha,
                           beta_samples=table.beta, growth=growth)
 

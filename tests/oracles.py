@@ -22,6 +22,9 @@ data:
 * the resolvent by integration of W/(1 - W) along the whole imaginary
   axis (``resolvent_kernel_axis``), with the exponential integral on the
   imaginary axis for its y^-2 tail (``exp1_neg_imag``);
+* the refined march in its earlier coarse-first order
+  (``solve_mode_coarse_first``), whose bits the half-step-first order
+  keeps;
 * the kinematic inverse ``p_of_v``, the profile ``f_cap`` with its
   complex continuation ``f_cap_complex``, and the unscaled Bessel factor
   ``bessel_k2``;
@@ -46,7 +49,8 @@ from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
                                  filon_nodes, filon_sums)
 from rvpmodes.relkin import _asarray, scalarize, v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
-                               laplace_beta_imag)
+                               laplace_beta_imag, sample_kernels)
+from rvpmodes.volterra import ModeTrajectory, TimeGrid, solve_volterra
 
 
 # --- kinematics and special functions ---------------------------------------
@@ -547,6 +551,23 @@ def resolvent_kernel_axis(mode: ModeSpec, times, tol=1e-8) -> np.ndarray:
     # Every piece covers y > 0 only; add the mirror image (complex
     # conjugate at -y) by taking twice the real part.
     return 2.0 * total.real + 0j
+
+
+def solve_mode_coarse_first(mode: ModeSpec, grid: TimeGrid,
+                            tol=1e-11) -> ModeTrajectory:
+    """``volterra.solve_mode(refine=True)`` in its earlier order: the
+    coarse grid sampled and marched first, then the half-step solve while
+    the coarse arrays stay alive (skipped if the coarse march grows)."""
+    table = sample_kernels(mode, grid.times, tol=tol)
+    rho, growth = solve_volterra(table.alpha, table.beta, grid.dt)
+    if not growth:
+        half = TimeGrid(dt=grid.dt / 2.0, n_steps=2 * grid.n_steps)
+        table_h = sample_kernels(mode, half.times, tol=tol)
+        rho_h, growth_h = solve_volterra(table_h.alpha, table_h.beta, half.dt)
+        if not growth_h:
+            rho = (4.0 * rho_h[::2] - rho) / 3.0
+    return ModeTrajectory(rho=rho, alpha_samples=table.alpha,
+                          beta_samples=table.beta, growth=growth)
 
 
 # --- integration-by-parts twins of the critical wavenumbers -----------------

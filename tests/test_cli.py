@@ -834,6 +834,32 @@ class TestOutOfDomainInput:
         assert f"error: {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--equilibrium", "compact", "--p-support", "1e-20"],
+        ["--equilibrium", "compact", "--p-support", "1e-6"],
+        ["--theta", "1e-11"]], ids=["p-support-1e-20", "p-support-1e-6",
+                                    "theta-1e-11"])
+    def test_zero_beta_table_fails(self, flags, tmp_path, capsys):
+        # these exited 0 and wrote beta = 0 in every row: no Filon node
+        # lands inside the support, or the cold envelope underflows
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            assert main(self.EVOLVE + flags + ["-o", str(out)]) == 1
+        assert "beta is 0 at every sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_beta_table_is_a_sweep_row_error(self):
+        # the README sweep's thresholds do not converge this cold, so the
+        # row runs on its own with a supercritical kappa_crit^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            row = cli._sweep_row((1.0, 1, 1e-11, 0.5,
+                                  TimeGrid(dt=0.05, n_steps=100), 1e-9))
+        assert row["error"] == ("QuadratureError: sample_kernels: beta is 0 "
+                                "at every sample")
+        assert row["verdict"] == "" and row["fit_s"] == ""
+
     def test_threshold_theta_beyond_juttner(self, tmp_path):
         out = tmp_path / "thr.csv"
         assert main(["threshold", "--theta-min", "1e100", "--theta-max",

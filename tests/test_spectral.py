@@ -871,3 +871,17 @@ class TestKernelTableTolerance:
         with pytest.raises(QuadratureError):
             laplace_beta_imag(mode, np.array([0.1, 0.5]))
         assert panels == [8, 16]  # a NaN change stops the doubling
+
+    @pytest.mark.parametrize("eq", [
+        lambda: compact_decreasing(1e-20), lambda: compact_decreasing(1e-6),
+        lambda: juttner(1e-11)], ids=["P=1e-20", "P=1e-6", "theta=1e-11"])
+    def test_zero_beta_table_raises(self, eq):
+        # no Filon node lands inside the envelope's support (or the cold
+        # envelope underflows at every node): the table was beta = 0 at
+        # every sample, an uncoupled mode written out as this one
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq(),
+                            profile=thermal_profile(0.2, 1.0))
+        with pytest.raises(QuadratureError, match="beta is 0 at every"):
+            sample_kernels(mode, 0.05 * np.arange(101), tol=1e-9)

@@ -16,7 +16,7 @@ from rvpmodes.volterra import (_BASE, GROWTH_CAP, SubcriticalModeError,
                                convolve_product_trapezoid, resolvent_kernel,
                                solve_mode, solve_volterra)
 
-from oracles import resolvent_kernel_axis
+from oracles import resolvent_kernel_axis, solve_mode_coarse_first
 
 
 # --- direct O(N^2) loops: oracles for the fast march and convolution ---------
@@ -419,6 +419,57 @@ class TestMarchMemory:
             tracemalloc.stop()
         assert not growth
         assert peak <= 6.5 * n * rho.itemsize
+
+
+def traced_peak(f):
+    """Peak bytes that tracemalloc sees while ``f()`` runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def readme_mode():
+    """The README ``evolve``: kappa 1.2, sigma +1, theta 0.5, thermal."""
+    return ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                    profile=thermal_profile(0.5, 1.0))
+
+
+class TestRefinedOrder:
+    """``solve_mode(refine=True)`` runs the half-step solve first and
+    frees its tables before the coarse one."""
+
+    @pytest.mark.parametrize("which", ["readme", "growing"])
+    def test_bits_of_the_coarse_first_order(self, which, readme_mode, eq02):
+        # the growing mode is sigma = -1 below its threshold: the coarse
+        # march hits the cap, so the earlier order never ran the half step
+        mode = readme_mode if which == "readme" else ModeSpec(
+            kappa=0.5, sigma=-1, equilibrium=eq02,
+            profile=thermal_profile(0.2, 1.0))
+        grid = TimeGrid(dt=0.02, n_steps=15000)
+        ours = solve_mode(mode, grid, tol=1e-9, refine=True)
+        ref = solve_mode_coarse_first(mode, grid, tol=1e-9)
+        assert ours.growth == ref.growth == (which == "growing")
+        for name in ("rho", "alpha_samples", "beta_samples"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name))
+
+    def test_peak_is_the_half_step_tables(self, readme_mode):
+        # the coarse rho, alpha, beta and times once stayed alive while the
+        # half-step tables were built: 3.0 coarse complex vectors over the
+        # half-step sampling's own peak
+        solve_mode(readme_mode, TimeGrid(dt=0.02, n_steps=500), tol=1e-9,
+                   refine=True)  # first-call imports stay out of the peaks
+        grid = TimeGrid(dt=0.02, n_steps=15000)
+        half = TimeGrid(dt=0.01, n_steps=30000)
+        refined = traced_peak(
+            lambda: solve_mode(readme_mode, grid, tol=1e-9, refine=True))
+        tables = traced_peak(
+            lambda: sample_kernels(readme_mode, half.times, tol=1e-9))
+        vector = 16 * (grid.n_steps + 1)
+        assert refined - tables <= 0.5 * vector, (refined - tables) / vector
 
 
 class TestBaseBlockOracle:
