@@ -32,8 +32,8 @@ import numpy as np
 from . import decay as _decay
 from .equilibria import (compact_decreasing, gaussian_profile, juttner,
                          thermal_profile)
-from .spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
-                       threshold_astro, threshold_plasma)
+from .spectral import (ModeSpec, find_y0, kappa_crit_sq,
+                       laplace_beta_halfplane)
 from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
@@ -204,9 +204,8 @@ def cmd_threshold(args) -> int:
     rows = []
     for th in thetas:
         eq = juttner(float(th))
-        kp = math.sqrt(threshold_plasma(eq, tol=args.tol).kappa_crit_sq)
-        ka = math.sqrt(threshold_astro(eq, tol=args.tol).kappa_crit_sq)
-        rows.append((float(th), kp, ka))
+        rows.append((float(th), math.sqrt(kappa_crit_sq(eq, +1, args.tol)),
+                     math.sqrt(kappa_crit_sq(eq, -1, args.tol))))
     _write_csv(args.output, ["theta", "kappa_crit_plasma", "kappa_crit_astro"],
                rows, _config_echo(args))
     return 0
@@ -343,16 +342,16 @@ _SWEEP_COLUMNS = ("kappa", "supercritical_flag", "y0_or_blank", "fit_c",
 
 
 def _sweep_row(task):
-    (kappa, sigma, theta, kappa_crit_sq, grid, tol) = task
+    (kappa, sigma, theta, kc2, grid, tol) = task
     out = dict.fromkeys(_SWEEP_COLUMNS, "")
     out["kappa"] = kappa
     try:
         mode = ModeSpec(kappa=kappa, sigma=sigma, equilibrium=juttner(theta),
                         profile=thermal_profile(theta, 1.0))
-        sup = kappa * kappa > kappa_crit_sq
+        sup = kappa * kappa > kc2
         out["supercritical_flag"] = int(sup)
         if sigma == +1 and not sup:  # find_y0 is None only when sup
-            out["y0_or_blank"] = _fmt(find_y0(mode, tol=min(tol, 1e-10)))
+            out["y0_or_blank"] = _fmt(find_y0(mode, kc2, min(tol, 1e-10)))
         traj = solve_mode(mode, grid, tol=tol)
         if traj.growth:
             out["verdict"] = "growth"
@@ -376,11 +375,15 @@ def cmd_sweep(args) -> int:
     _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
     eq = _usage_checked(juttner, args.theta, flag="--theta")
+    profile = thermal_profile(args.theta, 1.0)
+    for flag, k in (("--kappa-min", args.kappa_min),
+                    ("--kappa-max", args.kappa_max)):
+        _usage_checked(ModeSpec, k, args.sigma, eq, profile, flag=flag)
     # one threshold for every row: it depends on theta and sigma only
-    thr = threshold_plasma(eq) if args.sigma == +1 else threshold_astro(eq)
+    kc2 = kappa_crit_sq(eq, args.sigma, args.tol)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
-    tasks = [(float(k), args.sigma, args.theta, thr.kappa_crit_sq, grid,
-              args.tol) for k in sorted(kappas)]
+    tasks = [(float(k), args.sigma, args.theta, kc2, grid, args.tol)
+             for k in sorted(kappas)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # sweep --jobs only
 

@@ -12,8 +12,8 @@ integrals; this module provides
 * the one-sided (Fourier-Laplace) transform of the memory kernel on the
   closed right half-plane, whose avoidance of the value 1 certifies an
   integrable resolvent,
-* the critical wavenumber thresholds for both interaction signs, and the
-  root y0 where the dispersion value reaches 1 below threshold.
+* the critical wavenumber of each interaction sign (``kappa_crit_sq``),
+  and the root y0 where the dispersion value reaches 1 below it.
 
 Batch sampling of kernel tables for the Volterra solver runs the composite
 Filon rule of :func:`rvpmodes.quadrature.filon_table` on [0, kappa]: one
@@ -47,6 +47,7 @@ __all__ = [
     "laplace_beta_halfplane",
     "threshold_plasma",
     "threshold_astro",
+    "kappa_crit_sq",
     "find_y0",
     "sample_kernels",
 ]
@@ -67,7 +68,7 @@ class ModeSpec:
 
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            raise ValueError(f"need finite kappa > 0, got {self.kappa}")
         try:
             prefactor = 4.0 * math.pi / float(self.kappa) ** 3  # of _b
         except ArithmeticError:  # kappa^3 overflows, or underflows to 0
@@ -299,27 +300,34 @@ def threshold_astro(eq: Equilibrium, tol=1e-11) -> ThresholdReport:
     return ThresholdReport(_eq_integral(eq, integrand, tol) * 4.0)
 
 
+def kappa_crit_sq(eq: Equilibrium, sigma: int, tol=1e-11) -> float:
+    """The kappa^2 above which a mode of sign ``sigma`` is supercritical."""
+    if sigma not in (+1, -1):
+        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
+    threshold = threshold_plasma if sigma == +1 else threshold_astro
+    return threshold(eq, tol).kappa_crit_sq
+
+
 _Y0_XTOL = 1e-12  # width in y of the bracket at which find_y0 stops
 
 
-def find_y0(mode: ModeSpec, tol=1e-11) -> Optional[float]:
+def find_y0(mode: ModeSpec, kc2: float, tol=1e-11) -> Optional[float]:
     """Frequency y0 >= kappa where the dispersion value reaches 1.
 
     Only meaningful for the repulsive interaction.  For y >= kappa the
     transform is (4/kappa^2) int F(y/kappa, v(p)) (1+p^2)(-f0') dp with
     F(x, v) = x arctanh(v/x) - v = sum_{k>=1} v^(2k+1) u^k / (2k+1) in
     u = (kappa/y)^2, so h(u) = W - 1 is increasing and convex on [0, 1],
-    with h(0) = -1 and h(1) = kappa_crit^2/kappa^2 - 1.  Returns None
-    exactly when kappa^2 > kappa_crit^2 (``threshold_plasma``), kappa at
-    equality, and otherwise the root of h by Illinois regula falsi (Dowell
-    & Jarratt 1971, BIT 11:168) once the bracket is ``_Y0_XTOL`` wide in
-    y.  A non-finite transform value, or 100 steps without converging,
-    raises RuntimeError.
+    with h(0) = -1 and h(1) = kc2/kappa^2 - 1, kc2 the caller's kappa_crit^2
+    (``kappa_crit_sq(mode.equilibrium, +1)``).  Returns None exactly when
+    kappa^2 > kc2, kappa at equality, and otherwise the root of h by
+    Illinois regula falsi (Dowell & Jarratt 1971, BIT 11:168) once the
+    bracket is ``_Y0_XTOL`` wide in y.  A non-finite transform value, or
+    100 steps without converging, raises RuntimeError.
     """
     if mode.sigma != +1:
         raise ValueError("dispersion crossing applies to the repulsive case")
     kap = mode.kappa
-    kc2 = threshold_plasma(mode.equilibrium).kappa_crit_sq
     if kap * kap > kc2:
         return None  # supercritical: 1 is never reached
     a, fa, b, fb = 0.0, -1.0, 1.0, kc2 / (kap * kap) - 1.0

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import filon_table, next_fast_len
-from .spectral import (ModeSpec, laplace_beta_imag, sample_kernels,
-                       threshold_astro, threshold_plasma)
+from .spectral import (ModeSpec, kappa_crit_sq, laplace_beta_imag,
+                       sample_kernels)
 
 __all__ = [
     "TimeGrid",
@@ -208,11 +208,10 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
     raises QuadratureError).
     """
     kap = mode.kappa
-    thr = (threshold_plasma(mode.equilibrium) if mode.sigma == +1
-           else threshold_astro(mode.equilibrium))
-    if kap * kap <= thr.kappa_crit_sq:
+    kc2 = kappa_crit_sq(mode.equilibrium, mode.sigma)
+    if kap * kap <= kc2:
         raise SubcriticalModeError(
-            f"kappa^2 = {kap*kap:.6g} <= critical {thr.kappa_crit_sq:.6g}: "
+            f"kappa^2 = {kap*kap:.6g} <= critical {kc2:.6g}: "
             "transform reaches 1 on the integration path; no integrable "
             "resolvent reconstruction")
 

@@ -20,8 +20,9 @@ from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
 from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
                              g_derivative, g_l1_norm, partition_bound,
                              sup_bounds_check)
-from rvpmodes.spectral import (ModeSpec, find_y0, laplace_beta_imag,
-                               threshold_astro, threshold_plasma)
+from rvpmodes.spectral import (ModeSpec, find_y0, kappa_crit_sq,
+                               laplace_beta_imag, threshold_astro,
+                               threshold_plasma)
 from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
                                solve_mode, solve_volterra)
 
@@ -247,7 +248,8 @@ def test_criterion_9_dispersion_certificates():
     with _Reporter(9, desc):
         eq = juttner(0.2)
         prof = gaussian_profile(1.0, 1.0)
-        kc = math.sqrt(threshold_plasma(eq).kappa_crit_sq)
+        kc2 = kappa_crit_sq(eq, +1)
+        kc = math.sqrt(kc2)
 
         kap = 1.05 * kc
         mode = ModeSpec(kappa=kap, sigma=+1, equilibrium=eq, profile=prof)
@@ -257,13 +259,13 @@ def test_criterion_9_dispersion_certificates():
 
         mode_sub = ModeSpec(kappa=0.8 * kc, sigma=+1, equilibrium=eq,
                             profile=prof)
-        y0 = find_y0(mode_sub)
+        y0 = find_y0(mode_sub, kc2)
         assert y0 is not None and y0 >= mode_sub.kappa
         assert abs(laplace_beta_imag(mode_sub, y0).real - 1.0) < 1e-8
 
         mode_crit = ModeSpec(kappa=kc, sigma=+1, equilibrium=eq,
                              profile=prof)
-        y0c = find_y0(mode_crit)
+        y0c = find_y0(mode_crit, kc2)
         assert y0c == pytest.approx(kc, abs=1e-4)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rvpmodes
-from rvpmodes import cli, decay, quadrature
+from rvpmodes import cli, decay, quadrature, spectral
 from rvpmodes.cli import _fmt, main
 from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec, threshold_plasma
@@ -330,27 +330,68 @@ class TestSweep:
                                             ("-1", "threshold_astro")])
     def test_threshold_once_per_sweep(self, sigma, name, tmp_path,
                                       monkeypatch):
-        # kappa_crit^2 depends on theta and sigma only, not on the row
+        # kappa_crit^2 depends on theta and sigma only, not on the row;
+        # counted where every caller reaches the thresholds, so a row's
+        # find_y0 computing its own would show
         calls = []
+
+        def counting(fn, real):
+            def counted(eq, tol=1e-11):
+                calls.append((fn, tol))
+                return real(eq, tol)
+            return counted
+
         for fn in ("threshold_plasma", "threshold_astro"):
-            def counted(eq, fn=fn, real=getattr(cli, fn)):
-                calls.append(fn)
-                return real(eq)
-            monkeypatch.setattr(cli, fn, counted)
+            monkeypatch.setattr(spectral, fn,
+                                counting(fn, getattr(spectral, fn)))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--kappa-min", "0.3", "--kappa-max", "1.4",
                      "--n-kappa", "12", "--sigma", sigma, "--theta", "0.2",
-                     "--dt", "0.1", "--t-max", "2", "-o", str(out)]) == 0
-        assert len(read_csv(out)[2]) == 12
-        assert calls == [name]
+                     "--dt", "0.1", "--t-max", "2", "--tol", "1e-7",
+                     "-o", str(out)]) == 0
+        rows = read_csv(out)[2]
+        assert len(rows) == 12
+        assert calls == [(name, 1e-7)]
+        if sigma == "1":  # the subcritical rows still carry their y0
+            assert [r[2] != "" for r in rows] == [r[1] == "0" for r in rows]
+            assert sum(r[1] == "0" for r in rows) == 3
+
+    def test_row_decides_from_its_own_threshold(self):
+        # kc2 = 0.81 makes kappa = 0.9 critical, whatever threshold_plasma
+        # gives at theta = 0.2 (about 0.33): flag 0, and y0 = kappa
+        row = cli._sweep_row((0.9, 1, 0.2, 0.81,
+                              TimeGrid(dt=0.1, n_steps=20), 1e-9))
+        assert row["supercritical_flag"] == 0
+        assert row["y0_or_blank"] == _fmt(0.9)
+
+    @pytest.mark.parametrize("span,flag", [
+        (("0.3", "inf", "3"), "--kappa-max"),
+        (("1e-300", "1e-300", "1"), "--kappa-min"),
+        (("1e-200", "1", "2"), "--kappa-min"),
+        (("1", "1e103", "2"), "--kappa-max"),
+    ])
+    def test_kappa_range_outside_modespec_is_usage_error(
+            self, span, flag, tmp_path, monkeypatch, capsys):
+        # used to exit 0 with rows at kappa = nan or inf, or a row error
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        out = tmp_path / "sweep.csv"
+        kmin, kmax, n = span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--kappa-min", kmin, "--kappa-max", kmax,
+                         "--n-kappa", n, "--sigma", "1", "--theta", "0.2",
+                         "--dt", "0.1", "--t-max", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "computation failed" not in err
+        assert not out.exists()
 
     def test_threshold_failure_fails_the_run(self, tmp_path, monkeypatch,
                                              capsys):
-        def refused(eq):
+        def refused(eq, sigma, tol):
             raise quadrature.QuadratureError("threshold did not converge",
                                              None)
 
-        monkeypatch.setattr(cli, "threshold_astro", refused)
+        monkeypatch.setattr(cli, "kappa_crit_sq", refused)
         monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--kappa-min", "0.5", "--kappa-max", "0.6",

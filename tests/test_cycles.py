@@ -14,14 +14,15 @@ import pytest
 
 from rvpmodes.decay import fit_mode_decay
 from rvpmodes.equilibria import juttner, thermal_profile
-from rvpmodes.spectral import (ModeSpec, find_y0, laplace_beta_halfplane,
-                               laplace_beta_imag, sample_kernels,
-                               threshold_plasma)
+from rvpmodes.spectral import (ModeSpec, find_y0, kappa_crit_sq,
+                               laplace_beta_halfplane, laplace_beta_imag,
+                               sample_kernels)
 from rvpmodes.volterra import (TimeGrid, resolvent_kernel, solve_mode,
                                solve_volterra)
 
 EQ = juttner(0.5)
-KAPPA_CRIT = math.sqrt(threshold_plasma(EQ).kappa_crit_sq)
+KC2 = kappa_crit_sq(EQ, +1)
+KAPPA_CRIT = math.sqrt(KC2)
 DEEP = ModeSpec(kappa=2.0 * KAPPA_CRIT, sigma=+1, equilibrium=EQ,
                 profile=thermal_profile(0.5, 1.0))
 SUB = ModeSpec(kappa=0.5 * KAPPA_CRIT, sigma=+1, equilibrium=EQ,
@@ -53,7 +54,7 @@ CALLS = {
         DEEP, np.linspace(0.0, 2.0, 41)),
     "laplace_beta_halfplane": lambda: laplace_beta_halfplane(
         DEEP, 0.5, np.linspace(0.0, 2.0, 41)),
-    "find_y0": lambda: find_y0(SUB),
+    "find_y0": lambda: find_y0(SUB, KC2),
     "fit_mode_decay": _fit,
 }
 

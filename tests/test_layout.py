@@ -158,3 +158,50 @@ class TestReachability:
         entry.write_text("from rvpmodes import spectral\n"
                          "spectral.planted(None)\n")
         assert _unreached(src, ENTRY_FILES + [entry]) == []
+
+
+# --- one criticality decision ------------------------------------------------
+
+THRESHOLDS = {"threshold_plasma", "threshold_astro"}
+
+
+def _threshold_users(path):
+    """Top-level names of ``path`` (None for module-level code) that name a
+    threshold function: by import, by reference or as an attribute."""
+    users = set()
+    for node in ast.parse(path.read_text()).body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id in THRESHOLDS
+                    or isinstance(sub, ast.Attribute)
+                    and sub.attr in THRESHOLDS
+                    or isinstance(sub, ast.alias) and sub.name in THRESHOLDS):
+                users.add(getattr(node, "name", None))
+    return users
+
+
+class TestOneCriticalityDecision:
+    def test_only_kappa_crit_sq_names_the_thresholds(self):
+        # the sign-threshold pairing lives in spectral.kappa_crit_sq alone;
+        # sweep, find_y0 and the resolvent read that one number
+        users = {path.name: _threshold_users(path)
+                 for path in sorted(SRC.glob("*.py"))}
+        assert {name: hits for name, hits in users.items() if hits} == {
+            "spectral.py": {"kappa_crit_sq"}}
+
+    def test_find_y0_computes_no_threshold(self):
+        tree = ast.parse((SRC / "spectral.py").read_text())
+        (find_y0,) = [node for node in tree.body
+                      if getattr(node, "name", None) == "find_y0"]
+        called = {sub.func.id for sub in ast.walk(find_y0)
+                  if isinstance(sub, ast.Call)
+                  and isinstance(sub.func, ast.Name)}
+        assert not called & (THRESHOLDS | {"kappa_crit_sq"})
+
+    def test_scan_sees_threshold_names(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("from .spectral import threshold_astro\n"
+                         "def f(eq):\n"
+                         "    return spectral.threshold_plasma(eq)\n"
+                         "def g(eq):\n"
+                         "    return 'threshold_plasma'\n")
+        assert _threshold_users(probe) == {None, "f"}

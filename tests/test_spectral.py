@@ -20,7 +20,7 @@ from rvpmodes.quadrature import (QuadratureError, _czt, gauss_legendre_nodes,
                                  integrate_finite, integrate_semi_infinite)
 from rvpmodes.relkin import v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
-                               find_y0, laplace_beta_halfplane,
+                               find_y0, kappa_crit_sq, laplace_beta_halfplane,
                                laplace_beta_imag, sample_kernels,
                                threshold_astro, threshold_plasma)
 
@@ -651,22 +651,46 @@ class TestThresholds:
         assert vals[0] > vals[1] > vals[2]
 
 
+class TestKappaCritSq:
+    @pytest.mark.parametrize("eq", [juttner(0.2), juttner(5.0),
+                                    compact_decreasing(1.5)],
+                             ids=["theta0.2", "theta5", "compact1.5"])
+    @pytest.mark.parametrize("tol", [(1e-9,), (1e-11,), ()],
+                             ids=["1e-9", "1e-11", "default"])
+    def test_pairs_each_sign_with_its_threshold(self, eq, tol):
+        assert kappa_crit_sq(eq, +1, *tol) == \
+            threshold_plasma(eq, *tol).kappa_crit_sq
+        assert kappa_crit_sq(eq, -1, *tol) == \
+            threshold_astro(eq, *tol).kappa_crit_sq
+
+    @pytest.mark.parametrize("sigma", [0, 2, -2, 1.5])
+    def test_other_sign_raises(self, eq02, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            kappa_crit_sq(eq02, sigma)
+
+
+@pytest.fixture(scope="module")
+def kc2_02(eq02):
+    return kappa_crit_sq(eq02, +1)
+
+
 class TestDispersionRoot:
-    def test_supercritical_has_no_crossing(self, eq02, kappa_crit_02):
+    def test_supercritical_has_no_crossing(self, eq02, kappa_crit_02,
+                                           kc2_02):
         mode = ModeSpec(kappa=1.05 * kappa_crit_02, sigma=+1,
                         equilibrium=eq02, profile=gaussian_profile(1.0, 1.0))
-        assert find_y0(mode) is None
+        assert find_y0(mode, kc2_02) is None
 
-    def test_critical_boundary(self, eq02, kappa_crit_02):
+    def test_critical_boundary(self, eq02, kappa_crit_02, kc2_02):
         mode = ModeSpec(kappa=kappa_crit_02, sigma=+1, equilibrium=eq02,
                         profile=gaussian_profile(1.0, 1.0))
-        y0 = find_y0(mode)
+        y0 = find_y0(mode, kc2_02)
         assert y0 == pytest.approx(kappa_crit_02, abs=1e-6)
 
-    def test_subcritical_crossing(self, eq02, kappa_crit_02):
+    def test_subcritical_crossing(self, eq02, kappa_crit_02, kc2_02):
         mode = ModeSpec(kappa=0.8 * kappa_crit_02, sigma=+1,
                         equilibrium=eq02, profile=gaussian_profile(1.0, 1.0))
-        y0 = find_y0(mode)
+        y0 = find_y0(mode, kc2_02)
         assert y0 is not None and y0 >= mode.kappa
         assert abs(laplace_beta_imag(mode, y0).real - 1.0) < 1e-8
         # independent bracket scan: the crossing lies where the coarse
@@ -678,14 +702,14 @@ class TestDispersionRoot:
         assert len(idx) == 1
         assert ys[idx[0]] <= y0 <= ys[idx[0] + 1]
 
-    def test_small_kappa_has_crossing_above_edge(self, eq02):
+    def test_small_kappa_has_crossing_above_edge(self, eq02, kc2_02):
         mode = ModeSpec(kappa=0.05, sigma=+1, equilibrium=eq02,
                         profile=gaussian_profile(1.0, 1.0))
-        y0 = find_y0(mode)
+        y0 = find_y0(mode, kc2_02)
         assert y0 is not None and y0 > mode.kappa
 
     @pytest.mark.parametrize("kappa", [0.3, 0.4, 0.5])
-    def test_crossing_equals_scipy_brentq(self, kappa):
+    def test_crossing_equals_scipy_brentq(self, kappa, kc2_02):
         # README sweep, sigma = +1: its subcritical rows
         from scipy.optimize import brentq
         theta = 0.2
@@ -693,9 +717,9 @@ class TestDispersionRoot:
                         profile=thermal_profile(theta, 1.0))
         theirs = brentq(lambda y: laplace_beta_imag(mode, y, tol=1e-10).real
                         - 1.0, kappa, 2.0 * kappa, xtol=1e-12)
-        assert abs(find_y0(mode, tol=1e-10) - theirs) <= 2e-12
+        assert abs(find_y0(mode, kc2_02, tol=1e-10) - theirs) <= 2e-12
 
-    def test_nonfinite_transform_raises(self, monkeypatch):
+    def test_nonfinite_transform_raises(self, monkeypatch, kc2_02):
         mode = ModeSpec(kappa=0.4, sigma=+1, equilibrium=juttner(0.2),
                         profile=thermal_profile(0.2, 1.0))
         calls = []
@@ -707,7 +731,7 @@ class TestDispersionRoot:
 
         monkeypatch.setattr(spectral, "laplace_beta_imag", nan_on_fifth)
         with pytest.raises(RuntimeError, match="nan"):
-            find_y0(mode, tol=1e-10)
+            find_y0(mode, kc2_02, tol=1e-10)
         assert len(calls) == 5
 
     @pytest.mark.parametrize("delta", [-1e-12, 0.0, 1e-12])
@@ -717,22 +741,34 @@ class TestDispersionRoot:
                                   "theta5", "compact1.5"])
     def test_no_crossing_exactly_when_supercritical(self, eq, delta):
         # the comparison the sweep's supercritical flag makes
-        kc2 = threshold_plasma(eq).kappa_crit_sq
+        kc2 = kappa_crit_sq(eq, +1)
         kappa = math.sqrt(kc2) * (1.0 + delta)
         mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq,
                         profile=gaussian_profile(1.0, 1.0))
-        y0 = find_y0(mode)
+        y0 = find_y0(mode, kc2)
         assert (y0 is None) == (kappa * kappa > kc2)
         if kappa * kappa == kc2:
             assert y0 == kappa
         elif y0 is not None:
             assert y0 >= kappa
 
-    def test_rejects_attractive_sign(self, eq02):
+    def test_rejects_attractive_sign(self, eq02, kc2_02):
         mode = ModeSpec(kappa=0.5, sigma=-1, equilibrium=eq02,
                         profile=gaussian_profile(1.0, 1.0))
         with pytest.raises(ValueError):
-            find_y0(mode)
+            find_y0(mode, kc2_02)
+
+    @pytest.mark.parametrize("kappa,crossing", [(0.3, True), (0.5, True),
+                                                (0.9, False)])
+    def test_decision_is_the_callers(self, eq02, kappa, crossing):
+        # no threshold of its own: the kc2 passed in alone decides None,
+        # and kappa^2 == kc2 puts the crossing at kappa itself
+        mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq02,
+                        profile=gaussian_profile(1.0, 1.0))
+        assert find_y0(mode, kappa * kappa) == kappa
+        assert find_y0(mode, 0.5 * kappa * kappa) is None
+        assert (find_y0(mode, kappa_crit_sq(eq02, +1)) is not None) \
+            == crossing
 
 
 class TestSupercriticalCertificate:
