@@ -157,12 +157,6 @@ def _usage_checked(build, *args, flag=None):
         raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
 
 
-def _build_mode(args):
-    return _usage_checked(ModeSpec, args.kappa, args.sigma,
-                          _build_equilibrium(args), _build_profile(args),
-                          flag="--kappa")
-
-
 def _time_grid(dt, t_max):
     """round(t_max/dt) steps of dt, refused before anything is allocated
     unless 0 < dt < t_max < inf and t_max/dt <= MAX_STEPS."""
@@ -213,12 +207,14 @@ def cmd_threshold(args) -> int:
 
 def cmd_evolve(args) -> int:
     grid = _time_grid(args.dt, args.t_max)
-    mode = _build_mode(args)
+    mode = _usage_checked(ModeSpec, args.kappa, args.sigma,
+                          _build_equilibrium(args), _build_profile(args),
+                          flag="--kappa")
     traj = solve_mode(mode, grid, tol=args.tol, refine=bool(args.refine))
     re, im = traj.rho.real, traj.rho.imag
     # np.hypot rounds as the scalar abs(complex) does; np.abs need not
     rows = np.column_stack((grid.times, re, im, np.hypot(re, im),
-                            traj.alpha_samples.real, traj.beta_samples))
+                            traj.alpha_samples, traj.beta_samples))
     cfg = _config_echo(args)
     cfg["growth"] = traj.growth
     _write_csv(args.output, ["t", "re_rho", "im_rho", "abs_rho", "alpha",
@@ -230,7 +226,8 @@ def cmd_dispersion(args) -> int:
     _count("--n-y", args.n_y)
     if not -math.inf < args.y_min <= args.y_max < math.inf:
         raise UsageError("invalid y grid")
-    mode = _build_mode(args)
+    mode = _usage_checked(ModeSpec, args.kappa, args.sigma,
+                          _build_equilibrium(args), flag="--kappa")
     try:
         xs = [float(s) for s in args.x.split(",")]
     except ValueError as exc:
@@ -375,10 +372,9 @@ def cmd_sweep(args) -> int:
     _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
     eq = _usage_checked(juttner, args.theta, flag="--theta")
-    profile = thermal_profile(args.theta, 1.0)
     for flag, k in (("--kappa-min", args.kappa_min),
                     ("--kappa-max", args.kappa_max)):
-        _usage_checked(ModeSpec, k, args.sigma, eq, profile, flag=flag)
+        _usage_checked(ModeSpec, k, args.sigma, eq, flag=flag)
     # one threshold for every row: it depends on theta and sigma only
     kc2 = kappa_crit_sq(eq, args.sigma, args.tol)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
@@ -420,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="quadrature tolerance (absolute)")
 
-    def mode_opts(sp):
+    def equilibrium_opts(sp):
         sp.add_argument("--kappa", type=float)
         sp.add_argument("--sigma", type=int, choices=(+1, -1))
         sp.add_argument("--theta", type=float)
@@ -428,11 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
         sp.add_argument("--p-support", type=float, dest="p_support",
                         help="support bound of the compact equilibrium")
-        sp.add_argument("--profile", choices=("gaussian", "thermal"),
-                        default=None)
-        sp.add_argument("--width", type=float)
-        sp.add_argument("--amp", type=float)
-        sp.add_argument("--profile-theta", type=float, dest="profile_theta")
 
     sp = command("threshold", cmd_threshold, "critical wavenumbers vs theta",
                  ("theta_min", "theta_max"))
@@ -444,7 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("evolve", cmd_evolve, "integrate one mode",
                  ("kappa", "sigma", "dt", "t_max"))
     tol_opt(sp)
-    mode_opts(sp)
+    equilibrium_opts(sp)
+    sp.add_argument("--profile", choices=("gaussian", "thermal"),
+                    default=None)
+    sp.add_argument("--width", type=float)
+    sp.add_argument("--amp", type=float)
+    sp.add_argument("--profile-theta", type=float, dest="profile_theta")
     sp.add_argument("--dt", type=float)
     sp.add_argument("--t-max", type=float, dest="t_max")
     sp.add_argument("--refine", action="store_true",
@@ -453,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("dispersion", cmd_dispersion, "transform values on Re s >= 0",
                  ("kappa", "sigma"))
     tol_opt(sp)
-    mode_opts(sp)
+    equilibrium_opts(sp)
     sp.add_argument("--x", default="0", help="comma list of Re s values")
     sp.add_argument("--y-min", type=float, dest="y_min", default=0.0)
     sp.add_argument("--y-max", type=float, dest="y_max", default=2.0)

@@ -49,11 +49,10 @@ MIN_DECAY_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class Envelope:
-    """Peak sequence of |rho|; ``fallback`` marks too-few-peaks inputs."""
+    """Peak sequence of |rho|."""
 
     t: np.ndarray
     value: np.ndarray
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class NoDecayError(RuntimeError):
 
 def envelope(t, value) -> Envelope:
     """Strict local maxima of a sampled |rho|; falls back to all samples
-    (flagged) when fewer than 3 maxima exist."""
+    when fewer than 3 maxima exist."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(value, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
@@ -82,8 +81,8 @@ def envelope(t, value) -> Envelope:
     else:
         idx = np.array([], dtype=int)
     if idx.size < 3:
-        return Envelope(t=t.copy(), value=v.copy(), fallback=True)
-    return Envelope(t=t[idx], value=v[idx], fallback=False)
+        return Envelope(t=t.copy(), value=v.copy())
+    return Envelope(t=t[idx], value=v[idx])
 
 
 # Box of the fit, as (log c, eps, x = 1/s).
@@ -373,8 +372,7 @@ def fit_mode_decay(times, rho_abs, kappa, seed=0, n_boot=200, t_min=None):
     env_all = envelope(times, rho_abs)
     floor = _FLOOR_FACTOR * np.finfo(float).eps * rho_abs.max()
     keep = (env_all.t >= t_min) & (env_all.value > floor)
-    env = Envelope(t=env_all.t[keep], value=env_all.value[keep],
-                   fallback=env_all.fallback)
+    env = Envelope(t=env_all.t[keep], value=env_all.value[keep])
     fit = fit_stretched(env)
     ci = (bootstrap_s_interval(env, fit, n_boot=n_boot, seed=seed) if n_boot
           else (math.nan, math.nan))

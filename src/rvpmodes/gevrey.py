@@ -269,27 +269,25 @@ def partition_bound(m: int):
 
 
 def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
-                           m0: int = 1, tol: float = 1e-10):
-    """Check the derivative-of-product L1 bound for phi = g, psi = f.
+                           tol: float = 1e-10):
+    """Check the derivative-of-product L1 bound for phi = g, psi = f at
+    the lemma's m0 = 1.
 
-    Returns the rows (m, ||(f g)^(m)||_L1, CC^(m0+m) (m0+m)!, margin)
+    Returns the rows (m, ||(f g)^(m)||_L1, CC^(m+1) (m+1)!, margin)
     and (delta, epsilon, CC).  delta and epsilon are the smallest
-    constants with ||g^(m)||_L1 <= delta^(m0+m) (m0+m)! and
-    ||f^(m)||_Linf <= epsilon^(m0+m) (m0+m)! over m <= m_max; the product
-    constant is CC = 2c * max(1, ((m0!)^2 (2c)^m0)^(1/m0)) with
-    c = max(delta, epsilon), exactly the construction in the lemma's
+    constants with ||g^(m)||_L1 <= delta^(m+1) (m+1)! and
+    ||f^(m)||_Linf <= epsilon^(m+1) (m+1)! over m <= m_max; the product
+    constant is CC = 2c * max(1, ((m0!)^2 (2c)^m0)^(1/m0)) = 2c max(1, 2c)
+    with c = max(delta, epsilon), exactly the construction in the lemma's
     proof (factor-2 inflation absorbing the binomial sum).
     """
-    if m0 < 1:
-        raise ValueError("the product bound is implemented for m0 >= 1")
     R = params.R
-    delta = max((g_l1_norm(params, m) / math.factorial(m0 + m))
-                ** (1.0 / (m0 + m)) for m in range(m_max + 1))
-    eps = max((abs(f_derivative(params, m, R)) / math.factorial(m0 + m))
-              ** (1.0 / (m0 + m)) for m in range(m_max + 1))
+    delta = max((g_l1_norm(params, m) / math.factorial(m + 1))
+                ** (1.0 / (m + 1)) for m in range(m_max + 1))
+    eps = max((abs(f_derivative(params, m, R)) / math.factorial(m + 1))
+              ** (1.0 / (m + 1)) for m in range(m_max + 1))
     c = max(delta, eps)
-    cc = 2.0 * c * max(1.0, ((math.factorial(m0) ** 2 * (2.0 * c) ** m0)
-                             ** (1.0 / m0)))
+    cc = 2.0 * c * max(1.0, 2.0 * c)
     if cc == 0.0:  # v = 0: f = g = 0, so each norm and each bound is 0
         return (tuple((m, 0.0, 0.0, 0.0) for m in range(m_max + 1)),
                 (delta, eps, cc))
@@ -313,7 +311,7 @@ def product_l1_bound_check(params: GevreyParams, m_max: int = 6,
         return 2.0 * res.value  # |(fg)^(m)| is even
 
     rows = _margins(range(m_max + 1), l1_norm,
-                    lambda m: cc ** (m0 + m) * math.factorial(m0 + m))
+                    lambda m: cc ** (m + 1) * math.factorial(m + 1))
     return rows, (delta, eps, cc)
 
 

@@ -384,19 +384,29 @@ def filon_table(envelope, a, b, times, tol):
     ``_FILON_MAX_PANELS`` (``double_panels``) until the values at three
     probe times (0, 0.37 max t and max t; at least 1 and 2) move by at
     most ``tol``; that one panelization then serves every t, so a sample
-    costs the same whatever its t.
+    costs the same whatever its t.  Sums that are not finite (an envelope
+    near the top of the doubles overflows them) raise QuadratureError.
     """
     t = np.asarray(times, dtype=float)
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
     om_probe = 2.0 * math.pi * t_probe
+
+    def finite_sums(env, omegas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = filon_sums(env, a, b, omegas)
+        if not np.isfinite(sums).all():
+            raise QuadratureError(f"filon_table: the Filon sums are not "
+                                  f"finite at {env.shape[-2]} panels",
+                                  QuadResult(math.nan, math.inf, env.size))
+        return sums
 
     def tabulate(n):
         """The envelope at the nodes of n panels, shape (..., n, 4), and
         its transforms at the probe times."""
         env = np.asarray(envelope(filon_nodes(a, b, n).ravel()))
         env = env.reshape(env.shape[:-1] + (n, 4))
-        return env, filon_sums(env, a, b, om_probe)
+        return env, finite_sums(env, om_probe)
 
     env, err = double_panels(tabulate, 64, _FILON_MAX_PANELS, tol,
                              "filon_table")
-    return filon_sums(env, a, b, 2.0 * math.pi * t), err
+    return finite_sums(env, 2.0 * math.pi * t), err

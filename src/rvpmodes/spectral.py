@@ -15,11 +15,12 @@ integrals; this module provides
 * the critical wavenumber of each interaction sign (``kappa_crit_sq``),
   and the root y0 where the dispersion value reaches 1 below it.
 
-Batch sampling of kernel tables for the Volterra solver runs the composite
-Filon rule of :func:`rvpmodes.quadrature.filon_table` on [0, kappa]: one
-panelization resolves the envelope, after which every time sample costs
-O(panels) regardless of how large t is.  The envelopes take their momentum
-tails from the closed forms that every equilibrium and profile carries.
+Batch sampling of the real kernel tables for the Volterra solver runs
+the composite Filon rule of :func:`rvpmodes.quadrature.filon_table` on
+[0, kappa]: one panelization resolves the envelope, after which every time
+sample costs O(panels) regardless of how large t is.  The envelopes take
+their momentum tails from the closed forms that every equilibrium and
+profile carries.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ class ModeSpec:
     """One spatial Fourier mode: wavenumber, interaction sign, and data.
 
     ``kappa`` must keep the kernel prefactor 4 pi/kappa^3 a positive
-    normal double: about 4.2e-103 <= kappa <= 5.6e102.
+    normal double: about 4.2e-103 <= kappa <= 5.6e102.  Only the source
+    kernel (``alpha_hat``) reads ``profile``.
     """
 
     kappa: float
     sigma: int
     equilibrium: Equilibrium
-    profile: PerturbationProfile
+    profile: Optional[PerturbationProfile] = None
 
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
@@ -90,7 +92,7 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """alpha and beta sampled on a shared time grid, with error bounds."""
+    """Real alpha and beta on a shared time grid, with error bounds."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -150,7 +152,9 @@ def beta_hat_envelope(mode: ModeSpec, y):
 def alpha_hat(mode: ModeSpec, y):
     """Time-Fourier transform of the source kernel: real, even,
     (2 pi / kappa) int_{P(|y|/kappa)}^inf p sqrt(1+p^2) h(p) dp inside
-    |y| < kappa and 0 beyond."""
+    |y| < kappa and 0 beyond.  A mode with no profile raises ValueError."""
+    if mode.profile is None:
+        raise ValueError("alpha_hat needs a mode with a perturbation profile")
     return _on_support(mode, y, lambda y, r, p: (2.0 * math.pi / mode.kappa)
                        * mode.profile.tail_weighted_moment(p))
 
@@ -365,9 +369,10 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     One Filon panelization of [0, kappa] is refined until probe values
     stabilize, then reused for every t (``quadrature.filon_table``); the
     cost per sample is independent of t, which is what makes dense
-    long-horizon tables affordable.  Stopping at the panel cap short of
-    ``tol`` raises QuadratureError, as does a beta table that is 0 at
-    every sample (no node inside the envelope's support).
+    long-horizon tables affordable.  Both tables are real.  Stopping at
+    the panel cap short of ``tol`` raises QuadratureError, as does a beta
+    table that is 0 at every sample (no node inside the envelope's
+    support); a mode with no profile raises ValueError.
     """
     t = np.asarray(times, dtype=float)
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
@@ -379,5 +384,4 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     if not beta.any():  # it would write out an uncoupled mode as this one
         raise QuadratureError("sample_kernels: beta is 0 at every sample",
                               QuadResult(0.0, 2.0 * err, t.size))
-    return KernelTable(alpha=alpha.astype(complex), beta=beta,
-                       abs_error=2.0 * err)
+    return KernelTable(alpha=alpha, beta=beta, abs_error=2.0 * err)

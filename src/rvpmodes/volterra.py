@@ -11,11 +11,12 @@ synthetic constant-kernel benchmark does this).
 
 The resolvent kernel R is the function whose one-sided transform equals
 W / (1 - W) where W is the transform of beta; it expresses the solution as
-rho = alpha + R * alpha.  It is reconstructed here from its jump across
-the support [-kappa, kappa] of the imaginary axis, the only singularity of
-W / (1 - W) when 1 - W is bounded away from zero, i.e. for supercritical
-modes (subcritical input is refused): one Filon row on [0, kappa], its
-panels doubled until the result moves by at most ``tol``.
+rho = alpha + R * alpha, with R and alpha real.  It is reconstructed here
+from its jump across the support [-kappa, kappa] of the imaginary axis,
+the only singularity of W / (1 - W) when 1 - W is bounded away from zero,
+i.e. for supercritical modes (subcritical input is refused): one Filon row
+on [0, kappa], its panels doubled until the result moves by at most
+``tol``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "solve_mode",
     "resolvent_kernel",
     "apply_resolvent",
-    "convolve_product_trapezoid",
 ]
 
 GROWTH_CAP = 1e12
@@ -64,7 +64,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ModeTrajectory:
-    """Solution samples together with the kernel tables that produced them."""
+    """Solution samples with the real kernel tables that produced them."""
 
     rho: np.ndarray
     alpha_samples: np.ndarray
@@ -153,20 +153,6 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
         del march
 
 
-def convolve_product_trapezoid(kernel, source, dt):
-    """Trapezoidal (kernel * source)(t_n) on a shared uniform grid: one FFT
-    convolution with the end-point halves taken back out."""
-    kernel, source = np.asarray(kernel), np.asarray(source)
-    n = source.size
-    m = next_fast_len(2 * n - 1)
-    full = np.fft.ifft(np.fft.fft(kernel[:n], m) * np.fft.fft(source, m))[:n]
-    if not (np.iscomplexobj(kernel) or np.iscomplexobj(source)):
-        full = full.real
-    out = dt * (full - 0.5 * (kernel[:n] * source[0] + kernel[0] * source))
-    out[0] = 0.0
-    return out
-
-
 def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
                refine: bool = False) -> ModeTrajectory:
     """Evolve one mode on ``grid``.
@@ -195,7 +181,7 @@ def solve_mode(mode: ModeSpec, grid: TimeGrid, tol=1e-11,
 
 def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
                      tol=1e-8) -> np.ndarray:
-    """Resolvent samples R(t_j) from the jump of G = W/(1 - W), W the
+    """Real resolvent samples R(t_j) from the jump of G = W/(1 - W), W the
     kernel transform on the imaginary axis.
 
     Requires the mode supercritical (checked first): then G has no
@@ -220,10 +206,17 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
         return w.imag / np.abs(1.0 - w) ** 2
 
     sums, _ = filon_table(im_g, 0.0, kap, grid.times, 0.25 * tol)
-    return -4.0 * sums.imag + 0j
+    return -4.0 * sums.imag
 
 
 def apply_resolvent(resolvent, alpha, dt):
-    """alpha + R * alpha on the grid: the closed solution form."""
-    conv = convolve_product_trapezoid(resolvent, alpha, dt)
-    return np.asarray(alpha) + conv
+    """alpha + R * alpha on the grid, the closed solution form: the
+    trapezoidal convolution as one real FFT product, the end-point halves
+    taken back out.  Complex input raises TypeError (``np.fft.rfft``)."""
+    r, alpha = np.asarray(resolvent), np.asarray(alpha)
+    n = alpha.size
+    m = next_fast_len(2 * n - 1)
+    conv = np.fft.irfft(np.fft.rfft(r[:n], m) * np.fft.rfft(alpha, m), m)[:n]
+    conv = dt * (conv - 0.5 * (r[:n] * alpha[0] + r[0] * alpha))
+    conv[0] = 0.0
+    return alpha + conv

@@ -32,6 +32,15 @@ def read_csv(path):
     return meta, header, rows
 
 
+def exit_code(argv):
+    """The exit code of ``main(argv)``, also where the parser refuses the
+    command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestThreshold:
     def test_csv_contract(self, tmp_path):
         out = tmp_path / "thr.csv"
@@ -729,19 +738,24 @@ class TestConfigDefaults:
 
 
 class TestConfigEcho:
-    def test_dispersion_echoes_equilibrium_and_profile_options(self,
-                                                              tmp_path):
+    def test_echoes_equilibrium_and_profile_options(self, tmp_path):
+        # dispersion echoes its equilibrium options; the profile options
+        # are evolve's, and evolve echoes them
         metas = []
         for p_support in ("1.5", "3.0"):
             out = tmp_path / f"d{p_support}.csv"
             assert main(["dispersion", "--kappa", "1.0", "--sigma", "1",
                          "--equilibrium", "compact", "--p-support",
-                         p_support, "--profile", "gaussian", "--width",
-                         "0.5", "--n-y", "2", "-o", str(out)]) == 0
+                         p_support, "--n-y", "2", "-o", str(out)]) == 0
             metas.append(read_csv(out)[0])
         assert metas[0] != metas[1]
         assert [m["p_support"] for m in metas] == ["1.5", "3.0"]
-        assert metas[0]["width"] == "0.5"
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--kappa", "1.0", "--sigma", "1", "--theta",
+                     "0.2", "--profile", "gaussian", "--width", "0.5",
+                     "--dt", "0.05", "--t-max", "1", "-o", str(out)]) == 0
+        meta = read_csv(out)[0]
+        assert (meta["profile"], meta["width"]) == ("gaussian", "0.5")
 
 
 class TestOutOfDomainInput:
@@ -825,12 +839,13 @@ class TestOutOfDomainInput:
     @pytest.mark.parametrize("command", ["evolve", "dispersion"])
     def test_nonfinite_equilibrium_or_profile(self, command, flags, tmp_path):
         # the constructors once checked only <= 0: a NaN support bound
-        # wrote NaN rows, a non-finite amp failed in the march
+        # wrote NaN rows, a non-finite amp failed in the march; dispersion
+        # has no profile options, so its parser refuses those flags
         argv = self.EVOLVE if command == "evolve" else [
             "dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
             "--n-y", "2"]
         out = tmp_path / "out.csv"
-        assert main(argv + flags + ["-o", str(out)]) == 2
+        assert exit_code(argv + flags + ["-o", str(out)]) == 2
         assert not out.exists()
 
     def test_dispersion_refused_equilibrium(self, tmp_path):
@@ -871,8 +886,13 @@ class TestOutOfDomainInput:
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv + flags + ["-o", str(out)]) == 2
-        assert f"error: {flag}: " in capsys.readouterr().err
+            assert exit_code(argv + flags + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        if command == "dispersion" and flag == "--width":
+            # a profile option, which dispersion does not have
+            assert f"unrecognized arguments: {flag}" in err
+        else:
+            assert f"error: {flag}: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -888,6 +908,20 @@ class TestOutOfDomainInput:
             warnings.simplefilter("ignore", UserWarning)  # cold regime
             assert main(self.EVOLVE + flags + ["-o", str(out)]) == 1
         assert "beta is 0 at every sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_kernel_table_fails_without_warning(self, tmp_path,
+                                                            capsys):
+        # a width near the top of the doubles overflows the Filon sums of
+        # alpha: this exited 1 after numpy RuntimeWarnings, and with
+        # warnings as errors on the first of them
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self.EVOLVE + ["--width", "1e102",
+                                       "-o", str(out)]) == 1
+        assert ("QuadratureError: filon_table: the Filon sums are not finite"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_zero_beta_table_is_a_sweep_row_error(self):
@@ -929,3 +963,23 @@ class TestOutOfDomainInput:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", "1e-6"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--profile=thermal", "--width=1",
+                                      "--amp=1", "--profile-theta=0.2"])
+    def test_profile_options_only_where_read(self, flag, tmp_path):
+        # the dispersion transform reads the equilibrium only
+        out = tmp_path / "disp.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["dispersion", "--kappa", "1", "--sigma", "1", "--theta",
+                  "0.2", "--n-y", "2", flag, "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_profile_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1\nsigma = 1\ntheta = 0.2\nwidth = 1\n")
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", "--config", str(cfg), "--n-y", "2",
+                     "-o", str(out)]) == 2
+        assert "config key 'width' is not an option" in capsys.readouterr().err
+        assert not out.exists()

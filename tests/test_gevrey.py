@@ -356,10 +356,6 @@ class TestProductLemma:
         assert (delta, eps, cc) == (0.0, 0.0, 0.0)
         assert rows == tuple((m, 0.0, 0.0, 0.0) for m in range(7))
 
-    def test_requires_m0_at_least_one(self):
-        with pytest.raises(ValueError):
-            product_l1_bound_check(PARAMS, m0=0)
-
 
 class TestPipelineCertificate:
     def test_mode_convolution_transform_is_gevrey_three(self):

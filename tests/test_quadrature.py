@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from rvpmodes import quadrature
 from rvpmodes.quadrature import (QuadratureError, _filon_weights,
                                  double_panels, filon_nodes, filon_sums,
-                                 next_fast_len, gauss_legendre_nodes,
+                                 filon_table, next_fast_len,
+                                 gauss_legendre_nodes,
                                  integrate_finite, integrate_semi_infinite)
 
 from oracles import (filon_weights_monomial, integrate_adaptive,
@@ -343,6 +345,18 @@ class TestFilonSums:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * nt * np.dtype(complex).itemsize
+
+
+class TestFilonTable:
+    def test_overflowing_sums_raise_without_warning(self):
+        # the integral, 1e307, is a double, but the panel sums of 64 panels
+        # overflow; the NaN change once raised after numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError,
+                               match="sums are not finite at 64 panels"):
+                filon_table(lambda y: np.full(y.shape, 1e307), 0.0, 1.0,
+                            np.linspace(0.0, 10.0, 101), 1e-9)
 
 
 class TestFilonWeights:

@@ -256,6 +256,15 @@ class TestTransforms:
                         profile=gaussian_profile(1.0, 0.0))
         assert alpha_via_inverse(mode, 2.0) == 0.0
 
+    def test_no_profile_raises(self, eq02):
+        # the memory kernel reads the equilibrium only; alpha needs a profile
+        mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq02)
+        assert beta_hat_envelope(mode, 0.5) > 0.0
+        with pytest.raises(ValueError, match="perturbation profile"):
+            alpha_hat(mode, 0.5)
+        with pytest.raises(ValueError, match="perturbation profile"):
+            sample_kernels(mode, np.linspace(0.0, 1.0, 11))
+
 
 def _p_integral_tail(f, support, scale):
     """P -> int_P^inf f(p) dp, one adaptive quadrature per P: the oracle
@@ -323,6 +332,7 @@ class TestCrossPath:
     def test_kernel_table_matches_direct(self, mode02):
         t = np.linspace(0.0, 30.0, 601)
         tab = sample_kernels(mode02, t, tol=1e-11)
+        assert tab.alpha.dtype == tab.beta.dtype == np.float64
         for j in (0, 20, 200, 600):
             assert abs(tab.alpha[j] - alpha_direct(mode02, t[j])) < 1e-8
             assert abs(tab.beta[j] - beta_direct(mode02, t[j])) < 1e-8
