@@ -37,7 +37,7 @@ from .spectral import (ModeSpec, find_y0, kappa_crit_sq,
 from .volterra import TimeGrid, solve_mode
 
 SCHEMA = "v1"
-MAX_STEPS = 2 ** 20  # time steps of one mode; a --refine run peaks near 0.43 GB
+MAX_STEPS = 2 ** 20  # time steps of one mode; a --refine run peaks near 0.37 GB
 MAX_POINTS = 2 ** 16  # points of a threshold, dispersion or sweep grid
 
 

@@ -241,14 +241,21 @@ def _chirp(n, m, w):
     complex power, which is libm's cpow, cexp(e clog w), except that it
     multiplies out integer exponents below 100, k = 0, 2, ..., 14.  So
     one clog and a cexp per k give its bits, for a fraction of the cost.
+    The exponential is taken in place, and the reciprocal chirp is formed
+    and transformed in its one zero-padded buffer, so the chirp and its
+    transform are all that is held.
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     e = k ** 2 / 2.
-    wk2 = np.exp(e * np.log(w))
+    wk2 = e * np.log(w)
+    np.exp(wk2, out=wk2)
     wk2[:15:2] = w ** e[:15:2]
+    del k, e
     nfft = next_fast_len(n + m - 1)
-    fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    return wk2, nfft, fwk2
+    fwk2 = np.zeros(nfft, dtype=complex)
+    np.divide(1, wk2[n - 1:0:-1], out=fwk2[:n - 1])
+    np.divide(1, wk2[:m], out=fwk2[n - 1:n + m - 1])
+    return wk2, nfft, np.fft.fft(fwk2, out=fwk2)
 
 
 def _czt(x, m, w, chirp=None):
@@ -265,29 +272,56 @@ def _czt(x, m, w, chirp=None):
     return y.T
 
 
+def _phase(nt, step, c):
+    """e^{i j step c} for j < nt, formed in place in one buffer with the
+    bits of np.exp(1j * np.arange(nt) * step * c)."""
+    phase = np.arange(nt, dtype=complex)
+    phase *= 1j
+    phase *= step
+    phase *= c
+    return np.exp(phase, out=phase)
+
+
 _FILON_CHUNK = 512  # omegas per block of the direct (T x P) panel sum
 _CZT_BLOCK = 4096  # omegas per block of the chirp-z branch's weights
 _UNIFORM_TOL = 8  # |omega_j - (omega_0 + j step)| allowed, in eps max|omega|
 
 
-def filon_sums(env_nodes, a, b, omegas):
+def _part(z, part):
+    """The floats of complex ``z`` that ``part`` names: its "real" or
+    "imag" part, or for None both, interleaved.  Sums and scalings of
+    these views are those of the complex values, one float at a time."""
+    return z.view(float) if part is None else getattr(z, part)
+
+
+def filon_sums(env_nodes, a, b, omegas, parts=None):
     """int_a^b env(y) e^{i omega y} dy for many omegas at once.
 
     env_nodes: (P, 4) envelope values at the nodes of
     ``filon_nodes(a, b, P)``, or a stack (K, P, 4) of K envelopes.  Returns
     a complex array, one integral value per omega, shape (T,) or (K, T);
-    each row of a stack equals its own call to the bit.  For a uniformly
-    spaced grid of more than 64 omegas the panel sum collapses to four
-    chirp-z transforms, so dense time grids cost O((P + T) log) instead of
-    O(P * T).  The chirp, the phase and the weights are formed once per
-    call, and the four node columns of each envelope of a stack are
-    transformed one at a time, so the working memory is K + 7 T-length
-    vectors whatever P.
+    each row of a stack equals its own call to the bit.  ``parts``, one
+    "real" or "imag" per envelope (a one-item sequence for a single
+    envelope), keeps only that part of each row: a float array, each row
+    the ``.real`` or ``.imag`` of the complex one to the bit.  For a
+    uniformly spaced grid of more than 64 omegas the panel sum collapses
+    to four chirp-z transforms, so dense time grids cost O((P + T) log)
+    instead of O(P * T).  The chirp, its transform, the phase and the
+    weights lam_0, lam_1 are formed once per call, and the four node
+    columns of each envelope of a stack are transformed one at a time, in
+    one FFT buffer, so besides the output and one row of pair sums the
+    working memory is six T-length complex vectors whatever P.
     """
     omegas = np.asarray(omegas, dtype=float)
     stack = np.asarray(env_nodes)
     if stack.ndim == 2:
-        return filon_sums(stack[None], a, b, omegas)[0]
+        return filon_sums(stack[None], a, b, omegas, parts)[0]
+    dtype = complex if parts is None else float
+    if parts is None:
+        parts = [None] * len(stack)
+    elif len(parts) != len(stack) or not set(parts) <= {"real", "imag"}:
+        raise ValueError(f"parts needs one 'real' or 'imag' per envelope, "
+                         f"got {parts!r} for {len(stack)}")
     n_panels = stack.shape[1]
     h = (b - a) / n_panels
     centers = a + (np.arange(n_panels) + 0.5) * h
@@ -299,7 +333,7 @@ def filon_sums(env_nodes, a, b, omegas):
     uniform = nt > 64 and step != 0.0 and np.all(
         np.abs(omegas - (omegas[0] + np.arange(nt) * step))
         <= _UNIFORM_TOL * np.finfo(float).eps * np.max(np.abs(omegas)))
-    out = np.empty((len(stack), nt), dtype=complex)
+    out = np.empty((len(stack), nt), dtype=dtype)
 
     if uniform:
         # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
@@ -308,29 +342,33 @@ def filon_sums(env_nodes, a, b, omegas):
         chirp = _chirp(n_panels, nt, w)
         shift = np.exp(1j * omegas[0] * centers)[:, None]
         # the phase and the weights lam_0, lam_1, once for the whole stack
-        phase = np.exp(1j * np.arange(nt) * step * (a + 0.5 * h))
+        phase = _phase(nt, step, a + 0.5 * h)
         lam01 = np.empty((2, nt), dtype=complex)
         for i0 in range(0, nt, _CZT_BLOCK):
             b = slice(i0, i0 + _CZT_BLOCK)
             lam01[:, b] = _filon_weights(omegas[b] * (h / 2.0))[:, :2].T
 
-        def term(x, lam):
-            """Panel sum of node column x, times phase, times lam: in the
+        def term(x, lam, conj=False):
+            """Panel sum of node column x, times phase, times lam or (for
+            lam_2, lam_3) its conjugate, formed a block at a time: in the
             transform's own FFT buffer, freed with the result."""
             col = _czt(x, nt, w, chirp)
             col *= phase
-            col *= lam
+            for i0 in range(0, nt, _CZT_BLOCK):
+                b = slice(i0, i0 + _CZT_BLOCK)
+                col[b] *= np.conjugate(lam[b]) if conj else lam[b]
             return col
 
-        pair = np.empty(nt, dtype=complex)
-        for env, acc in zip(stack, out):
+        pair = np.empty(nt, dtype=out.dtype).view(float)
+        for env, row, part in zip(stack, out, parts):
             x = env * shift
+            acc = row.view(float)
             # (t0 + t1) + (t2 + t3), as np.sum adds a row of four, so the
             # tables keep their bits; lam_2, lam_3 conjugate lam_1, lam_0
-            pair[:] = term(x[:, 2], np.conjugate(lam01[1], out=acc))
-            pair += term(x[:, 3], np.conjugate(lam01[0], out=acc))
-            acc[:] = term(x[:, 0], lam01[0])
-            acc += term(x[:, 1], lam01[1])
+            pair[:] = _part(term(x[:, 2], lam01[1], conj=True), part)
+            pair += _part(term(x[:, 3], lam01[0], conj=True), part)
+            acc[:] = _part(term(x[:, 0], lam01[0]), part)
+            acc += _part(term(x[:, 1], lam01[1]), part)
             acc += pair
             acc *= h / 2.0
         return out
@@ -345,8 +383,8 @@ def filon_sums(env_nodes, a, b, omegas):
         phase = np.exp(1j * np.outer(om, centers))             # (T, P)
         for k, env_t in enumerate(stack_t):
             bsum = np.einsum("tp,mp->tm", phase, env_t)        # (T, 4)
-            out[k, i0:i0 + _FILON_CHUNK] = (h / 2.0) * np.sum(
-                bsum * lam, axis=1)
+            np.multiply(_part(np.sum(bsum * lam, axis=1), parts[k]),
+                        h / 2.0, out=out[k, i0:i0 + _FILON_CHUNK].view(float))
     return out
 
 
@@ -374,9 +412,10 @@ def double_panels(evaluate, n, n_max, tol, what):
 _FILON_MAX_PANELS = 2 ** 16  # panel cap of filon_table's doubling
 
 
-def filon_table(envelope, a, b, times, tol):
-    """int_a^b env(y) e^{2 pi i y t} dy at each t of ``times``, and the
-    last change of the values at the probe times.
+def filon_table(envelope, a, b, times, tol, parts):
+    """The ``parts`` ("real" or "imag", one per envelope) of int_a^b
+    env(y) e^{2 pi i y t} dy at each t of ``times``, and the last change
+    of the complex values at the probe times.
 
     ``envelope(y)`` gives the envelope at the flat node array ``y``, shape
     (y.size,), or (K, y.size) for a stack of K envelopes (values (K, T)).
@@ -384,16 +423,18 @@ def filon_table(envelope, a, b, times, tol):
     ``_FILON_MAX_PANELS`` (``double_panels``) until the values at three
     probe times (0, 0.37 max t and max t; at least 1 and 2) move by at
     most ``tol``; that one panelization then serves every t, so a sample
-    costs the same whatever its t.  Sums that are not finite (an envelope
-    near the top of the doubles overflows them) raise QuadratureError.
+    costs the same whatever its t.  Only the table keeps to ``parts``: the
+    probes stay complex, so the panels do not depend on them.  Sums that
+    are not finite (an envelope near the top of the doubles overflows
+    them) raise QuadratureError.
     """
     t = np.asarray(times, dtype=float)
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
     om_probe = 2.0 * math.pi * t_probe
 
-    def finite_sums(env, omegas):
+    def finite_sums(env, omegas, parts=None):
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = filon_sums(env, a, b, omegas)
+            sums = filon_sums(env, a, b, omegas, parts)
         if not np.isfinite(sums).all():
             raise QuadratureError(f"filon_table: the Filon sums are not "
                                   f"finite at {env.shape[-2]} panels",
@@ -409,4 +450,4 @@ def filon_table(envelope, a, b, times, tol):
 
     env, err = double_panels(tabulate, 64, _FILON_MAX_PANELS, tol,
                              "filon_table")
-    return finite_sums(env, 2.0 * math.pi * t), err
+    return finite_sums(env, 2.0 * math.pi * t, parts), err

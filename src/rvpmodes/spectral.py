@@ -241,7 +241,11 @@ def _dispersion(mode: ModeSpec, x, y, tol):
         w = (_cauchy_sums(mode, z, b_z, edge, n) + log_term) / (2.0 * math.pi)
         return w, w
 
-    out, _ = double_panels(transform, *_PV_PANELS, tol, "dispersion transform")
+    out, change = double_panels(transform, *_PV_PANELS, tol,
+                                "dispersion transform")
+    if not out.any():  # b is 0 at every node: a cold envelope underflows
+        raise QuadratureError("dispersion transform: W is 0 at every point",
+                              QuadResult(0.0, change, out.size))
     return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
@@ -267,10 +271,12 @@ def laplace_beta_halfplane(mode: ModeSpec, x: float, y, tol=1e-10):
     elsewhere.  On the axis (x/2pi below the least normal double) W is
     the x -> 0+ limit: the log is real, its i pi gives the jump (i/2) b(y),
     and a node within 1e-5 kappa of y takes -(mean of b' between them) for
-    the cancelling quotient.  Panels double until W changes by at most ``tol`` anywhere
-    in the batch; the panel cap raises QuadratureError.  A float ``y``
-    returns a complex, an array a complex array.  A negative or non-finite
-    x, or a non-finite y, raises ValueError.
+    the cancelling quotient.  Panels double until W changes by at most
+    ``tol`` anywhere in the batch; the panel cap raises QuadratureError,
+    as does a W that is 0 at every point (b is 0 at every node of a cold
+    equilibrium).  A float ``y`` returns a complex, an array a complex
+    array.  A negative or non-finite x, or a non-finite y, raises
+    ValueError.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("laplace_beta_halfplane requires finite x >= 0, "
@@ -378,9 +384,10 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
     sums, err = filon_table(
         lambda y: np.stack((alpha_hat(mode, y), beta_hat_envelope(mode, y))),
-        0.0, mode.kappa, t, 0.5 * tol)
-    alpha = 2.0 * sums[0].real
-    beta = -2.0 * sums[1].imag
+        0.0, mode.kappa, t, 0.5 * tol, ("real", "imag"))
+    sums[0] *= 2.0
+    sums[1] *= -2.0
+    alpha, beta = sums
     if not beta.any():  # it would write out an uncoupled mode as this one
         raise QuadratureError("sample_kernels: beta is 0 at every sample",
                               QuadResult(0.0, 2.0 * err, t.size))

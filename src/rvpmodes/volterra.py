@@ -205,8 +205,9 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
         w = laplace_beta_imag(mode, y, tol=tol)
         return w.imag / np.abs(1.0 - w) ** 2
 
-    sums, _ = filon_table(im_g, 0.0, kap, grid.times, 0.25 * tol)
-    return -4.0 * sums.imag
+    sums, _ = filon_table(im_g, 0.0, kap, grid.times, 0.25 * tol, ("imag",))
+    sums *= -4.0
+    return sums
 
 
 def apply_resolvent(resolvent, alpha, dt):

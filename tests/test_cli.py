@@ -910,6 +910,19 @@ class TestOutOfDomainInput:
         assert "beta is 0 at every sample" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_dispersion_fails(self, tmp_path, capsys):
+        # this exited 0 and wrote W = 0 and dist_to_one = 1 at both points:
+        # the cold envelope underflows at every node of the transform
+        out = tmp_path / "disp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            assert main(["dispersion", "--kappa", "0.5", "--sigma", "1",
+                         "--theta", "1e-10", "--y-min", "0.25", "--y-max",
+                         "1", "--n-y", "2", "-o", str(out)]) == 1
+        assert ("QuadratureError: dispersion transform: W is 0 at every "
+                "point" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_overflowing_kernel_table_fails_without_warning(self, tmp_path,
                                                             capsys):
         # a width near the top of the doubles overflows the Filon sums of

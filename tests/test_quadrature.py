@@ -311,6 +311,33 @@ class TestFilonSums:
         for env, row in zip(stack, sums):
             assert np.array_equal(filon_sums(env, 0.2, 1.7, omegas), row)
 
+    @pytest.mark.parametrize("n_omegas", [1001, 9000, 3, 1300])
+    def test_real_rows_are_parts_of_complex_sums(self, n_omegas):
+        # 1001 and 9000 uniform omegas take the chirp-z branch, 3 and 1300
+        # shuffled the direct one; tobytes, so that a -0 shows
+        nodes = filon_nodes(0.2, 1.7, 512)
+        stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes),
+                          nodes ** 3 * (1.0 + 0.5j)])
+        omegas = 2.0 * math.pi * np.linspace(0.0, 60.0, n_omegas)
+        if n_omegas == 1300:
+            omegas = np.random.default_rng(3).permutation(omegas)
+        sums = filon_sums(stack, 0.2, 1.7, omegas)
+        parts = ("real", "imag", "imag")
+        rows = filon_sums(stack, 0.2, 1.7, omegas, parts)
+        assert rows.dtype == float and rows.shape == sums.shape
+        for env, row, cplx, part in zip(stack, rows, sums, parts):
+            assert row.tobytes() == getattr(cplx, part).tobytes()
+            for other in ("real", "imag"):
+                single = filon_sums(env, 0.2, 1.7, omegas, (other,))
+                assert single.tobytes() == getattr(cplx, other).tobytes()
+
+    @pytest.mark.parametrize("parts", [("real",), ("real", "abs"), "ri"])
+    def test_parts_need_one_real_or_imag_per_envelope(self, parts):
+        nodes = filon_nodes(0.0, 1.0, 64)
+        stack = np.stack([np.exp(-nodes), np.cos(nodes)])
+        with pytest.raises(ValueError, match="one 'real' or 'imag'"):
+            filon_sums(stack, 0.0, 1.0, np.arange(3.0), parts)
+
     def test_weights_are_formed_once_for_the_stack(self, monkeypatch):
         # the chirp-z branch forms each block's weights once for all the
         # envelopes of a stack, not once per envelope
@@ -347,6 +374,29 @@ class TestFilonSums:
         assert peak <= 16 * nt * np.dtype(complex).itemsize
 
 
+    def test_stacked_real_rows_memory(self):
+        # the README evolve's half-step tables as the kernel tables take
+        # them, a real row each: the chirp and the phase are formed in
+        # place and the conjugate weights a block at a time, so the call
+        # holds the chirp, its transform, the phase, lam_0, lam_1, one FFT
+        # buffer and the real rows (9.16 T-length complex vectors with
+        # complex rows and their T-length temporaries; 7.92 now)
+        nt = 30001
+        nodes = filon_nodes(0.0, 1.2, 512)
+        stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes)])
+        omegas = 2.0 * math.pi * 0.01 * np.arange(nt)
+        parts = ("real", "imag")
+        filon_sums(stack, 0.0, 1.2, omegas, parts)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            filon_sums(stack, 0.0, 1.2, omegas, parts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * nt * np.dtype(complex).itemsize
+
+
 class TestFilonTable:
     def test_overflowing_sums_raise_without_warning(self):
         # the integral, 1e307, is a double, but the panel sums of 64 panels
@@ -356,7 +406,7 @@ class TestFilonTable:
             with pytest.raises(QuadratureError,
                                match="sums are not finite at 64 panels"):
                 filon_table(lambda y: np.full(y.shape, 1e307), 0.0, 1.0,
-                            np.linspace(0.0, 10.0, 101), 1e-9)
+                            np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
 
 
 class TestFilonWeights:
@@ -411,6 +461,35 @@ class TestChirp:
         k = np.arange(m)
         wk2 = quadrature._chirp(n, m, w)[0]
         assert wk2.tobytes() == (w ** (k ** 2 / 2.)).tobytes()
+
+
+    def test_in_place_chirp_equals_its_expression(self):
+        # _chirp forms the exponential in place and the reciprocal chirp in
+        # its padded FFT buffer; the copies of the plain expression gave
+        # the same bits
+        rng = np.random.default_rng(7)
+        draws = [(int(rng.integers(2, 9000)), int(rng.integers(3, 120002)),
+                  rng.uniform(-4.0, 4.0)) for _ in range(5)]
+        for n, m, turn in draws + [(512, 120001, 0.02 * 1.2), (4096, 3, 0.3)]:
+            w = np.exp(1j * 2.0 * math.pi * turn / n)
+            k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+            e = k ** 2 / 2.
+            wk2 = np.exp(e * np.log(w))
+            wk2[:15:2] = w ** e[:15:2]
+            nfft = next_fast_len(n + m - 1)
+            fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+            got = quadrature._chirp(n, m, w)
+            assert got[0].tobytes() == wk2.tobytes()
+            assert got[1] == nfft
+            assert got[2].tobytes() == fwk2.tobytes()
+
+    @pytest.mark.parametrize("nt", [65, 30001, 120001])
+    def test_in_place_phase_equals_its_expression(self, nt):
+        rng = np.random.default_rng(nt)
+        for step, c in ((2.0 * math.pi * 0.01, 0.5 * 1.2 / 512),
+                        (rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))):
+            ref = np.exp(1j * np.arange(nt) * step * c)
+            assert quadrature._phase(nt, step, c).tobytes() == ref.tobytes()
 
 
 class TestNextFastLen:

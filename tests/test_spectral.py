@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -846,6 +847,25 @@ class TestKernelTableChirpZ:
             assert abs(tab.alpha[j] - alpha_direct(mode, t[j])) < 1e-10
             assert abs(tab.beta[j] - beta_direct(mode, t[j])) < 1e-10
 
+    def test_half_step_table_memory(self):
+        # the README evolve --refine's half-step table, the peak of its
+        # process: alpha and beta come from one real row of sums each,
+        # scaled in place (the complex sums traced 10.4 T-length complex
+        # vectors; 8.9 now)
+        mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                        profile=thermal_profile(0.5, 1.0))
+        t = 0.01 * np.arange(30001)
+        sample_kernels(mode, t)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tab = sample_kernels(mode, t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tab.alpha.dtype == tab.beta.dtype == float
+        assert peak <= 9.6 * t.size * np.dtype(complex).itemsize
+
     def test_tables_do_not_import_signal_module(self):
         code = ("import sys\n"
                 "import numpy as np\n"
@@ -931,3 +951,17 @@ class TestKernelTableTolerance:
                             profile=thermal_profile(0.2, 1.0))
         with pytest.raises(QuadratureError, match="beta is 0 at every"):
             sample_kernels(mode, 0.05 * np.arange(101), tol=1e-9)
+
+    @pytest.mark.parametrize("theta", [1e-10, 1e-11])
+    def test_zero_dispersion_raises(self, theta):
+        # the cold envelope underflows at every Cauchy node, so two passes
+        # read W = 0 and agreed: W = 0 came back as converged where the
+        # cold limit 1/(pi y^2) is 5.09 and 0.318, on the axis and off it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            mode = ModeSpec(kappa=0.5, sigma=+1, equilibrium=juttner(theta))
+        for x, y in ((0.0, np.array([0.25, 1.0])), (0.0, 0.25),
+                     (0.5, np.array([0.25, 1.0]))):
+            with pytest.raises(QuadratureError,
+                               match="W is 0 at every point"):
+                laplace_beta_halfplane(mode, x, y)
