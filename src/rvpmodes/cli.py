@@ -211,9 +211,8 @@ def cmd_evolve(args) -> int:
                           _build_equilibrium(args), _build_profile(args),
                           flag="--kappa")
     traj = solve_mode(mode, grid, tol=args.tol, refine=bool(args.refine))
-    re, im = traj.rho.real, traj.rho.imag
-    # np.hypot rounds as the scalar abs(complex) does; np.abs need not
-    rows = np.column_stack((grid.times, re, im, np.hypot(re, im),
+    rho = traj.rho  # real: im_rho is 0, kept for the schema=v1 columns
+    rows = np.column_stack((grid.times, rho, np.zeros_like(rho), np.abs(rho),
                             traj.alpha_samples, traj.beta_samples))
     cfg = _config_echo(args)
     cfg["growth"] = traj.growth

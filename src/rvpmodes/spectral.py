@@ -178,10 +178,10 @@ def _envelope_derivative(mode: ModeSpec, y):
 
 
 def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
-    """sum_j w_j (b(s_j) - b(z)) / (z - s_j) for each z, real or complex.
-    Panels are uniform in phi = arctan(p) on [-edge, 0] and [0, edge],
-    s = kappa sin(phi) = kappa v(p), which crowds nodes toward the support
-    edges, where hot envelopes die off steeply."""
+    """sum_j w_j (b(s_j) - b(z)) / (z - s_j) for each z, real or complex,
+    and whether any b(s_j) is nonzero.  Panels are uniform in phi =
+    arctan(p) on [-edge, 0] and [0, edge], s = kappa sin(phi) = kappa v(p):
+    nodes crowd toward the support edges, where hot envelopes die off."""
     phi, w = gauss_legendre_nodes([-edge, 0.0, edge], n_panels)
     s = mode.kappa * np.sin(phi)
     w = w * mode.kappa * np.cos(phi)
@@ -206,7 +206,7 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
         # faster than einsum, with CPU time no more than wall time.
         out[i:i + rows] = (np.einsum("rn,n->r", quot, w)
                            if np.iscomplexobj(quot) else quot @ w)
-    return out
+    return out, b_s.any()
 
 
 def _dispersion(mode: ModeSpec, x, y, tol):
@@ -238,12 +238,13 @@ def _dispersion(mode: ModeSpec, x, y, tol):
                                       + 1j * math.pi)
 
     def transform(n):
-        w = (_cauchy_sums(mode, z, b_z, edge, n) + log_term) / (2.0 * math.pi)
-        return w, w
+        sums, live = _cauchy_sums(mode, z, b_z, edge, n)
+        w = (sums + log_term) / (2.0 * math.pi)
+        return (w, live), w
 
-    out, change = double_panels(transform, *_PV_PANELS, tol,
-                                "dispersion transform")
-    if not out.any():  # b is 0 at every node: a cold envelope underflows
+    (out, live), change = double_panels(transform, *_PV_PANELS, tol,
+                                        "dispersion transform")
+    if not live:  # b is 0 at every node: a cold envelope underflows
         raise QuadratureError("dispersion transform: W is 0 at every point",
                               QuadResult(0.0, change, out.size))
     return complex(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
@@ -273,10 +274,10 @@ def laplace_beta_halfplane(mode: ModeSpec, x: float, y, tol=1e-10):
     and a node within 1e-5 kappa of y takes -(mean of b' between them) for
     the cancelling quotient.  Panels double until W changes by at most
     ``tol`` anywhere in the batch; the panel cap raises QuadratureError,
-    as does a W that is 0 at every point (b is 0 at every node of a cold
-    equilibrium).  A float ``y`` returns a complex, an array a complex
-    array.  A negative or non-finite x, or a non-finite y, raises
-    ValueError.
+    as does an envelope b that is 0 at every node (a cold equilibrium); a
+    W that merely underflows is returned.  A float ``y`` returns a
+    complex, an array a complex array.  A negative or non-finite x, or a
+    non-finite y, raises ValueError.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("laplace_beta_halfplane requires finite x >= 0, "

@@ -4,19 +4,16 @@ Each mode obeys a Volterra equation of the second kind,
 
     rho(t) = alpha(t) + int_0^t beta(t - tau) rho(tau) d tau,
 
-discretized by product trapezoidal rule.  beta(0) = 0 for every radial
-equilibrium, which makes the step explicit; the scalar implicit correction
-is applied automatically if a kernel with beta(0) != 0 is supplied (the
-synthetic constant-kernel benchmark does this).
+discretized by product trapezoidal rule and marched in real (float64)
+arithmetic.  beta(0) = 0 for every radial equilibrium, which makes the
+step explicit; the scalar implicit correction applies to a kernel with
+beta(0) != 0 (the synthetic constant-kernel benchmark).
 
 The resolvent kernel R is the function whose one-sided transform equals
 W / (1 - W) where W is the transform of beta; it expresses the solution as
 rho = alpha + R * alpha, with R and alpha real.  It is reconstructed here
 from its jump across the support [-kappa, kappa] of the imaginary axis,
-the only singularity of W / (1 - W) when 1 - W is bounded away from zero,
-i.e. for supercritical modes (subcritical input is refused): one Filon row
-on [0, kappa], its panels doubled until the result moves by at most
-``tol``.
+the only singularity of W / (1 - W) for supercritical modes.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ModeTrajectory:
-    """Solution samples with the real kernel tables that produced them."""
+    """Real solution samples with the kernel tables that produced them."""
 
     rho: np.ndarray
     alpha_samples: np.ndarray
@@ -85,20 +82,22 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     solved for rho_n (exactly explicit when beta_0 = 0).  Returns
     (rho, growth_flag); on overflow past ``growth_cap`` the remaining
     samples are frozen at the saturated value and the flag is set.
-    Non-finite ``alpha`` or ``beta`` samples raise ``ValueError``.
-    Divide and conquer (Hairer, Lubich & Schlichte 1985), O(N log^2 N): the
-    history of a block's left half reaches its right half as one FFT (the
-    kernel's spectrum is taken once per padded length and call), and a
-    base block of at most ``_BASE`` steps, a lower-triangular Toeplitz
-    system, is one convolution with the march's impulse response.
+    float64 throughout: complex input raises TypeError, non-finite input
+    ValueError.  Divide and conquer (Hairer, Lubich & Schlichte 1985),
+    O(N log^2 N): a block's left half reaches its right half as one real
+    FFT (the kernel's taken once per padded length and call), and a base
+    block of at most ``_BASE`` steps, a lower-triangular Toeplitz system,
+    is one convolution with the march's impulse response.
     """
     alpha, beta = np.asarray(alpha), np.asarray(beta)
+    if np.iscomplexobj(alpha) or np.iscomplexobj(beta):
+        raise TypeError("alpha and beta must be real")
     if alpha.shape != beta.shape or alpha.ndim != 1:
         raise ValueError("alpha and beta must be 1D arrays of equal length")
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise ValueError("alpha and beta must be finite")
     n = alpha.size
-    rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
+    rho = np.zeros(n)
     rho[0] = alpha[0]
     denom = 1.0 - 0.5 * dt * beta[0]
     if abs(denom) < 1e-12:
@@ -108,13 +107,13 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     # g: the base block's response to a unit impulse at its first step; it
     # may overflow for violently growing kernels, which only sends the
     # affected samples to the step-by-step loop below
-    g = np.zeros(min(n, _BASE), dtype=rho.dtype)
+    g = np.zeros(min(n, _BASE))
     g[0] = 1.0 / denom
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, g.size):
             g[i] = dt * np.dot(beta[i:0:-1], g[:i]) / denom
 
-    spectra = {}  # fft(beta[:m], m) by padded length m: blocks share them
+    spectra = {}  # rfft(beta[:m], m) by padded length m: blocks share them
 
     def march(lo, hi):
         """Fill rho[lo:hi], hist[lo:hi] holding the history of rho[1:lo];
@@ -125,8 +124,8 @@ def solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
                 return True
             m = next_fast_len(hi - lo)  # wraps only into slots < mid-lo
             if m not in spectra:
-                spectra[m] = np.fft.fft(beta[:m], m)
-            conv = np.fft.ifft(np.fft.fft(rho[lo:mid], m) * spectra[m])
+                spectra[m] = np.fft.rfft(beta[:m], m)
+            conv = np.fft.irfft(np.fft.rfft(rho[lo:mid], m) * spectra[m], m)
             hist[mid:hi] += conv[mid - lo:hi - lo]
             return march(mid, hi)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -89,6 +89,10 @@ class TestEvolveFit:
         first = [float(x) for x in rows[0]]
         assert first[0] == 0.0
         assert first[1] == pytest.approx(first[4], rel=1e-12)  # rho0=alpha0
+        # rho is real: im_rho is written as 0 and abs_rho is re_rho's text
+        # without its sign
+        assert all(row[2] == "0" for row in rows)
+        assert all(row[3] == row[1].lstrip("-") for row in rows)
 
         rc = main(["fit", "--input", str(traj), "--kappa", "1.2",
                    "--n-boot", "30", "--seed", "3"])
@@ -922,6 +926,17 @@ class TestOutOfDomainInput:
         assert ("QuadratureError: dispersion transform: W is 0 at every "
                 "point" in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_far_field_dispersion_is_written(self, tmp_path):
+        # every Cauchy quotient underflows at y = 1.7e308, so W is 0 there
+        # while b is not; this exited 1 with "W is 0 at every point"
+        out = tmp_path / "disp.csv"
+        assert main(["dispersion", "--kappa", "0.46", "--sigma", "1",
+                     "--theta", "0.2", "--y-min", "1.7e308", "--y-max",
+                     "1.7e308", "--n-y", "1", "-o", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert [float(v) for v in rows[0][2:]] == [0.0, 0.0, 1.0]
 
     def test_overflowing_kernel_table_fails_without_warning(self, tmp_path,
                                                             capsys):

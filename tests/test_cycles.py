@@ -33,7 +33,7 @@ GRID = TimeGrid(dt=0.02, n_steps=2000)
 def _march():
     rng = np.random.default_rng(0)
     n = 1025
-    alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+    alpha = rng.normal(size=n)
     beta = rng.normal(size=n) * np.exp(-np.linspace(0.0, 4.0, n))
     solve_volterra(alpha, beta, 0.01)
 

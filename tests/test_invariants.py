@@ -10,6 +10,9 @@
   scales exactly, so the values agree exactly wherever both sides take
   the same panels; a table whose panel doubling stops at another count
   (its probe changes scale with the rows) agrees within its tolerance.
+* rho is real: the tables are real and the march is float64, so every
+  trajectory is a float64 array, and a complex kernel pair is refused
+  with TypeError before the march does any work.
 
 ``np.array_equal`` compares: exact, but a -0 equals a 0, which a negated
 W outside the support holds.  Each property runs a fixed number of
@@ -22,12 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rvpmodes import quadrature
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
 from rvpmodes.spectral import (ModeSpec, laplace_beta_halfplane,
                                laplace_beta_imag, sample_kernels)
+from rvpmodes.volterra import _BASE, TimeGrid, solve_mode, solve_volterra
 
 TOL = 1e-11  # sample_kernels' default
 
@@ -97,3 +102,31 @@ def test_kappa_scale_law_at_power_of_two_ratios(eq, kappa, profile, sigma,
                            tol=1e-10 * (kappa / k2) ** 2)
     assert np.array_equal(kappa ** 2 * w1, k2 ** 2 * w2)
 
+
+@settings(max_examples=10, deadline=None)
+@given(eq=equilibria, kappa=kappas, profile=profiles,
+       sigma=st.sampled_from([1, -1]), refine=st.booleans())
+def test_trajectory_is_real(eq, kappa, profile, sigma, refine):
+    mode = ModeSpec(kappa, sigma, eq, profile)
+    traj = solve_mode(mode, TimeGrid(dt=0.1, n_steps=150), tol=TOL,
+                      refine=refine)
+    assert traj.rho.dtype == np.float64
+
+
+@st.composite
+def complex_kernel_pairs(draw):
+    """alpha and beta of one length, below and above _BASE, one or both
+    complex; complex samples may be non-finite, which TypeError precedes."""
+    n = draw(st.integers(0, 2 * _BASE + 2))
+    real = hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
+    cplx = hnp.arrays(np.complex128, n, elements=st.complex_numbers())
+    which = draw(st.sampled_from(["alpha", "beta", "both"]))
+    return (draw(real if which == "beta" else cplx),
+            draw(real if which == "alpha" else cplx))
+
+
+@settings(max_examples=10, deadline=None)
+@given(pair=complex_kernel_pairs(), dt=st.floats(1e-3, 1.0))
+def test_complex_kernels_are_refused(pair, dt):
+    with pytest.raises(TypeError, match="must be real"):
+        solve_volterra(*pair, dt)

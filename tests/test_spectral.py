@@ -965,3 +965,19 @@ class TestKernelTableTolerance:
             with pytest.raises(QuadratureError,
                                match="W is 0 at every point"):
                 laplace_beta_halfplane(mode, x, y)
+
+    def test_zero_dispersion_raises_off_the_support(self):
+        # y = 1.0 lies beyond kappa = 0.5, where b(y) is 0 anyway: the
+        # refusal reads b at the Cauchy nodes, which all underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            mode = ModeSpec(kappa=0.5, sigma=+1, equilibrium=juttner(1e-10))
+        with pytest.raises(QuadratureError, match="W is 0 at every point"):
+            laplace_beta_imag(mode, 1.0)
+
+    def test_far_field_underflow_is_returned(self):
+        # b is a normal envelope; every quotient b(s)/(y - s) underflows
+        # at y = 1.7e308, and W = 0 there is the value, not a refusal
+        mode = ModeSpec(kappa=0.46, sigma=+1, equilibrium=juttner(0.2))
+        assert laplace_beta_imag(mode, 1.7e308) == 0.0
+        assert 0.0 < abs(laplace_beta_imag(mode, 1e305)) < 1e-300

@@ -24,7 +24,7 @@ def direct_solve_volterra(alpha, beta, dt, growth_cap=GROWTH_CAP):
     """Step-by-step product-trapezoidal march, one dot product per step."""
     alpha, beta = np.asarray(alpha), np.asarray(beta)
     n = alpha.size
-    rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0 + 0j))
+    rho = np.zeros(n, dtype=np.result_type(alpha, beta, 1.0))
     beta = beta.astype(rho.dtype)
     rho[0] = alpha[0]
     denom = 1.0 - 0.5 * dt * beta[0]
@@ -98,7 +98,7 @@ class TestSolver:
     def test_no_memory_returns_source(self):
         alpha = np.sin(np.linspace(0, 3, 200))
         rho, growth = solve_volterra(alpha, np.zeros_like(alpha), 0.01)
-        assert np.array_equal(rho, alpha.astype(complex))
+        assert rho.dtype == np.float64 and np.array_equal(rho, alpha)
         assert not growth
 
     def test_constant_kernel_exponential(self):
@@ -116,14 +116,16 @@ class TestSolver:
         assert 1.8 <= order <= 2.2
 
     @pytest.mark.filterwarnings("error")
-    def test_real_alpha_keeps_complex_beta(self):
-        # a real alpha once cast beta to float: Im beta was dropped with
-        # only a ComplexWarning
-        t = 0.02 * np.arange(300)
-        alpha, beta = np.cos(t), (0.3 + 0.8j) * np.exp(-t)
-        rho, _ = assert_matches_direct(alpha, beta, 0.02)
-        ref, _ = solve_volterra(alpha.astype(complex), beta, 0.02)
-        assert np.array_equal(rho, ref)
+    @pytest.mark.parametrize("n", [50, 1025])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_complex_kernel_refused(self, which, n):
+        # the march is float64; a complex kernel once marched complex below
+        # _BASE steps, and past it would have met rfft with a ComplexWarning
+        t = 0.02 * np.arange(n)
+        kernels = {"alpha": np.cos(t), "beta": 0.3 * np.exp(-t)}
+        kernels[which] = kernels[which] * (1.0 + 0.5j)
+        with pytest.raises(TypeError, match="must be real"):
+            solve_volterra(kernels["alpha"], kernels["beta"], 0.02)
 
     def test_initial_sample_is_source(self):
         alpha = np.array([2.5, 1.0, 0.3])
@@ -159,8 +161,7 @@ class TestSolver:
                         profile=gaussian_profile(1.0, 1.0))
         grid = TimeGrid(dt=0.02, n_steps=1000)
         traj = solve_mode(mode, grid)
-        assert np.max(np.abs(traj.rho.imag)) <= 1e-10 * np.max(
-            np.abs(traj.rho))
+        assert traj.rho.dtype == np.float64
         assert traj.rho[0] == traj.alpha_samples[0]
         assert traj.alpha_samples.dtype == np.float64
 
@@ -221,8 +222,7 @@ class TestResolvent:
         # transform-side reconstruction
         grid = TimeGrid(dt=0.01, n_steps=2000)
         tab = sample_kernels(deep_mode, grid.times, tol=1e-12)
-        r_march, _ = solve_volterra(tab.beta.astype(complex), tab.beta,
-                                    grid.dt)
+        r_march, _ = solve_volterra(tab.beta, tab.beta, grid.dt)
         r_transform = resolvent_kernel(deep_mode, grid, tol=1e-9)
         scale = np.max(np.abs(r_march))
         assert np.max(np.abs(r_march - r_transform)) < 1e-4 * max(scale, 1.0)
@@ -299,14 +299,16 @@ class TestFastMarchOracle:
     @pytest.mark.parametrize("n", ORACLE_LENGTHS)
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_random_kernels(self, n, kind):
-        # beta(0) != 0 here, so every step takes the implicit correction
+        # beta(0) != 0 here, so every step takes the implicit correction;
+        # complex kernels are refused at every length, below _BASE too
         rng = np.random.default_rng(n)
         decay = np.exp(-np.linspace(0.0, 4.0, n))
         alpha = rng.normal(size=n)
         beta = rng.normal(size=n) * decay
         if kind == "complex":
-            alpha = alpha + 1j * rng.normal(size=n)
-            beta = beta + 1j * rng.normal(size=n) * decay
+            with pytest.raises(TypeError):
+                solve_volterra(alpha, beta + 1j * decay, 0.01)
+            return
         _, growth = assert_matches_direct(alpha, beta, 0.01)
         assert not growth
 
@@ -331,10 +333,15 @@ class TestFastMarchOracle:
     ])
     @pytest.mark.parametrize("lam", [5.0, 5.0 * np.exp(0.3j)])
     def test_growth_cap_crossing(self, k, lam):
-        # |rho| grows ~5 % per step (turning in phase for complex lam); a
-        # cap between |rho[k-1]| and |rho[k]| puts the first crossing at k
+        # |rho| grows ~5 % per step; a cap between |rho[k-1]| and |rho[k]|
+        # puts the first crossing at k.  A complex lam, which once turned
+        # rho in phase, is refused before the march takes a step.
         n = 8 * _BASE + 1
-        alpha, beta, dt = np.ones(n, dtype=type(lam)), np.full(n, lam), 0.01
+        alpha, beta, dt = np.ones(n), np.full(n, lam), 0.01
+        if isinstance(lam, complex):
+            with pytest.raises(TypeError):
+                solve_volterra(alpha, beta, dt)
+            return
         free, _ = direct_solve_volterra(alpha, beta, dt, growth_cap=np.inf)
         cap = math.sqrt(abs(free[k - 1]) * abs(free[k]))
         rho, growth = assert_matches_direct(alpha, beta, dt, growth_cap=cap)
@@ -380,39 +387,37 @@ class TestMarchSpectra:
     def seeded(self):
         rng = np.random.default_rng(self.N)
         decay = np.exp(-np.linspace(0.0, 4.0, self.N))
-        alpha = rng.normal(size=self.N) + 1j * rng.normal(size=self.N)
-        beta = (rng.normal(size=self.N)
-                + 1j * rng.normal(size=self.N)) * decay
-        return alpha, beta
+        return rng.normal(size=self.N), rng.normal(size=self.N) * decay
 
     def test_one_kernel_spectrum_per_padded_length(self, monkeypatch):
         # each block transforms its left half; the kernel once per length
         calls = []
-        fft = np.fft.fft
+        rfft = np.fft.rfft
 
         def spy(a, n=None, *args, **kwargs):
             calls.append(n)
-            return fft(a, n, *args, **kwargs)
-        monkeypatch.setattr(np.fft, "fft", spy)
+            return rfft(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "rfft", spy)
         solve_volterra(*self.seeded(), 0.01)
         lengths = padded_lengths(1, self.N)
         assert sorted(calls) == sorted(lengths + list(set(lengths)))
         assert len(calls) == 134
 
     def test_solution_bits_pinned(self):
-        # sha256 of rho from the march that transformed the kernel afresh
-        # in every block (numpy 2.4 pocketfft, x86-64)
+        # sha256 of rho from a copy of this march that takes the kernel's
+        # rfft afresh in every block (254 rfft calls against 134; numpy
+        # 2.4 pocketfft, x86-64)
         rho, growth = solve_volterra(*self.seeded(), 0.01)
-        assert not growth
+        assert not growth and rho.dtype == np.float64
         assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-            "4fde7b263967cca4a1c66005b492cfd374d6b12c0385fb0fc7cd2dff744738b1")
+            "aa80f325074be5dba42837ad282ed7147f3729ef5537701b8d7b8bc97b607ed5")
 
 
 class TestMarchMemory:
     def test_peak_in_vectors_of_the_horizon(self):
-        # rho, hist, the kernel spectra and the top block's FFT convolution
-        # trace 6.0 complex vectors of length n; a complex copy of the real
-        # beta made it 7.0
+        # rho, hist, the kernel's half spectra and the top block's real FFT
+        # convolution trace 6.0 float64 vectors of length n; the complex
+        # march traced 12.0 of them (6.0 complex ones)
         n = 30000
         t = 0.01 * np.arange(n)
         alpha = np.exp(-t) * np.cos(3.0 * t)
@@ -425,7 +430,7 @@ class TestMarchMemory:
         finally:
             tracemalloc.stop()
         assert not growth
-        assert peak <= 6.5 * n * rho.itemsize
+        assert peak <= 6.5 * n * 8
 
 
 def traced_peak(f):
