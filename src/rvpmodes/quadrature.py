@@ -261,11 +261,14 @@ def _chirp(n, m, w):
 def _czt(x, m, w, chirp=None):
     """sum_p x[p] w^{j p} for j < m along axis 0: Bluestein, with SciPy's
     ``czt`` operations in its order, so the two agree to the bit.
-    ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it.  The
-    result is a view of the padded FFT buffer."""
+    ``chirp``, from ``_chirp(len(x), m, w)``, spares recomputing it.  x
+    is premultiplied by the chirp straight into the zero-padded FFT
+    buffer, which is transformed in place; the result is a view of it."""
     n = x.shape[0]
     wk2, nfft, fwk2 = chirp or _chirp(n, m, w)
-    y = np.fft.fft(x.T * wk2[:n], nfft)
+    y = np.zeros(x.shape[1:] + (nfft,), dtype=complex)
+    np.multiply(x.T, wk2[:n], out=y[..., :n])
+    y = np.fft.fft(y, out=y)
     np.multiply(fwk2, y, out=y)  # fwk2 first: the operand order sets bits
     y = np.fft.ifft(y, out=y)[..., n - 1:n + m - 1]
     y *= wk2[:m]
@@ -308,9 +311,12 @@ def filon_sums(env_nodes, a, b, omegas, parts=None):
     to four chirp-z transforms, so dense time grids cost O((P + T) log)
     instead of O(P * T).  The chirp, its transform, the phase and the
     weights lam_0, lam_1 are formed once per call, and the four node
-    columns of each envelope of a stack are transformed one at a time, in
-    one FFT buffer, so besides the output and one row of pair sums the
-    working memory is six T-length complex vectors whatever P.
+    columns of each envelope of a stack are shifted and transformed one at
+    a time, in one FFT buffer, so besides the output, one row of pair sums
+    and one shifted column the working memory is six T-length complex
+    vectors whatever P.  Fewer or non-uniform omegas take the direct panel
+    sum, 512 omegas at a time, which copies out one envelope's node
+    columns at a time and forms its (omegas, P) phase in place.
     """
     omegas = np.asarray(omegas, dtype=float)
     stack = np.asarray(env_nodes)
@@ -340,7 +346,7 @@ def filon_sums(env_nodes, a, b, omegas, parts=None):
         #                  * (e^{i step h})^{j p}
         w = np.exp(1j * step * h)
         chirp = _chirp(n_panels, nt, w)
-        shift = np.exp(1j * omegas[0] * centers)[:, None]
+        shift = np.exp(1j * omegas[0] * centers)
         # the phase and the weights lam_0, lam_1, once for the whole stack
         phase = _phase(nt, step, a + 0.5 * h)
         lam01 = np.empty((2, nt), dtype=complex)
@@ -348,11 +354,12 @@ def filon_sums(env_nodes, a, b, omegas, parts=None):
             b = slice(i0, i0 + _CZT_BLOCK)
             lam01[:, b] = _filon_weights(omegas[b] * (h / 2.0))[:, :2].T
 
-        def term(x, lam, conj=False):
-            """Panel sum of node column x, times phase, times lam or (for
-            lam_2, lam_3) its conjugate, formed a block at a time: in the
-            transform's own FFT buffer, freed with the result."""
-            col = _czt(x, nt, w, chirp)
+        def term(env_col, lam, conj=False):
+            """Panel sum of node column env_col, shifted on its own, times
+            phase, times lam or (for lam_2, lam_3) its conjugate, formed a
+            block at a time: in the transform's own FFT buffer, freed with
+            the result."""
+            col = _czt(env_col * shift, nt, w, chirp)
             col *= phase
             for i0 in range(0, nt, _CZT_BLOCK):
                 b = slice(i0, i0 + _CZT_BLOCK)
@@ -361,27 +368,32 @@ def filon_sums(env_nodes, a, b, omegas, parts=None):
 
         pair = np.empty(nt, dtype=out.dtype).view(float)
         for env, row, part in zip(stack, out, parts):
-            x = env * shift
             acc = row.view(float)
             # (t0 + t1) + (t2 + t3), as np.sum adds a row of four, so the
             # tables keep their bits; lam_2, lam_3 conjugate lam_1, lam_0
-            pair[:] = _part(term(x[:, 2], lam01[1], conj=True), part)
-            pair += _part(term(x[:, 3], lam01[0], conj=True), part)
-            acc[:] = _part(term(x[:, 0], lam01[0]), part)
-            acc += _part(term(x[:, 1], lam01[1]), part)
+            pair[:] = _part(term(env[:, 2], lam01[1], conj=True), part)
+            pair += _part(term(env[:, 3], lam01[0], conj=True), part)
+            acc[:] = _part(term(env[:, 0], lam01[0]), part)
+            acc += _part(term(env[:, 1], lam01[1]), part)
             acc += pair
             acc *= h / 2.0
         return out
 
     # the panel sums of each node, then the weights, as in the chirp-z
     # branch; einsum without ``optimize`` runs its own loops, where a
-    # matmul would wake the BLAS threads, which then spin between calls
-    stack_t = np.ascontiguousarray(np.swapaxes(stack, 1, 2))    # (K, 4, P)
+    # matmul would wake the BLAS threads, which then spin between calls.
+    # The phase is formed in place in one complex buffer, with the bits of
+    # np.exp(1j * np.outer(om, centers)), and one envelope's node columns
+    # are copied out at a time
     for i0 in range(0, nt, _FILON_CHUNK):
         om = omegas[i0:i0 + _FILON_CHUNK]
         lam = _filon_weights(om * (h / 2.0))                   # (T, 4)
-        phase = np.exp(1j * np.outer(om, centers))             # (T, P)
-        for k, env_t in enumerate(stack_t):
+        phase = np.empty((om.size, n_panels), dtype=complex)   # (T, P)
+        np.multiply(om[:, None], centers, out=phase)
+        phase *= 1j
+        np.exp(phase, out=phase)
+        for k, env in enumerate(stack):
+            env_t = np.ascontiguousarray(env.T)                # (4, P)
             bsum = np.einsum("tp,mp->tm", phase, env_t)        # (T, 4)
             np.multiply(_part(np.sum(bsum * lam, axis=1), parts[k]),
                         h / 2.0, out=out[k, i0:i0 + _FILON_CHUNK].view(float))

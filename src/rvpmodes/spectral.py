@@ -370,6 +370,9 @@ def find_y0(mode: ModeSpec, kc2: float, tol=1e-11) -> Optional[float]:
 
 # --- batch kernel tables -----------------------------------------------------
 
+_NODE_BLOCK = 4096  # Filon nodes per block of the envelope evaluation
+
+
 def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     """Sample both kernels on a time grid through their transforms.
 
@@ -379,13 +382,24 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
     long-horizon tables affordable.  Both tables are real.  Stopping at
     the panel cap short of ``tol`` raises QuadratureError, as does a beta
     table that is 0 at every sample (no node inside the envelope's
-    support); a mode with no profile raises ValueError.
+    support); a mode with no profile raises ValueError.  Both envelopes
+    are elementwise, so they are evaluated ``_NODE_BLOCK`` nodes at a time
+    into one (2, nodes) array: their temporaries stay block-sized however
+    many panels the tolerance takes.
     """
     t = np.asarray(times, dtype=float)
+
+    def envelopes(y):
+        env = np.empty((2, y.size))
+        for i0 in range(0, y.size, _NODE_BLOCK):
+            b = slice(i0, i0 + _NODE_BLOCK)
+            env[0, b] = alpha_hat(mode, y[b])
+            env[1, b] = beta_hat_envelope(mode, y[b])
+        return env
+
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
-    sums, err = filon_table(
-        lambda y: np.stack((alpha_hat(mode, y), beta_hat_envelope(mode, y))),
-        0.0, mode.kappa, t, 0.5 * tol, ("real", "imag"))
+    sums, err = filon_table(envelopes, 0.0, mode.kappa, t, 0.5 * tol,
+                            ("real", "imag"))
     sums[0] *= 2.0
     sums[1] *= -2.0
     alpha, beta = sums

@@ -380,7 +380,8 @@ class TestFilonSums:
         # place and the conjugate weights a block at a time, so the call
         # holds the chirp, its transform, the phase, lam_0, lam_1, one FFT
         # buffer and the real rows (9.16 T-length complex vectors with
-        # complex rows and their T-length temporaries; 7.92 now)
+        # complex rows and their T-length temporaries; 7.915 now, as with
+        # a (P, 4) shifted copy, which at P = 512 is 0.07 of one vector)
         nt = 30001
         nodes = filon_nodes(0.0, 1.2, 512)
         stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes)])

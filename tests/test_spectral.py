@@ -851,7 +851,8 @@ class TestKernelTableChirpZ:
         # the README evolve --refine's half-step table, the peak of its
         # process: alpha and beta come from one real row of sums each,
         # scaled in place (the complex sums traced 10.4 T-length complex
-        # vectors; 8.9 now)
+        # vectors, whole-node-array envelopes and a (P, 4) shifted copy
+        # 8.93; 8.82 now)
         mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
                         profile=thermal_profile(0.5, 1.0))
         t = 0.01 * np.arange(30001)
@@ -865,6 +866,62 @@ class TestKernelTableChirpZ:
             tracemalloc.stop()
         assert tab.alpha.dtype == tab.beta.dtype == float
         assert peak <= 9.6 * t.size * np.dtype(complex).itemsize
+
+    def test_criterion_6_table_memory(self, monkeypatch):
+        # acceptance criterion 6's tables, tol 1e-12: 8 192 panels for
+        # 5 001 samples, so the panel-sized arrays set the peak.  The
+        # envelopes are evaluated in node blocks into one stack, the
+        # chirp-z branch shifts one node column at a time, and the probes'
+        # direct branch copies one envelope's columns and forms its phase
+        # in place: 4.43 last-pass stacks of (2, 8192, 4) float64 (2.32
+        # MB); whole-node-array envelopes, a (P, 4) shifted copy and a
+        # (K, 4, P) transposed one traced 6.57 (3.44 MB)
+        eq = juttner(0.5)
+        mode = ModeSpec(kappa=2.0 * math.sqrt(threshold_plasma(eq)
+                                              .kappa_crit_sq),
+                        sigma=+1, equilibrium=eq,
+                        profile=thermal_profile(0.5, 1.0))
+        t = 0.01 * np.arange(5001)
+        panels = []
+        sums = quadrature.filon_sums
+
+        def spy(env, a, b, omegas, parts=None):
+            panels.append(np.shape(env)[-2])
+            return sums(env, a, b, omegas, parts)
+        monkeypatch.setattr(quadrature, "filon_sums", spy)
+        sample_kernels(mode, t, tol=1e-12)
+        assert panels[-1] == 8192
+        monkeypatch.setattr(quadrature, "filon_sums", sums)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_kernels(mode, t, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stack = 2 * 4 * panels[-1] * np.dtype(float).itemsize
+        assert peak <= 5.0 * stack, peak / stack
+
+    @pytest.mark.parametrize("which", ["juttner", "compact"])
+    def test_node_blocks_equal_one_block(self, which, monkeypatch):
+        # both envelopes are elementwise, so the blocks of nodes they are
+        # evaluated in cannot move a bit; the compact mode's Gaussian
+        # profile runs erfcx, and 7 leaves a ragged last block
+        mode = (ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                         profile=thermal_profile(0.5, 1.0))
+                if which == "juttner" else
+                ModeSpec(kappa=0.5, sigma=+1,
+                         equilibrium=compact_decreasing(1.5),
+                         profile=gaussian_profile(1.0, 1.0)))
+        t = 0.02 * np.arange(2001)
+        tabs = []
+        for block in (10 ** 9, 1000, 7):
+            monkeypatch.setattr(spectral, "_NODE_BLOCK", block)
+            tabs.append(sample_kernels(mode, t, tol=1e-9))
+        for tab in tabs[1:]:
+            assert np.array_equal(tab.alpha, tabs[0].alpha)
+            assert np.array_equal(tab.beta, tabs[0].beta)
+            assert tab.abs_error == tabs[0].abs_error
 
     def test_tables_do_not_import_signal_module(self):
         code = ("import sys\n"
