@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rvpmodes
 from rvpmodes import cli, decay, quadrature, spectral
@@ -612,7 +617,8 @@ class TestAppendixVerify:
 
     def test_zero_speed_passes(self, tmp_path, capsys):
         # f = g = 0 at v = 0: the product constant is 0, and the product
-        # lemma's rows are (m, 0, 0, 0) instead of 0/0 margins
+        # lemma's rows, to the default m-max 16, are (m, 0, 0, 0) instead
+        # of 0/0 margins
         out = tmp_path / "margins.csv"
         assert main(["appendix-verify", "--v", "0", "-o", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -620,7 +626,7 @@ class TestAppendixVerify:
         _, _, rows = read_csv(out)
         product = [r for r in rows if r[0] == "product_l1"]
         assert product == [["product_l1", str(m), "0", "0", "0"]
-                           for m in range(7)]
+                           for m in range(17)]
 
     def test_each_check_judged_on_its_own_rows(self, tmp_path, capsys,
                                                monkeypatch):
@@ -642,6 +648,52 @@ class TestAppendixVerify:
         assert failed == ["coeff_sums_C"]
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_SPEEDS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                    st.floats(1.0, 12.0).map(lambda e: 1.0 - 10.0 ** -e),
+                    st.floats(1.0, 12.0).map(lambda e: 10.0 ** -e))
+
+
+class TestAppendixVerifyContract:
+    """Over K, L in [1e-4, 1e4], v in [0, 1) and m-max in 0..30 the battery
+    passes (exit 0, finite CSV) or names an overflow (exit 2, no CSV)."""
+
+    @given(K=_log_uniform(1e-4, 1e4), L=_log_uniform(1e-4, 1e4), v=_SPEEDS,
+           m_max=st.integers(0, 30))
+    # the product norms were quadratures: QuadratureError, exit 1
+    @example(K=0.01, L=200.0, v=0.0035, m_max=21)
+    # a cancelled, negative L1 norm of g' had a complex root: TypeError
+    @example(K=255.8331215759933, L=137.73730352728202,
+             v=5.148140035710151e-11, m_max=16)
+    # f^(27)(R) overflows to inf: once a FAIL of sup_bounds_f
+    @example(K=0.0001, L=1000.0, v=0.5, m_max=30)
+    @settings(max_examples=60, deadline=None)
+    def test_passes_or_names_the_overflow(self, K, L, v, m_max):
+        argv = ["appendix-verify", "--K", repr(K), "--L", repr(L),
+                "--v", repr(v), "--m-max", str(m_max)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "margins.csv")
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                rc = main(argv + ["-o", out])
+            if rc == 2:
+                assert f"K={K:g}, L={L:g}, m-max={m_max} overflow" \
+                    in stderr.getvalue()
+                assert not os.path.exists(out)
+                return
+            assert rc == 0, stderr.getvalue()
+            _, _, rows = read_csv(out)
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 7 and all(ln.endswith(" PASS") for ln in lines)
+        assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
+
+
 class TestParallelSweep:
     def test_worker_pool_matches_serial(self, tmp_path):
         args = ["sweep", "--kappa-min", "0.9", "--kappa-max", "1.3",
@@ -654,6 +706,65 @@ class TestParallelSweep:
         body = lambda p: [ln for ln in p.read_text().splitlines()
                           if not ln.startswith("#")]
         assert body(serial) == body(pooled)
+
+
+class TestRefusals:
+    EVOLVE = ["evolve", "--kappa", "0.5", "--sigma", "1", "--dt", "0.1",
+              "--t-max", "1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (EVOLVE + ["--equilibrium", "compact"],
+         "compact equilibrium requires --p-support"),
+        (["dispersion", "--kappa", "0.5", "--sigma", "1"],
+         "juttner equilibrium requires --theta"),
+        (EVOLVE + ["--equilibrium", "compact", "--p-support", "1",
+                   "--profile", "thermal"],
+         "thermal profile requires --profile-theta or --theta"),
+        (["sweep", "--kappa-min", "1", "--kappa-max", "0.5", "--sigma", "1",
+          "--theta", "0.2", "--dt", "0.1", "--t-max", "1"],
+         "empty or invalid kappa range"),
+    ], ids=["compact", "juttner", "thermal", "kappa-range"])
+    def test_missing_or_empty(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["t,re_rho", "abs_rho,re_rho"])
+    def test_trajectory_without_t_or_abs_rho(self, header, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"# schema=v1\n{header}\n0,1\n1,0.5\n")
+        assert main(["fit", "--input", str(traj), "--kappa", "1"]) == 2
+        assert "trajectory CSV must have 't' and 'abs_rho' columns" \
+            in capsys.readouterr().err
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["threshold", "--config", str(missing)]) == 2
+        assert f"cannot read config {missing}" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    def test_fit_file_is_the_report_line(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        t = np.linspace(0.0, 60.0, 6001)
+        a = np.exp(-np.sqrt(t)) * np.abs(np.cos(t))
+        rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(t, a))
+        traj.write_text("# schema=v1\nt,abs_rho\n" + rows)
+        report = tmp_path / "report.txt"
+        assert main(["fit", "--input", str(traj), "--kappa", "1",
+                     "--n-boot", "5", "-o", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.startswith("c=")
+        assert report.read_text() == out
+
+    def test_stdout_is_the_file(self, tmp_path, capsys):
+        argv = ["threshold", "--theta-min", "0.1", "--theta-max", "1",
+                "--n-points", "3"]
+        out = tmp_path / "thr.csv"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 class TestConfigDefaults:

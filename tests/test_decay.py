@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvpmodes import decay
-from rvpmodes.decay import (Envelope, NoDecayError, bootstrap_s_interval,
-                            envelope, exp_test, fit_mode_decay, fit_stretched)
+from rvpmodes.decay import (DecayFit, Envelope, NoDecayError,
+                            bootstrap_s_interval, envelope, exp_test,
+                            fit_mode_decay, fit_stretched)
 from rvpmodes.equilibria import juttner, thermal_profile
 from rvpmodes.spectral import ModeSpec
 from rvpmodes.volterra import TimeGrid, solve_mode
@@ -52,7 +53,32 @@ class TestEnvelope:
         assert np.array_equal(env.value, np.ones(50))
 
 
+    def test_unequal_shapes_refused(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            envelope(np.arange(3.0), np.ones(4))
+
+    def test_two_samples_returned_as_they_are(self):
+        env = envelope([0.0, 1.0], [3.0, 2.0])
+        assert env.t.tolist() == [0.0, 1.0]
+        assert env.value.tolist() == [3.0, 2.0]
+
+
 class TestFitStretched:
+    def test_peaks_at_the_maximum_use_every_falling_ratio(self):
+        # three peaks at c0 leave one -ln(v/c0) above 1e-3, too few for the
+        # log-log slope: the slope is taken over every ratio below 1
+        fit = fit_stretched(Envelope(t=np.arange(1.0, 5.0),
+                                     value=np.array([1.0, 1.0, 1.0, 0.5])))
+        assert all(math.isfinite(x) for x in (fit.c, fit.eps, fit.s))
+
+    def test_one_peak_bootstrap_is_nan(self):
+        # every resample repeats the one peak: no replicate has an s
+        fit = DecayFit(c=1.0, eps=1.0, s=2.0, rms_residual=0.0)
+        lo, hi = bootstrap_s_interval(Envelope(t=np.array([1.0]),
+                                               value=np.array([0.5])),
+                                      fit, n_boot=10)
+        assert math.isnan(lo) and math.isnan(hi)
+
     def test_recovers_generating_model(self):
         env = synthetic_peaks(2.0, 0.7, 3.0)
         fit = fit_stretched(env)
@@ -424,6 +450,12 @@ class TestExpTest:
     def test_flat_envelope_is_none(self):
         t = np.linspace(1.0, 300.0, 100)
         assert exp_test(Envelope(t=t, value=np.full(100, 0.5))) == "none"
+
+    def test_too_few_decaying_peaks_is_none(self):
+        # only the last two peaks lie below 1, where lambda = -ln v / t > 0
+        env = Envelope(t=np.arange(1.0, 7.0),
+                       value=np.array([50.0, 40.0, 30.0, 2.0, 0.5, 0.4]))
+        assert exp_test(env) == "none"
 
     def test_too_few_points_is_none(self):
         assert exp_test(Envelope(t=np.array([1.0, 2.0]),

@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from rvpmodes import gevrey
-from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
-                             g_derivative, g_l1_norm, partition_bound,
-                             product_l1_bound_check, sup_bounds_check)
+import rvpmodes
+from rvpmodes.gevrey import (GevreyParams, appendix_battery, c_coeffs,
+                             d_coeffs, f_derivative, g_derivative, g_l1_norm,
+                             partition_bound, product_l1_bound_check,
+                             sup_bounds_check)
 
 from oracles import (gevrey_decay_check, integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail)
@@ -319,6 +323,10 @@ class TestPartitions:
         assert partition_bound(5)[0] == 7 == count(5, 5)
         assert partition_bound(10)[0] == count(10, 10) == 42
 
+    def test_order_below_one_refused(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            partition_bound(0)
+
     def test_ratio_monotone_toward_one(self):
         r = [partition_bound(m)[2] for m in (50, 100, 200)]
         assert r[0] < r[1] < r[2] < 1.0
@@ -335,19 +343,39 @@ class TestProductLemma:
     @pytest.mark.parametrize("params", [PARAMS,
                                         GevreyParams(K=1.0, L=1.0, v=0.3),
                                         GevreyParams(K=1.0, L=1.0, v=0.5)])
-    def test_tails_match_adaptive_route(self, params, monkeypatch):
-        # each tail 2 int_0^inf |(fg)^(m)(q + R)| dq at the default tol
-        # 1e-10, against the adaptive route at 1e-13
-        ours, _ = product_l1_bound_check(params, m_max=6)
-        monkeypatch.setattr(
-            gevrey, "integrate_semi_infinite",
-            lambda f, tol, scale: integrate_semi_infinite_adaptive(
-                f, tol=1e-13, scale=scale))
-        ref, _ = product_l1_bound_check(params, m_max=6)
-        for (m, num, bound, _), (m_ref, num_ref, bound_ref, _) in zip(ours,
-                                                                      ref):
-            assert (m, bound) == (m_ref, bound_ref)
-            assert num == pytest.approx(num_ref, abs=2e-10)
+    def test_tails_match_adaptive_route(self, params):
+        # the boundary values at R against 2 int_0^inf |(fg)^(m)(q + R)| dq,
+        # the Leibniz sum integrated by the adaptive route at 1e-13
+        rows, _ = product_l1_bound_check(params, m_max=6)
+        R = params.R
+        for m, value, _, _ in rows:
+            def deriv_abs(q, m=m):
+                return np.array([abs(sum(
+                    math.comb(m, i) * f_derivative(params, i, w)
+                    * g_derivative(params, m - i, w) for i in range(m + 1)))
+                    for w in np.atleast_1d(q) + R])
+
+            ref = 2.0 * integrate_semi_infinite_adaptive(
+                deriv_abs, tol=1e-13, scale=R).value
+            assert value == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("K, L", [(1.0, 1.0), (1.3, 0.7), (0.2, 5.0)])
+    @pytest.mark.parametrize("v", [0.1, 0.5, 0.9, 0.999])
+    def test_order_zero_matches_mpmath(self, K, L, v):
+        # 2 int_R^inf f g, the order-0 closed form, at 40 digits
+        import mpmath
+        rows, _ = product_l1_bound_check(GevreyParams(K=K, L=L, v=v),
+                                         m_max=0)
+        with mpmath.workdps(40):
+            K, L, v = mpmath.mpf(K), mpmath.mpf(L), mpmath.mpf(v)
+            R = mpmath.sqrt(2) * K / L
+
+            def fg(w):
+                f = mpmath.atanh(K * v / (L * w))
+                return f * ((L * w / K) * f - v)
+
+            ref = 2 * mpmath.quad(fg, [R, 2 * R, 10 * R, mpmath.inf])
+        assert rows[0][1] == pytest.approx(float(ref), rel=1e-13)
 
     def test_zero_speed(self):
         # f = g = 0: CC = 0, each norm and each bound is 0, no 0/0 margin
@@ -355,6 +383,35 @@ class TestProductLemma:
             GevreyParams(K=1.0, L=1.0, v=0.0), m_max=6)
         assert (delta, eps, cc) == (0.0, 0.0, 0.0)
         assert rows == tuple((m, 0.0, 0.0, 0.0) for m in range(7))
+
+
+class TestBattery:
+    def test_every_family_runs_to_m_max(self):
+        _, rows = appendix_battery(PARAMS, 20)
+        orders = {}
+        for family, m, *_ in rows:
+            orders.setdefault(family, []).append(m)
+        assert orders == {"f_sup": list(range(21)),
+                          "c_sum": list(range(1, 21)),
+                          "d_sum": list(range(2, 21)),
+                          "product_l1": list(range(21))}
+
+    def test_overflow_raises(self):
+        # f^(27)(R) overflows to inf at L/K = 1e7: an OverflowError, not a
+        # row that fails its check
+        with pytest.raises(OverflowError, match="order 27: value inf"):
+            appendix_battery(GevreyParams(K=1e-4, L=1e3, v=0.5), 30)
+
+    def test_import_loads_no_numpy_nor_quadrature(self):
+        # every norm is a closed form: the battery integrates nothing
+        src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
+        code = ("import sys, rvpmodes.gevrey\n"
+                "print([m for m in ('numpy', 'rvpmodes.quadrature')"
+                " if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPipelineCertificate:

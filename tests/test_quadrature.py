@@ -205,6 +205,10 @@ class TestGaussLegendre:
 
 
 class TestSemiInfinite:
+    def test_zero_scale_refused(self):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            integrate_semi_infinite(lambda p: np.exp(-p), scale=0.0)
+
     def test_exponential(self):
         r = integrate_semi_infinite(lambda p: np.exp(-p), tol=1e-11)
         assert r.value == pytest.approx(1.0, abs=1e-10)

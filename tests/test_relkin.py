@@ -133,6 +133,10 @@ class TestFCap:
 
 
 class TestBesselK2:
+    def test_zero_refused(self):
+        with pytest.raises(ValueError, match="x > 0"):
+            bessel_k2_scaled(0.0)
+
     def test_integral_representation_oracle(self):
         # K_2(x) = int_0^inf e^{-x cosh t} cosh(2t) dt at high precision
         # cosh(40) ~ 1e17 makes the remainder beyond t = 40 identically 0

@@ -95,6 +95,15 @@ class TestGrid:
 
 
 class TestSolver:
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            solve_volterra(np.ones(4), np.ones(5), 0.1)
+
+    def test_singular_implicit_step_refused(self):
+        # beta(0) = 2/dt: the implicit step divides by 1 - dt beta(0)/2 = 0
+        with pytest.raises(ValueError, match="singular"):
+            solve_volterra(np.ones(4), np.full(4, 2.0 / 0.1), 0.1)
+
     def test_no_memory_returns_source(self):
         alpha = np.sin(np.linspace(0, 3, 200))
         rho, growth = solve_volterra(alpha, np.zeros_like(alpha), 0.01)
