@@ -14,13 +14,13 @@ import numpy as np
 
 from rvpmodes.decay import fit_mode_decay
 from rvpmodes.equilibria import juttner, thermal_profile
-from rvpmodes.spectral import ModeSpec, laplace_beta_imag, threshold_plasma
+from rvpmodes.spectral import ModeSpec, kappa_crit_sq, laplace_beta_imag
 from rvpmodes.volterra import TimeGrid, solve_mode
 
 
 def run(theta, kappa_factor, dt, t_max, seed, out):
     eq = juttner(theta)
-    kc = math.sqrt(threshold_plasma(eq).kappa_crit_sq)
+    kc = math.sqrt(kappa_crit_sq(eq, +1))
     kappa = kappa_factor * kc
     mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq,
                     profile=thermal_profile(theta, 1.0))

@@ -17,7 +17,7 @@ from scipy.optimize import minimize_scalar
 
 from rvpmodes.cli import main as cli_main
 from rvpmodes.equilibria import juttner
-from rvpmodes.spectral import threshold_plasma
+from rvpmodes.spectral import kappa_crit_sq
 
 
 def run(theta_min, theta_max, n_points, out):
@@ -28,7 +28,7 @@ def run(theta_min, theta_max, n_points, out):
         raise SystemExit(rc)
 
     res = minimize_scalar(
-        lambda th: -math.sqrt(threshold_plasma(juttner(th)).kappa_crit_sq),
+        lambda th: -math.sqrt(kappa_crit_sq(juttner(th), +1)),
         bounds=(0.05, 1.0), method="bounded", options={"xatol": 1e-8})
     peak_theta, peak = res.x, -res.fun
     print(f"repulsive peak: kappa_crit = {peak:.6f} at theta = "

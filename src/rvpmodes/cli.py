@@ -80,7 +80,7 @@ def _write_csv(path, header, rows, config):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-class UsageError(ValueError):
+class UsageError(Exception):
     pass
 
 
@@ -185,16 +185,12 @@ def _config_echo(args):
 
 def cmd_threshold(args) -> int:
     _count("--n-points", args.n_points)
-    for flag, th in (("--theta-min", args.theta_min),
-                     ("--theta-max", args.theta_max)):
-        if not math.isfinite(th):
-            raise UsageError(f"{flag} must be finite, got {th}")
-    if not 0 < args.theta_min < args.theta_max:
+    # both ends must be temperatures juttner can normalise
+    _usage_checked(juttner, args.theta_min, flag="--theta-min")
+    _usage_checked(juttner, args.theta_max, flag="--theta-max")
+    if not args.theta_min < args.theta_max:
         raise UsageError("empty or invalid theta range")
     thetas = np.geomspace(args.theta_min, args.theta_max, args.n_points)
-    # juttner takes an interval of theta
-    _usage_checked(juttner, float(thetas[0]), flag="--theta-min")
-    _usage_checked(juttner, float(thetas[-1]), flag="--theta-max")
     rows = []
     for th in thetas:
         eq = juttner(float(th))
@@ -264,8 +260,8 @@ def _read_trajectory(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # empty body: checked below
                 body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # its own text repeats the path
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     if body.size == 0:

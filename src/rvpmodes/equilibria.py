@@ -9,7 +9,10 @@ are required.
 Carrying f0' analytically matters: the dispersion integrands weight (-f0')
 directly and numerical differentiation would dominate their error budget.
 The thermal equilibrium is evaluated with an exponent-shifted scaled Bessel
-factor so temperatures down to 1e-4 neither overflow nor underflow.
+factor so temperatures down to 1e-4 neither overflow nor underflow.  It
+shares one closed form with the thermal profile, written once in
+``_thermal``: the weight e^{(1-U)/theta}, U = sqrt(1+p^2), and its U-moment,
+which p dp = U dU makes both tails (norm M(U) and amp theta M(U)).
 """
 
 from __future__ import annotations
@@ -65,19 +68,45 @@ class PerturbationProfile:
     p_scale: float = 1.0
 
 
+def _thermal(theta: float, scale: float, moment_scale: float):
+    """The thermal family's closed forms at temperature ``theta``: the
+    weight p -> scale e^{(1-U)/theta}, U = sqrt(1+p^2); its U-moment
+    U -> moment_scale M(U), M(U) = e^{(1-U)/theta} (U^2 + 2 theta U
+    + 2 theta^2), for real or complex U; and ``p_scale``.
+
+    As p dp = U dU, int_P^inf p U e^{(1-U)/theta} dp = theta M(U), so the
+    Juttner tail moment ((1+p^2)(-f0') = norm p U e^{(1-U)/theta} / theta)
+    is norm M(U) and the thermal profile's is amp theta M(U).
+    """
+
+    def weight(p):
+        p = np.asarray(p, dtype=float)
+        u = np.hypot(1.0, p)
+        return scalarize(scale * np.exp((1.0 - u) / theta))
+
+    def moment(u):
+        u = np.asarray(u)
+        return scalarize(moment_scale * np.exp((1.0 - u) / theta)
+                         * (u * u + 2.0 * theta * u + 2.0 * theta * theta))
+
+    return weight, moment, math.sqrt(2.0 * theta) + 2.0 * theta
+
+
 def juttner(theta: float) -> Equilibrium:
     """Relativistic thermal equilibrium at temperature theta = k_B T.
 
     f0(p) = exp(-sqrt(1+p^2)/theta) / (4 pi theta K_2(1/theta)), which has
     unit total mass.  Internally the equivalent exponent-shifted form
     exp((1 - sqrt(1+p^2))/theta) / (4 pi theta e^{1/theta} K_2(1/theta))
-    is used so that small theta stays in range.  Raises ValueError where
-    that normalisation is not a positive normal double: theta above about
-    1.2e102, or so small that the denominator underflows.
+    is used so that small theta stays in range.  Raises ValueError unless
+    0 < theta < inf, and where that normalisation is not a positive normal
+    double: theta above about 1.2e102, or so small that the denominator
+    underflows.
     """
     theta = float(theta)
-    if theta <= 0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got "
+                         f"{theta}")
     if theta < 1e-3:
         warnings.warn(
             f"theta={theta:g} is deep in the cold regime; values rely on the "
@@ -89,11 +118,7 @@ def juttner(theta: float) -> Equilibrium:
         raise ValueError(f"theta={theta:g} is out of range: the Juttner "
                          f"normalisation {norm:g} is not a positive normal "
                          "double")
-
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        u = np.hypot(1.0, p)
-        return scalarize(norm * np.exp((1.0 - u) / theta))
+    value, tail_kernel_moment, p_scale = _thermal(theta, norm, norm)
 
     def derivative(p):
         p = np.asarray(p, dtype=float)
@@ -101,18 +126,11 @@ def juttner(theta: float) -> Equilibrium:
         return scalarize(-(p / (theta * u)) * norm
                          * np.exp((1.0 - u) / theta))
 
-    def tail_kernel_moment(u):
-        # int_P^inf (1+p^2)(-f0') dp = (norm_shifted) e^{(1-U)/theta}
-        #   * (U^2 + 2 theta U + 2 theta^2),  U = sqrt(1+P^2).
-        u = np.asarray(u)
-        return scalarize(norm * np.exp((1.0 - u) / theta)
-                         * (u * u + 2.0 * theta * u + 2.0 * theta * theta))
-
     return Equilibrium(
         value=value,
         derivative=derivative,
         support_bound=math.inf,
-        p_scale=math.sqrt(2.0 * theta) + 2.0 * theta,
+        p_scale=p_scale,
         tail_kernel_moment=tail_kernel_moment,
     )
 
@@ -226,21 +244,9 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
     if not (0 < theta < math.inf and math.isfinite(amp)):
         raise ValueError(f"need finite theta > 0 and finite amp, got "
                          f"theta={theta}, amp={amp}")
-
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        u = np.hypot(1.0, p)
-        return scalarize(amp * np.exp((1.0 - u) / theta))
-
-    def tail_weighted_moment(P):
-        # Same u-substitution as the thermal tail moment.
-        P = np.asarray(P, dtype=float)
-        u = np.hypot(1.0, P)
-        return scalarize(amp * theta * np.exp((1.0 - u) / theta) * (
-            u * u + 2.0 * theta * u + 2.0 * theta * theta))
-
+    value, moment, p_scale = _thermal(theta, amp, amp * theta)
     return PerturbationProfile(
         value=value,
-        p_scale=math.sqrt(2.0 * theta) + 2.0 * theta,
-        tail_weighted_moment=tail_weighted_moment,
+        p_scale=p_scale,
+        tail_weighted_moment=lambda P: moment(np.hypot(1.0, P)),
     )

@@ -126,9 +126,13 @@ class TestEvolveFit:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["fit", "--input", str(bad), "--kappa", "1.0"]) == 1
 
-    def test_missing_file_is_usage_error(self):
+    def test_missing_file_is_usage_error(self, capsys):
+        # the path once came twice: the OSError's own text repeats it
         assert main(["fit", "--input", "/nonexistent.csv",
                      "--kappa", "1.0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read /nonexistent.csv: No such file or "
+            "directory\n")
 
     def test_missing_dt_is_usage_error(self):
         assert main(["evolve", "--kappa", "1.0", "--sigma", "1",
@@ -694,6 +698,112 @@ class TestAppendixVerifyContract:
         assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
 
 
+_FIT_HEADER = "t,re_rho,im_rho,abs_rho,alpha,beta"
+_FIT_MUTATIONS = ("none", "drop t", "drop abs_rho", "nan t", "inf t",
+                  "nan abs_rho", "inf abs_rho", "negative abs_rho",
+                  "zero abs_rho", "short row", "empty body", "token",
+                  "missing file")
+
+
+def _fit_trajectory(path, mutation, row):
+    """A decaying oscillation under the ``evolve`` header, with at most one
+    defect: ``mutation`` (at data row ``row`` where it takes one)."""
+    if mutation == "missing file":
+        return
+    if mutation == "t,re_rho":  # a trajectory with re_rho but no abs_rho
+        with open(path, "w") as fh:
+            fh.write("t,re_rho\n0,1\n1,0.5\n")
+        return
+    t = np.linspace(0.0, 60.0, 601)
+    rho = np.exp(-np.sqrt(t)) * np.cos(2.0 * t)
+    table = np.column_stack((t, rho, np.zeros_like(t), np.abs(rho), rho,
+                             rho)).astype(object)
+    names = _FIT_HEADER.split(",")
+    kind, _, name = mutation.partition(" ")
+    if kind in ("nan", "inf", "negative"):
+        table[row, names.index(name)] = {"nan": math.nan, "inf": math.inf,
+                                         "negative": -0.5}[kind]
+    elif mutation == "zero abs_rho":
+        table[:, names.index("abs_rho")] = 0.0
+    lines = [",".join(_fmt(float(x)) for x in r) for r in table]
+    if kind == "drop":
+        keep = [i for i, n in enumerate(names) if n != name]
+        names = [names[i] for i in keep]
+        lines = [",".join(line.split(",")[i] for i in keep) for line in lines]
+    elif mutation == "short row":
+        lines[row] = lines[row].rsplit(",", 1)[0]
+    elif mutation == "token":
+        fields = lines[row].split(",")
+        fields[row % len(fields)] = "abc"
+        lines[row] = ",".join(fields)
+    elif mutation == "empty body":
+        lines = []
+    with open(path, "w") as fh:
+        fh.write("# schema=v1\n" + ",".join(names) + "\n"
+                 + "".join(line + "\n" for line in lines))
+
+
+class TestFitContract:
+    """Over a trajectory with at most one defect and drawn flags, ``fit``
+    prints one finite report (exit 0), names the flag or the input path
+    once (exit 2), or finds no decay (exit 1)."""
+
+    @given(mutation=st.sampled_from(_FIT_MUTATIONS),
+           row=st.integers(0, 600),
+           kappa=st.sampled_from([1.2, 0.0, -1.0, math.inf, math.nan,
+                                  1e-300]),
+           t_min=st.sampled_from([None, 0.0, 1e6, math.inf, math.nan]),
+           n_boot=st.sampled_from([0, 3, -1, 65537]),
+           seed=st.sampled_from([0, 7, -1]))
+    # the path came twice: the missing-column UsageError was a ValueError,
+    # which _read_trajectory's own handler prefixed again
+    @example(mutation="t,re_rho", row=0, kappa=1.2, t_min=None, n_boot=0,
+             seed=0)
+    # the OSError's text repeats the path it names
+    @example(mutation="missing file", row=0, kappa=1.2, t_min=None, n_boot=0,
+             seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_reports_or_names_the_input(self, mutation, row, kappa, t_min,
+                                        n_boot, seed):
+        bad_flags = [flag for flag, bad in (
+            ("--kappa", not 0 < kappa < math.inf),
+            ("--t-min", t_min is not None and not math.isfinite(t_min)),
+            ("--n-boot", not 0 <= n_boot <= cli.MAX_POINTS),
+            ("--seed", seed < 0)) if bad]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.csv")
+            _fit_trajectory(path, mutation, row)
+            argv = ["fit", "--input", path, "--kappa", repr(kappa),
+                    "--n-boot", str(n_boot), "--seed", str(seed)]
+            if t_min is not None:
+                argv += ["--t-min", repr(t_min)]
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                rc = main(argv)
+        err = stderr.getvalue()
+        if bad_flags or mutation != "none":
+            assert rc == 2, err
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert stdout.getvalue() == ""
+            assert err.count(path) <= 1, err
+            assert (any(flag in err for flag in bad_flags) if bad_flags
+                    else path in err), err
+            return
+        if rc == 1:
+            assert err.startswith("computation failed: NoDecayError: "), err
+            assert stdout.getvalue() == ""
+            return
+        assert rc == 0 and err == "", err
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        fields = dict(kv.split("=") for kv in lines[0].split())
+        assert all(math.isfinite(float(fields[k])) for k in ("c", "eps", "s"))
+
+
 class TestParallelSweep:
     def test_worker_pool_matches_serial(self, tmp_path):
         args = ["sweep", "--kappa-min", "0.9", "--kappa-max", "1.3",
@@ -732,11 +842,14 @@ class TestRefusals:
 
     @pytest.mark.parametrize("header", ["t,re_rho", "abs_rho,re_rho"])
     def test_trajectory_without_t_or_abs_rho(self, header, tmp_path, capsys):
+        # the path once came twice: the UsageError was a ValueError, which
+        # the reader's own handler prefixed again
         traj = tmp_path / "traj.csv"
         traj.write_text(f"# schema=v1\n{header}\n0,1\n1,0.5\n")
         assert main(["fit", "--input", str(traj), "--kappa", "1"]) == 2
-        assert "trajectory CSV must have 't' and 'abs_rho' columns" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {traj}: trajectory CSV must have 't' and 'abs_rho' "
+            "columns\n")
 
     def test_unreadable_config(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
@@ -977,6 +1090,42 @@ class TestOutOfDomainInput:
         assert main(["threshold", "--theta-min", "1e6", "--theta-max", value,
                      "--n-points", "1", "-o", str(out)]) == 2
         assert "--theta-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (EVOLVE + ["--theta", "inf"], "--theta"),
+        (EVOLVE + ["--theta", "nan"], "--theta"),
+        (["dispersion", "--kappa", "1", "--sigma", "1", "--theta", "inf",
+          "--n-y", "2"], "--theta"),
+        (["dispersion", "--kappa", "1", "--sigma", "1", "--theta", "nan",
+          "--n-y", "2"], "--theta"),
+        (["sweep", "--kappa-min", "0.5", "--kappa-max", "0.5", "--n-kappa",
+          "1", "--sigma", "1", "--theta", "inf", "--dt", "0.05", "--t-max",
+          "10"], "--theta"),
+        (["sweep", "--kappa-min", "0.5", "--kappa-max", "0.5", "--n-kappa",
+          "1", "--sigma", "1", "--theta", "nan", "--dt", "0.05", "--t-max",
+          "10"], "--theta"),
+        (["threshold", "--theta-min", "inf", "--theta-max", "1"],
+         "--theta-min"),
+        (["threshold", "--theta-min", "nan", "--theta-max", "1"],
+         "--theta-min"),
+        (["threshold", "--theta-min", "0.1", "--theta-max", "inf"],
+         "--theta-max"),
+        (["threshold", "--theta-min", "0.1", "--theta-max", "nan"],
+         "--theta-max")],
+        ids=["evolve-inf", "evolve-nan", "dispersion-inf", "dispersion-nan",
+             "sweep-inf", "sweep-nan", "theta-min-inf", "theta-min-nan",
+             "theta-max-inf", "theta-max-nan"])
+    def test_nonfinite_theta_is_refused_by_juttner(self, argv, flag,
+                                                   tmp_path, capsys):
+        # juttner let it through to bessel_k2_scaled ("x must be finite",
+        # "requires x > 0"), and threshold kept its own finite check
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: temperature must be finite and positive" \
+            in err
+        assert "bessel_k2_scaled" not in err and "x must be finite" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, flag", [
