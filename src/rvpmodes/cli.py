@@ -99,8 +99,9 @@ def _config_tokens(sp, path):
     try:
         with open(path) as fh:
             lines = [line.split("#", 1)[0].strip() for line in fh]
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except OSError as exc:  # its own text repeats the path
+        raise UsageError(f"cannot read config {path}: "
+                         f"{exc.strerror}") from exc
     tokens = []
     for line in filter(None, lines):
         if "=" not in line:

@@ -18,14 +18,13 @@ which p dp = U dU makes both tails (norm M(U) and amp theta M(U)).
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .relkin import bessel_k2_scaled, scalarize
+from .relkin import bessel_k2_scaled, positive_normal, scalarize
 
 __all__ = [
     "Equilibrium",
@@ -70,26 +69,31 @@ class PerturbationProfile:
 
 def _thermal(theta: float, scale: float, moment_scale: float):
     """The thermal family's closed forms at temperature ``theta``: the
-    weight p -> scale e^{(1-U)/theta}, U = sqrt(1+p^2); its U-moment
-    U -> moment_scale M(U), M(U) = e^{(1-U)/theta} (U^2 + 2 theta U
-    + 2 theta^2), for real or complex U; and ``p_scale``.
+    edge factor U -> e^{(1-U)/theta} (0, with no warning, where the
+    exponent overflows); the weight p -> scale e^{(1-U)/theta}, U =
+    sqrt(1+p^2); its U-moment U -> moment_scale M(U), M(U) =
+    e^{(1-U)/theta} (U^2 + 2 theta U + 2 theta^2), for real or complex U;
+    and ``p_scale``.
 
     As p dp = U dU, int_P^inf p U e^{(1-U)/theta} dp = theta M(U), so the
     Juttner tail moment ((1+p^2)(-f0') = norm p U e^{(1-U)/theta} / theta)
     is norm M(U) and the thermal profile's is amp theta M(U).
     """
 
+    def edge(u):
+        with np.errstate(over="ignore"):  # e^-inf = 0 is exact
+            return np.exp((1.0 - u) / theta)
+
     def weight(p):
         p = np.asarray(p, dtype=float)
-        u = np.hypot(1.0, p)
-        return scalarize(scale * np.exp((1.0 - u) / theta))
+        return scalarize(scale * edge(np.hypot(1.0, p)))
 
     def moment(u):
         u = np.asarray(u)
-        return scalarize(moment_scale * np.exp((1.0 - u) / theta)
+        return scalarize(moment_scale * edge(u)
                          * (u * u + 2.0 * theta * u + 2.0 * theta * theta))
 
-    return weight, moment, math.sqrt(2.0 * theta) + 2.0 * theta
+    return edge, weight, moment, math.sqrt(2.0 * theta) + 2.0 * theta
 
 
 def juttner(theta: float) -> Equilibrium:
@@ -101,30 +105,26 @@ def juttner(theta: float) -> Equilibrium:
     is used so that small theta stays in range.  Raises ValueError unless
     0 < theta < inf, and where that normalisation is not a positive normal
     double: theta above about 1.2e102, or so small that the denominator
-    underflows.
+    underflows.  Both refusals come before the cold-regime warning.
     """
     theta = float(theta)
     if not 0 < theta < math.inf:
         raise ValueError(f"temperature must be finite and positive, got "
                          f"{theta}")
+    # f0 would underflow to zero everywhere (hot) or overflow (cold)
+    norm = positive_normal(
+        lambda: 1.0 / (4.0 * math.pi * theta * bessel_k2_scaled(1.0 / theta)),
+        f"theta={theta:g}", "the Juttner normalisation")
     if theta < 1e-3:
         warnings.warn(
             f"theta={theta:g} is deep in the cold regime; values rely on the "
             "scaled-Bessel evaluation", stacklevel=2)
-    denom = 4.0 * math.pi * theta * bessel_k2_scaled(1.0 / theta)
-    norm = 1.0 / denom if denom > 0 else math.inf
-    if not sys.float_info.min <= norm < math.inf:
-        # f0 would underflow to zero everywhere (hot) or overflow (cold)
-        raise ValueError(f"theta={theta:g} is out of range: the Juttner "
-                         f"normalisation {norm:g} is not a positive normal "
-                         "double")
-    value, tail_kernel_moment, p_scale = _thermal(theta, norm, norm)
+    edge, value, tail_kernel_moment, p_scale = _thermal(theta, norm, norm)
 
     def derivative(p):
         p = np.asarray(p, dtype=float)
         u = np.hypot(1.0, p)
-        return scalarize(-(p / (theta * u)) * norm
-                         * np.exp((1.0 - u) / theta))
+        return scalarize(-(p / (theta * u)) * norm * edge(u))
 
     return Equilibrium(
         value=value,
@@ -143,14 +143,9 @@ def compact_decreasing(P: float) -> Equilibrium:
     P = float(P)
     if not 0 < P < math.inf:
         raise ValueError(f"support bound must be finite and positive, got {P}")
-    try:
-        c = 3465.0 / (512.0 * math.pi * P**3)
-    except ArithmeticError:  # P^3 overflows, or underflows to 0
-        c = math.nan
-    if not sys.float_info.min <= c < math.inf:
-        raise ValueError(f"support bound P={P:g} is out of range: the "
-                         "normalisation 3465/(512 pi P^3) is not a positive "
-                         "normal double")
+    c = positive_normal(lambda: 3465.0 / (512.0 * math.pi * P**3),
+                        f"support bound P={P:g}",
+                        "the normalisation 3465/(512 pi P^3)")
 
     def value(p):
         p = np.asarray(p, dtype=float)
@@ -194,15 +189,11 @@ def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
         raise ValueError(f"need finite width > 0 and finite amp, got "
                          f"width={width}, amp={amp}")
     # that moment lies between w^2/2 and w^2/2 + sqrt(pi) w^3/4 (erfcx <= 1),
-    # each within rounding of it where it leaves the normal doubles; a
-    # float w**3 would raise OverflowError, a numpy one gives inf
-    w = np.float64(width)
-    with np.errstate(over="ignore"):
-        low = 0.5 * w**2
-        high = low + 0.25 * math.sqrt(math.pi) * w**3
-    if not sys.float_info.min <= low <= high < math.inf:
-        raise ValueError(f"width={width:g} is out of range: its tail moment "
-                         "at P = 0 is not a positive normal double")
+    # each within rounding of it where it leaves the normal doubles
+    for bound in (lambda: 0.5 * width**2,
+                  lambda: 0.5 * width**2
+                  + 0.25 * math.sqrt(math.pi) * width**3):
+        positive_normal(bound, f"width={width:g}", "its tail moment at P = 0")
 
     def gauss(p):
         # (p/w)^2 = inf beyond about 1.3e154 w: e^-inf = 0 is exact
@@ -237,14 +228,18 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
 
     Shares the momentum-edge flatness class of the thermal equilibrium, so a
     mode seeded with it decays at the equilibrium's own stretched rate rather
-    than the faster rate a Gaussian seed imposes.
+    than the faster rate a Gaussian seed imposes.  Raises ValueError unless
+    the tail moment at P = 0 with amp = 1, theta (1 + 2 theta + 2 theta^2),
+    is a positive normal double: theta from about 2.3e-308 to 4.47e102.
     """
     theta = float(theta)
     amp = float(amp)
     if not (0 < theta < math.inf and math.isfinite(amp)):
         raise ValueError(f"need finite theta > 0 and finite amp, got "
                          f"theta={theta}, amp={amp}")
-    value, moment, p_scale = _thermal(theta, amp, amp * theta)
+    positive_normal(lambda: _thermal(theta, 1.0, theta)[2](1.0),
+                    f"theta={theta:g}", "its tail moment at P = 0")
+    _, value, moment, p_scale = _thermal(theta, amp, amp * theta)
     return PerturbationProfile(
         value=value,
         p_scale=p_scale,

@@ -438,7 +438,7 @@ def filon_table(envelope, a, b, times, tol, parts):
     costs the same whatever its t.  Only the table keeps to ``parts``: the
     probes stay complex, so the panels do not depend on them.  Sums that
     are not finite (an envelope near the top of the doubles overflows
-    them) raise QuadratureError.
+    them, or is itself inf) raise QuadratureError, with no numpy warning.
     """
     t = np.asarray(times, dtype=float)
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
@@ -456,7 +456,8 @@ def filon_table(envelope, a, b, times, tol, parts):
     def tabulate(n):
         """The envelope at the nodes of n panels, shape (..., n, 4), and
         its transforms at the probe times."""
-        env = np.asarray(envelope(filon_nodes(a, b, n).ravel()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            env = np.asarray(envelope(filon_nodes(a, b, n).ravel()))
         env = env.reshape(env.shape[:-1] + (n, 4))
         return env, finite_sums(env, om_probe)
 

@@ -1,19 +1,25 @@
-"""Relativistic kinematics and the scaled Bessel K2 the Jüttner law needs.
+"""Relativistic kinematics, the scaled Bessel K2 the Jüttner law needs, and
+the one rule every model scale keeps.
 
 Units: speed of light c = 1, particle mass m = 1, so momenta are measured in
-units of m*c and speeds lie in [0, 1).  Everything here is pure and operates
-elementwise on scalars or numpy arrays.
+units of m*c and speeds lie in [0, 1).  The kinematics are pure and operate
+elementwise on scalars or numpy arrays.  A mode is built from three model
+scales, the kernel prefactor 4 pi/kappa^3, the equilibrium's normalisation
+and the datum's tail moment at P = 0; ``positive_normal`` refuses each one
+that is not a positive normal double.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
     "v_of_p",
     "bessel_k2_scaled",
+    "positive_normal",
 ]
 
 # e^-745 is below the smallest subnormal double: integrand values under it
@@ -29,6 +35,25 @@ _K2_SMALL_X = 1e-150
 def scalarize(out):
     """A 0-d result as a Python scalar; arrays pass through unchanged."""
     return out if np.ndim(out) else out.item()
+
+
+def positive_normal(compute, subject, what):
+    """The model scale ``compute()``, where it is a positive normal double.
+
+    Otherwise raises ValueError("{subject} is out of range: {what} is not
+    a positive normal double").  A Python float power or quotient that
+    raises ArithmeticError (it overflows, or its divisor underflows to 0)
+    is out of range, and so is a numpy overflow to inf, silenced here.
+    """
+    try:
+        with np.errstate(over="ignore"):
+            value = compute()
+    except ArithmeticError:
+        value = math.nan
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{subject} is out of range: {what} is not a "
+                         "positive normal double")
+    return value
 
 
 def _asarray(x, name):

@@ -26,7 +26,6 @@ profile carries.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ from .equilibria import Equilibrium, PerturbationProfile
 from .quadrature import (QuadratureError, QuadResult, double_panels,
                          filon_table, gauss_legendre_nodes, integrate_finite,
                          integrate_semi_infinite)
-from .relkin import scalarize, v_of_p
+from .relkin import positive_normal, scalarize, v_of_p
 
 __all__ = [
     "ModeSpec",
@@ -71,14 +70,9 @@ class ModeSpec:
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise ValueError(f"need finite kappa > 0, got {self.kappa}")
-        try:
-            prefactor = 4.0 * math.pi / float(self.kappa) ** 3  # of _b
-        except ArithmeticError:  # kappa^3 overflows, or underflows to 0
-            prefactor = math.nan
-        if not sys.float_info.min <= prefactor < math.inf:
-            raise ValueError(f"kappa={self.kappa:g} is out of range: the "
-                             "kernel prefactor 4 pi/kappa^3 is not a positive "
-                             "normal double")
+        positive_normal(lambda: 4.0 * math.pi / float(self.kappa) ** 3,
+                        f"kappa={self.kappa:g}",
+                        "the kernel prefactor 4 pi/kappa^3")
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
 

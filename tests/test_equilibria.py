@@ -69,6 +69,23 @@ class TestJuttner:
             with pytest.raises(ValueError, match="finite and positive"):
                 juttner(theta)
 
+    def test_far_tail_is_zero_without_warning(self):
+        # (1 - U)/theta overflows to -inf far out at small theta: value and
+        # derivative warned before giving e^-inf = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", UserWarning)  # cold regime
+            eq = juttner(1e-9)
+            assert eq.value(1e300) == 0.0 and eq.derivative(1e300) == 0.0
+
+    def test_refuses_before_it_warns(self):
+        # theta = 1e-300 warned of the cold regime, then was refused: with
+        # warnings as errors the warning came out instead of the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="normalisation"):
+                juttner(1e-300)
+
     @pytest.mark.parametrize("theta", [1.3e102, 1e103, 1e200, 1e-300])
     def test_unrepresentable_normalisation_raises(self, theta):
         # hot: the normalisation underflows and f0 would vanish everywhere;
@@ -157,20 +174,39 @@ class TestProfiles:
     def test_domains(self):
         with pytest.raises(ValueError):
             gaussian_profile(0.0, 1.0)
+        with pytest.raises(ValueError):
+            thermal_profile(-0.2)
 
-    @pytest.mark.parametrize("width", [1e-300, 2.1e-154, 5.7e102, 1e200])
-    def test_gaussian_width_out_of_range(self, width):
-        # the tail moment at P = 0 underflows (1e-300 once gave alpha = 0
-        # after an overflow warning) or overflows (w**3 raised)
-        with pytest.raises(ValueError, match="tail moment at P = 0"):
-            gaussian_profile(width, 1.0)
+    # each profile factory with its scale, a Gaussian width (its id is the
+    # bare value) or a thermal theta, whose tail moment at P = 0 with
+    # amp = 1 is w^2/2 + sqrt(pi) w^3 erfcx(1/w)/4 or theta (1 + 2 theta
+    # + 2 theta^2)
+    @pytest.mark.parametrize("factory, width", [
+        *(pytest.param(gaussian_profile, w, id=repr(w))
+          for w in (1e-300, 2.1e-154, 5.7e102, 1e200)),
+        *(pytest.param(thermal_profile, th, id=f"thermal-{th!r}")
+          for th in (2.2e-308, 1e-310, 4.48e102, 1e200))])
+    def test_gaussian_width_out_of_range(self, factory, width):
+        # the tail moment at P = 0 underflows (a width of 1e-300 once gave
+        # alpha = 0 after an overflow warning, a theta of 1e-310 alpha =
+        # 1.5e-313) or overflows (w**3 raised; a theta of 1e200 overflowed
+        # the Filon sums)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tail moment at P = 0"):
+                factory(width, 1.0)
 
-    @pytest.mark.parametrize("width", [2.2e-154, 5.6e102])
-    def test_gaussian_width_at_the_ends(self, width):
+    @pytest.mark.parametrize("factory, width", [
+        *(pytest.param(gaussian_profile, w, id=repr(w))
+          for w in (2.2e-154, 5.6e102)),
+        *(pytest.param(thermal_profile, th, id=f"thermal-{th!r}")
+          for th in (2.3e-308, 4.47e102))])
+    def test_gaussian_width_at_the_ends(self, factory, width):
         # the accepted ends: the tail moment at P = 0 is normal and finite,
-        # and (p/w)^2 overflowing far out gives e^-inf = 0 without a warning
-        # (P = 1e8 is beyond every node: 1 - v(P) is below rounding there)
-        g = gaussian_profile(width, 1.0)
+        # and (p/w)^2 or (U - 1)/theta overflowing far out gives e^-inf = 0
+        # without a warning (P = 1e8 is beyond every node: 1 - v(P) is
+        # below rounding there)
+        g = factory(width, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             head = g.tail_weighted_moment(0.0)
@@ -178,5 +214,3 @@ class TestProfiles:
             assert g.value(1e300) == 0.0
         assert 2.2250738585072014e-308 <= head < math.inf
         assert 0.0 <= far <= head
-        with pytest.raises(ValueError):
-            thermal_profile(-0.2)

@@ -413,6 +413,17 @@ class TestFilonTable:
                 filon_table(lambda y: np.full(y.shape, 1e307), 0.0, 1.0,
                             np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
 
+    def test_overflowing_envelope_raises_without_warning(self):
+        # an envelope that is itself inf at the nodes (a Gaussian width of
+        # 5.6e102 scales alpha past the largest double) once warned from
+        # inside the envelope before the sums refused it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError,
+                               match="sums are not finite at 64 panels"):
+                filon_table(lambda y: 10.0 * np.full(y.shape, 1e308), 0.0,
+                            1.0, np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
+
 
 class TestFilonWeights:
     def test_match_monomial_moment_route(self):

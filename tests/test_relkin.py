@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvpmodes.equilibria import juttner
-from rvpmodes.relkin import bessel_k2_scaled, v_of_p
+from rvpmodes.relkin import bessel_k2_scaled, positive_normal, v_of_p
 
 import oracles
 from oracles import bessel_k2, exp1_neg_imag, f_cap, f_cap_complex, p_of_v
@@ -200,6 +200,28 @@ class TestBesselK2:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             bessel_k2(bad)
+
+
+class TestPositiveNormal:
+    def test_returns_the_scale(self):
+        for scale in (2.2250738585072014e-308, 1.0, 1.7976931348623157e308):
+            assert positive_normal(lambda: scale, "s", "it") is scale
+
+    @pytest.mark.parametrize("compute", [
+        lambda: 0.0, lambda: -1.0, lambda: 5e-324, lambda: 2.2e-308,
+        lambda: math.inf, lambda: math.nan,
+        lambda: 1.0 / 1e-300 ** 2,  # the divisor underflows to 0
+        lambda: 1e200 ** 2,  # a float power overflows: OverflowError
+        lambda: np.float64(1e200) ** 2],  # a numpy power overflows to inf
+        ids=["zero", "negative", "subnormal", "below-normal", "inf", "nan",
+             "ZeroDivisionError", "OverflowError", "numpy-overflow"])
+    def test_refuses_with_one_message(self, compute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the numpy overflow is silent
+            with pytest.raises(ValueError) as exc:
+                positive_normal(compute, "x=3", "its scale")
+        assert str(exc.value) == ("x=3 is out of range: its scale is not a "
+                                  "positive normal double")
 
 
 class TestExp1NegImag:
