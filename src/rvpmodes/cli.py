@@ -72,12 +72,18 @@ def _write_csv(path, header, rows, config):
 
     if path is None or path == "-":
         write(sys.stdout)
-        return
+    else:
+        _write_file(path, write)
+
+
+def _write_file(path, write):
+    """``write(fh)`` to a new file at ``path``; a failure is a
+    computational one that names the path once."""
     try:
         with open(path, "w") as fh:
             write(fh)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:  # its own text repeats the path
+        raise RuntimeError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 class UsageError(Exception):
@@ -126,8 +132,18 @@ def _build_equilibrium(args):
     if args.equilibrium == "compact":
         if args.p_support is None:
             raise UsageError("compact equilibrium requires --p-support")
+        # --theta is then read only as a thermal profile's fallback
+        if args.theta is not None and not (
+                getattr(args, "profile", None) == "thermal"
+                and args.profile_theta is None):
+            raise UsageError("--theta is not read: a compact equilibrium "
+                             "takes --p-support, and only a thermal profile "
+                             "without --profile-theta reads --theta")
         return _usage_checked(compact_decreasing, args.p_support,
                               flag="--p-support")
+    if args.p_support is not None:
+        raise UsageError("--p-support is read only by the compact "
+                         "equilibrium")
     if args.theta is None:
         raise UsageError("juttner equilibrium requires --theta")
     return _usage_checked(juttner, args.theta, flag="--theta")
@@ -138,12 +154,17 @@ def _build_profile(args):
     if not math.isfinite(amp):
         raise UsageError(f"--amp must be finite, got {amp}")
     if args.profile == "thermal":
+        if args.width is not None:
+            raise UsageError("--width is read only by the gaussian profile")
         flag, th = (("--profile-theta", args.profile_theta)
                     if args.profile_theta is not None
                     else ("--theta", args.theta))
         if th is None:
             raise UsageError("thermal profile requires --profile-theta or --theta")
         return _usage_checked(thermal_profile, th, amp, flag=flag)
+    if args.profile_theta is not None:
+        raise UsageError("--profile-theta is read only by the thermal "
+                         "profile")
     return _usage_checked(gaussian_profile,
                           args.width if args.width is not None else 1.0, amp,
                           flag="--width")
@@ -302,10 +323,9 @@ def cmd_fit(args) -> int:
     report = (f"c={_fmt(fit.c)} eps={_fmt(fit.eps)} s={_fmt(fit.s)} "
               f"s_ci_lo={_fmt(fit.s_ci[0])} s_ci_hi={_fmt(fit.s_ci[1])} "
               f"verdict={verdict}\n")
+    sys.stdout.write(report)  # first, so a failed write keeps it
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(report)
-    sys.stdout.write(report)
+        _write_file(args.output, lambda fh: fh.write(report))
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Closed-form high derivatives, coefficient recurrences, and decay bounds.
+"""Derivative bounds of the profile functions, their coefficient
+recurrences, and the appendix battery that checks them.
 
 The transform of the memory kernel is built from two scalar profile
 functions of the frequency omega (parameters K, L > 0 and a speed
@@ -10,29 +11,29 @@ functions of the frequency omega (parameters K, L > 0 and a speed
 Their derivatives of every order have closed forms whose integer-indexed
 coefficient families C (for f) and D (for g) obey two-term recurrences;
 the recurrences are evaluated here in exact rational arithmetic because
-the even steps divide by (n+1)(2n+1) and float rounding would contaminate
-the bound checks downstream.
+the even steps divide by (n+1)(2n+1), and the battery checks their row
+sums.
 
 Everything is certified on the complement of [-R, R] with R = sqrt(2) K/L.
-For omega > Kv/L, f and g are power series in 1/omega with positive
-coefficients, so f, g and f g are completely monotone there: each
+For omega > a = Kv/L, f, g and f g are power series in a/omega with
+positive coefficients, so they are completely monotone there: each
 derivative keeps one sign and |h^(m)| decreases.  The sup of |h^(m)| on
-|omega| >= R sits at R, and the L1 norm of h^(m) (m >= 1) telescopes to
-2 |h^(m-1)(R)|, the factor 2 from |h^(m)| being even.  So the battery
-evaluates closed forms at R and integrates nothing:
+|omega| >= R sits at R, and the L1 norm of h^(m) telescopes to 2 |H(R)|
+for H = h^(m-1), the antiderivative vanishing at infinity when m = 0; the
+factor 2 is from |h^(m)| being even.  At R the series ratio is
+x^2 = v^2/2 <= 1/2, so one evaluator, ``_at_R``, sums every value the
+battery reads, with no cancellation at any v, and nothing is integrated:
 
 * sup-norm bounds   |f^(m)| <= (6L/K)^m m!        (family C sums <= 18^n)
-* L1 norms of g^(m): explicit at m = 0, 2 |g^(m-1)(R)| beyond
-  (family D sums bounded by powers of 2 sqrt(21))
+* L1 norms of g^(m)  (family D sums bounded by powers of 2 sqrt(21))
 * the product lemma: L1 derivative bounds of phi*psi from L1 x Linf factor
-  bounds, with the constant built exactly as in its proof; the L1 norms
-  of (f g)^(m) are explicit at m = 0 and Leibniz sums at R beyond
+  bounds, with the constant built exactly as in its proof
 * the partition-count asymptote used by the composition (Faa di Bruno)
   estimate.
 
 The battery's one entry point is ``appendix_battery(params, m_max)``: the
 seven verdicts, each judged on its own values, and the margin rows.  A
-value or bound that is not a finite double raises OverflowError.
+value or bound that is not a finite double raises an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 __all__ = [
@@ -48,8 +50,6 @@ __all__ = [
     "appendix_battery",
     "c_coeffs",
     "d_coeffs",
-    "f_derivative",
-    "g_derivative",
     "sup_bounds_check",
     "g_l1_norm",
     "partition_bound",
@@ -140,68 +140,44 @@ def d_coeffs(m: int):
     return _next_row(prev, 1, lambda i: (4 * n - 2 * i + 3, 2 * i + 1))
 
 
-def _poly_eval(entries, lw2, kv2):
-    """sum entries[(i,j)] (L^2 w^2)^i (K^2 v^2)^j at float precision."""
-    acc = 0.0
-    for (i, j), cf in entries.items():
-        acc += float(cf) * lw2**i * kv2**j
-    return acc
+# Beyond |omega| > a = K v / L the profile functions are power series in
+# y = a/omega with positive coefficients:
+#     f   = sum_{n odd} y^n / n,
+#     g   = v sum_{n even >= 2} y^n / (n + 1),
+#     f g = v sum_{n odd >= 3} (2 O_n - 1 - 1/n) y^n / (n + 1),
+# O_n the sum of 1/k over odd k <= n: the Cauchy product, summed by the
+# partial fractions 1/(i (n+1-i)) = (1/i + 1/(n+1-i)) / (n+1).  The term
+# y^n integrates to -a y^(n-1) / (n-1), which vanishes at infinity, so
+# _G_INT and _FG_INT times -a v are the antiderivatives of g and f g.
+# Each series is cut at n < _TERMS: at R its terms fall by the ratio
+# x^2 = v^2/2 <= 1/2 once n passes about 3m, and at the top order m = 30
+# the term n = 400 lies below 1e-27 of the largest one, far beneath the
+# rounding of the sum.
+_TERMS = 400
+_ODD = range(1, _TERMS, 2)
+_F = tuple((n, 1.0 / n) for n in _ODD)
+_G_INT = tuple((n - 1, 1.0 / ((n + 1) * (n - 1)))
+               for n in range(2, _TERMS, 2))
+_FG_INT = tuple((n - 1, (2.0 * o - 1.0 - 1.0 / n) / ((n + 1) * (n - 1)))
+                for n, o in zip(_ODD, accumulate(1.0 / k for k in _ODD))
+                if n > 1)
 
 
-def _vanishes(params: GevreyParams, m: int, omega: float) -> bool:
-    """The checks f_derivative and g_derivative share: the order and the
-    domain |omega| > Kv/L; True at v = 0, where f and g vanish."""
-    _check_order(m, 0)
-    if abs(omega) * params.L <= params.K * params.v:
-        raise ValueError("omega inside the singular interval |omega|<=Kv/L")
-    return params.v == 0.0
+def _at_R(params: GevreyParams, series, m: int) -> float:
+    """h^(m)(R) for h = sum c_n (a/omega)^n, ``series`` the (n, c_n):
+    (-1)^m R^-m sum c_n n (n+1) ... (n+m-1) x^n, x = a/R = v/sqrt 2.  The
+    terms share one sign, so the sum cancels nothing at any v."""
+    x = params.v / math.sqrt(2.0)
+    total = math.fsum(c * math.perm(n + m - 1, m) * x**n for n, c in series)
+    return (-1) ** m * total * params.R ** -m
 
 
-def f_derivative(params: GevreyParams, m: int, omega: float) -> float:
-    """m-th derivative of f(omega) = arctanh(K v/(L omega)), |omega|>Kv/L."""
-    if _vanishes(params, m, omega):
-        return 0.0
-    K, L, v = params.K, params.L, params.v
-    if m == 0:
-        return math.atanh(K * v / (L * omega))
-    lw2 = (L * omega) ** 2
-    kv2 = (K * v) ** 2
-    den = lw2 - kv2
-    s = _poly_eval(c_coeffs(m), lw2, kv2)
-    if m % 2 == 1:
-        n = (m - 1) // 2
-        return -math.factorial(2 * n) * K * v * L**(2 * n + 1) \
-            / den**(2 * n + 1) * s
-    n = (m - 2) // 2
-    return math.factorial(2 * n + 2) * K * v * L**(2 * n + 3) * omega \
-        / den**(2 * n + 2) * s
-
-
-def g_derivative(params: GevreyParams, m: int, omega: float) -> float:
-    """m-th derivative of g(omega) = (L omega/K) f(omega) - v.
-
-    Orders 0 and 1 use their explicit forms; beyond that the closed form
-    runs on the D coefficient rows.
-    """
-    if _vanishes(params, m, omega):
-        return 0.0
-    K, L, v = params.K, params.L, params.v
-    if m == 0:
-        return (L * omega / K) * math.atanh(K * v / (L * omega)) - v
-    lw2 = (L * omega) ** 2
-    kv2 = (K * v) ** 2
-    den = lw2 - kv2
-    if m == 1:
-        return (L / K) * math.atanh(K * v / (L * omega)) \
-            - v * L * L * omega / den
-    s = _poly_eval(d_coeffs(m), lw2, kv2)
-    if m % 2 == 0:
-        n = m // 2
-        return 2.0 * math.factorial(2 * n - 2) * K * K * v**3 * L**(2 * n) \
-            / den**(2 * n) * s
-    n = (m - 1) // 2
-    return -2.0 * math.factorial(2 * n) * K * K * v**3 * L**(2 * n + 2) \
-        * omega / den**(2 * n + 1) * s
+def _l1_norm(params: GevreyParams, antiderivative, m: int) -> float:
+    """L1 norm on |omega| >= R of h^(m), h = -a v H' with H the series
+    ``antiderivative``: h^(m) keeps one sign and |h^(m)| is even and
+    decreasing, so the norm is 2 a v |H^(m)(R)| for every m >= 0."""
+    a = params.K * params.v / params.L
+    return 2.0 * a * params.v * abs(_at_R(params, antiderivative, m))
 
 
 def _margins(orders, value, bound):
@@ -228,7 +204,7 @@ def sup_bounds_check(params: GevreyParams, m_max: int):
     _check_order(m_max, 0)
     K, L = params.K, params.L
     f_rows = _margins(range(m_max + 1),
-                      lambda m: abs(f_derivative(params, m, params.R)),
+                      lambda m: abs(_at_R(params, _F, m)),
                       lambda m: (6.0 * L / K) ** m * math.factorial(m))
     c_rows = _margins(range(1, m_max + 1),
                       lambda m: float(sum(c_coeffs(m).values())),
@@ -240,18 +216,10 @@ def sup_bounds_check(params: GevreyParams, m_max: int):
 
 
 def g_l1_norm(params: GevreyParams, m: int) -> float:
-    """L1 norm of g^(m) on [-R, R]^c.
-
-    Order 0 has an explicit closed form; beyond, g being completely
-    monotone and even, the norm is the boundary value 2 |g^(m-1)(R)|.
-    """
+    """L1 norm of g^(m) on [-R, R]^c, from the series of g's
+    antiderivative."""
     _check_order(m, 0)
-    if m == 0:
-        K, L, v = params.K, params.L, params.v
-        r2 = math.sqrt(2.0)
-        return (K / (2.0 * L)) * (2.0 * r2 * v - (2.0 - v * v)
-                                  * math.log((r2 + v) / (r2 - v)))
-    return 2.0 * abs(g_derivative(params, m - 1, params.R))
+    return _l1_norm(params, _G_INT, m)
 
 
 def partition_bound(m: int):
@@ -281,33 +249,19 @@ def product_l1_bound_check(params: GevreyParams, m_max: int):
     with c = max(delta, epsilon), exactly the construction in the lemma's
     proof (factor-2 inflation absorbing the binomial sum).
 
-    f g is odd and completely monotone beyond R, so for m >= 1 the norm
-    is 2 |(f g)^(m-1)(R)|, a Leibniz sum whose terms share one sign.  At
-    m = 0, x = a/omega (a = Kv/L) turns 2 int_R^inf f g into
-    2 a v [1/2 - (1 - s^2) arctanh(s)^2 / (2 s^2)] with s = v / sqrt 2.
+    Each norm of (f g)^(m) is read from the series of f g's
+    antiderivative, as ``g_l1_norm`` reads g's.
     """
-    R = params.R
     delta = max((g_l1_norm(params, m) / math.factorial(m + 1))
                 ** (1.0 / (m + 1)) for m in range(m_max + 1))
-    eps = max((abs(f_derivative(params, m, R)) / math.factorial(m + 1))
+    eps = max((abs(_at_R(params, _F, m)) / math.factorial(m + 1))
               ** (1.0 / (m + 1)) for m in range(m_max + 1))
     c = max(delta, eps)
     cc = 2.0 * c * max(1.0, 2.0 * c)
     if cc == 0.0:  # v = 0: f = g = 0, so each norm and each bound is 0
         return (tuple((m, 0.0, 0.0, 0.0) for m in range(m_max + 1)),
                 (delta, eps, cc))
-
-    def l1_norm(m):
-        if m == 0:
-            v = params.v
-            a, s = params.K * v / params.L, v / math.sqrt(2.0)
-            t = math.atanh(s)
-            return 2.0 * a * v * (0.5 - (1.0 - s * s) * t * t / (2.0 * s * s))
-        return 2.0 * abs(sum(math.comb(m - 1, i) * f_derivative(params, i, R)
-                             * g_derivative(params, m - 1 - i, R)
-                             for i in range(m)))
-
-    rows = _margins(range(m_max + 1), l1_norm,
+    rows = _margins(range(m_max + 1), lambda m: _l1_norm(params, _FG_INT, m),
                     lambda m: cc ** (m + 1) * math.factorial(m + 1))
     return rows, (delta, eps, cc)
 

@@ -28,6 +28,9 @@ data:
 * the kinematic inverse ``p_of_v``, the profile ``f_cap`` with its
   complex continuation ``f_cap_complex``, and the unscaled Bessel factor
   ``bessel_k2``;
+* the closed-form derivatives ``f_derivative`` and ``g_derivative`` of
+  the appendix profile functions, on the C and D coefficient rows, which
+  the battery's power series at R are checked against;
 * the rational-envelope scan and the finite-order transform-decay
   certificate;
 * the bootstrap's bounded draws one generator word at a time
@@ -45,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from rvpmodes.gevrey import GevreyParams, _check_order, c_coeffs, d_coeffs
 from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
                                  filon_nodes, filon_sums)
 from rvpmodes.relkin import _asarray, scalarize, v_of_p
@@ -589,6 +593,73 @@ def threshold_astro_from_derivative(eq, tol=1e-11) -> float:
         return p * np.hypot(1.0, p) * (-eq.derivative(p))
 
     return 4.0 * float(_eq_integral(eq, integrand, tol).value)
+
+
+# --- closed-form derivatives of the appendix profile functions --------------
+
+def _poly_eval(entries, lw2, kv2):
+    """sum entries[(i,j)] (L^2 w^2)^i (K^2 v^2)^j: at float precision for
+    float arguments, exact for Fractions."""
+    return sum(cf * lw2**i * kv2**j for (i, j), cf in entries.items())
+
+
+def _vanishes(params: GevreyParams, m: int, omega) -> bool:
+    """The checks f_derivative and g_derivative share: the order and the
+    domain |omega| > Kv/L; True at v = 0, where f and g vanish."""
+    _check_order(m, 0)
+    if abs(omega) * params.L <= params.K * params.v:
+        raise ValueError("omega inside the singular interval |omega|<=Kv/L")
+    return params.v == 0
+
+
+def f_derivative(params: GevreyParams, m: int, omega):
+    """m-th derivative of f(omega) = arctanh(K v/(L omega)), |omega|>Kv/L,
+    by its closed form on the C rows; exact where K, L, v and omega are
+    Fractions and m >= 1."""
+    if _vanishes(params, m, omega):
+        return 0.0
+    K, L, v = params.K, params.L, params.v
+    if m == 0:
+        return math.atanh(K * v / (L * omega))
+    lw2 = (L * omega) ** 2
+    kv2 = (K * v) ** 2
+    den = lw2 - kv2
+    s = _poly_eval(c_coeffs(m), lw2, kv2)
+    if m % 2 == 1:
+        n = (m - 1) // 2
+        return -math.factorial(2 * n) * K * v * L**(2 * n + 1) \
+            / den**(2 * n + 1) * s
+    n = (m - 2) // 2
+    return math.factorial(2 * n + 2) * K * v * L**(2 * n + 3) * omega \
+        / den**(2 * n + 2) * s
+
+
+def g_derivative(params: GevreyParams, m: int, omega):
+    """m-th derivative of g(omega) = (L omega/K) f(omega) - v.
+
+    Orders 0 and 1 use their explicit forms, which cancel at small v;
+    beyond that the closed form runs on the D rows, exact as
+    ``f_derivative`` is.
+    """
+    if _vanishes(params, m, omega):
+        return 0.0
+    K, L, v = params.K, params.L, params.v
+    if m == 0:
+        return (L * omega / K) * math.atanh(K * v / (L * omega)) - v
+    lw2 = (L * omega) ** 2
+    kv2 = (K * v) ** 2
+    den = lw2 - kv2
+    if m == 1:
+        return (L / K) * math.atanh(K * v / (L * omega)) \
+            - v * L * L * omega / den
+    s = _poly_eval(d_coeffs(m), lw2, kv2)
+    if m % 2 == 0:
+        n = m // 2
+        return 2 * math.factorial(2 * n - 2) * K * K * v**3 * L**(2 * n) \
+            / den**(2 * n) * s
+    n = (m - 1) // 2
+    return -2 * math.factorial(2 * n) * K * K * v**3 * L**(2 * n + 2) \
+        * omega / den**(2 * n + 1) * s
 
 
 # --- decay checks on sampled data -------------------------------------------

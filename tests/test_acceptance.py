@@ -17,8 +17,7 @@ import sympy as sp
 from rvpmodes.decay import envelope, exp_test, fit_mode_decay
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
-from rvpmodes.gevrey import (GevreyParams, c_coeffs, d_coeffs, f_derivative,
-                             g_derivative, g_l1_norm, partition_bound,
+from rvpmodes.gevrey import (GevreyParams, g_l1_norm, partition_bound,
                              sup_bounds_check)
 from rvpmodes.spectral import (ModeSpec, find_y0, kappa_crit_sq,
                                laplace_beta_imag, threshold_astro,
@@ -27,7 +26,8 @@ from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
                                solve_mode, solve_volterra)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, integrate_semi_infinite_adaptive,
+                     beta_via_inverse, f_derivative, g_derivative,
+                     integrate_semi_infinite_adaptive,
                      threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
@@ -271,46 +271,16 @@ def test_criterion_9_dispersion_certificates():
 
 # --- criterion 10: appendix battery -----------------------------------------
 
-def _exact_f_derivative(kf, lf, vf, m, wf):
-    """Closed-form f^(m) in exact Fraction arithmetic (m >= 1)."""
-    lw2 = (lf * wf) ** 2
-    kv2 = (kf * vf) ** 2
-    den = lw2 - kv2
-    s = sum(cf * lw2**i * kv2**j
-            for (i, j), cf in c_coeffs(m).items())
-    if m % 2 == 1:
-        n = (m - 1) // 2
-        return -Fraction(math.factorial(2 * n)) * kf * vf \
-            * lf**(2 * n + 1) / den**(2 * n + 1) * s
-    n = (m - 2) // 2
-    return Fraction(math.factorial(2 * n + 2)) * kf * vf \
-        * lf**(2 * n + 3) * wf / den**(2 * n + 2) * s
-
-
-def _exact_g_derivative(kf, lf, vf, m, wf):
-    """Closed-form g^(m) in exact Fraction arithmetic (m >= 2)."""
-    lw2 = (lf * wf) ** 2
-    kv2 = (kf * vf) ** 2
-    den = lw2 - kv2
-    s = sum(cf * lw2**i * kv2**j
-            for (i, j), cf in d_coeffs(m).items())
-    if m % 2 == 0:
-        n = m // 2
-        return 2 * Fraction(math.factorial(2 * n - 2)) * kf**2 * vf**3 \
-            * lf**(2 * n) / den**(2 * n) * s
-    n = (m - 1) // 2
-    return -2 * Fraction(math.factorial(2 * n)) * kf**2 * vf**3 \
-        * lf**(2 * n + 2) * wf / den**(2 * n + 1) * s
-
-
 def test_criterion_10_appendix_suite():
     desc = ("coefficient tables exact to order 10, closed derivatives match "
             "finite differences, all bounds hold, partition facts check out")
     with _Reporter(10, desc):
         # exact symbolic-differentiation oracle: rational evaluation points
         # pin the coefficient rows exactly (numerators are degree <= 5
-        # polynomials in the two squared variables)
-        kf, lf, vf = Fraction(13, 10), Fraction(7, 10), Fraction(5, 9)
+        # polynomials in the two squared variables); the closed forms run
+        # exactly on Fraction parameters
+        exact = GevreyParams(K=Fraction(13, 10), L=Fraction(7, 10),
+                             v=Fraction(5, 9))
         w = sp.Symbol("w", positive=True)
         f_sym = sp.atanh(sp.Rational(13, 10) * sp.Rational(5, 9)
                          / (sp.Rational(7, 10) * w))
@@ -327,13 +297,13 @@ def test_criterion_10_appendix_suite():
             for wf in points:
                 ref_f = fd_r.subs(w, sp.Rational(wf.numerator,
                                                  wf.denominator))
-                ours_f = _exact_f_derivative(kf, lf, vf, m, wf)
+                ours_f = f_derivative(exact, m, wf)
                 assert Fraction(int(sp.fraction(ref_f)[0]),
                                 int(sp.fraction(ref_f)[1])) == ours_f
                 if m >= 2:
                     ref_g = gd_r.subs(w, sp.Rational(wf.numerator,
                                                      wf.denominator))
-                    ours_g = _exact_g_derivative(kf, lf, vf, m, wf)
+                    ours_g = g_derivative(exact, m, wf)
                     assert Fraction(int(sp.fraction(ref_g)[0]),
                                     int(sp.fraction(ref_g)[1])) == ours_g
 

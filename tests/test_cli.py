@@ -603,9 +603,12 @@ class TestCsvWriter:
             <= set(text.replace(b"\n", b",").split(b","))
 
     def test_unwritable_path_is_computational_failure(self, tmp_path):
+        # the OSError's own text repeated the path
         path = tmp_path / "missing" / "out.csv"
-        with pytest.raises(RuntimeError, match="cannot write"):
+        with pytest.raises(RuntimeError, match="cannot write") as info:
             cli._write_csv(path, ["a"], np.zeros((3, 1)), {})
+        assert str(info.value) == (f"cannot write {path}: No such file or "
+                                   "directory")
 
 
 class TestAppendixVerify:
@@ -672,7 +675,8 @@ class TestAppendixVerifyContract:
     # a cancelled, negative L1 norm of g' had a complex root: TypeError
     @example(K=255.8331215759933, L=137.73730352728202,
              v=5.148140035710151e-11, m_max=16)
-    # f^(27)(R) overflows to inf: once a FAIL of sup_bounds_f
+    # the product bound CC^21 21! overflows (f^(27)(R) once overflowed
+    # in its closed form's intermediates): once a FAIL of sup_bounds_f
     @example(K=0.0001, L=1000.0, v=0.5, m_max=30)
     @settings(max_examples=60, deadline=None)
     def test_passes_or_names_the_overflow(self, K, L, v, m_max):
@@ -696,6 +700,13 @@ class TestAppendixVerifyContract:
         lines = stdout.getvalue().splitlines()
         assert len(lines) == 7 and all(ln.endswith(" PASS") for ln in lines)
         assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
+        # a norm of a nonzero function is positive: at v = 5.1e-11 the
+        # cancelled forms printed 0 at m = 0 and 1.  A norm scales as v^4
+        # and is 4.2e-284 at v = 1e-20, K/L = 1e8, m = 30: below that v
+        # the true value may underflow.
+        if v >= 1e-20:
+            assert all(float(row[2]) > 0 for row in rows
+                       if row[0] == "product_l1"), rows
 
 
 _FIT_HEADER = "t,re_rho,im_rho,abs_rho,alpha,beta"
@@ -974,6 +985,42 @@ class TestRefusals:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (EVOLVE + ["--theta", "0.5", "--profile-theta", "0.3"],
+         "--profile-theta"),
+        (EVOLVE + ["--theta", "0.5", "--profile", "gaussian",
+                   "--profile-theta", "0.3"], "--profile-theta"),
+        (EVOLVE + ["--theta", "0.5", "--profile", "thermal", "--width", "3"],
+         "--width"),
+        (EVOLVE + ["--theta", "0.5", "--p-support", "2"], "--p-support"),
+        (EVOLVE + ["--equilibrium", "compact", "--p-support", "2",
+                   "--theta", "0.5"], "--theta"),
+        (EVOLVE + ["--equilibrium", "compact", "--p-support", "2",
+                   "--theta", "0.5", "--profile", "thermal",
+                   "--profile-theta", "0.3"], "--theta"),
+        (["dispersion", "--kappa", "0.5", "--sigma", "1", "--equilibrium",
+          "compact", "--p-support", "2", "--theta", "0.5"], "--theta"),
+        (["dispersion", "--kappa", "0.5", "--sigma", "1", "--theta", "0.5",
+          "--p-support", "2"], "--p-support"),
+    ], ids=["profile-theta", "gaussian-profile-theta", "thermal-width",
+            "juttner-p-support", "compact-theta", "compact-theta-thermal",
+            "dispersion-compact-theta", "dispersion-p-support"])
+    def test_unread_flag(self, argv, flag, tmp_path, capsys):
+        # each ran, echoing the flag into the CSV as if it had been used
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
+
+    def test_compact_theta_read_by_thermal_profile(self, tmp_path):
+        # a thermal profile without --profile-theta reads --theta
+        out = tmp_path / "out.csv"
+        assert main(self.EVOLVE + ["--equilibrium", "compact", "--p-support",
+                                   "2", "--theta", "0.5", "--profile",
+                                   "thermal", "-o", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["theta"] == "0.5" and "profile_theta" not in meta
+
     @pytest.mark.parametrize("header", ["t,re_rho", "abs_rho,re_rho"])
     def test_trajectory_without_t_or_abs_rho(self, header, tmp_path, capsys):
         # the path once came twice: the UsageError was a ValueError, which
@@ -1007,6 +1054,22 @@ class TestOutputPaths:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.startswith("c=")
         assert report.read_text() == out
+
+    def test_unwritable_fit_report(self, tmp_path, capsys):
+        # this ended in a bare FileNotFoundError, the report unprinted
+        traj = tmp_path / "traj.csv"
+        t = np.linspace(0.0, 60.0, 6001)
+        a = np.exp(-np.sqrt(t)) * np.abs(np.cos(t))
+        rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(t, a))
+        traj.write_text("# schema=v1\nt,abs_rho\n" + rows)
+        report = tmp_path / "missing" / "report.txt"
+        assert main(["fit", "--input", str(traj), "--kappa", "1",
+                     "--n-boot", "5", "-o", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1 and captured.out.startswith("c=")
+        assert captured.err == (f"computation failed: RuntimeError: cannot "
+                                f"write {report}: No such file or "
+                                "directory\n")
 
     def test_stdout_is_the_file(self, tmp_path, capsys):
         argv = ["threshold", "--theta-min", "0.1", "--theta-max", "1",
@@ -1185,6 +1248,17 @@ class TestOutOfDomainInput:
 
     EVOLVE = ["evolve", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
               "--dt", "0.05", "--t-max", "10"]
+    DISPERSION = ["dispersion", "--kappa", "1", "--sigma", "1", "--theta",
+                  "0.2", "--n-y", "2"]
+
+    def _argv(self, command, flags):
+        """The base run of ``command``, then ``flags``; a compact
+        equilibrium reads no --theta, so the base's is dropped for it."""
+        base = self.EVOLVE if command == "evolve" else self.DISPERSION
+        if "compact" in flags:
+            i = base.index("--theta")
+            base = base[:i] + base[i + 2:]
+        return base + flags
 
     @pytest.mark.parametrize("flags", [
         ["--kappa", "-1"], ["--theta", "-0.2"], ["--theta", "1e103"],
@@ -1206,11 +1280,8 @@ class TestOutOfDomainInput:
         # the constructors once checked only <= 0: a NaN support bound
         # wrote NaN rows, a non-finite amp failed in the march; dispersion
         # has no profile options, so its parser refuses those flags
-        argv = self.EVOLVE if command == "evolve" else [
-            "dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
-            "--n-y", "2"]
         out = tmp_path / "out.csv"
-        assert exit_code(argv + flags + ["-o", str(out)]) == 2
+        assert exit_code(self._argv(command, flags) + ["-o", str(out)]) == 2
         assert not out.exists()
 
     def test_dispersion_refused_equilibrium(self, tmp_path):
@@ -1281,13 +1352,11 @@ class TestOutOfDomainInput:
         # these exited 1 with a bare OverflowError or ZeroDivisionError,
         # and a width of 1e-300 exited 0 with alpha = 0 after an overflow
         # warning; a later flag wins over the base command's
-        argv = self.EVOLVE if command == "evolve" else [
-            "dispersion", "--kappa", "1", "--sigma", "1", "--theta", "0.2",
-            "--n-y", "2"]
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert exit_code(argv + flags + ["-o", str(out)]) == 2
+            assert exit_code(self._argv(command, flags)
+                             + ["-o", str(out)]) == 2
         err = capsys.readouterr().err
         if command == "dispersion" and flag == "--width":
             # a profile option, which dispersion does not have
@@ -1307,7 +1376,8 @@ class TestOutOfDomainInput:
         out = tmp_path / "traj.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # cold regime
-            assert main(self.EVOLVE + flags + ["-o", str(out)]) == 1
+            assert main(self._argv("evolve", flags)
+                        + ["-o", str(out)]) == 1
         assert "beta is 0 at every sample" in capsys.readouterr().err
         assert not out.exists()
 

@@ -10,11 +10,11 @@ import sympy as sp
 
 import rvpmodes
 from rvpmodes.gevrey import (GevreyParams, appendix_battery, c_coeffs,
-                             d_coeffs, f_derivative, g_derivative, g_l1_norm,
-                             partition_bound, product_l1_bound_check,
-                             sup_bounds_check)
+                             d_coeffs, g_l1_norm, partition_bound,
+                             product_l1_bound_check, sup_bounds_check)
 
-from oracles import (gevrey_decay_check, integrate_semi_infinite_adaptive,
+from oracles import (f_derivative, g_derivative, gevrey_decay_check,
+                     integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail)
 
 # Exact coefficient rows frozen after validation against the symbolic
@@ -385,6 +385,74 @@ class TestProductLemma:
         assert rows == tuple((m, 0.0, 0.0, 0.0) for m in range(7))
 
 
+class TestSeriesAgainstMpmath:
+    """Every value the battery reads at R against mpmath at 60 digits, to
+    order 30: |f^(m)(R)|, ||g^(m)||_L1 (so |g^(m)(R)| = ||g^(m+1)||_L1 / 2
+    for m < 30) and ||(f g)^(m)||_L1.  Explicit forms of these subtract
+    nearly equal terms at small v: at v = 5.1e-11 they gave a negative
+    ||g||_L1."""
+
+    K, L = 255.8331215759933, 137.73730352728202
+
+    @staticmethod
+    def _reference(K, L, v, m_max):
+        import mpmath
+        with mpmath.workdps(60):
+            k, l, s = (mpmath.mpf(x) for x in (K, L, v))
+            R = mpmath.sqrt(2) * k / l
+
+            def f(w):
+                return mpmath.atanh(k * s / (l * w))
+
+            def g(w):
+                return (l * w / k) * f(w) - s
+
+            fd = [c * math.factorial(m)
+                  for m, c in enumerate(mpmath.taylor(f, R, m_max))]
+            gd = [c * math.factorial(m)
+                  for m, c in enumerate(mpmath.taylor(g, R, m_max))]
+            fgd = [sum(math.comb(m, i) * fd[i] * gd[m - i]
+                       for i in range(m + 1)) for m in range(m_max)]
+            # the order-0 norms 2 int_R^inf g and 2 int_R^inf f g in closed
+            # form (substitute x = a/omega): at v = 1e-12 they cancel about
+            # 24 of the 60 digits
+            r2, t, a = mpmath.sqrt(2), s / mpmath.sqrt(2), k * s / l
+            g0 = (k / (2 * l)) * (2 * r2 * s - (2 - s * s)
+                                  * mpmath.log((r2 + s) / (r2 - s)))
+            fg0 = 2 * a * s * (mpmath.mpf(1) / 2 - (1 - t * t)
+                               * mpmath.atanh(t) ** 2 / (2 * t * t))
+            return ([float(abs(x)) for x in fd],
+                    [float(g0)] + [float(2 * abs(x)) for x in gd[:-1]],
+                    [float(fg0)] + [float(2 * abs(x)) for x in fgd])
+
+    @pytest.mark.parametrize("v", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9,
+                                   1.0 - 1e-12])
+    def test_values_at_R(self, v):
+        params = GevreyParams(K=self.K, L=self.L, v=v)
+        f_ref, g_ref, fg_ref = self._reference(self.K, self.L, v, 30)
+        f_rows, _, _ = sup_bounds_check(params, 30)
+        fg_rows, _ = product_l1_bound_check(params, 30)
+        for m in range(31):
+            for value, ref in ((f_rows[m][1], f_ref[m]),
+                               (g_l1_norm(params, m), g_ref[m]),
+                               (fg_rows[m][1], fg_ref[m])):
+                assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("v", [0.1, 0.55, 0.9])
+    def test_series_match_closed_forms(self, v):
+        # the independent closed forms on the C and D rows, where they do
+        # not cancel, agree with the series through order 30
+        params = GevreyParams(K=1.3, L=0.7, v=v)
+        f_rows, _, _ = sup_bounds_check(params, 30)
+        for m in range(31):
+            assert f_rows[m][1] == pytest.approx(
+                abs(f_derivative(params, m, params.R)), rel=1e-13, abs=0.0)
+        for m in range(3, 31):
+            assert g_l1_norm(params, m) == pytest.approx(
+                2.0 * abs(g_derivative(params, m - 1, params.R)), rel=1e-13,
+                abs=0.0)
+
+
 class TestBattery:
     def test_every_family_runs_to_m_max(self):
         _, rows = appendix_battery(PARAMS, 20)
@@ -397,13 +465,15 @@ class TestBattery:
                           "product_l1": list(range(21))}
 
     def test_overflow_raises(self):
-        # f^(27)(R) overflows to inf at L/K = 1e7: an OverflowError, not a
-        # row that fails its check
-        with pytest.raises(OverflowError, match="order 27: value inf"):
+        # at L/K = 1e7 every f^(m)(R) is finite, but the product bound
+        # CC^21 21! passes the largest double: an OverflowError, not a row
+        # that fails its check
+        with pytest.raises(OverflowError, match=r"order 20: .* bound inf"):
             appendix_battery(GevreyParams(K=1e-4, L=1e3, v=0.5), 30)
 
     def test_import_loads_no_numpy_nor_quadrature(self):
-        # every norm is a closed form: the battery integrates nothing
+        # every value is a power series at R: the battery integrates
+        # nothing
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         code = ("import sys, rvpmodes.gevrey\n"
                 "print([m for m in ('numpy', 'rvpmodes.quadrature')"
