@@ -242,7 +242,8 @@ def cmd_evolve(args) -> int:
 def cmd_dispersion(args) -> int:
     _count("--n-y", args.n_y)
     if not -math.inf < args.y_min <= args.y_max < math.inf:
-        raise UsageError("invalid y grid")
+        raise UsageError(f"invalid y grid: need finite --y-min <= --y-max, "
+                         f"got {args.y_min} and {args.y_max}")
     mode = _usage_checked(ModeSpec, args.kappa, args.sigma,
                           _build_equilibrium(args), flag="--kappa")
     try:

@@ -13,6 +13,13 @@ factor so temperatures down to 1e-4 neither overflow nor underflow.  It
 shares one closed form with the thermal profile, written once in
 ``_thermal``: the weight e^{(1-U)/theta}, U = sqrt(1+p^2), and its U-moment,
 which p dp = U dU makes both tails (norm M(U) and amp theta M(U)).
+
+Each factory refuses a model scale, the equilibrium's normalisation or the
+profile's tail moment at P = 0 with amp = 1, by ``relkin.positive_normal``
+alone; the checks beside it refuse only what would make that scale's own
+evaluation raise a different error or warning first (a temperature the
+Bessel factor cannot take, a width or profile temperature that is not
+positive, a non-finite amp).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .relkin import bessel_k2_scaled, positive_normal, scalarize
+from .relkin import bessel_k2_scaled, erfcx, positive_normal, scalarize
 
 __all__ = [
     "Equilibrium",
@@ -138,11 +145,11 @@ def juttner(theta: float) -> Equilibrium:
 def compact_decreasing(P: float) -> Equilibrium:
     """C^1 bump equilibrium c (1 - (p/P)^2)^4 on [0, P], unit mass.
 
-    The normalization is exact: c = 3465 / (512 pi P^3).
+    The normalization is exact: c = 3465 / (512 pi P^3).  Raises ValueError
+    unless c is a positive normal double: P from about 2.3e-103 to 4.8e101
+    (a P that is not finite and positive leaves no such c).
     """
     P = float(P)
-    if not 0 < P < math.inf:
-        raise ValueError(f"support bound must be finite and positive, got {P}")
     c = positive_normal(lambda: 3465.0 / (512.0 * math.pi * P**3),
                         f"support bound P={P:g}",
                         "the normalisation 3465/(512 pi P^3)")
@@ -179,47 +186,42 @@ def compact_decreasing(P: float) -> Equilibrium:
 def gaussian_profile(width: float, amp: float) -> PerturbationProfile:
     """h(p) = amp * exp(-(p/width)^2).
 
-    Raises ValueError unless the width's tail moment at P = 0, the largest
-    (with amp = 1), is a positive normal double: width from about 2.1e-154
-    to 5.6e102.
+    Raises ValueError unless width > 0, amp is finite and the tail moment
+    at P = 0 with amp = 1, w^2/2 + sqrt(pi) w^3 erfcx(1/w)/4, is a positive
+    normal double: width from about 2.1e-154 to 5.6e102.
     """
     width = float(width)
     amp = float(amp)
-    if not (0 < width < math.inf and math.isfinite(amp)):
-        raise ValueError(f"need finite width > 0 and finite amp, got "
+    if not (width > 0 and math.isfinite(amp)):
+        raise ValueError(f"need width > 0 and finite amp, got "
                          f"width={width}, amp={amp}")
-    # that moment lies between w^2/2 and w^2/2 + sqrt(pi) w^3/4 (erfcx <= 1),
-    # each within rounding of it where it leaves the normal doubles
-    for bound in (lambda: 0.5 * width**2,
-                  lambda: 0.5 * width**2
-                  + 0.25 * math.sqrt(math.pi) * width**3):
-        positive_normal(bound, f"width={width:g}", "its tail moment at P = 0")
 
     def gauss(p):
         # (p/w)^2 = inf beyond about 1.3e154 w: e^-inf = 0 is exact
         with np.errstate(over="ignore"):
             return np.exp(-((p / width) ** 2))
 
+    def moment(scale, P):
+        # int_P^inf p sqrt(1+p^2) e^{-p^2/w^2} dp, via u = sqrt(1+p^2):
+        #   e^{-P^2/w^2} [ (w^2/2) U + (sqrt(pi) w^3 / 4) erfcx(U/w) ],
+        # U = sqrt(1+P^2); erfcx keeps the e^{1/w^2} factor in range.
+        P = np.asarray(P, dtype=float)
+        u = np.hypot(1.0, P)
+        return scalarize(scale * gauss(P) * (
+            0.5 * width**2 * u
+            + 0.25 * math.sqrt(math.pi) * width**3 * erfcx(u / width)))
+
+    positive_normal(lambda: moment(1.0, 0.0), f"width={width:g}",
+                    "its tail moment at P = 0")
+
     def value(p):
         p = np.asarray(p, dtype=float)
         return scalarize(amp * gauss(p))
 
-    def tail_weighted_moment(P):
-        # int_P^inf p sqrt(1+p^2) e^{-p^2/w^2} dp, via u = sqrt(1+p^2):
-        #   e^{-P^2/w^2} [ (w^2/2) U + (sqrt(pi) w^3 / 4) erfcx(U/w) ],
-        # U = sqrt(1+P^2); erfcx keeps the e^{1/w^2} factor in range.
-        from .special import erfcx  # only Gaussian tails compile it
-
-        P = np.asarray(P, dtype=float)
-        u = np.hypot(1.0, P)
-        return scalarize(amp * gauss(P) * (
-            0.5 * width**2 * u
-            + 0.25 * math.sqrt(math.pi) * width**3 * erfcx(u / width)))
-
     return PerturbationProfile(
         value=value,
         p_scale=width,
-        tail_weighted_moment=tail_weighted_moment,
+        tail_weighted_moment=lambda P: moment(amp, P),
     )
 
 
@@ -234,8 +236,8 @@ def thermal_profile(theta: float, amp: float = 1.0) -> PerturbationProfile:
     """
     theta = float(theta)
     amp = float(amp)
-    if not (0 < theta < math.inf and math.isfinite(amp)):
-        raise ValueError(f"need finite theta > 0 and finite amp, got "
+    if not (theta > 0 and math.isfinite(amp)):
+        raise ValueError(f"need theta > 0 and finite amp, got "
                          f"theta={theta}, amp={amp}")
     positive_normal(lambda: _thermal(theta, 1.0, theta)[2](1.0),
                     f"theta={theta:g}", "its tail moment at P = 0")

@@ -21,7 +21,7 @@ derivative keeps one sign and |h^(m)| decreases.  The sup of |h^(m)| on
 |omega| >= R sits at R, and the L1 norm of h^(m) telescopes to 2 |H(R)|
 for H = h^(m-1), the antiderivative vanishing at infinity when m = 0; the
 factor 2 is from |h^(m)| being even.  At R the series ratio is
-x^2 = v^2/2 <= 1/2, so one evaluator, ``_at_R``, sums every value the
+x^2 = v^2/2 <= 1/2, so one evaluator, ``_sum_at_R``, sums every value the
 battery reads, with no cancellation at any v, and nothing is integrated:
 
 * sup-norm bounds   |f^(m)| <= (6L/K)^m m!        (family C sums <= 18^n)
@@ -163,13 +163,27 @@ _FG_INT = tuple((n - 1, (2.0 * o - 1.0 - 1.0 / n) / ((n + 1) * (n - 1)))
                 if n > 1)
 
 
-def _at_R(params: GevreyParams, series, m: int) -> float:
-    """h^(m)(R) for h = sum c_n (a/omega)^n, ``series`` the (n, c_n):
-    (-1)^m R^-m sum c_n n (n+1) ... (n+m-1) x^n, x = a/R = v/sqrt 2.  The
-    terms share one sign, so the sum cancels nothing at any v."""
+def _sum_at_R(params: GevreyParams, series, m: int) -> float:
+    """S_m = sum c_n n (n+1) ... (n+m-1) x^n, x = a/R = v/sqrt 2, for h =
+    sum c_n (a/omega)^n, ``series`` the (n, c_n): h^(m)(R) = (-1)^m R^-m
+    S_m.  The terms share one sign, so the sum cancels nothing at any v,
+    and S_m depends on v alone."""
     x = params.v / math.sqrt(2.0)
-    total = math.fsum(c * math.perm(n + m - 1, m) * x**n for n, c in series)
-    return (-1) ** m * total * params.R ** -m
+    return math.fsum(c * math.perm(n + m - 1, m) * x**n for n, c in series)
+
+
+def _at_R(params: GevreyParams, series, m: int) -> float:
+    """|h^(m)(R)| = R^-m S_m, S_m from ``_sum_at_R``; h^(m)(R) itself has
+    the sign (-1)^m."""
+    return _sum_at_R(params, series, m) * _power(params.R, -m)
+
+
+def _power(base: float, n: int) -> float:
+    """base ** n, inf where it overflows: a float power raises instead."""
+    try:
+        return base**n
+    except OverflowError:
+        return math.inf
 
 
 def _l1_norm(params: GevreyParams, antiderivative, m: int) -> float:
@@ -177,19 +191,40 @@ def _l1_norm(params: GevreyParams, antiderivative, m: int) -> float:
     ``antiderivative``: h^(m) keeps one sign and |h^(m)| is even and
     decreasing, so the norm is 2 a v |H^(m)(R)| for every m >= 0."""
     a = params.K * params.v / params.L
-    return 2.0 * a * params.v * abs(_at_R(params, antiderivative, m))
+    return 2.0 * a * params.v * _at_R(params, antiderivative, m)
 
 
-def _margins(orders, value, bound):
-    """(m, value(m), bound(m), value / bound) for each order m; a value or
-    bound that is not finite is an overflow."""
-    rows = []
-    for m in orders:
-        val, cap = value(m), bound(m)
+def _margins(orders, row):
+    """(m, value, bound, margin) for each order m, ``row(m)`` the (value,
+    bound, margin); a value or bound that is not finite is an overflow."""
+    rows = tuple((m, *row(m)) for m in orders)
+    for m, val, cap, _ in rows:
         if not (math.isfinite(val) and math.isfinite(cap)):
             raise OverflowError(f"order {m}: value {val}, bound {cap}")
-        rows.append((m, val, cap, val / cap))
-    return tuple(rows)
+    return rows
+
+
+def _ratio(val: float, cap: float):
+    """(val, cap, val / cap), the row of a value against its bound."""
+    return val, cap, val / cap
+
+
+def _row_sums(coeffs, low: int, base: float, m_max: int):
+    """The rows of the sum of row m of ``coeffs`` against base^m, m from
+    ``low`` to m_max."""
+    return _margins(range(low, m_max + 1),
+                    lambda m: _ratio(float(sum(coeffs(m).values())), base**m))
+
+
+def _f_sup(params: GevreyParams, m: int):
+    """(|f^(m)(R)|, (6L/K)^m m!, margin) from one S_m.  As R = sqrt(2)
+    K/L, the margin is S_m / ((6 sqrt 2)^m m!), free of K and L: it is
+    formed so, by the arithmetic of K = L = 1, and stays defined where
+    |f^(m)(R)| and its bound both underflow to 0."""
+    s, fact = _sum_at_R(params, _F, m), math.factorial(m)
+    return (s * _power(params.R, -m),
+            _power(6.0 * params.L / params.K, m) * fact,
+            s * math.sqrt(2.0) ** -m / (6.0**m * fact))
 
 
 def _within(rows):
@@ -200,18 +235,11 @@ def sup_bounds_check(params: GevreyParams, m_max: int):
     """Rows (m, value, bound, value / bound) of three families:
     |f^(m)(R)| against (6L/K)^m m! (|f^(m)| decreases on |omega| >= R, so
     the sup sits at R), and the row sums of C^m against (sqrt 18)^m and
-    of D^m against (2 sqrt 21)^m."""
+    of D^m against (2 sqrt 21)^m; the f rows are ``_f_sup``'s."""
     _check_order(m_max, 0)
-    K, L = params.K, params.L
-    f_rows = _margins(range(m_max + 1),
-                      lambda m: abs(_at_R(params, _F, m)),
-                      lambda m: (6.0 * L / K) ** m * math.factorial(m))
-    c_rows = _margins(range(1, m_max + 1),
-                      lambda m: float(sum(c_coeffs(m).values())),
-                      lambda m: math.sqrt(18.0) ** m)
-    d_rows = _margins(range(2, m_max + 1),
-                      lambda m: float(sum(d_coeffs(m).values())),
-                      lambda m: (2.0 * math.sqrt(21.0)) ** m)
+    f_rows = _margins(range(m_max + 1), lambda m: _f_sup(params, m))
+    c_rows = _row_sums(c_coeffs, 1, math.sqrt(18.0), m_max)
+    d_rows = _row_sums(d_coeffs, 2, 2.0 * math.sqrt(21.0), m_max)
     return f_rows, c_rows, d_rows
 
 
@@ -254,15 +282,15 @@ def product_l1_bound_check(params: GevreyParams, m_max: int):
     """
     delta = max((g_l1_norm(params, m) / math.factorial(m + 1))
                 ** (1.0 / (m + 1)) for m in range(m_max + 1))
-    eps = max((abs(_at_R(params, _F, m)) / math.factorial(m + 1))
+    eps = max((_at_R(params, _F, m) / math.factorial(m + 1))
               ** (1.0 / (m + 1)) for m in range(m_max + 1))
     c = max(delta, eps)
     cc = 2.0 * c * max(1.0, 2.0 * c)
     if cc == 0.0:  # v = 0: f = g = 0, so each norm and each bound is 0
         return (tuple((m, 0.0, 0.0, 0.0) for m in range(m_max + 1)),
                 (delta, eps, cc))
-    rows = _margins(range(m_max + 1), lambda m: _l1_norm(params, _FG_INT, m),
-                    lambda m: cc ** (m + 1) * math.factorial(m + 1))
+    rows = _margins(range(m_max + 1), lambda m: _ratio(_l1_norm(
+        params, _FG_INT, m), _power(cc, m + 1) * math.factorial(m + 1)))
     return rows, (delta, eps, cc)
 
 

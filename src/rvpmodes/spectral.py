@@ -58,8 +58,9 @@ class ModeSpec:
     """One spatial Fourier mode: wavenumber, interaction sign, and data.
 
     ``kappa`` must keep the kernel prefactor 4 pi/kappa^3 a positive
-    normal double: about 4.2e-103 <= kappa <= 5.6e102.  Only the source
-    kernel (``alpha_hat``) reads ``profile``.
+    normal double: about 4.2e-103 <= kappa <= 5.6e102, which refuses a
+    kappa that is not finite and positive too.  Only the source kernel
+    (``alpha_hat``) reads ``profile``.
     """
 
     kappa: float
@@ -68,8 +69,6 @@ class ModeSpec:
     profile: Optional[PerturbationProfile] = None
 
     def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"need finite kappa > 0, got {self.kappa}")
         positive_normal(lambda: 4.0 * math.pi / float(self.kappa) ** 3,
                         f"kappa={self.kappa:g}",
                         "the kernel prefactor 4 pi/kappa^3")
@@ -236,8 +235,12 @@ def _dispersion(mode: ModeSpec, x, y, tol):
         w = (sums + log_term) / (2.0 * math.pi)
         return (w, live), w
 
-    (out, live), change = double_panels(transform, *_PV_PANELS, tol,
-                                        "dispersion transform")
+    # near the least kappa, where 4 pi/kappa^3 nears the largest double,
+    # b' can overflow at a node next to y: W is then not finite, and
+    # double_panels raises on its change with no numpy warning ahead
+    with np.errstate(over="ignore", invalid="ignore"):
+        (out, live), change = double_panels(transform, *_PV_PANELS, tol,
+                                            "dispersion transform")
     if not live:  # b is 0 at every node: a cold envelope underflows
         raise QuadratureError("dispersion transform: W is 0 at every point",
                               QuadResult(0.0, change, out.size))

@@ -98,8 +98,9 @@ def test_criterion_3_attractive_asymptote():
         # least squares in log space with the exponent fixed at -1/2
         c_fit = math.exp(float(np.mean(np.log(kappas)
                                        + 0.5 * np.log(thetas))))
-        assert c_fit == pytest.approx(0.564, rel=0.01)
-        assert c_fit == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-6)
+        assert c_fit == pytest.approx(0.564, rel=0.01, abs=0.0)
+        assert c_fit == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-6,
+                                      abs=0.0)
 
 
 def test_criterion_4_threshold_identity_pairs():
@@ -317,8 +318,8 @@ def test_criterion_10_appendix_suite():
             ref = _fd_derivative(
                 lambda x: mpmath.atanh(params.K * params.v
                                        / (params.L * x)), m, om, h)
-            assert f_derivative(params, m, om) == pytest.approx(ref,
-                                                                rel=1e-6)
+            assert f_derivative(params, m, om) == pytest.approx(
+                ref, rel=1e-6, abs=0.0)
 
         # sup-norm and coefficient-sum bounds, margins <= 1 through m = 16
         for v in (0.1, 0.5, 0.9):

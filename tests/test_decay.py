@@ -38,7 +38,7 @@ class TestEnvelope:
             j = np.argmin(np.abs(env.t - et))
             assert abs(env.t[j] - et) < math.atan(rate) + 2e-3
             assert env.value[j] == pytest.approx(math.exp(-rate * et),
-                                                 rel=5e-3)
+                                                 rel=5e-3, abs=0.0)
 
     def test_monotone_falls_back(self):
         t = np.linspace(0, 10, 100)
@@ -83,7 +83,7 @@ class TestFitStretched:
         env = synthetic_peaks(2.0, 0.7, 3.0)
         fit = fit_stretched(env)
         assert fit.c == pytest.approx(2.0, rel=0.02)
-        assert fit.eps == pytest.approx(0.7, rel=0.02)
+        assert fit.eps == pytest.approx(0.7, rel=0.02, abs=0.0)
         assert fit.s == pytest.approx(3.0, rel=0.02)
         assert fit.rms_residual < 1e-8
 
@@ -114,8 +114,8 @@ class TestFitStretched:
         scaled = Envelope(t=env.t, value=gamma * env.value)
         f0 = fit_stretched(env)
         f1 = fit_stretched(scaled)
-        assert f1.c == pytest.approx(gamma * f0.c, rel=1e-10)
-        assert f1.eps == pytest.approx(f0.eps, rel=1e-10)
+        assert f1.c == pytest.approx(gamma * f0.c, rel=1e-10, abs=0.0)
+        assert f1.eps == pytest.approx(f0.eps, rel=1e-10, abs=0.0)
         assert f1.s == pytest.approx(f0.s, rel=1e-10)
 
     def test_bootstrap_brackets_truth_and_is_seeded(self):
@@ -419,7 +419,7 @@ class TestAgainstLeastSquares:
         t = np.linspace(0.5, 6.0, 40)
         env = Envelope(t=t, value=1.3 * np.exp(-0.4 * t ** 1.8))
         (_, _, invs), ls_sse = ls_fit(env)
-        assert invs == pytest.approx(1.5, rel=1e-15)
+        assert invs == pytest.approx(1.5, rel=1e-15, abs=0.0)
         fit = fit_stretched(env)
         assert fit.s == 1.0 / 1.5
         assert sse(env, fit) <= ls_sse * (1.0 + 1e-12)

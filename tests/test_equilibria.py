@@ -24,8 +24,8 @@ class TestJuttner:
     def test_value_at_origin(self):
         eq = juttner(1.0)
         ref = math.exp(-1.0) / (4.0 * math.pi * bessel_k2(1.0))
-        assert eq.value(0.0) == pytest.approx(ref, rel=1e-12)
-        assert eq.value(0.0) == pytest.approx(0.01802, rel=1e-3)
+        assert eq.value(0.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert eq.value(0.0) == pytest.approx(0.01802, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_unit_mass(self, theta):
@@ -34,7 +34,7 @@ class TestJuttner:
     def test_log_derivative(self):
         eq = juttner(1.0)
         assert eq.derivative(1.0) / eq.value(1.0) == pytest.approx(
-            -1.0 / math.sqrt(2.0), rel=1e-13)
+            -1.0 / math.sqrt(2.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("theta", [0.05, 0.3, 2.0])
     def test_derivative_matches_finite_difference(self, theta):
@@ -61,7 +61,7 @@ class TestJuttner:
                 lambda q: (1.0 + (q + p0) ** 2) * (-eq.derivative(q + p0)),
                 tol=1e-13, scale=eq.p_scale).value
             assert eq.tail_kernel_moment(math.hypot(1.0, p0)) \
-                == pytest.approx(ref, rel=1e-10)
+                == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_domain(self):
         # inf and nan once reached bessel_k2_scaled and its messages
@@ -160,7 +160,8 @@ class TestProfiles:
             ref = integrate_semi_infinite_adaptive(
                 lambda q: (q + p0) * np.hypot(1.0, q + p0)
                 * g.value(q + p0), tol=1e-13, scale=0.8).value
-            assert g.tail_weighted_moment(p0) == pytest.approx(ref, rel=1e-9)
+            assert g.tail_weighted_moment(p0) == pytest.approx(
+                ref, rel=1e-9, abs=0.0)
 
     def test_thermal_tail_weighted_moment(self):
         pr = thermal_profile(0.4, 2.0)
@@ -168,8 +169,8 @@ class TestProfiles:
             ref = integrate_semi_infinite_adaptive(
                 lambda q: (q + p0) * np.hypot(1.0, q + p0)
                 * pr.value(q + p0), tol=1e-13, scale=pr.p_scale).value
-            assert pr.tail_weighted_moment(p0) == pytest.approx(ref,
-                                                                rel=1e-9)
+            assert pr.tail_weighted_moment(p0) == pytest.approx(
+                ref, rel=1e-9, abs=0.0)
 
     def test_domains(self):
         with pytest.raises(ValueError):

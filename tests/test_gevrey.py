@@ -183,9 +183,9 @@ class TestFiniteDifferenceOracle:
                 return (L * x / K) * mpmath.atanh(K * v / (L * x)) - v
 
             assert f_derivative(params, m, om) == pytest.approx(
-                _fd_derivative(f_mp, m, om, h), rel=1e-6)
+                _fd_derivative(f_mp, m, om, h), rel=1e-6, abs=0.0)
             assert g_derivative(params, m, om) == pytest.approx(
-                _fd_derivative(g_mp, m, om, h), rel=1e-6)
+                _fd_derivative(g_mp, m, om, h), rel=1e-6, abs=0.0)
 
 
 class TestHandAlgebra:
@@ -194,22 +194,23 @@ class TestHandAlgebra:
         a = K * v / L
         for om in (1.5, 4.0):
             assert f_derivative(PARAMS, 1, om) == pytest.approx(
-                -a / (om * om - a * a), rel=1e-12)
+                -a / (om * om - a * a), rel=1e-12, abs=0.0)
 
     def test_g_second(self):
         K, L, v = PARAMS.K, PARAMS.L, PARAMS.v
         for om in (1.5, 4.0):
             ref = 2.0 * K**2 * v**3 * L**2 / (L**2 * om**2
                                               - K**2 * v**2) ** 2
-            assert g_derivative(PARAMS, 2, om) == pytest.approx(ref,
-                                                                rel=1e-12)
+            assert g_derivative(PARAMS, 2, om) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
 
     def test_g_third(self):
         K, L, v = PARAMS.K, PARAMS.L, PARAMS.v
         om = 2.2
         ref = -8.0 * K**2 * v**3 * L**4 * om / (L**2 * om**2
                                                 - K**2 * v**2) ** 3
-        assert g_derivative(PARAMS, 3, om) == pytest.approx(ref, rel=1e-12)
+        assert g_derivative(PARAMS, 3, om) == pytest.approx(ref, rel=1e-12,
+                                                            abs=0.0)
 
     def test_zero_speed(self):
         params = GevreyParams(K=1.0, L=1.0, v=0.0)
@@ -247,6 +248,18 @@ class TestBounds:
         params = GevreyParams(K=1.0, L=1.0, v=v)
         f_rows, c_rows, d_rows = sup_bounds_check(params, 16)
         assert all(r[3] <= 1.0 for r in f_rows + c_rows + d_rows)
+
+    def test_f_margins_free_of_K_and_L(self):
+        # the margin is S_m / ((6 sqrt 2)^m m!) at every K and L: at K =
+        # 1e200 |f^(m)(R)| and (6L/K)^m m! both underflow to 0, and their
+        # quotient was a ZeroDivisionError
+        def margins(K):
+            f_rows, _, _ = sup_bounds_check(GevreyParams(K=K, L=1.0, v=0.5),
+                                            16)
+            return [r[3] for r in f_rows]
+
+        assert margins(1e200) == pytest.approx(margins(1.0), rel=1e-15,
+                                               abs=0.0)
 
     def test_order_zero_below_one(self):
         # |f(R)| = arctanh(v / sqrt 2) <= arctanh(1/sqrt 2) < 1
@@ -357,7 +370,7 @@ class TestProductLemma:
 
             ref = 2.0 * integrate_semi_infinite_adaptive(
                 deriv_abs, tol=1e-13, scale=R).value
-            assert value == pytest.approx(ref, rel=1e-12)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("K, L", [(1.0, 1.0), (1.3, 0.7), (0.2, 5.0)])
     @pytest.mark.parametrize("v", [0.1, 0.5, 0.9, 0.999])
@@ -375,7 +388,7 @@ class TestProductLemma:
                 return f * ((L * w / K) * f - v)
 
             ref = 2 * mpmath.quad(fg, [R, 2 * R, 10 * R, mpmath.inf])
-        assert rows[0][1] == pytest.approx(float(ref), rel=1e-13)
+        assert rows[0][1] == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_zero_speed(self):
         # f = g = 0: CC = 0, each norm and each bound is 0, no 0/0 margin

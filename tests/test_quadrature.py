@@ -237,7 +237,7 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(
             lambda p: np.exp(-((p / w) ** 2)), tol=1e-13, scale=w)
         assert r.value == pytest.approx(0.5 * math.sqrt(math.pi) * w,
-                                        rel=1e-9)
+                                        rel=1e-9, abs=0.0)
 
 
 class TestOscillatory:

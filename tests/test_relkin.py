@@ -35,8 +35,10 @@ class TestVelocityMomentum:
         assert p_of_v(0.0) == 0.0
 
     def test_unit_momentum(self):
-        assert v_of_p(1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-        assert p_of_v(1.0 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-14)
+        assert v_of_p(1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14,
+                                            abs=0.0)
+        assert p_of_v(1.0 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-14,
+                                                             abs=0.0)
 
     def test_ultrarelativistic_gap(self):
         # stays below light speed even where 1 - v underflows the double
@@ -76,12 +78,12 @@ class TestVelocityMomentum:
         # max(1e-12, a few eps (1+p^2)); strictly 1e-12 is representable
         # only for p up to ~1e2
         tol = max(1e-12, 4.0 * 2.3e-16 * (1.0 + p * p))
-        assert p_of_v(v_of_p(p)) == pytest.approx(p, rel=tol)
+        assert p_of_v(v_of_p(p)) == pytest.approx(p, rel=tol, abs=0.0)
 
     @given(st.floats(min_value=1e-9, max_value=30.0))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_moderate_momenta_strict(self, p):
-        assert p_of_v(v_of_p(p)) == pytest.approx(p, rel=1e-12)
+        assert p_of_v(v_of_p(p)) == pytest.approx(p, rel=1e-12, abs=0.0)
 
     @given(st.floats(min_value=0.0, max_value=0.999999))
     @settings(max_examples=200, deadline=None)
@@ -96,17 +98,19 @@ class TestFCap:
 
     def test_at_one(self):
         v = 0.7
-        assert f_cap(1.0, v) == pytest.approx(math.atanh(v) - v, rel=1e-13)
+        assert f_cap(1.0, v) == pytest.approx(math.atanh(v) - v, rel=1e-13,
+                                              abs=0.0)
 
     def test_taylor_tail(self):
         # Taylor oracle: x = 100, v = 0.5 -> ~ v^3/(3 x^2) within 1%
-        assert f_cap(100.0, 0.5) == pytest.approx(0.5**3 / 3.0e4, rel=1e-2)
+        assert f_cap(100.0, 0.5) == pytest.approx(0.5**3 / 3.0e4, rel=1e-2,
+                                                  abs=0.0)
 
     def test_series_switch_continuity(self):
         v = 0.5
         for x in (v * 1e3 * (1 - 1e-9), v * 1e3 * (1 + 1e-9)):
             direct = x * math.atanh(v / x) - v
-            assert f_cap(x, v) == pytest.approx(direct, rel=1e-8)
+            assert f_cap(x, v) == pytest.approx(direct, rel=1e-8, abs=0.0)
 
     def test_nonnegative_and_decreasing(self):
         xs = np.logspace(math.log10(1.01), 3, 60)
@@ -159,7 +163,7 @@ class TestBesselK2:
     def test_large_argument_asymptote(self):
         x = 600.0
         lead = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-        assert bessel_k2(x) == pytest.approx(lead, rel=5e-3)
+        assert bessel_k2(x) == pytest.approx(lead, rel=5e-3, abs=0.0)
 
     def test_recurrence(self):
         from scipy.special import kv
@@ -171,7 +175,7 @@ class TestBesselK2:
     def test_underflow_documented(self):
         assert bessel_k2(710.0) <= 1e-300
         assert bessel_k2_scaled(710.0) == pytest.approx(
-            math.sqrt(math.pi / 1420.0), rel=1e-2)
+            math.sqrt(math.pi / 1420.0), rel=1e-2, abs=0.0)
 
     def test_scaled_matches_scipy_kve(self):
         # the Juttner normalisation, on the threshold sweep's range and

@@ -191,7 +191,7 @@ class TestTimeKernels:
     def test_alpha_even_in_t(self, mode02):
         for t in (0.7, 3.0):
             assert alpha_direct(mode02, -t) == pytest.approx(
-                alpha_direct(mode02, t), rel=1e-12)
+                alpha_direct(mode02, t), rel=1e-12, abs=0.0)
 
     def test_beta_zero_at_origin(self, mode02):
         assert beta_direct(mode02, 0.0) == 0.0
@@ -200,7 +200,8 @@ class TestTimeKernels:
         for t in (0.5, 2.5):
             b = beta_direct(mode02, t)
             assert isinstance(b, float)
-            assert beta_direct(mode02, -t) == pytest.approx(-b, rel=1e-10)
+            assert beta_direct(mode02, -t) == pytest.approx(-b, rel=1e-10,
+                                                            abs=0.0)
 
     def test_beta_linear_in_sigma(self, eq02):
         prof = gaussian_profile(1.0, 1.0)
@@ -208,7 +209,7 @@ class TestTimeKernels:
         mm = ModeSpec(kappa=0.8, sigma=-1, equilibrium=eq02, profile=prof)
         for t in (1.0, 4.0):
             assert beta_direct(mm, t) == pytest.approx(-beta_direct(mp, t),
-                                                       rel=1e-12)
+                                                       rel=1e-12, abs=0.0)
 
 
 class TestTransforms:
@@ -345,7 +346,7 @@ class TestLaplaceOnAxis:
                         profile=gaussian_profile(1.0, 1.0))
         thr = kappa_crit_02 ** 2
         assert laplace_beta_imag(mode, 1.0).real == pytest.approx(
-            thr, rel=1e-9)
+            thr, rel=1e-9, abs=0.0)
 
     def test_origin_closed_form(self, eq02):
         # attractive sign at y = 0 gives +threshold/kappa^2
@@ -354,7 +355,7 @@ class TestLaplaceOnAxis:
         thr = threshold_astro(eq02).kappa_crit_sq
         v = laplace_beta_imag(mode, 0.0)
         assert v.imag == 0.0
-        assert v.real == pytest.approx(thr / 1.3**2, rel=1e-9)
+        assert v.real == pytest.approx(thr / 1.3**2, rel=1e-9, abs=0.0)
 
     def test_decreasing_beyond_edge_and_tail(self, mode02):
         ys = [1.0, 1.5, 2.5, 5.0, 10.0]
@@ -369,7 +370,7 @@ class TestLaplaceOnAxis:
     def test_even_in_y_beyond_edge(self, mode02):
         for y in (1.2, 3.0):
             assert laplace_beta_imag(mode02, -y) == pytest.approx(
-                laplace_beta_imag(mode02, y), rel=1e-10)
+                laplace_beta_imag(mode02, y), rel=1e-10, abs=0.0)
 
     # the compact equilibrium on [0, 1.5] at kappa = 0.5: b vanishes for
     # |y| >= e = 0.5 v(1.5) = 0.416, inside the kappa of the mode
@@ -381,7 +382,7 @@ class TestLaplaceOnAxis:
         for y in (0.3, 0.8):
             v = laplace_beta_imag(mode02, y)
             assert v.imag == pytest.approx(
-                0.5 * beta_hat_envelope(mode02, y), rel=1e-12)
+                0.5 * beta_hat_envelope(mode02, y), rel=1e-12, abs=0.0)
             assert v.imag != 0.0
 
     def test_imaginary_part_inside_support_compact(self):
@@ -435,7 +436,7 @@ class TestLaplaceOnAxis:
                 max(y - 1.0, 1e-12), y + 1.0, tol=1e-11).value
             assert tail.real == 0.0
             assert tail.imag == pytest.approx(-pv / (2.0 * math.pi),
-                                              rel=1e-8)
+                                              rel=1e-8, abs=0.0)
 
 
 class TestAxisEvaluatorOracles:
@@ -621,14 +622,15 @@ class TestThresholds:
         # 4 int p (2 asinh p - v) f0 dp at theta = 0.2 (independent of the
         # package's quadrature and Bessel paths)
         ours = threshold_plasma(juttner(0.2), tol=1e-13).kappa_crit_sq
-        assert ours == pytest.approx(0.3310273713533483182, rel=1e-12)
+        assert ours == pytest.approx(0.3310273713533483182, rel=1e-12, abs=0.0)
 
     def test_astro_thermal_closed_form(self):
         # for the thermal equilibrium the attractive threshold integral
         # collapses to exactly 1/(pi theta)
         for theta in (0.05, 0.2, 1.0, 4.0):
             thr = threshold_astro(juttner(theta)).kappa_crit_sq
-            assert thr == pytest.approx(1.0 / (math.pi * theta), rel=1e-10)
+            assert thr == pytest.approx(1.0 / (math.pi * theta), rel=1e-10,
+                                        abs=0.0)
 
     @pytest.mark.parametrize("sigma", [+1, -1])
     @pytest.mark.parametrize("theta", np.logspace(-4.0, 6.0, 21))
@@ -1031,6 +1033,19 @@ class TestKernelTableTolerance:
             mode = ModeSpec(kappa=0.5, sigma=+1, equilibrium=juttner(1e-10))
         with pytest.raises(QuadratureError, match="W is 0 at every point"):
             laplace_beta_imag(mode, 1.0)
+
+    @pytest.mark.parametrize("eq", [lambda: juttner(0.2),
+                                    lambda: compact_decreasing(1.5)],
+                             ids=["juttner", "compact"])
+    def test_least_kappa_refused_without_warning(self, eq):
+        # at kappa = 4.3e-103, 4 pi/kappa^3 is 1.6e308: b' at the nodes
+        # next to y = 0 overflowed in their sum, and a RuntimeWarning came
+        # out ahead of the QuadratureError
+        mode = ModeSpec(kappa=4.3e-103, sigma=+1, equilibrium=eq())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="dispersion"):
+                laplace_beta_imag(mode, np.linspace(0.0, 2.0, 5), tol=1e-9)
 
     def test_far_field_underflow_is_returned(self):
         # b is a normal envelope; every quotient b(s)/(y - s) underflows
