@@ -1,7 +1,8 @@
 """Linearized relativistic Vlasov-Poisson mode dynamics.
 
-Import what you use from its submodule: kinematic helpers (``relkin``),
-equilibria and perturbation profiles (``equilibria``), quadrature rules
+Import what you use from its submodule: the model layer, with its
+equilibria, the profiles' tail moments and the kinematic and special
+functions they use (``equilibria``), quadrature rules
 (``quadrature``), the spectral kernels and dispersion transforms
 (``spectral``), the Volterra mode solver with its resolvent
 (``volterra``), decay diagnostics (``decay``), the appendix-style

@@ -19,23 +19,22 @@ Batch sampling of the real kernel tables for the Volterra solver runs
 the composite Filon rule of :func:`rvpmodes.quadrature.filon_table` on
 [0, kappa]: one panelization resolves the envelope, after which every time
 sample costs O(panels) regardless of how large t is.  The envelopes take
-their momentum tails from the closed forms that every equilibrium and
-profile carries.
+their momentum tails from the closed forms that every equilibrium carries
+and that every profile is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .equilibria import Equilibrium, PerturbationProfile
+from .equilibria import Equilibrium, positive_normal, scalarize, v_of_p
 from .quadrature import (QuadratureError, QuadResult, double_panels,
                          filon_table, gauss_legendre_nodes, integrate_finite,
                          integrate_semi_infinite)
-from .relkin import positive_normal, scalarize, v_of_p
 
 __all__ = [
     "ModeSpec",
@@ -59,14 +58,16 @@ class ModeSpec:
 
     ``kappa`` must keep the kernel prefactor 4 pi/kappa^3 a positive
     normal double: about 4.2e-103 <= kappa <= 5.6e102, which refuses a
-    kappa that is not finite and positive too.  Only the source kernel
-    (``alpha_hat``) reads ``profile``.
+    kappa that is not finite and positive too.  ``profile`` is the datum's
+    tail moment P -> int_P^inf p sqrt(1+p^2) h(p) dp, as a profile factory
+    of ``equilibria`` returns it; only the source kernel (``alpha_hat``)
+    reads it.
     """
 
     kappa: float
     sigma: int
     equilibrium: Equilibrium
-    profile: Optional[PerturbationProfile] = None
+    profile: Optional[Callable] = None
 
     def __post_init__(self):
         positive_normal(lambda: 4.0 * math.pi / float(self.kappa) ** 3,
@@ -149,7 +150,7 @@ def alpha_hat(mode: ModeSpec, y):
     if mode.profile is None:
         raise ValueError("alpha_hat needs a mode with a perturbation profile")
     return _on_support(mode, y, lambda y, r, p: (2.0 * math.pi / mode.kappa)
-                       * mode.profile.tail_weighted_moment(p))
+                       * mode.profile(p))
 
 
 # --- Fourier-Laplace transform on the closed right half-plane ---------------

@@ -5,6 +5,8 @@ import pytest
 from rvpmodes.equilibria import gaussian_profile, juttner
 from rvpmodes.spectral import ModeSpec, threshold_plasma
 
+from oracles import gaussian_density
+
 
 @pytest.fixture(scope="session")
 def eq02():
@@ -20,6 +22,12 @@ def kappa_crit_02(eq02):
 def mode02(eq02):
     return ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq02,
                     profile=gaussian_profile(1.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def h02():
+    """The datum h(p) of ``mode02``'s profile, for the oracles."""
+    return gaussian_density(1.0, 1.0)
 
 
 @pytest.fixture

@@ -14,6 +14,10 @@ data:
   doubling refuses; every momentum integral below goes through it;
 * the integration-by-parts twins of both critical-wavenumber integrals;
 * the source transform beyond the support (``laplace_alpha_imag_tail``);
+* each profile's datum h(p) pointwise with its momentum scale
+  (``gaussian_density``, ``thermal_density``), written here from the
+  profile's own formula, which the library never evaluates: it carries
+  only the closed-form tail moment of h;
 * one-frequency Filon quadrature with panel doubling
   (``integrate_oscillatory``), and the Filon weights from the complex
   monomial moments (``filon_weights_monomial``);
@@ -51,7 +55,7 @@ import numpy as np
 from rvpmodes.gevrey import GevreyParams, _check_order, c_coeffs, d_coeffs
 from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
                                  filon_nodes, filon_sums)
-from rvpmodes.relkin import _asarray, scalarize, v_of_p
+from rvpmodes.equilibria import _asarray, scalarize, v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                laplace_beta_imag, sample_kernels)
 from rvpmodes.volterra import ModeTrajectory, TimeGrid, solve_volterra
@@ -121,7 +125,7 @@ def bessel_k2(x):
     """Modified Bessel function K_2(x) for x > 0, from SciPy.
 
     Underflows to zero for x > ~700, where only the scaled e^x K_2(x) of
-    ``relkin.bessel_k2_scaled`` stays in range.
+    ``equilibria.bessel_k2_scaled`` stays in range.
     """
     a = _asarray(x, "x")
     if np.any(a <= 0):
@@ -381,6 +385,35 @@ def filon_weights_monomial(omega_half):
     return _filon_moments(omega_half) @ coeffs.T
 
 
+# --- the data h(p) of the profile factories ---------------------------------
+
+@dataclass(frozen=True)
+class Density:
+    """A datum h(p), on scalars or numpy arrays of |p|, and the momentum
+    scale where its mass sits (the scale of the half-line map)."""
+
+    value: Callable
+    p_scale: float
+
+
+def gaussian_density(width, amp):
+    """h(p) = amp exp(-(p/width)^2), the datum whose tail moment
+    ``gaussian_profile(width, amp)`` is."""
+    def value(p):
+        with np.errstate(over="ignore"):  # e^-inf = 0 is exact
+            return amp * np.exp(-((np.asarray(p, dtype=float) / width) ** 2))
+    return Density(value, width)
+
+
+def thermal_density(theta, amp=1.0):
+    """h(p) = amp exp((1 - sqrt(1+p^2))/theta), the datum whose tail
+    moment ``thermal_profile(theta, amp)`` is."""
+    def value(p):
+        with np.errstate(over="ignore"):  # e^-inf = 0 is exact
+            return amp * np.exp((1.0 - np.hypot(1.0, p)) / theta)
+    return Density(value, math.sqrt(2.0 * theta) + 2.0 * theta)
+
+
 # --- kernels: direct time-domain reductions and inverse transforms ----------
 
 def _eq_integral(eq, integrand, tol):
@@ -414,8 +447,10 @@ def _beta_kernel(w):
     return out
 
 
-def alpha_direct(mode: ModeSpec, t: float, tol=1e-11) -> complex:
-    """Source kernel: 4 pi int p^2 h(p) sinc(2 pi kappa v(p) t) dp.
+def alpha_direct(mode: ModeSpec, h: Density, t: float,
+                 tol=1e-11) -> complex:
+    """Source kernel: 4 pi int p^2 h(p) sinc(2 pi kappa v(p) t) dp, with
+    h the datum of ``mode.profile``.
 
     Real for real radial profiles and even in t.
     """
@@ -424,11 +459,11 @@ def alpha_direct(mode: ModeSpec, t: float, tol=1e-11) -> complex:
     w = 2.0 * math.pi * mode.kappa * t
 
     def integrand(p):
-        return 4.0 * math.pi * p * p * mode.profile.value(p) \
+        return 4.0 * math.pi * p * p * h.value(p) \
             * _sinc_kernel(w * v_of_p(p))
 
-    res = integrate_semi_infinite_adaptive(
-        integrand, tol=tol, scale=mode.profile.p_scale)
+    res = integrate_semi_infinite_adaptive(integrand, tol=tol,
+                                           scale=h.p_scale)
     return complex(res.value)
 
 
@@ -468,10 +503,12 @@ def beta_via_inverse(mode: ModeSpec, t: float, tol=1e-11) -> float:
     return float(-2.0 * res.value.imag)
 
 
-def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
+def laplace_alpha_imag_tail(mode: ModeSpec, h: Density, y: float,
+                            tol=1e-10) -> complex:
     """Transform of the source kernel at s = 2*pi*i*y for |y| >= kappa:
     purely imaginary, (-2i/kappa) int arctanh((kappa/|y|) v(p))
-    p sqrt(1+p^2) h(p) dp, decaying like 1/|y|."""
+    p sqrt(1+p^2) h(p) dp, decaying like 1/|y|, with h the datum of
+    ``mode.profile``."""
     kap = mode.kappa
     ay = abs(y)
     if ay < kap:
@@ -479,10 +516,10 @@ def laplace_alpha_imag_tail(mode: ModeSpec, y: float, tol=1e-10) -> complex:
 
     def integrand(p):
         return np.arctanh((kap / ay) * v_of_p(p)) * p * np.hypot(1.0, p) \
-            * mode.profile.value(p)
+            * h.value(p)
 
     res = integrate_semi_infinite_adaptive(integrand, tol=tol,
-                                           scale=mode.profile.p_scale)
+                                           scale=h.p_scale)
     return complex(0.0, -2.0 / kap * res.value)
 
 

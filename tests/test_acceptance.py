@@ -27,7 +27,7 @@ from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
                      beta_via_inverse, f_derivative, g_derivative,
-                     integrate_semi_infinite_adaptive,
+                     gaussian_density, integrate_semi_infinite_adaptive,
                      threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
@@ -124,13 +124,14 @@ def test_criterion_5_cross_path_kernels():
         for theta in (0.2, 1.0):
             eq = juttner(theta)
             prof = gaussian_profile(1.0, 1.0)
+            h = gaussian_density(1.0, 1.0)
             for kappa in (0.5, 1.0, 2.0):
                 mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq,
                                 profile=prof)
                 for t in (0.0, 1.0, 5.0, 20.0):
                     # the far battery corner decays to |alpha| ~ 1e-7, so
                     # relative 1e-6 there needs near-roundoff quadrature
-                    ad = alpha_direct(mode, t, tol=1e-13).real
+                    ad = alpha_direct(mode, h, t, tol=1e-13).real
                     ai = alpha_via_inverse(mode, t, tol=1e-13).real
                     assert abs(ad - ai) <= 1e-6 * max(abs(ad), abs(ai),
                                                       1e-9)

@@ -487,7 +487,7 @@ class TestNoScipyImport:
         head = (
             "import math, sys\n"
             "import rvpmodes.cli as cli\n"
-            "from rvpmodes import relkin\n"
+            "from rvpmodes import equilibria\n"
             "assert 'rvpmodes.gevrey' not in sys.modules\n"
             "def loaded():\n"
             "    return [m for m in sys.modules\n"
@@ -533,11 +533,11 @@ class TestNoScipyImport:
             "kern = resolvent_kernel(mode, grid, tol=1e-9)\n"
             "apply_resolvent(kern, grid.times, grid.dt)\n"
             "assert not loaded(), ('resolvent', loaded())\n"
-            "assert relkin._coefficients.cache_info().currsize == 0\n"
+            "assert equilibria._coefficients.cache_info().currsize == 0\n"
             "check(['evolve', '--kappa', '1.2', '--sigma', '1',"
             " '--theta', '0.5', '--profile', 'gaussian', '--dt', '0.05',"
             " '--t-max', '80', '-o', 'traj_gauss.csv'])\n"
-            "assert relkin._coefficients.cache_info().currsize == 1\n")
+            "assert equilibria._coefficients.cache_info().currsize == 1\n")
         src = os.path.dirname(os.path.dirname(rvpmodes.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         for code in (no_march, march):
@@ -1493,6 +1493,31 @@ class TestOutOfDomainInput:
         assert f"error: {flag}: temperature must be finite and positive" \
             in err
         assert "bessel_k2_scaled" not in err and "x must be finite" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evolve", "--kappa", "1.2", "--sigma", "1", "--theta", "1e-308",
+          "--dt", "0.05", "--t-max", "5"], "--theta"),
+        (["evolve", "--kappa", "1.2", "--sigma", "1", "--theta", "1e-310",
+          "--dt", "0.05", "--t-max", "5"], "--theta"),
+        (["threshold", "--theta-min", "1e-310", "--theta-max", "1"],
+         "--theta-min")], ids=["evolve-1e-308", "evolve-1e-310",
+                               "theta-min-1e-310"])
+    def test_subnormal_theta_is_refused_by_the_normalisation(
+            self, argv, flag, tmp_path, capsys):
+        # at 1e-308 the Bessel trapezoid's exponent overflowed into an
+        # invalid-value warning (exit 1 with warnings as errors); from
+        # 1e-310 down 1/theta = inf met the Bessel factor's finiteness
+        # check, and the message named its argument
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: theta=" in err
+        assert ("the Juttner normalisation is not a positive normal double"
+                in err)
+        assert "x must be finite" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, flag", [

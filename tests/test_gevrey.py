@@ -15,7 +15,7 @@ from rvpmodes.gevrey import (GevreyParams, appendix_battery, c_coeffs,
 
 from oracles import (f_derivative, g_derivative, gevrey_decay_check,
                      integrate_semi_infinite_adaptive,
-                     laplace_alpha_imag_tail)
+                     laplace_alpha_imag_tail, thermal_density)
 
 # Exact coefficient rows frozen after validation against the symbolic
 # differentiation oracle below.
@@ -519,7 +519,8 @@ class TestPipelineCertificate:
             for i, om in enumerate(np.atleast_1d(oms)):
                 w_val = laplace_beta_imag(mode, float(om))
                 out[i] = (w_val / (1.0 - w_val)) \
-                    * laplace_alpha_imag_tail(mode, float(om))
+                    * laplace_alpha_imag_tail(
+                        mode, thermal_density(0.5, 1.0), float(om))
             return out
 
         cert = gevrey_decay_check(conv_transform, 3.0, omegas, n_max=6)

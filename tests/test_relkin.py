@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes.equilibria import juttner
-from rvpmodes.relkin import bessel_k2_scaled, positive_normal, v_of_p
+from rvpmodes.equilibria import (bessel_k2_scaled, juttner, positive_normal,
+                                 v_of_p)
 
 import oracles
 from oracles import bessel_k2, exp1_neg_imag, f_cap, f_cap_complex, p_of_v
@@ -152,9 +152,19 @@ class TestBesselK2:
         assert bessel_k2(1.0) == pytest.approx(1.6248388986, rel=1e-9)
 
     def test_accuracy_across_range(self):
-        for x in (1e-3, 0.03, 0.5, 2.0, 30.0, 300.0, 700.0):
-            ref = float(mpmath.besselk(2, mpmath.mpf(x)))
-            assert bessel_k2(x) == pytest.approx(ref, rel=1e-10)
+        # production e^x K2(x) against mpmath's, with no absolute slack:
+        # K2(700) itself is 3e-306 and kv(2, x) underflows to 0 beyond;
+        # from x = 1e17 on the value is the leading asymptotic term, and
+        # 1.7e308 is past where the trapezoid's exponent -2x overflows
+        xs = (1e-3, 0.03, 0.5, 2.0, 30.0, 300.0, 700.0, 1e4, 1e8, 1e16,
+              1e17, 1.0000000000000002e17, 1e20, 1e300, 1.7e308)
+        with mpmath.workdps(40):
+            for x in xs:
+                v = mpmath.mpf(x)
+                ref = float(mpmath.exp(v) * mpmath.besselk(2, v))
+                assert bessel_k2_scaled(x) == pytest.approx(ref, rel=1e-15,
+                                                            abs=0.0)
+        assert bessel_k2_scaled(math.inf) == 0.0
 
     def test_small_argument_asymptote(self):
         x = 1e-3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rvpmodes
-from rvpmodes.relkin import erfcx
+from rvpmodes.equilibria import erfcx
 
 
 def mp_erfcx(x):
@@ -61,7 +61,7 @@ class TestErfcx:
 
     def test_coefficients_formed_on_first_call(self):
         # in a fresh process: this one has formed them already
-        code = ("import rvpmodes.relkin as sp\n"
+        code = ("import rvpmodes.equilibria as sp\n"
                 "assert sp._coefficients.cache_info().currsize == 0\n"
                 "sp.erfcx(1.0)\n"
                 "assert sp._coefficients.cache_info().currsize == 1\n")

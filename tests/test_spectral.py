@@ -16,21 +16,20 @@ from scipy.interpolate import CubicSpline
 import rvpmodes
 from rvpmodes import quadrature, spectral
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
-                                 juttner, thermal_profile)
+                                 juttner, thermal_profile, v_of_p)
 from rvpmodes.quadrature import (QuadratureError, _czt, gauss_legendre_nodes,
                                  integrate_finite, integrate_semi_infinite)
-from rvpmodes.relkin import v_of_p
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                find_y0, kappa_crit_sq, laplace_beta_halfplane,
                                laplace_beta_imag, sample_kernels,
                                threshold_astro, threshold_plasma)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, f_cap, integrate_adaptive,
-                     integrate_oscillatory,
+                     beta_via_inverse, f_cap, gaussian_density,
+                     integrate_adaptive, integrate_oscillatory,
                      integrate_semi_infinite_adaptive,
                      laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
-                     rational_bound_check,
+                     rational_bound_check, thermal_density,
                      threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
@@ -183,15 +182,15 @@ class TestModeSpec:
 
 
 class TestTimeKernels:
-    def test_alpha_at_zero_is_mass_moment(self, mode02):
-        assert alpha_direct(mode02, 0.0).real == pytest.approx(
+    def test_alpha_at_zero_is_mass_moment(self, mode02, h02):
+        assert alpha_direct(mode02, h02, 0.0).real == pytest.approx(
             math.pi ** 1.5, rel=1e-10)
-        assert alpha_direct(mode02, 0.0).imag == 0.0
+        assert alpha_direct(mode02, h02, 0.0).imag == 0.0
 
-    def test_alpha_even_in_t(self, mode02):
+    def test_alpha_even_in_t(self, mode02, h02):
         for t in (0.7, 3.0):
-            assert alpha_direct(mode02, -t) == pytest.approx(
-                alpha_direct(mode02, t), rel=1e-12, abs=0.0)
+            assert alpha_direct(mode02, h02, -t) == pytest.approx(
+                alpha_direct(mode02, h02, t), rel=1e-12, abs=0.0)
 
     def test_beta_zero_at_origin(self, mode02):
         assert beta_direct(mode02, 0.0) == 0.0
@@ -239,18 +238,18 @@ class TestTransforms:
         b = beta_hat_envelope(mode02, ys)
         assert np.all(b > 0.0)
 
-    def test_alpha_hat_at_zero(self, mode02):
+    def test_alpha_hat_at_zero(self, mode02, h02):
         ref = (2.0 * math.pi / mode02.kappa) * integrate_semi_infinite(
-            lambda p: p * np.hypot(1.0, p) * mode02.profile.value(p),
+            lambda p: p * np.hypot(1.0, p) * h02.value(p),
             tol=1e-12).value
         assert alpha_hat(mode02, 0.0) == pytest.approx(ref, rel=1e-10)
 
-    def test_fourier_consistency_at_t0(self, mode02):
+    def test_fourier_consistency_at_t0(self, mode02, h02):
         # int alpha_hat dy over the support = alpha(0)
         val = 2.0 * integrate_finite(
             lambda y: alpha_hat(mode02, y), 0.0, mode02.kappa,
             tol=1e-10).value
-        assert val == pytest.approx(alpha_direct(mode02, 0.0).real,
+        assert val == pytest.approx(alpha_direct(mode02, h02, 0.0).real,
                                     rel=1e-8)
 
     def test_zero_profile_inverts_to_zero(self, eq02):
@@ -270,7 +269,8 @@ class TestTransforms:
 
 def _p_integral_tail(f, support, scale):
     """P -> int_P^inf f(p) dp, one adaptive quadrature per P: the oracle
-    for the closed-form tails that every equilibrium and profile carries."""
+    for the closed-form tails that every equilibrium carries and that
+    every profile is."""
     def tail(P):
         P = np.asarray(P, dtype=float)
         vals = [0.0 if p0 >= support else _half_line(
@@ -293,11 +293,13 @@ class TestTailFallback:
             eq, tail_kernel_moment=lambda u: tail(np.sqrt((u - 1.0)
                                                           * (u + 1.0))))
         ys = np.array([0.0, 0.3, 0.8, 0.95, 0.99])
-        for prof in (gaussian_profile(1.0, 1.0), thermal_profile(0.5, 2.0)):
-            oracle_prof = dataclasses.replace(
-                prof, tail_weighted_moment=_p_integral_tail(
-                    lambda p: p * np.hypot(1.0, p) * prof.value(p), math.inf,
-                    prof.p_scale))
+        for prof, h in ((gaussian_profile(1.0, 1.0),
+                         gaussian_density(1.0, 1.0)),
+                        (thermal_profile(0.5, 2.0),
+                         thermal_density(0.5, 2.0))):
+            oracle_prof = _p_integral_tail(
+                lambda p: p * np.hypot(1.0, p) * h.value(p), math.inf,
+                h.p_scale)
             mode = ModeSpec(kappa=1.0, sigma=+1, equilibrium=eq, profile=prof)
             oracle = ModeSpec(kappa=1.0, sigma=+1, equilibrium=oracle_eq,
                               profile=oracle_prof)
@@ -318,7 +320,8 @@ class TestCrossPath:
     def test_alpha_and_beta(self, eq02, kappa, t):
         mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq02,
                         profile=gaussian_profile(1.0, 1.0))
-        ad, ai = alpha_direct(mode, t), alpha_via_inverse(mode, t)
+        ad = alpha_direct(mode, gaussian_density(1.0, 1.0), t)
+        ai = alpha_via_inverse(mode, t)
         bd, bi = beta_direct(mode, t), beta_via_inverse(mode, t)
         assert rel_close(ad.real, ai.real, 1e-6)
         assert rel_close(bd, bi, 1e-6)
@@ -331,12 +334,12 @@ class TestCrossPath:
             assert rel_close(beta_direct(mode, t),
                              beta_via_inverse(mode, t), 1e-6)
 
-    def test_kernel_table_matches_direct(self, mode02):
+    def test_kernel_table_matches_direct(self, mode02, h02):
         t = np.linspace(0.0, 30.0, 601)
         tab = sample_kernels(mode02, t, tol=1e-11)
         assert tab.alpha.dtype == tab.beta.dtype == np.float64
         for j in (0, 20, 200, 600):
-            assert abs(tab.alpha[j] - alpha_direct(mode02, t[j])) < 1e-8
+            assert abs(tab.alpha[j] - alpha_direct(mode02, h02, t[j])) < 1e-8
             assert abs(tab.beta[j] - beta_direct(mode02, t[j])) < 1e-8
 
 
@@ -428,9 +431,9 @@ class TestLaplaceOnAxis:
         with pytest.raises(ValueError, match="finite x >= 0"):
             laplace_beta_halfplane(mode02, bad, np.array([0.1, 0.5]))
 
-    def test_alpha_tail_matches_principal_value(self, mode02):
+    def test_alpha_tail_matches_principal_value(self, mode02, h02):
         for y in (1.0, 2.0):
-            tail = laplace_alpha_imag_tail(mode02, y)
+            tail = laplace_alpha_imag_tail(mode02, h02, y)
             pv = integrate_finite(
                 lambda tau: alpha_hat(mode02, y - tau) / tau,
                 max(y - 1.0, 1e-12), y + 1.0, tol=1e-11).value
@@ -846,7 +849,8 @@ class TestKernelTableChirpZ:
                 <= rounding * np.max(np.abs(fast))
         # the direct kernels' quadrature runs out of panels by t = 2400
         for j in idx[:2]:
-            assert abs(tab.alpha[j] - alpha_direct(mode, t[j])) < 1e-10
+            assert abs(tab.alpha[j] - alpha_direct(
+                mode, thermal_density(0.5, 1.0), t[j])) < 1e-10
             assert abs(tab.beta[j] - beta_direct(mode, t[j])) < 1e-10
 
     def test_half_step_table_memory(self):
