@@ -13,7 +13,8 @@ Conventions: output CSV starts with a `# schema=v1` line followed by
 `# key=value` lines echoing the effective configuration; floats are
 printed with 17 significant digits; exit codes are 0 (success),
 1 (computational failure), 2 (usage/config error).  A config file of
-`key = value` lines may supply any flag's value; explicit flags win.
+`key = value` lines may supply any flag's value; explicit flags win.  A
+time grid is a whole number of `--dt` steps that ends at `--t-max`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 import warnings
 
-# no CLI BLAS call gains from a second thread, which spins idle for CPU
+# no numeric path hands BLAS a matrix, so a second thread only spins idle
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -180,12 +181,19 @@ def _usage_checked(build, *args, flag=None):
 
 
 def _time_grid(dt, t_max):
-    """round(t_max/dt) steps of dt, refused before anything is allocated
-    unless 0 < dt < t_max < inf and t_max/dt <= MAX_STEPS."""
+    """t_max/dt steps of dt, refused before anything is allocated unless
+    0 < dt < t_max < inf, t_max/dt <= MAX_STEPS and t_max/dt is a whole
+    number to 1e-9 relative: a grid that ends elsewhere than t_max is not
+    what was typed."""
     if not (0 < dt < t_max < math.inf and t_max / dt <= MAX_STEPS):
         raise UsageError(f"need finite 0 < dt < t-max with t-max/dt <= "
                          f"{MAX_STEPS}, got dt={dt}, t-max={t_max}")
-    return TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
+    n_steps = int(round(t_max / dt))
+    if abs(t_max / dt - n_steps) > 1e-9 * n_steps:
+        raise UsageError(f"--t-max must be a whole number of --dt steps, "
+                         f"got --t-max {t_max} = {t_max / dt:.17g} x "
+                         f"--dt {dt}")
+    return TimeGrid(dt=dt, n_steps=n_steps)
 
 
 def _count(flag, n, top=MAX_POINTS, bottom=1):

@@ -159,20 +159,14 @@ def _sse(x, logt, logv):
         for b in _row_blocks(x.size, logt.size)])
 
 
-def _median(a):
-    """``np.median`` of a 1-D array free of NaN and -0.0, to the bit, by a
-    sort (``np.median`` loads ``numpy.ma``): the mean of the middle pair.
-    A sort and numpy's partition may order -0.0 and 0.0 differently."""
-    s = np.sort(a)
-    mid = s.size // 2
-    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
 def _quantile(a, q):
     """``np.quantile(a, q)`` of a non-empty 1-D array free of NaN and -0.0,
     for q in [0, 1], to the bit, by a sort (``np.quantile`` loads
     ``numpy.ma``): numpy's 'linear' method, virtual index (n - 1) q between
-    sorted neighbours, interpolated as numpy's ``_lerp`` does."""
+    sorted neighbours, interpolated as numpy's ``_lerp`` does.  The decay
+    tests' medians are its 0.5-quantile, which may differ from
+    ``np.median`` by one ulp on even lengths; only comparisons read them.
+    A sort and numpy's partition may order -0.0 and 0.0 differently."""
     s = np.sort(a)
     v = (s.size - 1) * np.asarray(q, dtype=float)
     top = v >= s.size - 1
@@ -215,7 +209,7 @@ def fit_stretched(env: Envelope) -> DecayFit:
         raise NoDecayError("too few positive peaks to fit")
     c0 = float(v.max()) * (1.0 + 1e-12)
     head = max(1, t.size // 5)
-    if _median(v[-head:]) >= 0.9 * _median(v[:head]):
+    if _quantile(v[-head:], 0.5) >= 0.9 * _quantile(v[:head], 0.5):
         raise NoDecayError("no decay detected")
 
     ratio = v / c0
@@ -337,7 +331,7 @@ def exp_test(env: Envelope) -> str:
     if t.size < 5:
         return "none"
     head = max(1, t.size // 5)
-    if _median(v[:head]) < MIN_DECAY_FACTOR * _median(v[-head:]):
+    if _quantile(v[:head], .5) < MIN_DECAY_FACTOR * _quantile(v[-head:], .5):
         return "none"
     lam = -np.log(v) / t
     ok = lam > 0
@@ -346,8 +340,8 @@ def exp_test(env: Envelope) -> str:
     b = _slope(np.log(t[ok]), np.log(lam[ok]))
     if not math.isfinite(b):
         return "none"
-    lam_late = float(_median(lam[ok][-max(1, np.count_nonzero(ok) // 5):]))
-    if b > SLOPE_PLATEAU and lam_late > 0:
+    late = lam[ok][-max(1, np.count_nonzero(ok) // 5):]
+    if b > SLOPE_PLATEAU and _quantile(late, 0.5) > 0:
         return "exponential"
     return "sub-exponential"
 

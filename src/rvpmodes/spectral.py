@@ -194,12 +194,9 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
             off = d[near] / (2.0 * math.sqrt(3.0))
             quot[near] = -0.5 * (_envelope_derivative(mode, mid - off)
                                  + _envelope_derivative(mode, mid + off))
-        # complex blocks: a zgemv would wake the BLAS worker thread, which
-        # then spins as long as the main one; einsum runs its own loop.
-        # The real gemv stays: on the resolvent's nodes it is about 10 %
-        # faster than einsum, with CPU time no more than wall time.
-        out[i:i + rows] = (np.einsum("rn,n->r", quot, w)
-                           if np.iscomplexobj(quot) else quot @ w)
+        # einsum runs its own loop: a gemv would wake the BLAS worker
+        # thread, which then spins as long as the main one
+        out[i:i + rows] = np.einsum("rn,n->r", quot, w)
     return out, b_s.any()
 
 
@@ -213,7 +210,7 @@ def _dispersion(mode: ModeSpec, x, y, tol):
     edge = math.atan(mode.equilibrium.support_bound)  # pi/2 if unbounded
     e = kap * math.sin(edge)  # kappa v(P): b vanishes for |y| >= e
     depth = x / (2.0 * math.pi)  # -Im z
-    # On the axis z stays real: a real gemv and the near-node patch.  A
+    # On the axis z stays real: real node sums and the near-node patch.  A
     # subnormal depth is the axis too: 1/depth would overflow in the
     # quotient at a node, and W there is within depth |W'| of the axis.
     z = (ya.ravel() - 1j * depth if depth >= np.finfo(float).tiny

@@ -1144,6 +1144,22 @@ class TestRefusals:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_max", ["1.1", "1.0"])
+    @pytest.mark.parametrize("command", [
+        ["evolve", "--kappa", "1.2", "--sigma", "1", "--theta", "0.5"],
+        ["sweep", "--kappa-min", "0.5", "--kappa-max", "1", "--n-kappa", "2",
+         "--sigma", "1", "--theta", "0.2"],
+    ], ids=["evolve", "sweep"])
+    def test_t_max_off_the_dt_grid(self, command, t_max, tmp_path, capsys):
+        # round(t_max/dt) steps moved the end: --t-max 1.1 wrote its last
+        # row at t = 1.2, --t-max 1.0 at t = 0.9, under t_max echoed as typed
+        out = tmp_path / "out.csv"
+        assert main(command + ["--dt", "0.3", "--t-max", t_max,
+                               "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t-max ") and "--dt" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (EVOLVE + ["--theta", "0.5", "--profile-theta", "0.3"],
          "--profile-theta"),

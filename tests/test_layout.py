@@ -46,6 +46,50 @@ class TestModuleBoundaries:
         assert names == ["_filon_batch", "_FILON_L", "rvpmodes._hidden"]
 
 
+# --- no numeric path hands a matrix to BLAS ----------------------------------
+
+BLAS_NAMES = {"matmul", "tensordot", "inner", "dot"}
+
+
+def _blas_uses(path):
+    """Sorted (line, name) for each ``@`` (named "@") in ``path`` and each
+    matmul, tensordot, inner or dot it names, as attribute or import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in BLAS_NAMES]
+    return sorted(found)
+
+
+class TestNoBlasMatrices:
+    def test_only_the_march_calls_dot(self):
+        # einsum runs its own loops; a BLAS call wakes the worker thread,
+        # which then spins.  The march's dots are vectors of at most
+        # _BASE - 1 terms
+        found = {path.name: {name for _, name in _blas_uses(path)}
+                 for path in sorted(SRC.glob("*.py"))}
+        assert len(found) >= 8
+        assert {name: hits for name, hits in found.items() if hits} == {
+            "volterra.py": {"dot"}}
+
+    def test_scan_sees_planted_matrix_products(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("@functools.cache\n"
+                         "def f(a, b):\n"
+                         "    a @= b\n"
+                         "    return a @ b, np.matmul(a, b), np.inner(a, b)\n"
+                         "from numpy import tensordot, einsum\n"
+                         "c = a.dot(b) + np.einsum('rn,n->r', a, b)\n")
+        assert _blas_uses(probe) == [(3, "@"), (4, "@"), (4, "inner"),
+                                     (4, "matmul"), (5, "tensordot"),
+                                     (6, "dot")]
+
+
 # --- every top-level name of src/ is reached from a program entry point -----
 
 REPO = SRC.parent.parent
