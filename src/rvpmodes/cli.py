@@ -202,6 +202,24 @@ def _count(flag, n, top=MAX_POINTS, bottom=1):
         raise UsageError(f"{flag} must lie in {bottom}..{top}, got {n}")
 
 
+def _grid(args, space, lo, hi, n, what):
+    """``space(lo, hi, n)`` over the options ``lo``, ``hi`` and ``n`` (by
+    dest), refused unless n lies in 1..MAX_POINTS, both ends are finite
+    with lo <= hi, and a one-point grid has equal ends: one point would
+    drop the typed upper end."""
+    flag = {dest: "--" + dest.replace("_", "-") for dest in (lo, hi, n)}
+    a, b, count = getattr(args, lo), getattr(args, hi), getattr(args, n)
+    _count(flag[n], count)
+    if not -math.inf < a <= b < math.inf:
+        raise UsageError(f"empty or invalid {what}: need finite {flag[lo]} "
+                         f"<= {flag[hi]}, got {a} and {b}")
+    if count == 1 and a != b:
+        raise UsageError(f"{flag[n]} 1 gives one point, at {flag[lo]} {a}, "
+                         f"which drops {flag[hi]} {b}: make the ends equal "
+                         f"or raise {flag[n]}")
+    return space(a, b, count)
+
+
 _NOT_ECHOED = {"config", "output", "help"}
 
 
@@ -214,13 +232,11 @@ def _config_echo(args):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
-    _count("--n-points", args.n_points)
     # both ends must be temperatures juttner can normalise
     _usage_checked(juttner, args.theta_min, flag="--theta-min")
     _usage_checked(juttner, args.theta_max, flag="--theta-max")
-    if not args.theta_min < args.theta_max:
-        raise UsageError("empty or invalid theta range")
-    thetas = np.geomspace(args.theta_min, args.theta_max, args.n_points)
+    thetas = _grid(args, np.geomspace, "theta_min", "theta_max", "n_points",
+                   "theta range")
     rows = []
     for th in thetas:
         eq = juttner(float(th))
@@ -248,10 +264,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    _count("--n-y", args.n_y)
-    if not -math.inf < args.y_min <= args.y_max < math.inf:
-        raise UsageError(f"invalid y grid: need finite --y-min <= --y-max, "
-                         f"got {args.y_min} and {args.y_max}")
+    ys = _grid(args, np.linspace, "y_min", "y_max", "n_y", "y grid")
     mode = _usage_checked(ModeSpec, args.kappa, args.sigma,
                           _build_equilibrium(args), flag="--kappa")
     try:
@@ -261,7 +274,6 @@ def cmd_dispersion(args) -> int:
     if not all(0.0 <= x < math.inf for x in xs):
         raise UsageError("dispersion is defined on the closed right half-"
                          f"plane: --x needs finite x >= 0, got {args.x!r}")
-    ys = np.linspace(args.y_min, args.y_max, args.n_y)
     rows = []
     for x in xs:
         vals = laplace_beta_halfplane(mode, x, ys, tol=args.tol)
@@ -390,9 +402,8 @@ def _sweep_row(task):
 
 
 def cmd_sweep(args) -> int:
-    _count("--n-kappa", args.n_kappa)
-    if not 0 < args.kappa_min <= args.kappa_max:
-        raise UsageError("empty or invalid kappa range")
+    kappas = _grid(args, np.linspace, "kappa_min", "kappa_max", "n_kappa",
+                   "kappa range")
     # a process pool starts all its workers at once, whatever the rows
     _count("--jobs", args.jobs, os.cpu_count() or 1)
     grid = _time_grid(args.dt, args.t_max)
@@ -402,7 +413,6 @@ def cmd_sweep(args) -> int:
         _usage_checked(ModeSpec, k, args.sigma, eq, flag=flag)
     # one threshold for every row: it depends on theta and sigma only
     kc2 = kappa_crit_sq(eq, args.sigma, args.tol)
-    kappas = np.linspace(args.kappa_min, args.kappa_max, args.n_kappa)
     tasks = [(float(k), args.sigma, args.theta, kc2, grid, args.tol)
              for k in sorted(kappas)]
     if args.jobs > 1:

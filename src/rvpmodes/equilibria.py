@@ -9,15 +9,16 @@ scaled Bessel K2 of the Juttner normalisation and the scaled complementary
 error function erfcx of the Gaussian profile's tail moment, both written
 here so that no module imports SciPy.
 
-An :class:`Equilibrium` bundles f0 (unit mass, 4 pi int p^2 f0 dp = 1), its
-analytic radial derivative and its closed-form tail moment.  A datum is its
-closed-form tail moment alone: a profile factory returns the callable
-P -> int_P^inf p sqrt(1+p^2) h(p) dp, vectorized over P, which is all the
-source envelope reads of h.  The frequency envelopes of the spectral
-transforms are these tails.
+An :class:`Equilibrium` bundles f0 (unit mass, 4 pi int p^2 f0 dp = 1) and
+its tail moment T(U) = int_P^inf (1+p^2)(-f0') dp in closed form,
+U = sqrt(1+P^2).  T is all the memory envelope b reads of f0: T is
+analytic in U, so b continues off the axis through it, and the dispersion
+transform takes b' from that continuation by a complex step.  f0' itself
+is carried nowhere.  A datum is its closed-form tail moment alone: a
+profile factory returns the callable P -> int_P^inf p sqrt(1+p^2) h(p) dp,
+vectorized over P, which is all the source envelope reads of h.  The
+frequency envelopes of the spectral transforms are these tails.
 
-Carrying f0' analytically matters: the dispersion integrands weight (-f0')
-directly and numerical differentiation would dominate their error budget.
 The thermal equilibrium is evaluated with an exponent-shifted scaled Bessel
 factor so temperatures down to 1e-4 neither overflow nor underflow.  It
 shares one closed form with the thermal profile, written once in
@@ -210,15 +211,16 @@ def erfcx(x):
 class Equilibrium:
     """Spherically symmetric, decreasing momentum distribution.
 
-    ``value`` and ``derivative`` accept scalars or numpy arrays of |p|.
-    ``support_bound`` is inf for rapidly decaying families.
-    ``tail_kernel_moment(U)`` = int_P^inf (1 + p^2) (-f0'(p)) dp in closed
-    form in U = sqrt(1 + P^2), vectorized over real or complex U.
-    ``p_scale`` hints where the momentum integrand mass sits (quadrature map).
+    ``value`` accepts scalars or numpy arrays of |p|.  ``support_bound`` is
+    inf for rapidly decaying families.  ``tail_kernel_moment(U)`` =
+    int_P^inf (1 + p^2) (-f0'(p)) dp in closed form in U = sqrt(1 + P^2),
+    vectorized over real or complex U: the memory envelope, its
+    continuation off the axis and its slope all read it, so no closed form
+    of f0' is needed.  ``p_scale`` hints where the momentum integrand mass
+    sits (quadrature map).
     """
 
     value: Callable
-    derivative: Callable
     support_bound: float
     tail_kernel_moment: Callable
     p_scale: float = 1.0
@@ -276,14 +278,8 @@ def juttner(theta: float) -> Equilibrium:
         p = np.asarray(p, dtype=float)
         return scalarize(norm * edge(np.hypot(1.0, p)))
 
-    def derivative(p):
-        p = np.asarray(p, dtype=float)
-        u = np.hypot(1.0, p)
-        return scalarize(-(p / (theta * u)) * norm * edge(u))
-
     return Equilibrium(
         value=value,
-        derivative=derivative,
         support_bound=math.inf,
         p_scale=math.sqrt(2.0 * theta) + 2.0 * theta,
         tail_kernel_moment=tail_kernel_moment,
@@ -307,11 +303,6 @@ def compact_decreasing(P: float) -> Equilibrium:
         w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
         return scalarize(c * w**4)
 
-    def derivative(p):
-        p = np.asarray(p, dtype=float)
-        w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
-        return scalarize(-8.0 * c * (p / P**2) * w**3)
-
     def tail_kernel_moment(u):
         # int_x^P (1+p^2)(-f0') dp = c [(1+P^2) w^4 - (4/5) P^2 w^5],
         # w = 1 - (x/P)^2 = 1 - (U^2 - 1)/P^2, U = sqrt(1+x^2); a real U
@@ -324,7 +315,6 @@ def compact_decreasing(P: float) -> Equilibrium:
 
     return Equilibrium(
         value=value,
-        derivative=derivative,
         support_bound=P,
         p_scale=0.5 * P,
         tail_kernel_moment=tail_kernel_moment,

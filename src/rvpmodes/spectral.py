@@ -159,16 +159,25 @@ _PV_ROWS = 32            # real z values per block of the (rows x nodes) array
 _PV_PANELS = (8, 2 ** 10)  # first and largest panel count per segment
 _PV_NEAR = 1e-5          # |y - s| / kappa below which the quotient uses b'
 _PV_SUBTRACT = 1.0 / 16  # |Im z| / e below which b(z) is subtracted
+_PV_STEP = 2.0 ** -64    # the complex step in r = y/kappa that gives b'
 
 
-def _envelope_derivative(mode: ModeSpec, y):
-    """b'(y) = (4 pi sigma / kappa^3) [T(P) + r f0'(P) / (1 - r^2)^{5/2}],
-    r = |y|/kappa, P = r/sqrt(1 - r^2), T the kernel tail moment."""
-    eq = mode.equilibrium
-    return _on_support(mode, y, lambda y, r, p: (
-        4.0 * math.pi * mode.sigma / mode.kappa**3) * (
-        eq.tail_kernel_moment(np.hypot(1.0, p))
-        + r * eq.derivative(p) / ((1.0 - r) * (1.0 + r))**2.5))
+def _b_prime(mode: ModeSpec, y, e):
+    """b'(y) = Im b(kappa (r + i eta)) / (kappa eta) for |y| < e, 0 beyond:
+    the complex step (Squire & Trapp 1998, SIAM Rev. 40:110) on b's own
+    continuation, U = 1/sqrt((1 - rho)(1 + rho)) at rho = r + i eta, which
+    cancels nothing; b' is even, so r = |y|/kappa.  r is formed in real
+    arithmetic: as the complex quotient z/kappa it rounds one ulp off,
+    which near |y| = kappa moved b' by 7.9e-11 of max|b'| (theta = 100).
+    The zero beyond e is needed: the compact tail moment continued off the
+    axis does not clip."""
+
+    def step(y, r, p):
+        rho = r + 1j * _PV_STEP
+        u = 1.0 / np.sqrt((1.0 - rho) * (1.0 + rho))
+        return _b(mode, mode.kappa * rho, u).imag / (mode.kappa * _PV_STEP)
+
+    return np.where(np.abs(y) < e, _on_support(mode, y, step), 0.0)
 
 
 def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
@@ -192,8 +201,9 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
             # at s = y is -b'(y).  Off the axis |d| >= -Im z > 0.
             mid = s[np.nonzero(near)[1]] + 0.5 * d[near]
             off = d[near] / (2.0 * math.sqrt(3.0))
-            quot[near] = -0.5 * (_envelope_derivative(mode, mid - off)
-                                 + _envelope_derivative(mode, mid + off))
+            e = mode.kappa * math.sin(edge)
+            quot[near] = -0.5 * (_b_prime(mode, mid - off, e)
+                                 + _b_prime(mode, mid + off, e))
         # einsum runs its own loop: a gemv would wake the BLAS worker
         # thread, which then spins as long as the main one
         out[i:i + rows] = np.einsum("rn,n->r", quot, w)
@@ -267,12 +277,13 @@ def laplace_beta_halfplane(mode: ModeSpec, x: float, y, tol=1e-10):
     elsewhere.  On the axis (x/2pi below the least normal double) W is
     the x -> 0+ limit: the log is real, its i pi gives the jump (i/2) b(y),
     and a node within 1e-5 kappa of y takes -(mean of b' between them) for
-    the cancelling quotient.  Panels double until W changes by at most
-    ``tol`` anywhere in the batch; the panel cap raises QuadratureError,
-    as does an envelope b that is 0 at every node (a cold equilibrium); a
-    W that merely underflows is returned.  A float ``y`` returns a
-    complex, an array a complex array.  A negative or non-finite x, or a
-    non-finite y, raises ValueError.
+    the cancelling quotient, b' the complex step of b's continuation.
+    Panels double until W changes by at most ``tol`` anywhere in the
+    batch; the panel cap raises QuadratureError, as does an envelope b
+    that is 0 at every node (a cold equilibrium); a W that merely
+    underflows is returned.  A float ``y`` returns a complex, an array a
+    complex array.  A negative or non-finite x, or a non-finite y, raises
+    ValueError.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("laplace_beta_halfplane requires finite x >= 0, "

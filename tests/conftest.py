@@ -5,7 +5,7 @@ import pytest
 from rvpmodes.equilibria import gaussian_profile, juttner
 from rvpmodes.spectral import ModeSpec, threshold_plasma
 
-from oracles import gaussian_density
+from oracles import gaussian_density, juttner_derivative
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,12 @@ def mode02(eq02):
 def h02():
     """The datum h(p) of ``mode02``'s profile, for the oracles."""
     return gaussian_density(1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def df02():
+    """The f0' of ``eq02``, for the oracles."""
+    return juttner_derivative(0.2)
 
 
 @pytest.fixture

@@ -12,6 +12,11 @@ data:
   maps of ``quadrature.integrate_semi_infinite``), which copes with
   endpoint singularities and kinks that the production Gauss-Legendre
   doubling refuses; every momentum integral below goes through it;
+* each equilibrium's radial slope f0'(p) (``juttner_derivative``,
+  ``compact_derivative``), written here from the factory's formula, which
+  the library never evaluates: it carries only the closed-form tail moment
+  T, and takes b' by a complex step of b; the chain-rule slope
+  ``beta_envelope_slope`` of the memory envelope from T and f0';
 * the integration-by-parts twins of both critical-wavenumber integrals;
 * the source transform beyond the support (``laplace_alpha_imag_tail``);
 * each profile's datum h(p) pointwise with its momentum scale
@@ -55,7 +60,8 @@ import numpy as np
 from rvpmodes.gevrey import GevreyParams, _check_order, c_coeffs, d_coeffs
 from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
                                  filon_nodes, filon_sums)
-from rvpmodes.equilibria import _asarray, scalarize, v_of_p
+from rvpmodes.equilibria import (_asarray, bessel_k2_scaled, scalarize,
+                                 v_of_p)
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                laplace_beta_imag, sample_kernels)
 from rvpmodes.volterra import ModeTrajectory, TimeGrid, solve_volterra
@@ -414,6 +420,51 @@ def thermal_density(theta, amp=1.0):
     return Density(value, math.sqrt(2.0 * theta) + 2.0 * theta)
 
 
+# --- the radial slopes f0'(p) of the equilibrium factories -----------------
+
+def juttner_derivative(theta):
+    """f0'(p) = -(p/(theta U)) f0(p), U = sqrt(1+p^2), of ``juttner(theta)``,
+    on scalars or numpy arrays of |p|; 0 without a warning where the
+    exponent (1 - U)/theta overflows."""
+    norm = 1.0 / (4.0 * math.pi * theta * bessel_k2_scaled(1.0 / theta))
+
+    def derivative(p):
+        p = np.asarray(p, dtype=float)
+        u = np.hypot(1.0, p)
+        with np.errstate(over="ignore"):  # e^-inf = 0 is exact
+            return scalarize(-(p / (theta * u)) * norm
+                             * np.exp((1.0 - u) / theta))
+    return derivative
+
+
+def compact_derivative(P):
+    """f0'(p) = -8 c (p/P^2) (1 - (p/P)^2)^3 on [0, P] and 0 beyond, of
+    ``compact_decreasing(P)``, c = 3465/(512 pi P^3)."""
+    c = 3465.0 / (512.0 * math.pi * P**3)
+
+    def derivative(p):
+        p = np.asarray(p, dtype=float)
+        w = np.clip(1.0 - (p / P) ** 2, 0.0, None)
+        return scalarize(-8.0 * c * (p / P**2) * w**3)
+    return derivative
+
+
+def beta_envelope_slope(mode: ModeSpec, df0, y):
+    """b'(y) = (4 pi sigma / kappa^3) [T(U) + r f0'(P) / (1 - r^2)^{5/2}]
+    for |y| < kappa and 0 beyond, r = |y|/kappa, P = r/sqrt(1 - r^2),
+    U = sqrt(1+P^2), T the equilibrium's tail moment and ``df0`` its f0':
+    the chain rule on b(y) = (4 pi sigma / kappa^3) y T(U)."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < mode.kappa
+    r = np.abs(y[inside]) / mode.kappa
+    p = r / np.sqrt((1.0 - r) * (1.0 + r))
+    out[inside] = (4.0 * math.pi * mode.sigma / mode.kappa**3) * (
+        mode.equilibrium.tail_kernel_moment(np.hypot(1.0, p))
+        + r * df0(p) / ((1.0 - r) * (1.0 + r))**2.5)
+    return out
+
+
 # --- kernels: direct time-domain reductions and inverse transforms ----------
 
 def _eq_integral(eq, integrand, tol):
@@ -467,9 +518,10 @@ def alpha_direct(mode: ModeSpec, h: Density, t: float,
     return complex(res.value)
 
 
-def beta_direct(mode: ModeSpec, t: float, tol=1e-11) -> float:
+def beta_direct(mode: ModeSpec, df0, t: float, tol=1e-11) -> float:
     """Memory kernel: (8 pi sigma / kappa) *
-    int p^2 (-f0'(p)) [cos(W)/W - sin(W)/W^2] dp,  W = 2 pi kappa v(p) t.
+    int p^2 (-f0'(p)) [cos(W)/W - sin(W)/W^2] dp,  W = 2 pi kappa v(p) t,
+    with ``df0`` the f0' of ``mode.equilibrium``.
 
     Real, odd in t, and zero at t = 0.
     """
@@ -481,7 +533,7 @@ def beta_direct(mode: ModeSpec, t: float, tol=1e-11) -> float:
     eq = mode.equilibrium
 
     def integrand(p):
-        return p * p * (-eq.derivative(p)) * _beta_kernel(w * v_of_p(p))
+        return p * p * (-df0(p)) * _beta_kernel(w * v_of_p(p))
 
     res = _eq_integral(eq, integrand, tol)
     return 8.0 * math.pi * mode.sigma / mode.kappa * res.value
@@ -523,12 +575,13 @@ def laplace_alpha_imag_tail(mode: ModeSpec, h: Density, y: float,
     return complex(0.0, -2.0 / kap * res.value)
 
 
-def laplace_beta_halfplane_momentum(mode: ModeSpec, x: float, y: float,
+def laplace_beta_halfplane_momentum(mode: ModeSpec, df0, x: float, y: float,
                                     tol=1e-10) -> complex:
     """Transform of the memory kernel at s = x + 2*pi*i*y for x > 0 via
     the closed complex form (4 sigma / kappa^2) int [z arctanh(v/z) - v]
-    (1+p^2)(-f0') dp, z = (x + 2*pi*i*y) / (2*pi*i*kappa): one adaptive
-    momentum integral per point."""
+    (1+p^2)(-f0') dp, z = (x + 2*pi*i*y) / (2*pi*i*kappa), with ``df0``
+    the f0' of ``mode.equilibrium``: one adaptive momentum integral per
+    point."""
     if not x > 0:
         raise ValueError("laplace_beta_halfplane_momentum requires x > 0")
     kap = mode.kappa
@@ -537,7 +590,7 @@ def laplace_beta_halfplane_momentum(mode: ModeSpec, x: float, y: float,
 
     def integrand(p):
         return f_cap_complex(z, v_of_p(p)) * (1.0 + p * p) \
-            * (-eq.derivative(p))
+            * (-df0(p))
 
     res = _eq_integral(eq, integrand, tol)
     return 4.0 * mode.sigma / kap**2 * complex(res.value)
@@ -613,21 +666,22 @@ def solve_mode_coarse_first(mode: ModeSpec, grid: TimeGrid,
 
 # --- integration-by-parts twins of the critical wavenumbers -----------------
 
-def threshold_plasma_from_derivative(eq, tol=1e-11) -> float:
+def threshold_plasma_from_derivative(eq, df0, tol=1e-11) -> float:
     """Twin of ``threshold_plasma``: 4 int [arctanh(v) - v] (1+p^2)
-    (-f0') dp."""
+    (-f0') dp, with ``df0`` the f0' of ``eq``."""
 
     def integrand(p):
-        return f_cap(1.0, v_of_p(p)) * (1.0 + p * p) * (-eq.derivative(p))
+        return f_cap(1.0, v_of_p(p)) * (1.0 + p * p) * (-df0(p))
 
     return 4.0 * float(_eq_integral(eq, integrand, tol).value)
 
 
-def threshold_astro_from_derivative(eq, tol=1e-11) -> float:
-    """Twin of ``threshold_astro``: 4 int p sqrt(1+p^2) (-f0') dp."""
+def threshold_astro_from_derivative(eq, df0, tol=1e-11) -> float:
+    """Twin of ``threshold_astro``: 4 int p sqrt(1+p^2) (-f0') dp, with
+    ``df0`` the f0' of ``eq``."""
 
     def integrand(p):
-        return p * np.hypot(1.0, p) * (-eq.derivative(p))
+        return p * np.hypot(1.0, p) * (-df0(p))
 
     return 4.0 * float(_eq_integral(eq, integrand, tol).value)
 

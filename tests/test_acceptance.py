@@ -26,8 +26,9 @@ from rvpmodes.volterra import (TimeGrid, apply_resolvent, resolvent_kernel,
                                solve_mode, solve_volterra)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, f_derivative, g_derivative,
-                     gaussian_density, integrate_semi_infinite_adaptive,
+                     beta_via_inverse, compact_derivative, f_derivative,
+                     g_derivative, gaussian_density,
+                     integrate_semi_infinite_adaptive, juttner_derivative,
                      threshold_astro_from_derivative,
                      threshold_plasma_from_derivative)
 
@@ -106,14 +107,15 @@ def test_criterion_3_attractive_asymptote():
 def test_criterion_4_threshold_identity_pairs():
     desc = "both threshold integrals equal their derivative forms to 1e-8"
     with _Reporter(4, desc):
-        eqs = [juttner(th) for th in (0.05, 0.2, 1.0, 5.0)]
-        eqs.append(compact_decreasing(1.5))
-        for eq in eqs:
+        eqs = [(juttner(th), juttner_derivative(th))
+               for th in (0.05, 0.2, 1.0, 5.0)]
+        eqs.append((compact_decreasing(1.5), compact_derivative(1.5)))
+        for eq, df0 in eqs:
             a = threshold_plasma(eq).kappa_crit_sq
-            b = threshold_plasma_from_derivative(eq)
+            b = threshold_plasma_from_derivative(eq, df0)
             assert abs(a - b) <= 1e-8 * abs(a)
             c = threshold_astro(eq).kappa_crit_sq
-            d = threshold_astro_from_derivative(eq)
+            d = threshold_astro_from_derivative(eq, df0)
             assert abs(c - d) <= 1e-8 * abs(c)
 
 
@@ -122,7 +124,7 @@ def test_criterion_5_cross_path_kernels():
             "(theta, kappa, t) battery")
     with _Reporter(5, desc):
         for theta in (0.2, 1.0):
-            eq = juttner(theta)
+            eq, df0 = juttner(theta), juttner_derivative(theta)
             prof = gaussian_profile(1.0, 1.0)
             h = gaussian_density(1.0, 1.0)
             for kappa in (0.5, 1.0, 2.0):
@@ -135,7 +137,7 @@ def test_criterion_5_cross_path_kernels():
                     ai = alpha_via_inverse(mode, t, tol=1e-13).real
                     assert abs(ad - ai) <= 1e-6 * max(abs(ad), abs(ai),
                                                       1e-9)
-                    bd = beta_direct(mode, t, tol=1e-13)
+                    bd = beta_direct(mode, df0, t, tol=1e-13)
                     bi = beta_via_inverse(mode, t, tol=1e-13)
                     assert abs(bd - bi) <= 1e-6 * max(abs(bd), abs(bi),
                                                       1e-9)

@@ -977,14 +977,15 @@ class TestEvolveContract:
 
 # the values dispersion accepts and refuses for each drawn input; "y" is the
 # (--y-min, --y-max) pair, whose message names both flags, and None leaves
-# the flag out.  "unread" adds --p-support to a Juttner run or --theta to a
+# the flag out.  --n-y 1 is refused between unequal ends (it dropped the
+# upper one), and accepted where both ends are 0.5.  "unread" adds --p-support to a Juttner run or --theta to a
 # compact one.  Accepted cold theta (about 1.5e-206 to 1e-3) is not drawn,
 # as in _EVOLVE_GOOD; item 17's case is pinned by its own xfail.
 _DISPERSION_GOOD = {"--kappa": [0.46, 1.0, 4.3e-103, 5.6e102],
                     "--theta": [0.2, 5.0], "--p-support": [1.5],
                     "--x": ["0", "0,0.5", "1e-323,2"],
                     "y": [(None, None), (0.0, 2.0), (-1.0, 1.0), (0.5, 0.5)],
-                    "--n-y": [1, 3], "--tol": [None, 1e-6]}
+                    "--n-y": [3], "--tol": [None, 1e-6]}
 _DISPERSION_BAD = {"--kappa": [0.0, -1.0, math.inf, math.nan, 1e-300,
                                5.7e102],
                    "--theta": [0.0, -1.0, math.inf, math.nan, 1e-300,
@@ -993,7 +994,8 @@ _DISPERSION_BAD = {"--kappa": [0.0, -1.0, math.inf, math.nan, 1e-300,
                    "--x": ["-0.5", "0,abc", "0,", "inf", "0,nan"],
                    "y": [(2.0, 0.0), (0.0, math.nan), (-math.inf, 1.0),
                          (0.0, math.inf)],
-                   "--n-y": [0, -1, 65537], "--tol": [0.0, math.nan, -1e-9]}
+                   "--n-y": [0, -1, 65537, 1],
+                   "--tol": [0.0, math.nan, -1e-9]}
 
 
 @st.composite
@@ -1020,8 +1022,11 @@ def _dispersion_run(draw):
         defect = "--theta" if compact else "--p-support"
         opts.append((defect, 0.5 if compact else 2.0))
     y_min, y_max = value("y")
+    n_y = value("--n-y")
+    if n_y == 1 and y_min == 0.5 == y_max:  # one point, as typed
+        defect = None
     opts += [("--x", value("--x")), ("--y-min", y_min), ("--y-max", y_max),
-             ("--n-y", value("--n-y")), ("--tol", value("--tol"))]
+             ("--n-y", n_y), ("--tol", value("--tol"))]
     return defect, [(f, v) for f, v in opts if v is not None]
 
 
@@ -1458,6 +1463,34 @@ class TestOutOfDomainInput:
         out = tmp_path / "out.csv"
         assert exit_code(self._argv(command, flags) + ["-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, count, upper", [
+        (["dispersion", "--kappa", "0.46", "--sigma", "1", "--theta", "0.2",
+          "--y-min", "0", "--y-max", "2", "--n-y", "1"], "--n-y", "--y-max"),
+        (["threshold", "--theta-min", "0.1", "--theta-max", "1",
+          "--n-points", "1"], "--n-points", "--theta-max"),
+        (["sweep", "--kappa-min", "0.5", "--kappa-max", "1", "--n-kappa",
+          "1", "--sigma", "1", "--theta", "0.2", "--dt", "0.05", "--t-max",
+          "10"], "--n-kappa", "--kappa-max")],
+        ids=["dispersion", "threshold", "sweep"])
+    def test_one_point_between_unequal_ends(self, argv, count, upper,
+                                            tmp_path, capsys, monkeypatch):
+        # one point wrote only the lower end: dispersion --y-min 0 --y-max 2
+        # --n-y 1 wrote y = 0 alone, and so did threshold and sweep
+        monkeypatch.setattr(cli, "_sweep_row", None)  # no row may run
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {count} 1 ") and upper in err, err
+        assert not out.exists()
+
+    def test_threshold_one_point_at_equal_ends(self, tmp_path):
+        # theta-min = theta-max was an empty theta range at every count
+        out = tmp_path / "thr.csv"
+        assert main(["threshold", "--theta-min", "0.2", "--theta-max", "0.2",
+                     "--n-points", "1", "-o", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1 and float(rows[0][0]) == 0.2
 
     def test_dispersion_refused_equilibrium(self, tmp_path):
         out = tmp_path / "disp.csv"

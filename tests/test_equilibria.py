@@ -7,8 +7,9 @@ import pytest
 from rvpmodes.equilibria import (compact_decreasing, gaussian_profile,
                                  juttner, thermal_profile)
 
-from oracles import (bessel_k2, gaussian_density, integrate_adaptive,
-                     integrate_semi_infinite_adaptive, thermal_density)
+from oracles import (bessel_k2, compact_derivative, gaussian_density,
+                     integrate_adaptive, integrate_semi_infinite_adaptive,
+                     juttner_derivative, thermal_density)
 
 THETAS = [0.01, 0.1, 0.2, 1.0, 10.0]
 
@@ -33,7 +34,7 @@ class TestJuttner:
 
     def test_log_derivative(self):
         eq = juttner(1.0)
-        assert eq.derivative(1.0) / eq.value(1.0) == pytest.approx(
+        assert juttner_derivative(1.0)(1.0) / eq.value(1.0) == pytest.approx(
             -1.0 / math.sqrt(2.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("theta", [0.05, 0.3, 2.0])
@@ -42,12 +43,12 @@ class TestJuttner:
         ps = np.linspace(0.05, 4.0 * eq.p_scale, 100)
         h = 1e-6 * max(eq.p_scale, 0.1)
         fd = (eq.value(ps + h) - eq.value(ps - h)) / (2.0 * h)
-        assert np.allclose(eq.derivative(ps), fd, rtol=1e-6, atol=1e-300)
+        assert np.allclose(juttner_derivative(theta)(ps), fd, rtol=1e-6,
+                           atol=1e-300)
 
     def test_derivative_nonpositive_on_log_grid(self):
-        eq = juttner(0.2)
         ps = np.logspace(-4, 2, 1000)
-        assert np.all(eq.derivative(ps) <= 0.0)
+        assert np.all(juttner_derivative(0.2)(ps) <= 0.0)
 
     def test_cold_regime_warns_but_works(self):
         with pytest.warns(UserWarning):
@@ -55,10 +56,10 @@ class TestJuttner:
         assert mass(eq) == pytest.approx(1.0, abs=1e-8)
 
     def test_tail_kernel_moment_matches_quadrature(self):
-        eq = juttner(0.35)
+        eq, df0 = juttner(0.35), juttner_derivative(0.35)
         for p0 in (0.0, 0.4, 2.0):
             ref = integrate_semi_infinite_adaptive(
-                lambda q: (1.0 + (q + p0) ** 2) * (-eq.derivative(q + p0)),
+                lambda q: (1.0 + (q + p0) ** 2) * (-df0(q + p0)),
                 tol=1e-13, scale=eq.p_scale).value
             assert eq.tail_kernel_moment(math.hypot(1.0, p0)) \
                 == pytest.approx(ref, rel=1e-10, abs=0.0)
@@ -71,12 +72,13 @@ class TestJuttner:
 
     def test_far_tail_is_zero_without_warning(self):
         # (1 - U)/theta overflows to -inf far out at small theta: value and
-        # derivative warned before giving e^-inf = 0
+        # f0' warned before giving e^-inf = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.simplefilter("ignore", UserWarning)  # cold regime
             eq = juttner(1e-9)
-            assert eq.value(1e300) == 0.0 and eq.derivative(1e300) == 0.0
+            assert eq.value(1e300) == 0.0
+            assert juttner_derivative(1e-9)(1e300) == 0.0
 
     @pytest.mark.parametrize("theta", [1e-300, 1e-308, 1e-310, 5e-324])
     def test_refuses_before_it_warns(self, theta):
@@ -115,22 +117,21 @@ class TestCompact:
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_derivative_nonpositive(self):
-        eq = compact_decreasing(1.0)
         ps = np.linspace(1e-6, 1.0, 500)
-        assert np.all(eq.derivative(ps) <= 0.0)
+        assert np.all(compact_derivative(1.0)(ps) <= 0.0)
 
     def test_derivative_matches_finite_difference(self):
         eq = compact_decreasing(1.3)
         ps = np.linspace(0.05, 1.2, 100)
         h = 1e-7
         fd = (eq.value(ps + h) - eq.value(ps - h)) / (2.0 * h)
-        assert np.allclose(eq.derivative(ps), fd, rtol=1e-6)
+        assert np.allclose(compact_derivative(1.3)(ps), fd, rtol=1e-6)
 
     def test_tail_kernel_moment_matches_quadrature(self):
-        eq = compact_decreasing(1.5)
+        eq, df0 = compact_decreasing(1.5), compact_derivative(1.5)
         for p0 in (0.0, 0.5, 1.2):
             ref = integrate_adaptive(
-                lambda p: (1.0 + p * p) * (-eq.derivative(p)), p0, 1.5,
+                lambda p: (1.0 + p * p) * (-df0(p)), p0, 1.5,
                 tol=1e-13).value
             assert eq.tail_kernel_moment(math.hypot(1.0, p0)) \
                 == pytest.approx(ref, abs=1e-12)

@@ -25,9 +25,10 @@ from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
                                threshold_astro, threshold_plasma)
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
-                     beta_via_inverse, f_cap, gaussian_density,
+                     beta_envelope_slope, beta_via_inverse,
+                     compact_derivative, f_cap, gaussian_density,
                      integrate_adaptive, integrate_oscillatory,
-                     integrate_semi_infinite_adaptive,
+                     integrate_semi_infinite_adaptive, juttner_derivative,
                      laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
                      rational_bound_check, thermal_density,
                      threshold_astro_from_derivative,
@@ -106,12 +107,13 @@ def _eq_integral(eq, integrand, tol=1e-13):
     return _half_line(integrand, tol, eq.support_bound, eq.p_scale).value
 
 
-def _beyond_oracle(mode, y):
+def _beyond_oracle(mode, df0, y):
     """|y| >= kappa: (4 sigma / kappa^2) int F(|y|/kappa, v(p))
-    (1+p^2)(-f0') dp with F(x, v) = x arctanh(v/x) - v."""
+    (1+p^2)(-f0') dp with F(x, v) = x arctanh(v/x) - v, ``df0`` the f0'
+    of ``mode.equilibrium``."""
     eq, x = mode.equilibrium, abs(y) / mode.kappa
     val = _eq_integral(eq, lambda p: f_cap(x, v_of_p(p)) * (1.0 + p * p)
-                       * (-eq.derivative(p)))
+                       * (-df0(p)))
     return complex(4.0 * mode.sigma / mode.kappa**2 * val)
 
 
@@ -153,13 +155,16 @@ def _cauchy_oracle(mode, y):
 
 @st.composite
 def axis_modes(draw):
+    """A mode and the f0' of its equilibrium."""
     if draw(st.booleans()):
-        eq = juttner(draw(st.floats(0.1, 2.0)))
+        theta = draw(st.floats(0.1, 2.0))
+        eq, df0 = juttner(theta), juttner_derivative(theta)
     else:
-        eq = compact_decreasing(draw(st.floats(0.5, 3.0)))
+        P = draw(st.floats(0.5, 3.0))
+        eq, df0 = compact_decreasing(P), compact_derivative(P)
     return ModeSpec(kappa=draw(st.floats(0.2, 3.0)),
                     sigma=draw(st.sampled_from([1, -1])), equilibrium=eq,
-                    profile=gaussian_profile(1.0, 1.0))
+                    profile=gaussian_profile(1.0, 1.0)), df0
 
 
 class TestModeSpec:
@@ -192,23 +197,23 @@ class TestTimeKernels:
             assert alpha_direct(mode02, h02, -t) == pytest.approx(
                 alpha_direct(mode02, h02, t), rel=1e-12, abs=0.0)
 
-    def test_beta_zero_at_origin(self, mode02):
-        assert beta_direct(mode02, 0.0) == 0.0
+    def test_beta_zero_at_origin(self, mode02, df02):
+        assert beta_direct(mode02, df02, 0.0) == 0.0
 
-    def test_beta_real_and_odd(self, mode02):
+    def test_beta_real_and_odd(self, mode02, df02):
         for t in (0.5, 2.5):
-            b = beta_direct(mode02, t)
+            b = beta_direct(mode02, df02, t)
             assert isinstance(b, float)
-            assert beta_direct(mode02, -t) == pytest.approx(-b, rel=1e-10,
-                                                            abs=0.0)
+            assert beta_direct(mode02, df02, -t) == pytest.approx(
+                -b, rel=1e-10, abs=0.0)
 
-    def test_beta_linear_in_sigma(self, eq02):
+    def test_beta_linear_in_sigma(self, eq02, df02):
         prof = gaussian_profile(1.0, 1.0)
         mp = ModeSpec(kappa=0.8, sigma=+1, equilibrium=eq02, profile=prof)
         mm = ModeSpec(kappa=0.8, sigma=-1, equilibrium=eq02, profile=prof)
         for t in (1.0, 4.0):
-            assert beta_direct(mm, t) == pytest.approx(-beta_direct(mp, t),
-                                                       rel=1e-12, abs=0.0)
+            assert beta_direct(mm, df02, t) == pytest.approx(
+                -beta_direct(mp, df02, t), rel=1e-12, abs=0.0)
 
 
 class TestTransforms:
@@ -284,9 +289,12 @@ class TestTailFallback:
     """The envelopes built on p-integral tails equal those built on the
     closed forms, for every equilibrium and profile factory."""
 
-    @pytest.mark.parametrize("eq", [juttner(0.2), compact_decreasing(1.5)])
-    def test_quadrature_tails_match_closed_forms(self, eq):
-        tail = _p_integral_tail(lambda p: (1.0 + p * p) * (-eq.derivative(p)),
+    @pytest.mark.parametrize("eq, df0", [
+        (juttner(0.2), juttner_derivative(0.2)),
+        (compact_decreasing(1.5), compact_derivative(1.5))],
+        ids=["eq0", "eq1"])
+    def test_quadrature_tails_match_closed_forms(self, eq, df0):
+        tail = _p_integral_tail(lambda p: (1.0 + p * p) * (-df0(p)),
                                 eq.support_bound, eq.p_scale)
         # the closed form takes U = sqrt(1 + P^2)
         oracle_eq = dataclasses.replace(
@@ -317,12 +325,12 @@ class TestTailFallback:
 class TestCrossPath:
     @pytest.mark.parametrize("kappa", [0.5, 2.0])
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
-    def test_alpha_and_beta(self, eq02, kappa, t):
+    def test_alpha_and_beta(self, eq02, df02, kappa, t):
         mode = ModeSpec(kappa=kappa, sigma=+1, equilibrium=eq02,
                         profile=gaussian_profile(1.0, 1.0))
         ad = alpha_direct(mode, gaussian_density(1.0, 1.0), t)
         ai = alpha_via_inverse(mode, t)
-        bd, bi = beta_direct(mode, t), beta_via_inverse(mode, t)
+        bd, bi = beta_direct(mode, df02, t), beta_via_inverse(mode, t)
         assert rel_close(ad.real, ai.real, 1e-6)
         assert rel_close(bd, bi, 1e-6)
 
@@ -331,16 +339,16 @@ class TestCrossPath:
                         equilibrium=compact_decreasing(1.5),
                         profile=gaussian_profile(1.0, 1.0))
         for t in (1.0, 5.0):
-            assert rel_close(beta_direct(mode, t),
+            assert rel_close(beta_direct(mode, compact_derivative(1.5), t),
                              beta_via_inverse(mode, t), 1e-6)
 
-    def test_kernel_table_matches_direct(self, mode02, h02):
+    def test_kernel_table_matches_direct(self, mode02, h02, df02):
         t = np.linspace(0.0, 30.0, 601)
         tab = sample_kernels(mode02, t, tol=1e-11)
         assert tab.alpha.dtype == tab.beta.dtype == np.float64
         for j in (0, 20, 200, 600):
             assert abs(tab.alpha[j] - alpha_direct(mode02, h02, t[j])) < 1e-8
-            assert abs(tab.beta[j] - beta_direct(mode02, t[j])) < 1e-8
+            assert abs(tab.beta[j] - beta_direct(mode02, df02, t[j])) < 1e-8
 
 
 class TestLaplaceOnAxis:
@@ -456,26 +464,71 @@ class TestAxisEvaluatorOracles:
                    - _cauchy_oracle(mode, y)) <= 10 * tol
 
     @settings(max_examples=25, deadline=None)
-    @given(mode=axis_modes(), inner=st.floats(-0.99, 0.99),
+    @given(case=axis_modes(), inner=st.floats(-0.99, 0.99),
            outer=st.floats(1.0, 20.0))
     # QUADPACK's Cauchy weight reported roundoff here (y = 0.1171875)
-    @example(mode=ModeSpec(kappa=0.5, sigma=1,
-                           equilibrium=compact_decreasing(0.609375),
-                           profile=gaussian_profile(1.0, 1.0)),
+    @example(case=(ModeSpec(kappa=0.5, sigma=1,
+                            equilibrium=compact_decreasing(0.609375),
+                            profile=gaussian_profile(1.0, 1.0)),
+                   compact_derivative(0.609375)),
              inner=0.234375, outer=1.0)
     # y = 2.2e-16 split off a piece 4.4e-16 wide that QUADPACK refused
-    @example(mode=ModeSpec(kappa=1.0, sigma=1,
-                           equilibrium=compact_decreasing(1.0),
-                           profile=gaussian_profile(1.0, 1.0)),
+    @example(case=(ModeSpec(kappa=1.0, sigma=1,
+                            equilibrium=compact_decreasing(1.0),
+                            profile=gaussian_profile(1.0, 1.0)),
+                   compact_derivative(1.0)),
              inner=2.220446049250313e-16, outer=1.0)
-    def test_batch_matches_oracles(self, mode, inner, outer):
+    def test_batch_matches_oracles(self, case, inner, outer):
+        mode, df0 = case
         kap = mode.kappa
         ys = np.array([0.0, inner * kap, outer * kap, -outer * kap])
         w = laplace_beta_imag(mode, ys, tol=self.TOL)
         assert abs(w[0] - _origin_oracle(mode)) <= 10 * self.TOL
         assert abs(w[1] - _cauchy_oracle(mode, ys[1])) <= 10 * self.TOL
         for k in (2, 3):
-            assert abs(w[k] - _beyond_oracle(mode, ys[k])) <= 10 * self.TOL
+            assert abs(w[k] - _beyond_oracle(mode, df0, ys[k])) \
+                <= 10 * self.TOL
+
+    @pytest.mark.parametrize("eq, df0", [
+        *(pytest.param(juttner(th), juttner_derivative(th), id=f"theta={th:g}")
+          for th in (1e-3, 0.2, 0.5, 100.0, 1e4)),
+        *(pytest.param(compact_decreasing(P), compact_derivative(P),
+                       id=f"P={P:g}") for P in (1.0, 10.0))])
+    def test_near_node_slope_meets_chain_rule(self, eq, df0, monkeypatch):
+        # The patch for y on a node, or within 1e-5 kappa of one, reads b'
+        # at two points between them, by the complex step of b.  With r
+        # formed as the complex quotient z/kappa, r rounded one ulp off
+        # near |y| = kappa: b' moved by 7.9e-11 of max|b'| at theta = 100
+        # and by 6.2e-8 at theta = 1e4.  For compact, y mirrored about e
+        # puts the two points on either side of it.
+        mode = ModeSpec(kappa=0.46, sigma=1, equilibrium=eq)
+        edge = math.atan(eq.support_bound)
+        e = mode.kappa * math.sin(edge)
+        seen = []
+        b_prime = spectral._b_prime
+
+        def record(mode, y, e):
+            out = b_prime(mode, y, e)
+            seen.append((y, out))
+            return out
+
+        monkeypatch.setattr(spectral, "_b_prime", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # theta = 1e-3
+            for n in (8, 1024):
+                phi, _ = gauss_legendre_nodes([-edge, 0.0, edge], n)
+                s = mode.kappa * np.sin(np.concatenate(
+                    [phi[:4], phi[::251], phi[-4:]]))
+                z = np.concatenate([s, s + 0.7e-5 * mode.kappa,
+                                    s - 0.7e-5 * mode.kappa, 2.0 * e - s])
+                spectral._cauchy_sums(mode, z, beta_hat_envelope(mode, z),
+                                      edge, n)
+        y = np.concatenate([y for y, _ in seen])
+        got = np.concatenate([b for _, b in seen])
+        ref = beta_envelope_slope(mode, df0, y)
+        assert np.max(np.abs(got - ref)) <= 5e-13 * np.max(np.abs(ref))
+        if math.isfinite(eq.support_bound):
+            assert np.any(y > e) and np.all(got[y >= e] == 0.0)
 
     def test_y_on_quadrature_node(self, mode02):
         # The evaluator's first two grids put nodes at s = kappa sin(phi),
@@ -534,16 +587,18 @@ class TestLaplaceHalfPlane:
                     == laplace_beta_imag(mode, float(y), tol=self.TOL))
 
     @settings(max_examples=25, deadline=None)
-    @given(mode=axis_modes(), log_x=st.floats(-6.0, math.log10(5.0)),
+    @given(case=axis_modes(), log_x=st.floats(-6.0, math.log10(5.0)),
            inner=st.floats(-0.99, 0.99), outer=st.floats(1.0, 20.0))
     # cold, far off the axis: subtracting the continued b(z) here, which
     # outgrows the envelope by e^{(1 - Re U)/theta}, changed by 5.6e20 at
     # the panel cap
-    @example(mode=ModeSpec(kappa=0.2, sigma=1, equilibrium=juttner(0.01),
-                           profile=gaussian_profile(1.0, 1.0)),
+    @example(case=(ModeSpec(kappa=0.2, sigma=1, equilibrium=juttner(0.01),
+                            profile=gaussian_profile(1.0, 1.0)),
+                   juttner_derivative(0.01)),
              log_x=math.log10(5.0), inner=0.3, outer=2.0)
-    def test_batch_matches_momentum_oracle(self, mode, log_x, inner, outer):
+    def test_batch_matches_momentum_oracle(self, case, log_x, inner, outer):
         # e is the support edge of b: kappa, or kappa v(P) if compact
+        mode, df0 = case
         x = 10.0 ** log_x
         eq = mode.equilibrium
         e = mode.kappa * (v_of_p(eq.support_bound)
@@ -551,7 +606,7 @@ class TestLaplaceHalfPlane:
         ys = np.array([0.0, inner * e, e, -e, outer * e, -outer * e])
         w = laplace_beta_halfplane(mode, x, ys, tol=self.TOL)
         for y, val in zip(ys, w):
-            ref = laplace_beta_halfplane_momentum(mode, x, float(y),
+            ref = laplace_beta_halfplane_momentum(mode, df0, x, float(y),
                                                   tol=1e-13)
             assert abs(val - ref) <= 10 * self.TOL
 
@@ -607,18 +662,18 @@ def _threshold_on_adaptive_route(threshold, eq):
 class TestThresholds:
     def test_identity_pairs(self):
         for theta in (0.05, 0.2, 1.0, 5.0):
-            eq = juttner(theta)
+            eq, df0 = juttner(theta), juttner_derivative(theta)
             a = threshold_plasma(eq).kappa_crit_sq
-            b = threshold_plasma_from_derivative(eq)
+            b = threshold_plasma_from_derivative(eq, df0)
             assert rel_close(a, b, 1e-8)
             c = threshold_astro(eq).kappa_crit_sq
-            d = threshold_astro_from_derivative(eq)
+            d = threshold_astro_from_derivative(eq, df0)
             assert rel_close(c, d, 1e-8)
-        eq = compact_decreasing(1.5)
+        eq, df0 = compact_decreasing(1.5), compact_derivative(1.5)
         assert rel_close(threshold_plasma(eq).kappa_crit_sq,
-                         threshold_plasma_from_derivative(eq), 1e-8)
+                         threshold_plasma_from_derivative(eq, df0), 1e-8)
         assert rel_close(threshold_astro(eq).kappa_crit_sq,
-                         threshold_astro_from_derivative(eq), 1e-8)
+                         threshold_astro_from_derivative(eq, df0), 1e-8)
 
     def test_high_precision_oracle_value(self):
         # frozen from a 30-digit thermal-equilibrium quadrature of
@@ -851,7 +906,8 @@ class TestKernelTableChirpZ:
         for j in idx[:2]:
             assert abs(tab.alpha[j] - alpha_direct(
                 mode, thermal_density(0.5, 1.0), t[j])) < 1e-10
-            assert abs(tab.beta[j] - beta_direct(mode, t[j])) < 1e-10
+            assert abs(tab.beta[j] - beta_direct(
+                mode, juttner_derivative(0.5), t[j])) < 1e-10
 
     def test_half_step_table_memory(self):
         # the README evolve --refine's half-step table, the peak of its
