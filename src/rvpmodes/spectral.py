@@ -189,6 +189,7 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
     s = mode.kappa * np.sin(phi)
     w = w * mode.kappa * np.cos(phi)
     b_s = beta_hat_envelope(mode, s)
+    e = mode.kappa * math.sin(edge)  # b vanishes for |y| >= e
     rows = _PV_ROWS * 8 // z.itemsize  # complex blocks hold half the rows
     out = np.empty_like(z)
     for i in range(0, z.size, rows):
@@ -201,7 +202,6 @@ def _cauchy_sums(mode: ModeSpec, z, b_z, edge, n_panels):
             # at s = y is -b'(y).  Off the axis |d| >= -Im z > 0.
             mid = s[np.nonzero(near)[1]] + 0.5 * d[near]
             off = d[near] / (2.0 * math.sqrt(3.0))
-            e = mode.kappa * math.sin(edge)
             quot[near] = -0.5 * (_b_prime(mode, mid - off, e)
                                  + _b_prime(mode, mid + off, e))
         # einsum runs its own loop: a gemv would wake the BLAS worker
