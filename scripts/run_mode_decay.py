@@ -18,7 +18,7 @@ from rvpmodes.spectral import ModeSpec, kappa_crit_sq, laplace_beta_imag
 from rvpmodes.volterra import TimeGrid, solve_mode
 
 
-def run(theta, kappa_factor, dt, t_max, seed, out):
+def run(theta, kappa_factor, grid, seed, out):
     eq = juttner(theta)
     kc = math.sqrt(kappa_crit_sq(eq, +1))
     kappa = kappa_factor * kc
@@ -31,7 +31,6 @@ def run(theta, kappa_factor, dt, t_max, seed, out):
     dist = np.min(np.abs(1.0 - laplace_beta_imag(mode, ys)))
     print(f"closest approach of the dispersion value to 1: {dist:.4f}")
 
-    grid = TimeGrid(dt=dt, n_steps=int(round(t_max / dt)))
     traj = solve_mode(mode, grid, refine=True)
     a = np.abs(traj.rho)
     fit, env, verdict = fit_mode_decay(grid.times, a / a[0], kappa,
@@ -57,4 +56,8 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-o", "--output", default="")
     a = ap.parse_args()
-    run(a.theta, a.kappa_factor, a.dt, a.t_max, a.seed, a.output)
+    try:
+        grid = TimeGrid.ending_at(a.dt, a.t_max)
+    except (ValueError, ArithmeticError) as exc:
+        ap.error(f"--t-max {a.t_max} and --dt {a.dt}: {exc}")
+    run(a.theta, a.kappa_factor, grid, a.seed, a.output)

@@ -183,17 +183,16 @@ def _usage_checked(build, *args, flag=None):
 def _time_grid(dt, t_max):
     """t_max/dt steps of dt, refused before anything is allocated unless
     0 < dt < t_max < inf, t_max/dt <= MAX_STEPS and t_max/dt is a whole
-    number to 1e-9 relative: a grid that ends elsewhere than t_max is not
-    what was typed."""
+    number (``TimeGrid.ending_at``)."""
     if not (0 < dt < t_max < math.inf and t_max / dt <= MAX_STEPS):
         raise UsageError(f"need finite 0 < dt < t-max with t-max/dt <= "
                          f"{MAX_STEPS}, got dt={dt}, t-max={t_max}")
-    n_steps = int(round(t_max / dt))
-    if abs(t_max / dt - n_steps) > 1e-9 * n_steps:
+    try:
+        return TimeGrid.ending_at(dt, t_max)
+    except ValueError:
         raise UsageError(f"--t-max must be a whole number of --dt steps, "
                          f"got --t-max {t_max} = {t_max / dt:.17g} x "
-                         f"--dt {dt}")
-    return TimeGrid(dt=dt, n_steps=n_steps)
+                         f"--dt {dt}") from None
 
 
 def _count(flag, n, top=MAX_POINTS, bottom=1):

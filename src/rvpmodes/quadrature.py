@@ -10,13 +10,14 @@ Entry points:
 * :func:`integrate_semi_infinite` -- [0, inf) via the rational map
   p = scale*u/(1-u).
 * :func:`filon_sums` -- the one Filon evaluator: composite cubic panels,
-  exact for cubic envelopes per panel at any frequency, for many
-  frequencies on one panelization (kernel tables, the resolvent); a
-  uniform frequency grid costs four chirp-z transforms on ``numpy.fft``,
-  padded to :func:`next_fast_len`.
-* :func:`filon_table` -- transforms of frequency envelopes on a time
-  grid through :func:`filon_sums`, on uniform panels doubled to ``tol``
-  by :func:`double_panels`, which the dispersion transform shares.
+  exact for cubic envelopes per panel at any frequency, for a uniform
+  grid of frequencies on one panelization (kernel tables, the
+  resolvent), as four chirp-z transforms on ``numpy.fft``, padded to
+  :func:`next_fast_len`; any other grid is refused.
+* :func:`filon_table` -- transforms of frequency envelopes on a uniform
+  time grid through :func:`filon_sums`, on uniform panels doubled to
+  ``tol`` by :func:`double_panels`, which the dispersion transform
+  shares; its three probe times take a direct three-row sum.
 
 The Gauss-Legendre panels also serve the principal values of
 :mod:`rvpmodes.spectral`.
@@ -285,9 +286,9 @@ def _phase(nt, step, c):
     return np.exp(phase, out=phase)
 
 
-_FILON_CHUNK = 512  # omegas per block of the direct (T x P) panel sum
-_CZT_BLOCK = 4096  # omegas per block of the chirp-z branch's weights
-_UNIFORM_TOL = 8  # |omega_j - (omega_0 + j step)| allowed, in eps max|omega|
+_CZT_BLOCK = 4096  # omegas per block of the chirp-z weights
+# |omega_j - (omega_0 + j step)| allowed, in max|omega|: 8 eps
+_UNIFORM_TOL = 8 * np.finfo(float).eps
 
 
 def _part(z, part):
@@ -297,8 +298,22 @@ def _part(z, part):
     return z.view(float) if part is None else getattr(z, part)
 
 
+def _uniform_step(omegas):
+    """step = omega_1 - omega_0 (0 for one omega) of a uniform grid, where
+    every omega_j lies within 8 eps max|omega| of omega_0 + j step: the
+    grid the chirp-z transform evaluates, up to the rounding of 2 pi t,
+    which grows with |omega|.  Any other grid, or none, raises
+    ValueError."""
+    step = omegas[1] - omegas[0] if omegas.size > 1 else 0.0
+    dev = np.abs(omegas[:1] + np.arange(omegas.size) * step - omegas)
+    tol = _UNIFORM_TOL * np.abs(omegas).max(initial=0.0)
+    if omegas.size == 0 or not np.all(dev <= tol):
+        raise ValueError("the Filon sums need a uniform grid of omegas")
+    return step
+
+
 def filon_sums(env_nodes, a, b, omegas, parts=None):
-    """int_a^b env(y) e^{i omega y} dy for many omegas at once.
+    """int_a^b env(y) e^{i omega y} dy on a uniform grid of omegas.
 
     env_nodes: (P, 4) envelope values at the nodes of
     ``filon_nodes(a, b, P)``, or a stack (K, P, 4) of K envelopes.  Returns
@@ -306,98 +321,86 @@ def filon_sums(env_nodes, a, b, omegas, parts=None):
     each row of a stack equals its own call to the bit.  ``parts``, one
     "real" or "imag" per envelope (a one-item sequence for a single
     envelope), keeps only that part of each row: a float array, each row
-    the ``.real`` or ``.imag`` of the complex one to the bit.  For a
-    uniformly spaced grid of more than 64 omegas the panel sum collapses
-    to four chirp-z transforms, so dense time grids cost O((P + T) log)
-    instead of O(P * T).  The chirp, its transform, the phase and the
-    weights lam_0, lam_1 are formed once per call, and the four node
-    columns of each envelope of a stack are shifted and transformed one at
-    a time, in one FFT buffer, so besides the output, one row of pair sums
-    and one shifted column the working memory is six T-length complex
-    vectors whatever P.  Fewer or non-uniform omegas take the direct panel
-    sum, 512 omegas at a time, which copies out one envelope's node
-    columns at a time and forms its (omegas, P) phase in place.
+    the ``.real`` or ``.imag`` of the complex one to the bit.  The omegas
+    must be uniform (``_uniform_step``; any other grid raises ValueError),
+    from one omega up: the panel sum is four chirp-z transforms, so a
+    table costs O((P + T) log) instead of O(P * T).  The chirp, its
+    transform, the phase and the weights lam_0, lam_1 are formed once per
+    call, and the four node columns of each envelope of a stack are
+    shifted and transformed one at a time, in one FFT buffer, so besides
+    the output, one row of pair sums and one shifted column the working
+    memory is six T-length complex vectors whatever P.
     """
     omegas = np.asarray(omegas, dtype=float)
     stack = np.asarray(env_nodes)
     if stack.ndim == 2:
         return filon_sums(stack[None], a, b, omegas, parts)[0]
-    dtype = complex if parts is None else float
-    if parts is None:
-        parts = [None] * len(stack)
-    elif len(parts) != len(stack) or not set(parts) <= {"real", "imag"}:
+    if parts is not None and (len(parts) != len(stack)
+                              or not set(parts) <= {"real", "imag"}):
         raise ValueError(f"parts needs one 'real' or 'imag' per envelope, "
                          f"got {parts!r} for {len(stack)}")
+    step = _uniform_step(omegas)
     n_panels = stack.shape[1]
     h = (b - a) / n_panels
-    centers = a + (np.arange(n_panels) + 0.5) * h
     nt = len(omegas)
+    out = np.empty((len(stack), nt), dtype=complex if parts is None else float)
 
-    # uniform when every omega sits within rounding of om0 + j step, the
-    # grid the chirp-z transform evaluates; rounding grows with |omega|
-    step = omegas[1] - omegas[0] if nt > 1 else 0.0
-    uniform = nt > 64 and step != 0.0 and np.all(
-        np.abs(omegas - (omegas[0] + np.arange(nt) * step))
-        <= _UNIFORM_TOL * np.finfo(float).eps * np.max(np.abs(omegas)))
-    out = np.empty((len(stack), nt), dtype=dtype)
+    # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
+    #                  * (e^{i step h})^{j p},  c_p = a + (p + 1/2) h
+    w = np.exp(1j * step * h)
+    chirp = _chirp(n_panels, nt, w)
+    shift = np.exp(1j * omegas[0] * (a + (np.arange(n_panels) + 0.5) * h))
+    # the phase and the weights lam_0, lam_1, once for the whole stack
+    phase = _phase(nt, step, a + 0.5 * h)
+    lam01 = np.empty((2, nt), dtype=complex)
+    for i0 in range(0, nt, _CZT_BLOCK):
+        b = slice(i0, i0 + _CZT_BLOCK)
+        lam01[:, b] = _filon_weights(omegas[b] * (h / 2.0))[:, :2].T
 
-    if uniform:
-        # e^{i om_j c_p} = e^{i om0 c_p} * e^{i j step (a + h/2)}
-        #                  * (e^{i step h})^{j p}
-        w = np.exp(1j * step * h)
-        chirp = _chirp(n_panels, nt, w)
-        shift = np.exp(1j * omegas[0] * centers)
-        # the phase and the weights lam_0, lam_1, once for the whole stack
-        phase = _phase(nt, step, a + 0.5 * h)
-        lam01 = np.empty((2, nt), dtype=complex)
+    def term(env_col, lam, conj=False):
+        """Panel sum of node column env_col, shifted on its own, times
+        phase, times lam or (for lam_2, lam_3) its conjugate, formed a
+        block at a time: in the transform's own FFT buffer, freed with
+        the result."""
+        col = _czt(env_col * shift, nt, w, chirp)
+        col *= phase
         for i0 in range(0, nt, _CZT_BLOCK):
             b = slice(i0, i0 + _CZT_BLOCK)
-            lam01[:, b] = _filon_weights(omegas[b] * (h / 2.0))[:, :2].T
+            col[b] *= np.conjugate(lam[b]) if conj else lam[b]
+        return col
 
-        def term(env_col, lam, conj=False):
-            """Panel sum of node column env_col, shifted on its own, times
-            phase, times lam or (for lam_2, lam_3) its conjugate, formed a
-            block at a time: in the transform's own FFT buffer, freed with
-            the result."""
-            col = _czt(env_col * shift, nt, w, chirp)
-            col *= phase
-            for i0 in range(0, nt, _CZT_BLOCK):
-                b = slice(i0, i0 + _CZT_BLOCK)
-                col[b] *= np.conjugate(lam[b]) if conj else lam[b]
-            return col
-
-        pair = np.empty(nt, dtype=out.dtype).view(float)
-        for env, row, part in zip(stack, out, parts):
-            acc = row.view(float)
-            # (t0 + t1) + (t2 + t3), as np.sum adds a row of four, so the
-            # tables keep their bits; lam_2, lam_3 conjugate lam_1, lam_0
-            pair[:] = _part(term(env[:, 2], lam01[1], conj=True), part)
-            pair += _part(term(env[:, 3], lam01[0], conj=True), part)
-            acc[:] = _part(term(env[:, 0], lam01[0]), part)
-            acc += _part(term(env[:, 1], lam01[1]), part)
-            acc += pair
-            acc *= h / 2.0
-        return out
-
-    # the panel sums of each node, then the weights, as in the chirp-z
-    # branch; einsum without ``optimize`` runs its own loops, where a
-    # matmul would wake the BLAS threads, which then spin between calls.
-    # The phase is formed in place in one complex buffer, with the bits of
-    # np.exp(1j * np.outer(om, centers)), and one envelope's node columns
-    # are copied out at a time
-    for i0 in range(0, nt, _FILON_CHUNK):
-        om = omegas[i0:i0 + _FILON_CHUNK]
-        lam = _filon_weights(om * (h / 2.0))                   # (T, 4)
-        phase = np.empty((om.size, n_panels), dtype=complex)   # (T, P)
-        np.multiply(om[:, None], centers, out=phase)
-        phase *= 1j
-        np.exp(phase, out=phase)
-        for k, env in enumerate(stack):
-            env_t = np.ascontiguousarray(env.T)                # (4, P)
-            bsum = np.einsum("tp,mp->tm", phase, env_t)        # (T, 4)
-            np.multiply(_part(np.sum(bsum * lam, axis=1), parts[k]),
-                        h / 2.0, out=out[k, i0:i0 + _FILON_CHUNK].view(float))
+    pair = np.empty(nt, dtype=out.dtype).view(float)
+    for env, row, part in zip(stack, out, parts or [None] * len(stack)):
+        acc = row.view(float)
+        # (t0 + t1) + (t2 + t3), as np.sum adds a row of four, so the
+        # tables keep their bits; lam_2, lam_3 conjugate lam_1, lam_0
+        pair[:] = _part(term(env[:, 2], lam01[1], conj=True), part)
+        pair += _part(term(env[:, 3], lam01[0], conj=True), part)
+        acc[:] = _part(term(env[:, 0], lam01[0]), part)
+        acc += _part(term(env[:, 1], lam01[1]), part)
+        acc += pair
+        acc *= h / 2.0
     return out
+
+
+def _probe_sums(env, h, omegas):
+    """The complex Filon sums, shape (K, 3), of the K envelopes ``env``,
+    (K, P, 4) at the nodes of P panels of width h from 0, at
+    ``filon_table``'s three probe omegas, which are not uniform: the panel
+    sum of each node column by einsum, then the weights, as ``filon_sums``
+    adds them.  einsum without ``optimize`` runs its own loops, where a
+    matmul would wake the BLAS threads, which then spin between calls.
+    The (3, P) phase is formed in place, with the bits of
+    np.exp(1j * np.outer(omegas, centers)), and one envelope's node
+    columns are copied out at a time."""
+    phase = np.empty((omegas.size, env.shape[1]), dtype=complex)  # (3, P)
+    np.multiply.outer(omegas, (np.arange(env.shape[1]) + 0.5) * h, out=phase)
+    phase *= 1j
+    np.exp(phase, out=phase)
+    bsums = [np.einsum("tp,mp->tm", phase, np.ascontiguousarray(nodes.T))
+             for nodes in env]                                 # K x (3, 4)
+    lam = _filon_weights(omegas * (h / 2.0))                   # (3, 4)
+    return np.sum(np.array(bsums) * lam, axis=2) * (h / 2.0)
 
 
 def double_panels(evaluate, n, n_max, tol, what):
@@ -424,29 +427,32 @@ def double_panels(evaluate, n, n_max, tol, what):
 _FILON_MAX_PANELS = 2 ** 16  # panel cap of filon_table's doubling
 
 
-def filon_table(envelope, a, b, times, tol, parts):
-    """The ``parts`` ("real" or "imag", one per envelope) of int_a^b
+def filon_table(envelope, b, times, tol, parts):
+    """The ``parts`` ("real" or "imag", one per envelope) of int_0^b
     env(y) e^{2 pi i y t} dy at each t of ``times``, and the last change
     of the complex values at the probe times.
 
     ``envelope(y)`` gives the envelope at the flat node array ``y``, shape
-    (y.size,), or (K, y.size) for a stack of K envelopes (values (K, T)).
-    Uniform panels of [a, b] double from 64 to at most
-    ``_FILON_MAX_PANELS`` (``double_panels``) until the values at three
-    probe times (0, 0.37 max t and max t; at least 1 and 2) move by at
-    most ``tol``; that one panelization then serves every t, so a sample
-    costs the same whatever its t.  Only the table keeps to ``parts``: the
-    probes stay complex, so the panels do not depend on them.  Sums that
-    are not finite (an envelope near the top of the doubles overflows
-    them, or is itself inf) raise QuadratureError, with no numpy warning.
+    (y.size,), or (K, y.size) for a stack of K envelopes; the values are
+    (K, T), K = 1 for one envelope.
+    ``times`` must be uniform (``filon_sums``): any other grid raises
+    ValueError before the envelope is evaluated.  Uniform panels of
+    [0, b] double from 64 to at most ``_FILON_MAX_PANELS``
+    (``double_panels``) until the values at three probe times (0,
+    0.37 max t and max t; at least 1 and 2, summed by ``_probe_sums``)
+    move by at most ``tol``; that one panelization then serves every t,
+    so a sample costs the same whatever its t.  Only the table keeps to
+    ``parts``: the probes stay complex, so the panels do not depend on
+    them.  Sums that are not finite (an envelope near the top of the
+    doubles overflows them, or is itself inf) raise QuadratureError, with
+    no numpy warning.
     """
     t = np.asarray(times, dtype=float)
+    omegas = 2.0 * math.pi * t
+    _uniform_step(omegas)
     t_probe = np.array([0.0, max(1.0, 0.37 * t.max()), max(2.0, t.max())])
-    om_probe = 2.0 * math.pi * t_probe
 
-    def finite_sums(env, omegas, parts=None):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = filon_sums(env, a, b, omegas, parts)
+    def finite(sums, env):
         if not np.isfinite(sums).all():
             raise QuadratureError(f"filon_table: the Filon sums are not "
                                   f"finite at {env.shape[-2]} panels",
@@ -454,13 +460,13 @@ def filon_table(envelope, a, b, times, tol, parts):
         return sums
 
     def tabulate(n):
-        """The envelope at the nodes of n panels, shape (..., n, 4), and
+        """The envelope at the nodes of n panels, shape (K, n, 4), and
         its transforms at the probe times."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            env = np.asarray(envelope(filon_nodes(a, b, n).ravel()))
-        env = env.reshape(env.shape[:-1] + (n, 4))
-        return env, finite_sums(env, om_probe)
+        env = np.reshape(envelope(filon_nodes(0.0, b, n).ravel()), (-1, n, 4))
+        return env, finite(_probe_sums(env, b / n, 2.0 * math.pi * t_probe),
+                           env)
 
-    env, err = double_panels(tabulate, 64, _FILON_MAX_PANELS, tol,
-                             "filon_table")
-    return finite_sums(env, 2.0 * math.pi * t, parts), err
+    with np.errstate(over="ignore", invalid="ignore"):
+        env, err = double_panels(tabulate, 64, _FILON_MAX_PANELS, tol,
+                                 "filon_table")
+        return finite(filon_sums(env, 0.0, b, omegas, parts), env), err

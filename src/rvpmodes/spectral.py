@@ -404,7 +404,7 @@ def sample_kernels(mode: ModeSpec, times, tol=1e-11) -> KernelTable:
         return env
 
     # alpha = 2 Re and beta = -2 Im of the sums: half of tol on the sums
-    sums, err = filon_table(envelopes, 0.0, mode.kappa, t, 0.5 * tol,
+    sums, err = filon_table(envelopes, mode.kappa, t, 0.5 * tol,
                             ("real", "imag"))
     sums[0] *= 2.0
     sums[1] *= -2.0

@@ -58,6 +58,17 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
+    @classmethod
+    def ending_at(cls, dt, t_max):
+        """The grid of round(t_max/dt) steps of dt, refused with ValueError
+        (or the ArithmeticError of t_max/dt) unless t_max/dt is a whole
+        number to 1e-9 relative: a grid that ends elsewhere than t_max is
+        not the one asked for."""
+        n_steps = round(t_max / dt)
+        if not abs(t_max / dt - n_steps) <= 1e-9 * n_steps:
+            raise ValueError(f"t_max {t_max} is no whole number of dt {dt}")
+        return cls(dt=dt, n_steps=n_steps)
+
 
 @dataclass(frozen=True)
 class ModeTrajectory:
@@ -204,9 +215,9 @@ def resolvent_kernel(mode: ModeSpec, grid: TimeGrid,
         w = laplace_beta_imag(mode, y, tol=tol)
         return w.imag / np.abs(1.0 - w) ** 2
 
-    sums, _ = filon_table(im_g, 0.0, kap, grid.times, 0.25 * tol, ("imag",))
+    sums, _ = filon_table(im_g, kap, grid.times, 0.25 * tol, ("imag",))
     sums *= -4.0
-    return sums
+    return sums[0]
 
 
 def apply_resolvent(resolvent, alpha, dt):

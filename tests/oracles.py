@@ -23,9 +23,11 @@ data:
   (``gaussian_density``, ``thermal_density``), written here from the
   profile's own formula, which the library never evaluates: it carries
   only the closed-form tail moment of h;
-* one-frequency Filon quadrature with panel doubling
-  (``integrate_oscillatory``), and the Filon weights from the complex
-  monomial moments (``filon_weights_monomial``);
+* the Filon panel sum taken directly at any omegas, O(T P)
+  (``filon_sums_direct``), which the chirp-z transform of
+  ``quadrature.filon_sums`` must meet; one-frequency Filon quadrature
+  with panel doubling on it (``integrate_oscillatory``), and the Filon
+  weights from the complex monomial moments (``filon_weights_monomial``);
 * the memory-kernel transform off the axis by one adaptive momentum
   integral per point (``laplace_beta_halfplane_momentum``);
 * the resolvent by integration of W/(1 - W) along the whole imaginary
@@ -58,8 +60,8 @@ from typing import Callable
 import numpy as np
 
 from rvpmodes.gevrey import GevreyParams, _check_order, c_coeffs, d_coeffs
-from rvpmodes.quadrature import (QuadResult, QuadratureError, _scalar,
-                                 filon_nodes, filon_sums)
+from rvpmodes.quadrature import (QuadResult, QuadratureError, _filon_weights,
+                                 _scalar, filon_nodes, filon_sums)
 from rvpmodes.equilibria import (_asarray, bessel_k2_scaled, scalarize,
                                  v_of_p)
 from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
@@ -309,7 +311,35 @@ def integrate_semi_infinite_adaptive(f, tol=1e-9, support=None, scale=1.0):
     return integrate_adaptive(g, 0.0, 1.0, tol=tol)
 
 
-# --- one-frequency Filon quadrature -----------------------------------------
+# --- the direct Filon panel sum, and one-frequency Filon quadrature ---------
+
+_DIRECT_CHUNK = 512  # omegas per block of the direct (T x P) panel sum
+
+
+def filon_sums_direct(env_nodes, a, b, omegas, parts=None):
+    """``quadrature.filon_sums`` at any omegas, uniform or not, by the
+    direct panel sum: e^{i omega c_p} at every panel centre c_p, the panel
+    sums of each node column, then the Filon weights, 512 omegas at a
+    time.  Same arguments and shapes; ``parts`` keeps each row's real or
+    imaginary part."""
+    omegas = np.asarray(omegas, dtype=float)
+    stack = np.asarray(env_nodes)
+    if stack.ndim == 2:
+        return filon_sums_direct(stack[None], a, b, omegas, parts)[0]
+    n_panels = stack.shape[1]
+    h = (b - a) / n_panels
+    centers = a + (np.arange(n_panels) + 0.5) * h
+    sums = np.empty((len(stack), omegas.size), dtype=complex)
+    for i0 in range(0, omegas.size, _DIRECT_CHUNK):
+        om = omegas[i0:i0 + _DIRECT_CHUNK]
+        lam = _filon_weights(om * (h / 2.0))                    # (T, 4)
+        phase = np.exp(1j * np.outer(om, centers))              # (T, P)
+        bsum = np.einsum("tp,kpm->ktm", phase, stack)           # (K, T, 4)
+        sums[:, i0:i0 + _DIRECT_CHUNK] = np.sum(bsum * lam, 2) * (h / 2.0)
+    if parts is None:
+        return sums
+    return np.stack([getattr(row, part) for row, part in zip(sums, parts)])
+
 
 _OSC_MAX_PANELS = 2 ** 14
 
@@ -335,7 +365,7 @@ def integrate_oscillatory(f, omega, a, b, tol=1e-9):
         nodes = filon_nodes(a, b, n)
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         evals += nodes.size
-        cur = complex(filon_sums(vals, a, b, [float(omega)])[0])
+        cur = complex(filon_sums_direct(vals, a, b, [float(omega)])[0])
         if prev is not None:
             err = abs(cur - prev)
             if err <= tol:

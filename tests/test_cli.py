@@ -1165,6 +1165,21 @@ class TestRefusals:
         assert err.startswith("error: --t-max ") and "--dt" in err
         assert not out.exists()
 
+    def test_script_t_max_off_the_dt_grid(self, tmp_path):
+        # scripts/run_mode_decay.py took round(t_max/dt) steps: it exited 0
+        # and wrote a trajectory that ended at t = 61.2
+        out = tmp_path / "mode.csv"
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(rvpmodes.__file__)))
+        script = os.path.join(repo, "scripts", "run_mode_decay.py")
+        run = subprocess.run([sys.executable, script, "--dt", "0.3",
+                              "--t-max", "61.1", "-o", str(out)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert "error: --t-max 61.1 and --dt 0.3" in run.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (EVOLVE + ["--theta", "0.5", "--profile-theta", "0.3"],
          "--profile-theta"),

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvpmodes import quadrature
+from rvpmodes import cli, quadrature
 from rvpmodes.quadrature import (QuadratureError, _filon_weights,
                                  double_panels, filon_nodes, filon_sums,
                                  filon_table, next_fast_len,
                                  gauss_legendre_nodes,
                                  integrate_finite, integrate_semi_infinite)
+from rvpmodes.volterra import TimeGrid
 
-from oracles import (filon_weights_monomial, integrate_adaptive,
-                     integrate_oscillatory)
+from oracles import (filon_sums_direct, filon_weights_monomial,
+                     integrate_adaptive, integrate_oscillatory)
 
 
 class TestFinite:
@@ -288,28 +289,56 @@ class TestOscillatory:
 class TestFilonSums:
     @pytest.mark.parametrize("a,b,om0", [(0.0, 1.3, 0.0), (0.7, 2.1, 3.1)])
     def test_chirp_z_branch_matches_direct_branch(self, a, b, om0):
-        # > 64 uniform omegas take the chirp-z branch; a permuted copy of
-        # the same grid is not uniform and takes the direct panel sum
+        # the chirp-z transform against the oracle's direct panel sum
         nodes = filon_nodes(a, b, 256)
         env = np.exp(-nodes * nodes) * (1.0 + 0.5j * np.sin(3.0 * nodes))
         omegas = om0 + 2.0 * math.pi * np.linspace(0.0, 50.0, 501)
-        perm = np.random.default_rng(5).permutation(omegas.size)
         fast = filon_sums(env, a, b, omegas)
-        direct = filon_sums(env, a, b, omegas[perm])
-        assert np.max(np.abs(fast[perm] - direct)) \
-            <= 1e-13 * np.max(np.abs(direct))
+        direct = filon_sums_direct(env, a, b, omegas)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("dt,n_steps", [(0.1, 10), (0.02, 50)])
+    def test_short_table_meets_direct_sum(self, dt, n_steps):
+        # 11 and 51 samples (evolve --dt 0.02 --t-max 1) once took the
+        # direct panel sum, below 65 omegas; the chirp-z now serves them
+        nodes = filon_nodes(0.0, 1.2, 256)
+        env = np.exp(-nodes * nodes) * (1.0 + 0.5j * np.sin(3.0 * nodes))
+        omegas = 2.0 * math.pi * dt * np.arange(n_steps + 1)
+        fast = filon_sums(env, 0.0, 1.2, omegas)
+        direct = filon_sums_direct(env, 0.0, 1.2, omegas)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_shuffled_grid_is_refused(self):
+        # a non-uniform grid once fell back to the direct panel sum
+        nodes = filon_nodes(0.0, 1.2, 64)
+        omegas = 2.0 * math.pi * 0.02 * np.arange(101)
+        omegas = np.random.default_rng(5).permutation(omegas)
+        with pytest.raises(ValueError, match="uniform grid of omegas"):
+            filon_sums(np.exp(-nodes), 0.0, 1.2, omegas)
+
+    @pytest.mark.parametrize("dt", [1e-4, 0.01, 0.3, 1.0])
+    def test_every_time_grid_is_uniform(self, dt):
+        # 2 pi times of every grid the CLI can build, up to the refined
+        # half-step grid of 2 MAX_STEPS steps, pass the check, with no
+        # table built.  A grid of n + 1 samples is a prefix of the longest
+        # one, its deviations from omega_0 + j step the same, so it
+        # passes where the running largest deviation is within 8 eps of
+        # its last omega
+        n_max = 2 * cli.MAX_STEPS
+        omegas = 2.0 * math.pi * TimeGrid(dt, n_max).times
+        for n in (1, 2, 3, 50, 64, 65, 1000, 15000, 120000, n_max):
+            assert quadrature._uniform_step(omegas[:n + 1]) == omegas[1]
+        dev = np.abs(omegas[0] + np.arange(n_max + 1) * omegas[1] - omegas)
+        assert np.all(np.maximum.accumulate(dev)
+                      <= 8 * np.finfo(float).eps * omegas)
 
     @pytest.mark.parametrize("n_omegas", [1001, 9000, 3, 1300])
     def test_stack_equals_separate_calls(self, n_omegas):
-        # 1001 and 9000 (three blocks of weights) uniform omegas take the
-        # chirp-z branch; 3, and 1300 shuffled (more than one block of the
-        # panel sum), the direct branch
+        # 9000 omegas make three blocks of weights
         nodes = filon_nodes(0.2, 1.7, 512)
         stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes),
                           nodes ** 3 * (1.0 + 0.5j)])
         omegas = 2.0 * math.pi * np.linspace(0.0, 60.0, n_omegas)
-        if n_omegas == 1300:
-            omegas = np.random.default_rng(3).permutation(omegas)
         sums = filon_sums(stack, 0.2, 1.7, omegas)
         assert sums.shape == (3, n_omegas)
         for env, row in zip(stack, sums):
@@ -317,14 +346,11 @@ class TestFilonSums:
 
     @pytest.mark.parametrize("n_omegas", [1001, 9000, 3, 1300])
     def test_real_rows_are_parts_of_complex_sums(self, n_omegas):
-        # 1001 and 9000 uniform omegas take the chirp-z branch, 3 and 1300
-        # shuffled the direct one; tobytes, so that a -0 shows
+        # tobytes, so that a -0 shows
         nodes = filon_nodes(0.2, 1.7, 512)
         stack = np.stack([np.exp(-nodes * nodes), np.sin(3.0 * nodes),
                           nodes ** 3 * (1.0 + 0.5j)])
         omegas = 2.0 * math.pi * np.linspace(0.0, 60.0, n_omegas)
-        if n_omegas == 1300:
-            omegas = np.random.default_rng(3).permutation(omegas)
         sums = filon_sums(stack, 0.2, 1.7, omegas)
         parts = ("real", "imag", "imag")
         rows = filon_sums(stack, 0.2, 1.7, omegas, parts)
@@ -343,7 +369,7 @@ class TestFilonSums:
             filon_sums(stack, 0.0, 1.0, np.arange(3.0), parts)
 
     def test_weights_are_formed_once_for_the_stack(self, monkeypatch):
-        # the chirp-z branch forms each block's weights once for all the
+        # the chirp-z transform forms each block's weights once for all the
         # envelopes of a stack, not once per envelope
         calls = []
 
@@ -410,7 +436,7 @@ class TestFilonTable:
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError,
                                match="sums are not finite at 64 panels"):
-                filon_table(lambda y: np.full(y.shape, 1e307), 0.0, 1.0,
+                filon_table(lambda y: np.full(y.shape, 1e307), 1.0,
                             np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
 
     def test_overflowing_envelope_raises_without_warning(self):
@@ -421,8 +447,19 @@ class TestFilonTable:
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError,
                                match="sums are not finite at 64 panels"):
-                filon_table(lambda y: 10.0 * np.full(y.shape, 1e308), 0.0,
-                            1.0, np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
+                filon_table(lambda y: 10.0 * np.full(y.shape, 1e308), 1.0,
+                            np.linspace(0.0, 10.0, 101), 1e-9, ("real",))
+
+    def test_shuffled_times_refused_before_the_envelope(self):
+        calls = []
+
+        def envelope(y):
+            calls.append(y.size)
+            return np.exp(-y)
+        t = np.random.default_rng(5).permutation(0.02 * np.arange(101))
+        with pytest.raises(ValueError, match="uniform grid of omegas"):
+            filon_table(envelope, 1.0, t, 1e-9, ("real",))
+        assert calls == []
 
 
 class TestFilonWeights:
@@ -456,8 +493,9 @@ class TestFilonWeights:
 
     def test_filon_rule_makes_no_blas_call(self):
         # a matmul, dot or @ wakes the BLAS worker threads, which then spin
-        for fn in (quadrature.filon_sums, quadrature._filon_weights,
-                   quadrature._chirp, quadrature._czt):
+        for fn in (quadrature.filon_sums, quadrature._probe_sums,
+                   quadrature._filon_weights, quadrature._chirp,
+                   quadrature._czt):
             tree = ast.parse(inspect.getsource(fn))
             calls = [n for n in ast.walk(tree)
                      if isinstance(n, ast.MatMult)

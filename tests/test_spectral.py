@@ -26,7 +26,8 @@ from rvpmodes.spectral import (ModeSpec, alpha_hat, beta_hat_envelope,
 
 from oracles import (alpha_direct, alpha_via_inverse, beta_direct,
                      beta_envelope_slope, beta_via_inverse,
-                     compact_derivative, f_cap, gaussian_density,
+                     compact_derivative, f_cap, filon_sums_direct,
+                     gaussian_density,
                      integrate_adaptive, integrate_oscillatory,
                      integrate_semi_infinite_adaptive, juttner_derivative,
                      laplace_alpha_imag_tail, laplace_beta_halfplane_momentum,
@@ -894,9 +895,10 @@ class TestKernelTableChirpZ:
         tab = sample_kernels(mode, t)
         assert t.size in lengths
         # three samples with the same t.max share the probes, so the
-        # panels, and take the direct panel sum; both branches round the
-        # phase omega y, y <= kappa, to eps omega kappa
+        # panels; the oracle's direct panel sum tabulates them, and both
+        # routes round the phase omega y, y <= kappa, to eps omega kappa
         idx = [50000, 85000, 120000]
+        monkeypatch.setattr(quadrature, "filon_sums", filon_sums_direct)
         direct = sample_kernels(mode, t[idx])
         rounding = np.finfo(float).eps * 2.0 * math.pi * t[-1] * mode.kappa
         for fast, slow in ((tab.alpha, direct.alpha), (tab.beta, direct.beta)):
@@ -908,6 +910,14 @@ class TestKernelTableChirpZ:
                 mode, thermal_density(0.5, 1.0), t[j])) < 1e-10
             assert abs(tab.beta[j] - beta_direct(
                 mode, juttner_derivative(0.5), t[j])) < 1e-10
+
+    def test_shuffled_grid_is_refused(self):
+        # a non-uniform grid once fell back to the direct panel sum
+        mode = ModeSpec(kappa=1.2, sigma=+1, equilibrium=juttner(0.5),
+                        profile=thermal_profile(0.5, 1.0))
+        t = np.random.default_rng(5).permutation(0.02 * np.arange(101))
+        with pytest.raises(ValueError, match="uniform grid of omegas"):
+            sample_kernels(mode, t)
 
     def test_half_step_table_memory(self):
         # the README evolve --refine's half-step table, the peak of its
@@ -933,9 +943,9 @@ class TestKernelTableChirpZ:
         # acceptance criterion 6's tables, tol 1e-12: 8 192 panels for
         # 5 001 samples, so the panel-sized arrays set the peak.  The
         # envelopes are evaluated in node blocks into one stack, the
-        # chirp-z branch shifts one node column at a time, and the probes'
-        # direct branch copies one envelope's columns and forms its phase
-        # in place: 4.43 last-pass stacks of (2, 8192, 4) float64 (2.32
+        # chirp-z transform shifts one node column at a time, and the
+        # probes' direct sum copies one envelope's columns and forms its
+        # phase in place: 4.43 last-pass stacks of (2, 8192, 4) float64 (2.32
         # MB); whole-node-array envelopes, a (P, 4) shifted copy and a
         # (K, 4, P) transposed one traced 6.57 (3.44 MB)
         eq = juttner(0.5)

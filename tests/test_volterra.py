@@ -93,6 +93,26 @@ class TestGrid:
         with pytest.raises(ValueError):
             TimeGrid(dt=0.1, n_steps=0)
 
+    @pytest.mark.parametrize("dt,t_max,n_steps", [
+        (0.3, 1.2, 4), (0.02, 300.0, 15000), (1.0, 2.0 ** 20, 2 ** 20)])
+    def test_ending_at_whole_steps(self, dt, t_max, n_steps):
+        # 1.2/0.3 is 3.9999999999999996 in floating point
+        assert TimeGrid.ending_at(dt, t_max) == TimeGrid(dt, n_steps)
+
+    @pytest.mark.parametrize("dt,t_max", [
+        (0.3, 1.1), (0.3, 1.0), (0.3, 61.1), (0.3, 0.1), (-0.1, 1.0)])
+    def test_ending_at_refuses_an_off_grid_end(self, dt, t_max):
+        # round(t_max/dt) steps ended at 1.2, 0.9, 61.2, 0 and -1.0
+        with pytest.raises(ValueError, match="no whole number"):
+            TimeGrid.ending_at(dt, t_max)
+
+    @pytest.mark.parametrize("dt,t_max", [
+        (0.0, 1.0), (0.1, math.nan), (0.1, math.inf), (math.inf, 1.0),
+        (0.1, 0.0)])
+    def test_ending_at_refuses_what_makes_no_grid(self, dt, t_max):
+        with pytest.raises((ValueError, ArithmeticError)):
+            TimeGrid.ending_at(dt, t_max)
+
 
 class TestSolver:
     def test_unequal_lengths_refused(self):
