@@ -60,7 +60,6 @@ class DecayFit:
     c: float
     eps: float
     s: float
-    rms_residual: float
     s_ci: Optional[tuple] = None
 
 
@@ -229,10 +228,8 @@ def fit_stretched(env: Envelope) -> DecayFit:
         xs = np.clip(x + step * np.linspace(-1.0, 1.0, 21), _X_MIN, _X_MAX)
         x = xs[np.argmin(_sse(xs, logt, logv))]
         step /= 10.0
-    logc, eps, _, res = _profile(np.array([x]), logt, logv)
-    return DecayFit(c=math.exp(logc[0]), eps=float(eps[0]),
-                    s=float(1.0 / x),
-                    rms_residual=float(np.sqrt(np.mean(res ** 2))))
+    logc, eps, _, _ = _profile(np.array([x]), logt, logv)
+    return DecayFit(c=math.exp(logc[0]), eps=float(eps[0]), s=float(1.0 / x))
 
 
 def bootstrap_s_interval(env: Envelope, fit: DecayFit, n_boot=200, seed=0):

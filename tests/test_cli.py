@@ -1167,17 +1167,15 @@ class TestRefusals:
 
     def test_script_t_max_off_the_dt_grid(self, tmp_path):
         # scripts/run_mode_decay.py took round(t_max/dt) steps: it exited 0
-        # and wrote a trajectory that ended at t = 61.2
+        # and wrote a trajectory that ended at t = 61.2; its evolve now
+        # meets the CLI's refusal
         out = tmp_path / "mode.csv"
-        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(rvpmodes.__file__)))
-        script = os.path.join(repo, "scripts", "run_mode_decay.py")
-        run = subprocess.run([sys.executable, script, "--dt", "0.3",
-                              "--t-max", "61.1", "-o", str(out)],
-                             capture_output=True, text=True, env=env)
+        run = run_mode_decay("--dt", "0.3", "--t-max", "61.1",
+                             "-o", str(out))
         assert run.returncode == 2
-        assert "error: --t-max 61.1 and --dt 0.3" in run.stderr
+        assert ("error: --t-max must be a whole number of --dt steps, got "
+                "--t-max 61.1 = ") in run.stderr
+        assert " x --dt 0.3\n" in run.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -1234,6 +1232,89 @@ class TestRefusals:
         assert capsys.readouterr().err == (
             f"error: cannot read config {missing}: No such file or "
             "directory\n")
+
+
+def run_mode_decay(*args, cwd=None):
+    """``scripts/run_mode_decay.py`` run with ``args`` in a fresh process."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(rvpmodes.__file__)))
+    script = os.path.join(repo, "scripts", "run_mode_decay.py")
+    return subprocess.run([sys.executable, script, *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
+class TestModeDecayScript:
+    """The script is `evolve --refine` then `fit` through ``cli.main``,
+    after the two steps of its own (kappa from --kappa-factor, and the
+    closest approach of W to 1)."""
+
+    SHORT = ("--dt", "0.05", "--t-max", "60")
+
+    def test_is_the_cli_pipeline(self, tmp_path, capsys):
+        out, ref = tmp_path / "mode.csv", tmp_path / "evolve.csv"
+        run = run_mode_decay(*self.SHORT, "--seed", "3", "-o", str(out))
+        assert run.returncode == 0, run.stderr
+        kappa = 2.5 * math.sqrt(spectral.kappa_crit_sq(juttner(1.0), +1))
+        assert main(["evolve", "--kappa", repr(kappa), "--sigma", "1",
+                     "--theta", "1.0", "--profile", "thermal", *self.SHORT,
+                     "--refine", "--tol", "1e-11", "-o", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        capsys.readouterr()
+        assert main(["fit", "--input", str(ref), "--kappa", repr(kappa),
+                     "--seed", "3"]) == 0
+        fit_line = capsys.readouterr().out
+        assert fit_line.startswith("c=")
+        assert run.stdout.endswith(fit_line)
+
+    def test_dash_output_is_a_file(self, tmp_path):
+        # `evolve -o -` writes to stdout, where `fit` cannot read it back
+        run = run_mode_decay(*self.SHORT, "-o", "-", cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "-").read_text().startswith("# schema=v1\n")
+        assert run.stdout.count("\n") == 3  # kappa, W and the fit line
+
+    def test_fit_failure_is_one_line(self, tmp_path):
+        # the fit's NoDecayError ended in a traceback
+        run = run_mode_decay("--dt", "0.3", "--t-max", "1.2",
+                             "-o", str(tmp_path / "mode.csv"))
+        assert run.returncode == 1
+        assert run.stderr == ("computation failed: NoDecayError: too few "
+                              "positive peaks to fit\n")
+
+    def test_own_quadrature_failure_is_one_line(self, tmp_path):
+        # at theta = 1e-4 the closest approach of W to 1 misses its 1e-10
+        # tolerance (ROADMAP item 17); that QuadratureError ended in a
+        # traceback.  Only the juttner cold-regime warning comes ahead.
+        run = run_mode_decay("--theta", "1e-4", *self.SHORT,
+                             "-o", str(tmp_path / "mode.csv"))
+        assert "Traceback" not in run.stderr
+        if run.returncode != 0:
+            assert run.returncode == 1
+            assert run.stderr.splitlines()[-1].startswith(
+                "computation failed: QuadratureError: ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--theta", "0"], "--theta"),
+        (["--theta", "1e-300"], "--theta"),
+        (["--kappa-factor", "0"], "--kappa-factor"),
+    ], ids=["theta-0", "theta-1e-300", "kappa-factor-0"])
+    def test_model_refusal_names_the_flag(self, argv, flag, tmp_path):
+        # juttner's and ModeSpec's ValueErrors ended in a traceback
+        out = tmp_path / "mode.csv"
+        run = run_mode_decay(*argv, "-o", str(out))
+        assert run.returncode == 2
+        errors = [ln for ln in run.stderr.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and f"error: {flag}: " in errors[0]
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
+    def test_negative_seed_is_refused(self, tmp_path):
+        # the bootstrap's ValueError ended in a traceback
+        run = run_mode_decay(*self.SHORT, "--seed", "-1",
+                             "-o", str(tmp_path / "mode.csv"))
+        assert run.returncode == 2
+        assert run.stderr == "error: --seed must be >= 0, got -1\n"
 
 
 class TestOutputPaths:

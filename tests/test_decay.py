@@ -73,7 +73,7 @@ class TestFitStretched:
 
     def test_one_peak_bootstrap_is_nan(self):
         # every resample repeats the one peak: no replicate has an s
-        fit = DecayFit(c=1.0, eps=1.0, s=2.0, rms_residual=0.0)
+        fit = DecayFit(c=1.0, eps=1.0, s=2.0)
         lo, hi = bootstrap_s_interval(Envelope(t=np.array([1.0]),
                                                value=np.array([0.5])),
                                       fit, n_boot=10)
@@ -85,7 +85,9 @@ class TestFitStretched:
         assert fit.c == pytest.approx(2.0, rel=0.02)
         assert fit.eps == pytest.approx(0.7, rel=0.02, abs=0.0)
         assert fit.s == pytest.approx(3.0, rel=0.02)
-        assert fit.rms_residual < 1e-8
+        res = (np.log(fit.c) - fit.eps * env.t ** (1.0 / fit.s)
+               - np.log(env.value))
+        assert np.sqrt(np.mean(res ** 2)) < 1e-8
 
     def test_pure_exponential_reads_s_one(self):
         env = synthetic_peaks(1.0, 1.0, 1.0, t_hi=30.0)
